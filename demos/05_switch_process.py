@@ -37,9 +37,12 @@ ab = dist.size_biased_draw(ex.RngStream(3, 2), n)
 print(f"interval covering the origin: mean {np.mean(ab):.4f} (target 2), "
       f"KS vs Gamma(2,1) p = {stats.kstest(ab, stats.gamma(a=2).cdf).pvalue:.3f}")
 
-# one readable path
-path = ex.simulate_switch(ex.point_mass_switching(1.0), 3.5, ex.RngStream(3, 3))
-print(f"deterministic path: instants {path.instants.tolist()}, states {path.states().tolist()}")
+# one readable path: unit switching times flip every path at t = 1, 2, 3,
+# so the ensemble mean is the path itself; at an instant the state is
+# still the pre-switch value
+ts = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+states, _ = switching.estimate_expectation(ex.point_mass_switching(1.0), ts, 2, ex.RngStream(3, 3))
+print(f"deterministic path at t = {ts.tolist()}: states {states.astype(int).tolist()}")
 
 # transform identities, checked pointwise
 psi = lambda s: 1.0 / (1.0 + s)

@@ -27,13 +27,11 @@ from .covariance import (
     second_derivative_at_zero,
 )
 from .slepian import (
-    DivisorDistribution,
     TailClass,
     ValidityError,
     ValidityReport,
     check_equivalence,
     crossing_intensity,
-    divisor_distribution,
     e0,
     e0_closed,
     mean_excursion,
@@ -52,7 +50,6 @@ from .laplace import (
 from .samplers import (
     DivisorSampler,
     EnvelopeViolationError,
-    ExcursionSample,
     ExponentialDivisor,
     RngStream,
     g_forward,
@@ -64,13 +61,10 @@ from .samplers import (
     sample_divisor_generic,
     sample_divisor_matern,
     sample_divisor_random_acceleration,
-    sample_excursion,
     sample_excursions,
     sample_geometric_half,
 )
 from .switching import (
-    StationaryDelay,
-    SwitchPath,
     SwitchingTimeDistribution,
     covariance_from_expectation,
     divisor_switching,
@@ -81,9 +75,6 @@ from .switching import (
     laplace_state_probability,
     laplace_stationary_covariance,
     point_mass_switching,
-    sample_stationary_delay,
-    simulate_stationary_switch,
-    simulate_switch,
 )
 from .persistency import (
     DegenerateTailError,

@@ -31,7 +31,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .laplace import AtPoleError, DivergenceError, LaplaceEvaluator, PoleNotFoundError
+from .laplace import AtPoleError, DivergenceError, PoleNotFoundError
 from .samplers import DivisorSampler, RngStream, sample_excursions
 from .slepian import ValidityError
 
@@ -161,37 +161,11 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cli_evaluator(model, rel_tol, tmax) -> LaplaceEvaluator:
-    if tmax is None:
-        return LaplaceEvaluator.for_model(model, rel_tol=rel_tol)
-    kind, _ = model.tail_hint()
-    return LaplaceEvaluator.for_survival(
-        lambda t: slepian.e0(model, t),
-        rel_tol=rel_tol,
-        tail_kind="power" if kind == "power" else "exponential",
-        t_cap=tmax,
-        label=model.spec_string(),
-    )
-
-
 def _cmd_pole(args) -> int:
     model = parse_model_spec(args.model)
-    report = slepian.cached_validity(model)
-    if report.verdict != "valid":
-        raise ValidityError(report, "pole search requires a valid model")
-    est = _cli_evaluator(model, args.rel_tol, args.tmax).find_pole()
-    _emit_json(
-        {
-            "theta": est.theta,
-            "method": "pole",
-            "bracket": list(est.bracket),
-            "residual": est.residual,
-            "boundary": est.boundary,
-            "boundary_margin": est.boundary_margin,
-            "reference": reference.reference_for(model.spec_string()),
-        },
-        args,
-    )
+    t_cap = laplace.T_CAP if args.tmax is None else args.tmax
+    est = laplace.find_pole(model, args.rel_tol, t_cap)
+    _emit_json({**est.as_dict(), "reference": reference.reference_for(model.spec_string())}, args)
     return 0
 
 
@@ -362,7 +336,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("switch", help="switch-process ensemble estimates as CSV")
     sp.add_argument("--dist", required=True, help="exp:<rate> | gamma:<shape>,<rate> | point:<c> | divisor:<model> | excursion:<model>")
     sp.add_argument("--mode", choices=["origin", "stationary"], default="origin")
-    sp.add_argument("--horizon", type=float, default=5.0)
+    sp.add_argument("--horizon", type=float, default=5.0, help="ignored: paths always run to the last grid time")
     sp.add_argument("--n", type=int, default=100000)
     sp.add_argument("--grid", default="0.25:5.0:0.25", help="start:stop:step of evaluation times")
     sp.add_argument("--seed", type=int, default=42)

@@ -51,6 +51,8 @@ __all__ = [
 # power tails, where the analytic completion carries the remainder).
 TRUNCATION_THRESHOLD = 1e-15
 T_CAP = 1000.0
+# Points of the main sweep of the pole scan.
+SCAN_POINTS = 48
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
 BOUNDARY_MARGIN = 0.95
@@ -149,31 +151,31 @@ class LaplaceEvaluator:
         survival: Callable,
         rel_tol: float = 1e-9,
         tail_kind: Optional[str] = None,
-        threshold: float = TRUNCATION_THRESHOLD,
         t_cap: float = T_CAP,
         label: str = "",
     ) -> "LaplaceEvaluator":
-        t_max = cls._find_t_max(survival, threshold, t_cap)
+        t_max = cls._find_t_max(survival, t_cap)
         completion = cls._fit_tail(survival, t_max, tail_kind)
         return cls(survival, t_max, completion, rel_tol=rel_tol, label=label)
 
     @classmethod
-    def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9) -> "LaplaceEvaluator":
+    def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9, t_cap: float = T_CAP) -> "LaplaceEvaluator":
         kind, _ = model.tail_hint()
         tail_kind = "power" if kind == "power" else "exponential"
         return cls.for_survival(
             lambda t: slepian.e0(model, t),
             rel_tol=rel_tol,
             tail_kind=tail_kind,
+            t_cap=t_cap,
             label=model.spec_string(),
         )
 
     @staticmethod
-    def _find_t_max(survival, threshold, t_cap):
+    def _find_t_max(survival, t_cap):
         t = 1.0
         while t < t_cap:
             v = float(np.asarray(survival(t)))
-            if not np.isfinite(v) or v < threshold:
+            if not np.isfinite(v) or v < TRUNCATION_THRESHOLD:
                 return t
             t *= 1.25
         return t_cap
@@ -248,7 +250,7 @@ class LaplaceEvaluator:
 
     # -- pole search --------------------------------------------------------
 
-    def find_pole(self, scan_points: int = 48) -> ExponentEstimate:
+    def find_pole(self) -> ExponentEstimate:
         """Largest negative real root of h(s) = 1 + s L(s).
 
         Scans from 0- toward BOUNDARY_MARGIN times the convergence
@@ -266,7 +268,7 @@ class LaplaceEvaluator:
 
         # descending scan: a short stretch hugging zero (where h -> 1),
         # then the main sweep toward the boundary margin
-        grid = np.concatenate([np.linspace(1e-3 * hi, hi, 8), np.linspace(hi, lo, scan_points)[1:]])
+        grid = np.concatenate([np.linspace(1e-3 * hi, hi, 8), np.linspace(hi, lo, SCAN_POINTS)[1:]])
         s_prev = float(grid[0])
         h_prev = h(s_prev)
         bracket = None
@@ -295,32 +297,33 @@ class LaplaceEvaluator:
 
 
 @lru_cache(maxsize=64)
-def _evaluator(model: CovarianceModel, rel_tol: float) -> LaplaceEvaluator:
-    return LaplaceEvaluator.for_model(model, rel_tol=rel_tol)
+def _evaluator(model: CovarianceModel, rel_tol: float, t_cap: float) -> LaplaceEvaluator:
+    return LaplaceEvaluator.for_model(model, rel_tol=rel_tol, t_cap=t_cap)
 
 
 def laplace_e0(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
     """L E0(s) for a catalog model."""
-    return _evaluator(model, rel_tol).transform(s)
+    return _evaluator(model, rel_tol, T_CAP).transform(s)
 
 
 def psi_divisor(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
     """Divisor Laplace transform 1 - s L E0(s)."""
-    return _evaluator(model, rel_tol).psi_divisor(s)
+    return _evaluator(model, rel_tol, T_CAP).psi_divisor(s)
 
 
 def psi_excursion(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
     """Exceedance-time Laplace transform (1 - s L E0)/(1 + s L E0)."""
-    return _evaluator(model, rel_tol).psi_excursion(s)
+    return _evaluator(model, rel_tol, T_CAP).psi_excursion(s)
 
 
-def find_pole(model: CovarianceModel, rel_tol: float = 1e-12) -> ExponentEstimate:
+def find_pole(model: CovarianceModel, rel_tol: float = 1e-12, t_cap: float = T_CAP) -> ExponentEstimate:
     """Pole-based persistency exponent for a validated model.
 
     Refuses models whose validity verdict is not plain "valid" (the pole
-    heuristic needs an exponentially decaying divisor).
+    heuristic needs an exponentially decaying divisor).  ``t_cap`` caps
+    the truncation point of the transform.
     """
     report = slepian.cached_validity(model)
     if report.verdict != "valid":
         raise ValidityError(report, f"pole search requires a valid model, got verdict={report.verdict}")
-    return _evaluator(model, rel_tol).find_pole()
+    return _evaluator(model, rel_tol, t_cap).find_pole()

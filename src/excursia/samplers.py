@@ -38,7 +38,6 @@ import numpy as np
 from .covariance import (
     CovarianceModel,
     Diffusion,
-    GeneralizedLaplace,
     MaternHalfInteger,
     RandomAcceleration,
     ShiftedGaussian,
@@ -50,7 +49,6 @@ from . import slepian
 
 __all__ = [
     "RngStream",
-    "ExcursionSample",
     "DivisorSampler",
     "ExponentialDivisor",
     "EnvelopeViolationError",
@@ -64,7 +62,6 @@ __all__ = [
     "sample_divisor_generic",
     "sample_divisor",
     "sample_geometric_half",
-    "sample_excursion",
     "sample_excursions",
     "gaussian_divisor_density",
 ]
@@ -109,14 +106,6 @@ class RngStream:
         1 to zero-length draws, so exact endpoints are never emitted."""
         u = self.gen.random(size)
         return np.clip(u, _EPS, 1.0 - _EPS)
-
-
-@dataclass(frozen=True)
-class ExcursionSample:
-    """One compound draw: the exceedance time and its divisor count."""
-
-    value: float
-    divisor_count: int
 
 
 def _ret(x, size):
@@ -505,21 +494,17 @@ class ExponentialDivisor:
 
 
 class DivisorSampler:
-    """Divisor distribution of a model bundled with its sampling strategy.
+    """Divisor distribution of a model bundled with its sampling strategy:
+    survival E0, mean mu/2 and the model's validity report.
 
     Construction runs the validity gate: models whose clipped expectation
     oscillates (or is non-integrable) are refused with their report.
     """
 
-    def __init__(self, model: CovarianceModel, check_validity: bool = True):
+    def __init__(self, model: CovarianceModel):
         self.model = model
-        report = slepian.require_usable(model) if check_validity else slepian.cached_validity(model)
-        self.report = report
-        self.distribution = slepian.divisor_distribution(model, report)
-
-    @property
-    def mean(self) -> float:
-        return self.distribution.mean
+        self.report = slepian.require_usable(model)
+        self.mean = slepian.mean_excursion(model) / 2.0
 
     def survival(self, t):
         return slepian.e0(self.model, t)
@@ -534,8 +519,6 @@ class DivisorSampler:
             return sample_divisor_gaussian(rng, size)
         if isinstance(m, MaternHalfInteger):
             return sample_divisor_matern(m.nu, rng, size)
-        if isinstance(m, GeneralizedLaplace):
-            return sample_divisor_generic(m, rng, size)
         return sample_divisor_generic(m, rng, size)
 
 
@@ -578,9 +561,3 @@ def sample_excursions(source, rng: RngStream, size: int):
     offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
     values = np.add.reduceat(draws, offsets)
     return values, counts
-
-
-def sample_excursion(source, rng: RngStream) -> ExcursionSample:
-    """One compound exceedance-time draw with its divisor count."""
-    values, counts = sample_excursions(source, rng, 1)
-    return ExcursionSample(value=float(values[0]), divisor_count=int(counts[0]))

@@ -22,9 +22,9 @@ zero-crossing intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "TailClass",
     "ValidityReport",
     "ValidityError",
-    "DivisorDistribution",
     "e0",
     "e0_closed",
     "mean_excursion",
@@ -42,7 +41,6 @@ __all__ = [
     "validate_iia",
     "cached_validity",
     "check_equivalence",
-    "divisor_distribution",
 ]
 
 # Grid defaults: all exponential-class built-ins decay below 1e-8 well
@@ -133,16 +131,6 @@ class ValidityReport:
             "step": self.step,
             "classification_inconclusive": self.classification_inconclusive,
         }
-
-
-@dataclass(frozen=True)
-class DivisorDistribution:
-    """The geometric divisor: survival E0, mean mu/2, and tail class."""
-
-    model: CovarianceModel
-    survival: Callable = field(compare=False)
-    mean: float = np.inf
-    tail_class: Optional[TailClass] = None
 
 
 def e0(model: CovarianceModel, t):
@@ -296,18 +284,6 @@ def require_usable(model: CovarianceModel) -> ValidityReport:
     if not report.usable:
         raise ValidityError(report)
     return report
-
-
-def divisor_distribution(model: CovarianceModel, report: ValidityReport | None = None) -> DivisorDistribution:
-    """Bundle the divisor's survival, mean mu/2, and tail class."""
-    report = report or cached_validity(model)
-    mean = mean_excursion(model) / 2.0 if report.integrable is not False else np.inf
-    return DivisorDistribution(
-        model=model,
-        survival=lambda t: e0(model, t),
-        mean=mean,
-        tail_class=report.tail_class,
-    )
 
 
 def check_equivalence(model: CovarianceModel, grid, h: float = 1e-4) -> float:

@@ -34,18 +34,17 @@ from .samplers import DivisorSampler, RngStream, sample_excursions
 from .covariance import CovarianceModel
 from .slepian import mean_excursion
 
+# Tail mass of the divisor beyond the truncation point of its size-biased
+# rejection sampler.
+SB_MASS_TOL = 1e-13
+
 __all__ = [
     "SwitchingTimeDistribution",
-    "SwitchPath",
-    "StationaryDelay",
     "exponential_switching",
     "gamma_switching",
     "point_mass_switching",
     "divisor_switching",
     "excursion_switching",
-    "simulate_switch",
-    "sample_stationary_delay",
-    "simulate_stationary_switch",
     "laplace_expectation",
     "laplace_state_probability",
     "laplace_stationary_covariance",
@@ -124,19 +123,38 @@ def point_mass_switching(c: float) -> SwitchingTimeDistribution:
     return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=draw)
 
 
-def divisor_switching(model: CovarianceModel, sb_mass_tol: float = 1e-13) -> SwitchingTimeDistribution:
+def _size_biased_by_rejection(draw: Callable, mu: float, t_trunc: float) -> Callable:
+    """Size-biased sampler by weighted rejection: proposals x from
+    ``draw(rng, m)`` accepted with probability min(x / t_trunc, 1)."""
+
+    def size_biased(rng: RngStream, size: int):
+        n = int(size)
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            m = max(int((n - filled) * t_trunc / mu * 1.1) + 16, 64)
+            x = np.atleast_1d(draw(rng, m))
+            u = rng.uniform01(m)
+            take = x[u <= x / t_trunc][: n - filled]
+            out[filled : filled + take.size] = take
+            filled += take.size
+        return out
+
+    return size_biased
+
+
+def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     """Switching times drawn from a model's geometric divisor.
 
-    The size-biased draw uses weighted rejection: proposals from the
-    divisor itself accepted with probability x / T_trunc, where T_trunc is
-    grown until the survival drops below ``sb_mass_tol`` (the capped
-    acceptance beyond T_trunc biases by at most that tail mass).
+    The size-biased draw uses weighted rejection with T_trunc grown until
+    the survival drops below SB_MASS_TOL (the capped acceptance beyond
+    T_trunc biases by at most that tail mass).
     """
     sampler = DivisorSampler(model)
     mu = sampler.mean
 
     t_trunc = 1.0
-    while float(np.asarray(sampler.survival(t_trunc))) > sb_mass_tol and t_trunc < 1e6:
+    while float(np.asarray(sampler.survival(t_trunc))) > SB_MASS_TOL and t_trunc < 1e6:
         t_trunc *= 2.0
 
     def density(t, h=1e-6):
@@ -144,26 +162,13 @@ def divisor_switching(model: CovarianceModel, sb_mass_tol: float = 1e-13) -> Swi
         hh = np.minimum(h, 0.5 * np.maximum(t, h))
         return -(sampler.survival(t + hh) - sampler.survival(t - hh)) / (2.0 * hh)
 
-    def size_biased(rng: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(int((n - filled) * t_trunc / mu * 1.1) + 16, 64)
-            x = np.atleast_1d(sampler.draw(rng, m))
-            u = rng.uniform01(m)
-            take = x[u <= x / t_trunc][: n - filled]
-            out[filled : filled + take.size] = take
-            filled += take.size
-        return float(out[0]) if size is None else out
-
     return SwitchingTimeDistribution(
         label=f"divisor:{model.spec_string()}",
         mean=mu,
         draw=sampler.draw,
         density=density,
         cdf=lambda t: 1.0 - np.asarray(sampler.survival(t)),
-        size_biased_draw=size_biased,
+        size_biased_draw=_size_biased_by_rejection(sampler.draw, mu, t_trunc),
     )
 
 
@@ -183,124 +188,18 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     sampler = DivisorSampler(model)
     mu = mean_excursion(model)
 
-    def draw(rng: RngStream, size=None):
-        values, _ = sample_excursions(sampler, rng, 1 if size is None else int(size))
-        return float(values[0]) if size is None else values
+    def draw(rng: RngStream, size: int):
+        return sample_excursions(sampler, rng, int(size))[0]
 
     pilot, _ = sample_excursions(sampler, RngStream(0x5EED, 917), 4096)
     t_trunc = 4.0 * float(pilot.max())
-
-    def size_biased(rng: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(int((n - filled) * t_trunc / mu * 1.1) + 16, 64)
-            x, _ = sample_excursions(sampler, rng, m)
-            u = rng.uniform01(m)
-            take = x[u <= x / t_trunc][: n - filled]
-            out[filled : filled + take.size] = take
-            filled += take.size
-        return float(out[0]) if size is None else out
 
     return SwitchingTimeDistribution(
         label=f"excursion:{model.spec_string()}",
         mean=mu,
         draw=draw,
-        size_biased_draw=size_biased,
+        size_biased_draw=_size_biased_by_rejection(draw, mu, t_trunc),
     )
-
-
-@dataclass(frozen=True)
-class SwitchPath:
-    """Piecewise +/-1 trajectory: alternating states over switch instants.
-
-    The state at exactly a switch instant is the pre-switch value
-    (intervals are left-open, right-closed).
-    """
-
-    initial_state: int
-    instants: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        inst = np.asarray(self.instants, dtype=float)
-        if inst.size and (np.any(np.diff(inst) <= 0) or inst[0] <= 0):
-            raise ValueError("switch instants must be strictly increasing and positive")
-        object.__setattr__(self, "instants", inst)
-
-    def state_at(self, t):
-        t = np.asarray(t, dtype=float)
-        flips = np.searchsorted(self.instants, t, side="left")
-        out = self.initial_state * np.where(flips % 2 == 0, 1, -1)
-        return out if out.ndim else int(out)
-
-    def states(self) -> np.ndarray:
-        """State on each of the len(instants)+1 segments."""
-        signs = np.ones(self.instants.size + 1, dtype=int)
-        signs[1::2] = -1
-        return self.initial_state * signs
-
-
-@dataclass(frozen=True)
-class StationaryDelay:
-    """Forward delay A, backward delay B and initial sign of the delayed path."""
-
-    A: float
-    B: float
-    delta: int
-
-
-def _cumulative_draws(dist: SwitchingTimeDistribution, horizon: float, rng: RngStream) -> np.ndarray:
-    """Cumulative switch instants until the first sum exceeding horizon."""
-    total = 0.0
-    out = []
-    for _ in range(100000):
-        block = np.atleast_1d(dist.draw(rng, 16))
-        cums = total + np.cumsum(block)
-        beyond = np.flatnonzero(cums > horizon)
-        if beyond.size:
-            out.append(cums[: beyond[0]])
-            return np.concatenate(out) if out else np.empty(0)
-        out.append(cums)
-        total = float(cums[-1])
-    raise RuntimeError("horizon not reached; switching times may be degenerate at 0")
-
-
-def simulate_switch(dist: SwitchingTimeDistribution, horizon: float, rng: RngStream) -> SwitchPath:
-    """Origin-attached path: state +1 from t=0, flips at iid cumulative sums."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    instants = _cumulative_draws(dist, horizon, rng)
-    return SwitchPath(initial_state=1, instants=instants, horizon=float(horizon))
-
-
-def sample_stationary_delay(dist: SwitchingTimeDistribution, rng: RngStream) -> StationaryDelay:
-    """Draw (A, B, delta): A+B size-biased, A uniform given the total,
-    sign symmetric.  The conditional uniformity holds because the joint
-    density of the delays is constant on a + b = s."""
-    if dist.size_biased_draw is None:
-        raise ValueError(
-            f"distribution {dist.label!r} has no size-biased sampler; "
-            "the stationary construction requires a switching-time density"
-        )
-    s = float(np.asarray(dist.size_biased_draw(rng, None)))
-    a = float(rng.uniform01(None)) * s
-    delta = 1 if float(rng.uniform01(None)) < 0.5 else -1
-    return StationaryDelay(A=a, B=s - a, delta=delta)
-
-
-def simulate_stationary_switch(dist: SwitchingTimeDistribution, horizon: float, rng: RngStream) -> SwitchPath:
-    """Forward half of the stationary path: state -delta on [0, A), then an
-    origin-attached path scaled by delta from t = A on."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    delay = sample_stationary_delay(dist, rng)
-    if delay.A > horizon:
-        return SwitchPath(initial_state=-delay.delta, instants=np.empty(0), horizon=float(horizon))
-    rest = _cumulative_draws(dist, horizon - delay.A, rng)
-    instants = np.concatenate(([delay.A], delay.A + rest))
-    return SwitchPath(initial_state=-delay.delta, instants=instants, horizon=float(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +284,19 @@ def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: Rng
     return e_hat, se
 
 
+def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
+    """Per-path start of the stationary path: the size-biased interval
+    covering the origin, the forward delay A (uniform on that interval,
+    because the joint delay density is constant on a + b = s) and the
+    symmetric sign delta.  The state is -delta on [0, A)."""
+    if dist.size_biased_draw is None:
+        raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
+    s_tot = np.atleast_1d(dist.size_biased_draw(rng, n))
+    a = rng.uniform01(n) * s_tot
+    delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
+    return s_tot, a, delta
+
+
 def estimate_stationary_covariance(
     dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream, base_time: float = 0.0
 ):
@@ -394,13 +306,9 @@ def estimate_stationary_covariance(
     each grid time and R_hat the covariance between the state at
     ``base_time`` and at ``base_time + t`` for each lag t in the grid.
     """
-    if dist.size_biased_draw is None:
-        raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
     grid = np.asarray(grid, dtype=float)
     horizon = base_time + float(grid.max())
-    s_tot = np.atleast_1d(dist.size_biased_draw(rng, n))
-    a = rng.uniform01(n) * s_tot
-    delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
+    _, a, delta = _stationary_start(dist, n, rng)
     cums = _instant_matrix(dist, n, horizon, rng)
 
     def states_at(t: float) -> np.ndarray:

@@ -105,11 +105,20 @@ def test_pole_json(capsys):
     assert payload["reference"]["pole"] == 0.1862
 
 
+def test_pole_tmax_cap(capsys):
+    _, default = run_json(capsys, ["pole", "--model", "diffusion(d=2)"])
+    code, capped = run_json(capsys, ["pole", "--model", "diffusion(d=2)", "--tmax", "40"])
+    assert code == 0
+    assert capped["metadata"]["config"]["tmax"] == 40.0
+    assert capped["theta"] == pytest.approx(default["theta"], abs=1e-8)
+
+
 def test_pole_refusal_and_numerical_failure(capsys):
-    assert main(["pole", "--model", "shifted_gaussian(alpha=2)"]) == 2
-    capsys.readouterr()
-    assert main(["pole", "--model", "generalized_laplace(alpha=1)"]) == 2
-    capsys.readouterr()
+    for spec, verdict in [("shifted_gaussian(alpha=2)", "invalid_oscillating"), ("generalized_laplace(alpha=1)", "valid_but_power_tail_warning")]:
+        code, payload = run_json(capsys, ["pole", "--model", spec])
+        assert code == 2
+        assert payload["error"] == "validity_gate"
+        assert payload["report"]["verdict"] == verdict
 
 
 def test_persistency_json(capsys):

@@ -155,8 +155,9 @@ def test_exponential_closure():
 
 
 def test_excursion_sample_object():
-    s = ex.sample_excursion(ex.Diffusion(d=2), ex.RngStream(77, 0))
-    assert s.value > 0 and s.divisor_count >= 1
+    values, counts = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(77, 0), 1)
+    assert values.shape == counts.shape == (1,)
+    assert values[0] > 0 and counts[0] >= 1
 
 
 def test_sampling_refuses_invalid_model():

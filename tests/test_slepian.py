@@ -95,7 +95,7 @@ def test_validate_grid_preconditions():
 
 def test_divisor_distribution_fields():
     for m in VALID_MODELS:
-        div = ex.divisor_distribution(m)
+        div = ex.DivisorSampler(m)
         assert float(np.asarray(div.survival(0.0))) == 1.0
         ts = np.arange(0.0, 30.0, 0.05)
         vals = np.asarray(div.survival(ts))

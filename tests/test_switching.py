@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import excursia as ex
@@ -9,18 +10,35 @@ from excursia import switching
 
 
 def test_origin_path_starts_on():
-    p = ex.simulate_switch(ex.exponential_switching(1.0), 5.0, ex.RngStream(1, 0))
-    assert p.state_at(0.0) == 1
-    assert p.initial_state == 1
+    e_hat, se = switching.estimate_expectation(ex.exponential_switching(1.0), [0.0], 1000, ex.RngStream(1, 0))
+    assert e_hat[0] == 1.0 and se[0] == 0.0
 
 
 def test_point_mass_path():
-    p = ex.simulate_switch(ex.point_mass_switching(1.0), 3.5, ex.RngStream(2, 0))
-    assert np.allclose(p.instants, [1.0, 2.0, 3.0])
-    assert list(p.states()) == [1, -1, 1, -1]
-    # left-open right-closed segments: state at an instant is pre-switch
-    assert p.state_at(1.0) == 1
-    assert p.state_at(1.0 + 1e-12) == -1
+    # instants 1, 2, 3, ...: every path is the same, so the estimates are exact
+    grid = [0.0, 1.0, 1.0 + 1e-12, 2.0, 2.5, 3.5]
+    e_hat, se = switching.estimate_expectation(ex.point_mass_switching(1.0), grid, 100, ex.RngStream(2, 0))
+    # left-closed convention: the state at an instant is the pre-switch value
+    assert list(e_hat) == [1.0, 1.0, -1.0, -1.0, 1.0, -1.0]
+    assert list(se) == [0.0] * len(grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    j=st.integers(0, 5),
+    halves=st.lists(st.integers(0, 24), min_size=1, max_size=8, unique=True),
+)
+def test_left_closed_convention_on_dyadic_point_mass(k, j, halves):
+    # dyadic c keeps the cumulative instants c, 2c, ... and the grid times
+    # (h/2) c exact, so grid times land exactly on and between instants
+    c = k / 2.0**j
+    grid = [0.5 * h * c for h in halves]
+    e_hat, se = switching.estimate_expectation(ex.point_mass_switching(c), grid, 3, ex.RngStream(0, 0))
+    # instants strictly before (h/2) c are the i >= 1 with 2i < h
+    expected = [(-1.0) ** sum(1 for i in range(1, h + 1) if 2 * i < h) for h in halves]
+    assert list(e_hat) == expected
+    assert list(se) == [0.0] * len(grid)
 
 
 def test_expectation_matches_exponential_formula():
@@ -33,11 +51,7 @@ def test_expectation_matches_exponential_formula():
 
 def test_stationary_delay_laws():
     dist = ex.exponential_switching(1.0)
-    rng = ex.RngStream(23, 1)
-    delays = [ex.sample_stationary_delay(dist, rng) for _ in range(20000)]
-    ab = np.array([d.A + d.B for d in delays])
-    a = np.array([d.A for d in delays])
-    sign = np.array([d.delta for d in delays])
+    ab, a, sign = switching._stationary_start(dist, 20000, ex.RngStream(23, 1))
     # interval covering the origin is size-biased: Gamma(2, 1)
     assert stats.kstest(ab, stats.gamma(a=2).cdf).pvalue > 0.01
     # forward delay marginal is Exp(1)
@@ -74,10 +88,10 @@ def test_stationary_mean_zero_and_covariance():
 
 def test_stationary_initial_state_symmetric():
     dist = ex.exponential_switching(1.0)
-    rng = ex.RngStream(40, 0)
-    states = np.array([ex.simulate_stationary_switch(dist, 1.0, rng).state_at(0.0) for _ in range(2000)])
-    frac = (states == 1).mean()
-    assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / states.size)
+    n = 2000
+    e_hat, _, _, _ = switching.estimate_stationary_covariance(dist, [0.0], n, ex.RngStream(40, 0))
+    frac = 0.5 * (1.0 + e_hat[0])  # share of paths in state +1 at the origin
+    assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
 def test_stationarity_certificate_invariance_in_base_time():
@@ -157,7 +171,7 @@ def test_excursion_switching_reproduces_clipped_autocovariance():
 def test_stationary_requires_density():
     dist = ex.point_mass_switching(1.0)
     with pytest.raises(ValueError):
-        ex.sample_stationary_delay(dist, ex.RngStream(1, 0))
+        switching.estimate_stationary_covariance(dist, [0.5], 100, ex.RngStream(1, 0))
 
 
 def test_divisor_switching_distribution():
