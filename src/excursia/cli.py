@@ -8,7 +8,7 @@ byte-identical for identical (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 model failed the validity gate
 when sampling was requested (the report is printed), 3 numerical failure
-(pole not found, transform divergence).
+(pole not found, transform divergence, quadrature error above rel_tol).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .laplace import AtPoleError, DivergenceError, PoleNotFoundError
+from .laplace import AtPoleError, DivergenceError, PoleNotFoundError, QuadratureError
 from .samplers import DivisorSampler, RngStream, sample_excursions
 from .slepian import ValidityError
 
@@ -222,12 +222,15 @@ def _cmd_switch(args) -> int:
         raise UsageError(f"bad --dist or --grid value: {exc}") from exc
     grid = np.arange(start, stop + 0.5 * step, step)
     rng = RngStream(args.seed, 0)
-    if args.mode == "origin":
-        e_hat, se = switching.estimate_expectation(dist, grid, args.n, rng)
-        rows = [(t, e, np.nan, s) for t, e, s in zip(grid, e_hat, se)]
-    else:
-        e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
-        rows = [(t, e, r, s) for t, e, r, s in zip(grid, e_hat, r_hat, r_se)]
+    try:
+        if args.mode == "origin":
+            e_hat, se = switching.estimate_expectation(dist, grid, args.n, rng)
+            rows = [(t, e, np.nan, s) for t, e, s in zip(grid, e_hat, se)]
+        else:
+            e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
+            rows = [(t, e, r, s) for t, e, r, s in zip(grid, e_hat, r_hat, r_se)]
+    except ValueError as exc:  # n < 2, or a stationary law without a size-biased sampler
+        raise UsageError(str(exc)) from exc
     _emit_csv(["t", "E_hat", "R_hat", "SE"], rows, args)
     return 0
 
@@ -378,7 +381,7 @@ def main(argv=None) -> int:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, AtPoleError) as exc:
+    except (PoleNotFoundError, DivergenceError, AtPoleError, QuadratureError) as exc:
         print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -1,11 +1,15 @@
 """Numerical Laplace transform of the divisor survival and pole search.
 
-The transform  L(s) = int_0^inf E0(t) e^{-st} dt  is computed as adaptive
-quadrature on [0, t_max] plus an analytic completion of the truncated
+The transform  L(s) = int_0^inf E0(t) e^{-st} dt  is a fixed composite
+Gauss-Legendre rule on [0, t_max] (geometric panels graded toward t = 0,
+where e^{-st} peaks at large s; E0 evaluated once per evaluator, so each
+L(s) is one dot product) plus an analytic completion of the truncated
 tail, because bare truncation biases the transform exactly at the negative
-s values where persistency poles live.  The completion parameters are
-fitted to log E0 over the final decade before t_max (exponential form for
-exponentially decaying survivals, log-log form for power tails).
+s values where persistency poles live.  A lower-order rule on the same
+panels gives the error estimate; above rel_tol it raises QuadratureError.
+The completion parameters are fitted to log E0 over the final decade
+before t_max (exponential form for exponentially decaying survivals,
+log-log form for power tails).
 
 From the transform:
 
@@ -39,6 +43,7 @@ __all__ = [
     "DivergenceError",
     "AtPoleError",
     "PoleNotFoundError",
+    "QuadratureError",
     "TailCompletion",
     "LaplaceEvaluator",
     "laplace_e0",
@@ -56,6 +61,12 @@ SCAN_POINTS = 48
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
 BOUNDARY_MARGIN = 0.95
+# Composite Gauss-Legendre rule: panel edges t_max * (0, geomspace(
+# PANEL_START, 1, PANELS)); CHECK_ORDER nodes per panel give the estimate.
+PANELS = 48
+PANEL_START = 1e-9
+ORDER = 24
+CHECK_ORDER = 16
 
 
 class DivergenceError(ValueError):
@@ -83,6 +94,10 @@ class PoleNotFoundError(RuntimeError):
             f"no real pole: h({lo:g})={h_lo:g}, h({hi:g})={h_hi:g} have equal sign "
             "(the dominant pole may sit at or beyond the convergence boundary, or be complex)"
         )
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature error estimate of the transform exceeds rel_tol."""
 
 
 @dataclass(frozen=True)
@@ -116,18 +131,30 @@ class TailCompletion:
         return val
 
 
-def _eval_survival(survival, ts):
-    try:
-        vals = np.asarray(survival(ts), dtype=float)
-        if vals.shape != np.shape(ts):
-            raise TypeError
-        return vals
-    except TypeError:
-        return np.array([float(survival(t)) for t in np.atleast_1d(ts)])
+@lru_cache(maxsize=None)
+def _unit_rule(order: int):
+    """Nodes and weights of the composite rule on [0, 1], built on first use."""
+    edges = np.concatenate([[0.0], np.geomspace(PANEL_START, 1.0, PANELS)])
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _weighted_values(survival, t_max: float, order: int) -> np.ndarray:
+    nodes, weights = _unit_rule(order)
+    return t_max * weights * np.asarray(survival(t_max * nodes), dtype=float)
+
+
+def _rule_terms(weighted: np.ndarray, order: int, s: float, t_max: float) -> np.ndarray:
+    return weighted * np.exp((-s * t_max) * _unit_rule(order)[0])
 
 
 class LaplaceEvaluator:
-    """Transform of one survival function with truncation + tail completion."""
+    """Transform of one survival function with truncation + tail completion.
+
+    Keeps the weighted survival values on the shared unit nodes scaled by
+    t_max, and ``abserr``, the quadrature error estimate.
+    """
 
     def __init__(
         self,
@@ -137,11 +164,31 @@ class LaplaceEvaluator:
         rel_tol: float = 1e-9,
         label: str = "",
     ):
-        self.survival = survival
         self.t_max = float(t_max)
         self.completion = completion
         self.rel_tol = float(rel_tol)
         self.label = label
+        self._weighted = _weighted_values(survival, self.t_max, ORDER)
+        self.abserr = self._certify(_weighted_values(survival, self.t_max, CHECK_ORDER))
+
+    def _certify(self, check: np.ndarray) -> float:
+        """Largest |main - lower-order| + round-off floor at s = 0 and at the
+        scan's far end; raises QuadratureError above rel_tol * |main|."""
+        points = [0.0]
+        if self.completion.kind == "exponential":
+            points.append(BOUNDARY_MARGIN * self.completion.slope)
+        abserr = 0.0
+        for s in points:
+            terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
+            main = float(terms.sum())
+            low = float(_rule_terms(check, CHECK_ORDER, s, self.t_max).sum())
+            err = abs(main - low) + np.finfo(float).eps * float(np.abs(terms).sum())
+            if not err <= self.rel_tol * abs(main):
+                raise QuadratureError(
+                    f"quadrature error estimate {err:.3g} at s={s:g} exceeds rel_tol * |L| = {self.rel_tol * abs(main):.3g}"
+                )
+            abserr = max(abserr, err)
+        return abserr
 
     # -- construction -----------------------------------------------------
 
@@ -154,6 +201,8 @@ class LaplaceEvaluator:
         t_cap: float = T_CAP,
         label: str = "",
     ) -> "LaplaceEvaluator":
+        """Evaluator for a vectorised survival: ``survival(ts)`` must map an
+        array of times to an array of the same shape."""
         t_max = cls._find_t_max(survival, t_cap)
         completion = cls._fit_tail(survival, t_max, tail_kind)
         return cls(survival, t_max, completion, rel_tol=rel_tol, label=label)
@@ -183,7 +232,7 @@ class LaplaceEvaluator:
     @staticmethod
     def _fit_tail(survival, t_max, tail_kind):
         ts = np.linspace(t_max / 10.0, t_max, 200)
-        vals = _eval_survival(survival, ts)
+        vals = np.asarray(survival(ts), dtype=float)
         good = vals > 0
         ts, vals = ts[good], vals[good]
         if ts.size < 20:
@@ -219,22 +268,11 @@ class LaplaceEvaluator:
                 raise DivergenceError(s, 0.0)
 
     def transform(self, s: float) -> float:
-        """L(s) = quadrature on [0, t_max] + analytic tail remainder."""
+        """L(s) = fixed-node quadrature on [0, t_max] + analytic tail remainder."""
         s = float(s)
         self._check_domain(s)
-        survival = self.survival
-        # full_output suppresses the benign roundoff warning quad emits when
-        # pushed to tight tolerances on sharply peaked integrands
-        out = integrate.quad(
-            lambda t: float(np.asarray(survival(t))) * math.exp(-s * t),
-            0.0,
-            self.t_max,
-            epsabs=0.0,
-            epsrel=self.rel_tol,
-            limit=500,
-            full_output=1,
-        )
-        return out[0] + self.completion.remainder(s, self.t_max)
+        quadrature = float(_rule_terms(self._weighted, ORDER, s, self.t_max).sum())
+        return quadrature + self.completion.remainder(s, self.t_max)
 
     def psi_divisor(self, s: float) -> float:
         """Laplace transform of the divisor density, 1 - s L(s)."""
@@ -289,6 +327,7 @@ class LaplaceEvaluator:
             residual=float(residual),
             boundary=float(self.completion.slope),
             boundary_margin=BOUNDARY_MARGIN,
+            quad_abserr=self.abserr,
         )
 
 

@@ -54,8 +54,9 @@ class ExponentEstimate:
     for the Monte Carlo estimator.  ``half_width`` is a 95% bound across
     replications (absent for single runs and pole results).  The pole
     fields record the sign-change bracket, the residual of the pole
-    equation at the returned root, and the convergence boundary together
-    with the safety margin kept from it.
+    equation at the returned root, the convergence boundary together
+    with the safety margin kept from it, and the quadrature error estimate
+    of the transform.
     """
 
     theta: float
@@ -70,6 +71,7 @@ class ExponentEstimate:
     residual: Optional[float] = None
     boundary: Optional[float] = None
     boundary_margin: Optional[float] = None
+    quad_abserr: Optional[float] = None
     per_rep: Optional[tuple] = None
 
     def as_dict(self) -> dict:
@@ -85,6 +87,7 @@ class ExponentEstimate:
             "residual",
             "boundary",
             "boundary_margin",
+            "quad_abserr",
             "per_rep",
         ):
             val = getattr(self, key)

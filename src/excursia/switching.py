@@ -253,6 +253,11 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
 # the standard-error formulas elementary)
 
 
+def _check_paths(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
+
+
 def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
     """(n, m) cumulative switch instants per path, covering [0, beyond].
 
@@ -271,8 +276,9 @@ def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng:
 def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream):
     """Ensemble estimate of E(t) for the origin-attached path.
 
-    Returns (E_hat, SE) arrays over the grid.
+    Returns (E_hat, SE) arrays over the grid; n must be at least 2.
     """
+    _check_paths(n)
     grid = np.asarray(grid, dtype=float)
     cums = _instant_matrix(dist, n, float(grid.max()), rng)
     e_hat = np.empty(grid.size)
@@ -304,8 +310,10 @@ def estimate_stationary_covariance(
 
     Returns (E_hat, E_se, R_hat, R_se) where E_hat is the mean state at
     each grid time and R_hat the covariance between the state at
-    ``base_time`` and at ``base_time + t`` for each lag t in the grid.
+    ``base_time`` and at ``base_time + t`` for each lag t in the grid;
+    n must be at least 2.
     """
+    _check_paths(n)
     grid = np.asarray(grid, dtype=float)
     horizon = base_time + float(grid.max())
     _, a, delta = _stationary_start(dist, n, rng)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from excursia import Diffusion, laplace_e0
 from excursia.cli import main
 
 
@@ -105,6 +106,20 @@ def test_pole_json(capsys):
     assert payload["reference"]["pole"] == 0.1862
 
 
+def test_pole_json_carries_quadrature_error(capsys):
+    code, payload = run_json(capsys, ["pole", "--model", "diffusion(d=2)"])
+    assert code == 0
+    assert math.isfinite(payload["quad_abserr"])
+    assert 0.0 <= payload["quad_abserr"] <= 1e-12 * laplace_e0(Diffusion(d=2), 0.0)
+
+
+def test_pole_quadrature_gate_exit_three(capsys):
+    assert main(["pole", "--model", "diffusion(d=2)", "--rel-tol", "1e-18"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: quadrature error estimate" in captured.err
+
+
 def test_pole_tmax_cap(capsys):
     _, default = run_json(capsys, ["pole", "--model", "diffusion(d=2)"])
     code, capped = run_json(capsys, ["pole", "--model", "diffusion(d=2)", "--tmax", "40"])
@@ -161,6 +176,21 @@ def test_switch_divisor_distribution(tmp_path, capsys):
     assert len(rows) == 3
     assert all(abs(float(r[1])) < 0.06 for r in rows)  # stationary mean ~ 0
     capsys.readouterr()
+
+
+def test_switch_stationary_without_size_biased_sampler_is_usage_error(capsys):
+    assert main(["switch", "--dist", "point:1", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: distribution 'point:1' has no size-biased sampler" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["origin", "stationary"])
+def test_switch_rejects_single_path(mode, capsys):
+    assert main(["switch", "--dist", "exp:1", "--mode", mode, "--n", "1", "--grid", "0.5:1:0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: need at least 2 paths" in captured.err
 
 
 def test_reproduce_table2_small(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 import excursia as ex
 from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError
@@ -19,6 +20,31 @@ def test_psi_divisor_fixture_and_limits():
     assert FIXTURE.psi_divisor(0.0) == pytest.approx(1.0, abs=1e-12)
     assert FIXTURE.psi_divisor(1.0) == pytest.approx(0.5, rel=1e-10)
     assert abs(ex.psi_divisor(ex.Diffusion(d=2), 1000.0)) <= 1e-3
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.RandomAcceleration(), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
+def test_large_s_transform_sees_the_peak_at_zero(model):
+    # E0(0) = 1 and E0 is continuous, so s L(s) -> 1 as s -> inf; the whole
+    # integrand sits within a few 1/s of t = 0
+    for s in [1e3, 1e4, 1e5, 1e6]:
+        sl = s * ex.laplace_e0(model, s)
+        assert 1.0 - 1e-3 < sl <= 1.0 + 1e-9, (s, sl)
+
+
+def _d1_transform_oracle(s):
+    # E0(t) = cosh(t/4)/cosh(t/2) for d=1, so L E0(s) = beta(s+1/4) + beta(s+3/4)
+    def beta(a):
+        return 0.5 * (digamma((a + 1.0) / 2.0) - digamma(a / 2.0))
+
+    return beta(s + 0.25) + beta(s + 0.75)
+
+
+def test_transform_matches_d1_digamma_oracle():
+    model = ex.Diffusion(d=1)
+    # s = -0.2 carries the fitted tail completion's own error
+    for s, tol in [(0.0, 1e-12), (0.5, 1e-12), (5.0, 1e-12), (1e3, 1e-12), (1e5, 1e-9), (-0.2, 1e-8)]:
+        ref = _d1_transform_oracle(s)
+        assert abs(ex.laplace_e0(model, s) - ref) <= tol * ref, s
 
 
 def test_psi_excursion_fixture_and_identity():

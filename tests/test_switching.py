@@ -174,6 +174,15 @@ def test_stationary_requires_density():
         switching.estimate_stationary_covariance(dist, [0.5], 100, ex.RngStream(1, 0))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_estimators_need_two_paths(n):
+    dist = ex.exponential_switching(1.0)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        switching.estimate_expectation(dist, [0.5], n, ex.RngStream(1, 0))
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        switching.estimate_stationary_covariance(dist, [0.5], n, ex.RngStream(1, 0))
+
+
 def test_divisor_switching_distribution():
     dist = ex.divisor_switching(ex.Diffusion(d=2))
     assert dist.mean == pytest.approx(math.pi, rel=1e-12)
