@@ -14,6 +14,7 @@ when sampling was requested (the report is printed), 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,7 +282,9 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     p = _Parser(prog=TOOL, description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 

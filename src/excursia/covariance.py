@@ -183,7 +183,8 @@ class RandomAcceleration(CovarianceModel):
 
     def dr(self, t):
         t = np.asarray(t, dtype=float)
-        return 0.75 * (np.exp(-1.5 * t) - np.exp(-0.5 * t))
+        # e^{-3t/2} - e^{-t/2} = e^{-t/2} expm1(-t), without cancellation near 0
+        return 0.75 * np.exp(-0.5 * t) * np.expm1(-t)
 
     def d2r0(self):
         return -0.75
@@ -265,6 +266,15 @@ _MATERN_POLY_LOWER = {
     3.5: np.array([1.0, 3.0, 3.0]),
     4.5: np.array([1.0, 6.0, 15.0, 15.0]),
 }
+# Taylor coefficients of c e^t - p_m(t), c = p_m(0), for powers 20 ... 0
+# (np.polyval order): c/k! - [t^k] p_m, exact for k <= m and correctly
+# rounded above.  The terms of order 0 and 1 vanish and every other one is
+# positive, so the sum does not cancel; on |t| < 1 the dropped terms are
+# below 1e-18 of the t^2 term.
+_MATERN_SERIES = {
+    nu: np.array([p[-1] / math.factorial(k) - (p[-1 - k] if k < p.size else 0.0) for k in range(20, -1, -1)])
+    for nu, p in _MATERN_POLY.items()
+}
 
 
 @dataclass(frozen=True)
@@ -315,10 +325,14 @@ class MaternHalfInteger(CovarianceModel):
         # c e^t - p(t), formed without cancellation: the constant and
         # linear coefficients of p match those of c e^t exactly, so
         # c e^t - p(t) = c (expm1(t) - t) - q(t) with q = p - c - c t.
+        # On |t| < 1 expm1(t) - t itself cancels, so the positive Taylor
+        # series of the whole difference is summed there instead.
+        t = np.asarray(t, dtype=float)
         q = self._poly.copy()
         q[-1] = 0.0
         q[-2] = 0.0
-        return self._c * (np.expm1(t) - t) - np.polyval(q, t)
+        series = np.polyval(_MATERN_SERIES[self.nu], np.clip(t, -1.0, 1.0))
+        return np.where(np.abs(t) < 1.0, series, self._c * (np.expm1(t) - t) - np.polyval(q, t))
 
     def one_minus_r2(self, t):
         t = np.asarray(t, dtype=float)

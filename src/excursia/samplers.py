@@ -1,10 +1,13 @@
 """Exact samplers for the geometric divisor and the compound exceedance time.
 
-Every divisor sampler inverts the model's survival function E0 exactly
-(closed form where available, safeguarded Newton or bisection-secant
-otherwise) and must satisfy the round-trip oracle |E0(T(U)) - U| <= 1e-8
-(1e-9 for pure closed forms).  The exceedance time itself is the compound
-draw
+Every divisor sampler but one draws T = E0^{-1}(U) from a single uniform.
+The inverse is a closed form for diffusion d = 1, d = 2 and random
+acceleration; for every other model it is read from one cached inverse
+table per model (numerical inversion from a fixed table, after Hoermann &
+Leydold 2003, ACM TOMACS 13(4)).  shifted_gaussian(alpha=0) keeps its
+rejection sampler.  Every inverse must satisfy the round-trip oracle
+|E0(T(U)) - U| <= 1e-9, and the table also |E0(T(U))/U - 1| <= 1e-9 on
+[eps, 1 - eps].  The exceedance time itself is the compound draw
 
     T_a = sum of nu_geo iid divisor draws,   nu_geo ~ Geometric(1/2),
 
@@ -23,6 +26,19 @@ Numerical notes on the closed forms:
   circulates in print fails the round-trip oracle (U = 0.5 gives 2.485
   where the survival inverse requires 3.32578) and is not used.
 
+The inverse table: E0 is evaluated once, vectorised, at t = 0 and on
+geometric nodes from 1e-3 (where 1 - E0 is resolved in floating point) up
+to the first power of two where E0 < eps/4.  With z = sqrt(-log E0) and
+x = log1p(t), x(z) is close to linear near t = 0 (1 - E0 ~ c t^2) and
+smooth in exponential, superexponential and power tails, so a cubic
+spline of x in z meets the relative round trip to about 1e-11.  A draw is
+t = max(expm1(x(sqrt(-log U))), 0).
+
+``g_forward``/``g_inverse``/``poly_inverse_b`` are the recursive-minimum
+construction of the diffusion divisor for d >= 3 (T_d = min(T_{d-1},
+G_d^{-1}(U^2)), d - 1 uniforms per draw).  No draw uses them; tests keep
+them as an independent oracle for the table.
+
 All samplers are pure functions of an RngStream, so replications on
 distinct stream indices are independent and reproducible regardless of
 scheduling.
@@ -32,8 +48,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .covariance import (
     CovarianceModel,
@@ -41,8 +59,6 @@ from .covariance import (
     MaternHalfInteger,
     RandomAcceleration,
     ShiftedGaussian,
-    _MATERN_POLY,
-    _MATERN_POLY_LOWER,
     _log_cosh,
 )
 from . import slepian
@@ -68,6 +84,12 @@ __all__ = [
 
 _EPS = np.finfo(float).eps  # uniforms clamped to the open interval (0, 1)
 _LN2 = math.log(2.0)
+
+# Inverse table: node count, first node after t = 0, and the survival
+# level the last node (a power of two) must fall below.
+_TABLE_NODES = 4096
+_TABLE_T_FIRST = 1e-3
+_TABLE_TAIL = _EPS / 4.0
 
 # Rejection envelope for the squared-exponential divisor: Rayleigh proposal
 # with sigma = 1.3 and constant 1.18, verified on a grid at first use.
@@ -113,7 +135,102 @@ def _ret(x, size):
 
 
 # ---------------------------------------------------------------------------
-# diffusion divisors
+# survival inversion: closed forms and the cached inverse table
+
+
+def _diffusion_d2_from_u(u):
+    # sech(T/2) = U exactly: T = 2 ln((1 + sqrt(1 - U^2))/U)
+    m = (1.0 - u) * (1.0 + u)
+    return 2.0 * (np.log1p(np.sqrt(m)) - np.log(u))
+
+
+def _diffusion_d1_from_u(u):
+    # 2 U^2 = y + y^2 with y = sech(T/2); the positive root, formed
+    # without subtraction so tiny U keeps full precision.
+    y = 4.0 * u * u / (1.0 + np.sqrt(1.0 + 8.0 * u * u))
+    return 2.0 * np.arccosh(1.0 / y)
+
+
+def _random_acceleration_from_u(u):
+    # T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of sqrt(3/(4e^t - 1))
+    return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
+
+
+@lru_cache(maxsize=128)
+def _inverse_table(model: CovarianceModel) -> CubicSpline:
+    """Cubic spline of log1p(t) in z = sqrt(-log E0(t)), built from one
+    vectorised E0 evaluation on the table nodes (see the module notes).
+
+    Raises ``RuntimeError`` when no power of two up to 2^63 brings E0
+    below eps/4, or when z is not strictly increasing on the nodes
+    (E0 not strictly decreasing there); there is no fallback inverter.
+    """
+    powers = 2.0 ** np.arange(64)
+    with np.errstate(all="ignore"):
+        below = np.flatnonzero(np.asarray(slepian.e0(model, powers)) < _TABLE_TAIL)
+    if below.size == 0:
+        raise RuntimeError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
+    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, powers[below[0]], _TABLE_NODES - 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.sqrt(-np.log(slepian.e0(model, t)))
+    if not np.all(np.diff(z) > 0.0):
+        raise RuntimeError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
+    return CubicSpline(z, np.log1p(t))
+
+
+def _table_inverse(model: CovarianceModel, u):
+    """E0^{-1}(u) from the model's cached inverse table."""
+    x = _inverse_table(model)(np.sqrt(-np.log(u)))
+    return np.maximum(np.expm1(x), 0.0)
+
+
+def _inverse_survival(model: CovarianceModel, u):
+    """E0^{-1}(u): closed form for diffusion d = 1, 2 and random
+    acceleration, the cached inverse table for every other model."""
+    if isinstance(model, Diffusion) and model.d == 1:
+        return _diffusion_d1_from_u(u)
+    if isinstance(model, Diffusion) and model.d == 2:
+        return _diffusion_d2_from_u(u)
+    if isinstance(model, RandomAcceleration):
+        return _random_acceleration_from_u(u)
+    return _table_inverse(model, u)
+
+
+def _draw_by_inversion(model: CovarianceModel, rng: RngStream, size):
+    n = 1 if size is None else int(size)
+    return _ret(_inverse_survival(model, rng.uniform01(n)), size)
+
+
+def sample_divisor_diffusion(d: int, rng: RngStream, size=None):
+    """Divisor draw for the d-dimensional diffusion covariance, one
+    uniform per sample: closed-form inverses for d = 1 and d = 2, the
+    inverse table for d >= 3.  ``d`` outside 1..64 raises ``ModelSpecError``."""
+    return _draw_by_inversion(Diffusion(d=d), rng, size)
+
+
+def sample_divisor_random_acceleration(rng: RngStream, size=None):
+    """Divisor draw for the random-acceleration covariance:
+    T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of E0(t) = sqrt(3/(4e^t - 1)).
+    """
+    return _draw_by_inversion(RandomAcceleration(), rng, size)
+
+
+def sample_divisor_matern(nu: float, rng: RngStream, size=None):
+    """Divisor draw for the half-integer Matern covariance from the
+    model's inverse table.  ``nu`` outside 2.5/3.5/4.5 raises ``ModelSpecError``."""
+    return _draw_by_inversion(MaternHalfInteger(nu=nu), rng, size)
+
+
+def sample_divisor_generic(model: CovarianceModel, rng: RngStream, size=None):
+    """Inverse-table draw for any model whose validity report allows
+    sampling (verdict valid or the power-tail warning)."""
+    slepian.require_usable(model)
+    n = 1 if size is None else int(size)
+    return _ret(_table_inverse(model, rng.uniform01(n)), size)
+
+
+# ---------------------------------------------------------------------------
+# recursive-minimum oracle for diffusion d >= 3 (tests only)
 
 
 def poly_inverse_b(d: int, a, tol: float = 1e-12):
@@ -187,54 +304,6 @@ def g_inverse(d: int, g):
     with np.errstate(divide="ignore"):
         t = 2.0 * np.arccosh(1.0 / b)
     return _ret(t, None if scalar else g.size)
-
-
-def _diffusion_d2_from_u(u):
-    # sech(T/2) = U exactly: T = 2 ln((1 + sqrt(1 - U^2))/U)
-    m = (1.0 - u) * (1.0 + u)
-    return 2.0 * (np.log1p(np.sqrt(m)) - np.log(u))
-
-
-def _diffusion_d1_from_u(u):
-    # 2 U^2 = y + y^2 with y = sech(T/2); the positive root, formed
-    # without subtraction so tiny U keeps full precision.
-    y = 4.0 * u * u / (1.0 + np.sqrt(1.0 + 8.0 * u * u))
-    return 2.0 * np.arccosh(1.0 / y)
-
-
-def sample_divisor_diffusion(d: int, rng: RngStream, size=None):
-    """Divisor draw for the d-dimensional diffusion covariance.
-
-    d = 1 and d = 2 are direct survival inverses; for d > 2 the draw is
-    the recursive minimum T_d = min(T_{d-1}, G_d^{-1}(U^2)) with an
-    independent uniform per stage, which consumes exactly d - 1 uniforms
-    per sample (1 for d = 1).
-    """
-    if not 1 <= d <= 64:
-        raise ValueError("diffusion dimension must be in [1, 64]")
-    n = 1 if size is None else int(size)
-    if d == 1:
-        t = _diffusion_d1_from_u(rng.uniform01(n))
-        return _ret(t, size)
-    u = rng.uniform01((max(d - 1, 1), n))
-    t = _diffusion_d2_from_u(u[0])
-    for k in range(3, d + 1):
-        t = np.minimum(t, g_inverse(k, u[k - 2] ** 2))
-    return _ret(t, size)
-
-
-# ---------------------------------------------------------------------------
-# random acceleration divisor
-
-
-def sample_divisor_random_acceleration(rng: RngStream, size=None):
-    """Divisor draw for the random-acceleration covariance:
-    T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of E0(t) = sqrt(3/(4e^t - 1)).
-    """
-    n = 1 if size is None else int(size)
-    u = rng.uniform01(n)
-    t = np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
-    return _ret(t, size)
 
 
 # ---------------------------------------------------------------------------
@@ -315,161 +384,6 @@ def sample_divisor_gaussian(rng: RngStream, size=None, return_stats=False):
     return _ret(out, size)
 
 
-# ---------------------------------------------------------------------------
-# bracketed inversion helpers
-
-
-def _grow_bracket(survival, u):
-    """Per-element upper bracket: double hi until survival(hi) < u."""
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(80):
-        s = np.asarray(survival(hi), dtype=float)
-        mask = s >= u
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    else:
-        raise RuntimeError("failed to bracket survival inverse")
-    return lo, hi
-
-
-def _invert_newton(survival, derivative, u, tol=1e-9, max_iter=200):
-    """Solve survival(t) = u elementwise by Newton with a bracketing
-    bisection fallback whenever a step would leave the current bracket."""
-    u = np.asarray(u, dtype=float)
-    lo, hi = _grow_bracket(survival, u)
-    t = 0.5 * (lo + hi)
-    remaining = np.arange(u.size)
-    for _ in range(max_iter):
-        if remaining.size == 0:
-            return t
-        ta = t[remaining]
-        fa = np.asarray(survival(ta), dtype=float) - u[remaining]
-        keep = np.abs(fa) > tol
-        idx = remaining[keep]
-        remaining = idx
-        if idx.size == 0:
-            return t
-        ta = ta[keep]
-        fa = fa[keep]
-        pos = fa > 0  # survival above target: root lies to the right
-        lo[idx[pos]] = ta[pos]
-        hi[idx[~pos]] = ta[~pos]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = ta - fa / np.asarray(derivative(ta), dtype=float)
-        bad = ~np.isfinite(step) | (step <= lo[idx]) | (step >= hi[idx])
-        step[bad] = 0.5 * (lo[idx][bad] + hi[idx][bad])
-        t[idx] = step
-    raise RuntimeError("survival inversion did not converge")
-
-
-def _invert_bisect_secant(survival, u, tol=1e-9, max_iter=300):
-    """Solve survival(t) = u elementwise by bisection accelerated with
-    false-position (secant-through-bracket) steps."""
-    u = np.asarray(u, dtype=float)
-    lo, hi = _grow_bracket(survival, u)
-    flo = np.asarray(survival(lo), dtype=float) - u
-    fhi = np.asarray(survival(hi), dtype=float) - u
-    t = 0.5 * (lo + hi)
-    remaining = np.arange(u.size)
-    for it in range(max_iter):
-        if remaining.size == 0:
-            return t
-        ta = t[remaining]
-        fa = np.asarray(survival(ta), dtype=float) - u[remaining]
-        keep = np.abs(fa) > tol
-        idx = remaining[keep]
-        remaining = idx
-        if idx.size == 0:
-            return t
-        ta = ta[keep]
-        fa = fa[keep]
-        pos = fa > 0
-        lo[idx[pos]] = ta[pos]
-        flo[idx[pos]] = fa[pos]
-        hi[idx[~pos]] = ta[~pos]
-        fhi[idx[~pos]] = fa[~pos]
-        if it % 3 == 2:
-            step = 0.5 * (lo[idx] + hi[idx])
-        else:
-            den = fhi[idx] - flo[idx]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                step = lo[idx] - flo[idx] * (hi[idx] - lo[idx]) / den
-            bad = ~np.isfinite(step) | (step <= lo[idx]) | (step >= hi[idx])
-            step[bad] = 0.5 * (lo[idx][bad] + hi[idx][bad])
-        t[idx] = step
-    raise RuntimeError("survival inversion did not converge")
-
-
-# ---------------------------------------------------------------------------
-# Matern divisor via safeguarded Newton
-
-
-def _matern_survival_parts(nu: float):
-    p = _MATERN_POLY[nu]
-    p1 = _MATERN_POLY_LOWER[nu]
-    dp = np.polyder(p)
-    dp1 = np.polyder(p1)
-    c = float(p[-1])
-    k = math.sqrt(2.0 * (nu - 1.0))
-    q = p.copy()
-    q[-1] = 0.0
-    q[-2] = 0.0
-
-    def survival(t):
-        t = np.asarray(t, dtype=float)
-        pv = np.polyval(p, t)
-        delta = (c * (np.expm1(t) - t) - np.polyval(q, t)) * (c * np.exp(t) + pv)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = k * t * np.polyval(p1, t) / np.sqrt(delta)
-        return np.where(t == 0.0, 1.0, val)
-
-    def derivative(t):
-        t = np.asarray(t, dtype=float)
-        pv = np.polyval(p, t)
-        p1v = np.polyval(p1, t)
-        delta = (c * (np.expm1(t) - t) - np.polyval(q, t)) * (c * np.exp(t) + pv)
-        ddelta = 2.0 * c * c * np.exp(2.0 * t) - 2.0 * pv * np.polyval(dp, t)
-        s = survival(t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logder = 1.0 / t + np.polyval(dp1, t) / p1v - 0.5 * ddelta / delta
-        return s * logder
-
-    return survival, derivative
-
-
-def sample_divisor_matern(nu: float, rng: RngStream, size=None):
-    """Divisor draw for the half-integer Matern covariance by inverting
-    E0(t) = U with Newton iteration on the closed polynomial form.
-
-    Plain Newton is unstable from poor starting points (the survival is
-    extremely flat near zero), so every step is safeguarded by a bracket:
-    a step leaving the bracket is replaced by its midpoint.
-    """
-    if float(nu) not in _MATERN_POLY:
-        raise ValueError(f"matern nu must be one of {sorted(_MATERN_POLY)}")
-    survival, derivative = _matern_survival_parts(float(nu))
-    n = 1 if size is None else int(size)
-    u = rng.uniform01(n)
-    t = _invert_newton(survival, derivative, u, tol=1e-9)
-    return _ret(t, size)
-
-
-# ---------------------------------------------------------------------------
-# generic fallback and dispatch
-
-
-def sample_divisor_generic(model: CovarianceModel, rng: RngStream, size=None):
-    """Numeric survival inversion for any model whose validity report
-    allows sampling (verdict valid or the power-tail warning)."""
-    slepian.require_usable(model)
-    n = 1 if size is None else int(size)
-    u = rng.uniform01(n)
-    t = _invert_bisect_secant(lambda x: slepian.e0(model, x), u, tol=1e-9)
-    return _ret(t, size)
-
-
 @dataclass(frozen=True)
 class ExponentialDivisor:
     """Analytic fixture: divisor with survival e^{-rate t}.
@@ -511,15 +425,9 @@ class DivisorSampler:
 
     def draw(self, rng: RngStream, size=None):
         m = self.model
-        if isinstance(m, Diffusion):
-            return sample_divisor_diffusion(m.d, rng, size)
-        if isinstance(m, RandomAcceleration):
-            return sample_divisor_random_acceleration(rng, size)
         if isinstance(m, ShiftedGaussian) and m.alpha == 0.0:
             return sample_divisor_gaussian(rng, size)
-        if isinstance(m, MaternHalfInteger):
-            return sample_divisor_matern(m.nu, rng, size)
-        return sample_divisor_generic(m, rng, size)
+        return _draw_by_inversion(m, rng, size)
 
 
 def sample_divisor(model: CovarianceModel, rng: RngStream, size=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from excursia import Diffusion, laplace_e0
-from excursia.cli import main
+from excursia.cli import build_parser, main
 
 
 def run_json(capsys, argv):
@@ -222,6 +222,21 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     assert main(["switch", "--dist", "weird:1"]) == 1
     capsys.readouterr()
+
+
+def test_parser_built_once_and_reused(capsys):
+    # main reuses one parser per process: repeated and failed parses must
+    # leave no state behind
+    assert build_parser() is build_parser()
+    argv = ["sample", "--model", "diffusion(d=3)", "--what", "divisor", "--n", "5", "--seed", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(["sample", "--model", "diffusion(d=3)", "--n", "many"]) == 1
+    assert "excursia: usage error:" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_threads_env_fallback(capsys, monkeypatch):

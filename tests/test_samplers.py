@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import excursia as ex
 from excursia.samplers import (
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
-    _invert_bisect_secant,
+    _inverse_survival,
+    _inverse_table,
+    _table_inverse,
     gaussian_divisor_density,
     _rayleigh_density,
 )
@@ -17,6 +20,7 @@ from conftest import survival_inverse_oracle
 
 T_STAR = 2.0 * np.arccosh(2.0)
 U_GRID = np.linspace(1e-6, 1.0 - 1e-6, 10001)
+EPS = np.finfo(float).eps
 
 
 def test_diffusion_d2_closed_form():
@@ -98,11 +102,65 @@ def test_generic_round_trip_and_dispatch_match():
     t = ex.sample_divisor_generic(gl, rng, size=10000)
     u = ex.RngStream(4, 2).uniform01(10000)
     assert np.abs(np.asarray(ex.e0(gl, t)) - u).max() <= 1e-8
-    # generic inversion agrees with the closed form for diffusion d=2 at the
+    # the inverse table agrees with the closed form for diffusion d=2 at the
     # median, where the survival slope is order one
-    d2 = ex.Diffusion(d=2)
-    t_gen = _invert_bisect_secant(lambda x: ex.e0(d2, x), np.array([0.5]), tol=1e-9)[0]
+    t_gen = _table_inverse(ex.Diffusion(d=2), np.array([0.5]))[0]
     assert t_gen == pytest.approx(T_STAR, abs=1e-7)
+
+
+def _relative_round_trip(model, u):
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return np.abs(np.asarray(ex.e0(model, _inverse_survival(model, u))) / u - 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(
+        st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
+        st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.RandomAcceleration()]),
+        st.floats(0.5, 3.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
+    ),
+    u=st.floats(EPS, 1.0 - EPS),
+)
+def test_inverse_survival_relative_round_trip(model, u):
+    assert _relative_round_trip(model, u)[0] <= 1e-9
+
+
+def test_inverse_table_deep_tail_regressions():
+    # the old residual-tolerance inverters accepted their first iterate for
+    # u below 1e-9: Matern 2.5 mapped both u to t = 32, generalized Laplace
+    # returned a t where E0 was about 7 u
+    matern = ex.MaternHalfInteger(nu=2.5)
+    t = _inverse_survival(matern, np.array([2.2e-16, 1e-12]))
+    assert t[0] > t[1]
+    assert _relative_round_trip(matern, [2.2e-16, 1e-12]).max() <= 1e-9
+    assert _relative_round_trip(ex.GeneralizedLaplace(alpha=1.0), EPS)[0] <= 1e-9
+    # no fallback inverter: a survival that is not strictly decreasing on
+    # the nodes refuses to build
+    with pytest.raises(RuntimeError, match="not strictly decreasing"):
+        _inverse_table(ex.ShiftedGaussian(alpha=2.0))
+
+
+def _recursive_minimum_draws(d, rng, n):
+    """Independent oracle: T_d = min(T_2, G_3^{-1}(U_3^2), ..., G_d^{-1}(U_d^2))."""
+    u = rng.uniform01((d - 1, n))
+    t = _diffusion_d2_from_u(u[0])
+    for k in range(3, d + 1):
+        t = np.minimum(t, ex.g_inverse(k, u[k - 2] ** 2))
+    return t
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_inverse_table_matches_recursive_minimum(d):
+    model = ex.Diffusion(d=d)
+    rng = ex.RngStream(31, d)
+    draws = ex.DivisorSampler(model).draw(rng, 10**5)
+    # exactly one uniform per draw, mapped through the table
+    u = ex.RngStream(31, d).uniform01(10**5 + 1)
+    assert np.array_equal(draws, _table_inverse(model, u[:-1]))
+    assert rng.uniform01(1)[0] == u[-1]
+    oracle = _recursive_minimum_draws(d, ex.RngStream(32, d), 10**5)
+    assert stats.ks_2samp(draws, oracle).pvalue > 0.01
 
 
 def test_gaussian_envelope_and_acceptance_rate():

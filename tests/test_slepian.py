@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,42 @@ def test_e0_stable_near_zero():
         vals = np.asarray(ex.e0(m, ts))
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals - 1.0) < 1e-3)
+
+
+def _e0_mpmath(r, dr, d2r0, t):
+    """E0 = -r'(t) / (sqrt(-r''(0)) sqrt(1 - r(t)^2)) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        return float(-dr(t) / (mpmath.sqrt(-d2r0) * mpmath.sqrt(1 - r(t) ** 2)))
+
+
+def _matern_mpmath(nu):
+    p = [int(c) for c in {2.5: [1, 3, 3], 3.5: [1, 6, 15, 15], 4.5: [1, 10, 45, 105, 105]}[nu]]
+    p1 = [int(c) for c in {2.5: [1, 1], 3.5: [1, 3, 3], 4.5: [1, 6, 15, 15]}[nu]]
+    c = p[-1]
+    r = lambda t: mpmath.exp(-t) * mpmath.polyval(p, t) / c
+    dr = lambda t: -t * mpmath.exp(-t) * mpmath.polyval(p1, t) / c
+    return r, dr, -mpmath.mpf(1) / (2 * (mpmath.mpf(nu) - 1))
+
+
+def _random_acceleration_mpmath():
+    r = lambda t: (3 * mpmath.exp(-t / 2) - mpmath.exp(-3 * t / 2)) / 2
+    dr = lambda t: mpmath.mpf(3) / 4 * (mpmath.exp(-3 * t / 2) - mpmath.exp(-t / 2))
+    return r, dr, -mpmath.mpf(3) / 4
+
+
+@pytest.mark.parametrize(
+    "model, parts",
+    [pytest.param(ex.MaternHalfInteger(nu=nu), _matern_mpmath(nu), id=f"matern_nu{nu}") for nu in (2.5, 3.5, 4.5)]
+    + [pytest.param(ex.RandomAcceleration(), _random_acceleration_mpmath(), id="random_acceleration")],
+)
+def test_e0_near_zero_matches_mpmath(model, parts):
+    # 1 - E0 is of order t^2 here, so a cancelling 1 - r^2 or r' shows up
+    # as an absolute error far above a few ulps of 1
+    ts = np.geomspace(1e-9, 1e-3, 61)
+    got = np.asarray(ex.e0(model, ts))
+    ref = np.array([_e0_mpmath(*parts, t) for t in ts])
+    assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps
 
 
 def test_mean_excursion_values():
