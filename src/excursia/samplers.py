@@ -28,11 +28,17 @@ Numerical notes on the closed forms:
 
 The inverse table: E0 is evaluated once, vectorised, at t = 0 and on
 geometric nodes from 1e-3 (where 1 - E0 is resolved in floating point) up
-to the first power of two where E0 < eps/4.  With z = sqrt(-log E0) and
+to the first power of two where E0 < eps/4.  A survival that is not
+positive there (it crosses zero within the validity gate's tolerance, as
+shifted_gaussian does for alpha near the gate's limit) ends instead at a
+point bisected back to 0 < E0 < eps/4.  With z = sqrt(-log E0) and
 x = log1p(t), x(z) is close to linear near t = 0 (1 - E0 ~ c t^2) and
 smooth in exponential, superexponential and power tails, so a cubic
-spline of x in z meets the relative round trip to about 1e-11.  A draw is
-t = max(expm1(x(sqrt(-log U))), 0).
+spline of x in z meets the relative round trip to about 1e-11.  Near a
+zero crossing x(z) flattens; the build checks the round trip at the
+midpoint in z of every interval reaching U >= eps and halves in t the
+intervals that miss 1e-10, until none does (smooth tails pass the first
+check).  A draw is t = max(expm1(x(sqrt(-log U))), 0).
 
 ``g_forward``/``g_inverse``/``poly_inverse_b`` are the recursive-minimum
 construction of the diffusion divisor for d >= 3 (T_d = min(T_{d-1},
@@ -85,11 +91,15 @@ __all__ = [
 _EPS = np.finfo(float).eps  # uniforms clamped to the open interval (0, 1)
 _LN2 = math.log(2.0)
 
-# Inverse table: node count, first node after t = 0, and the survival
-# level the last node (a power of two) must fall below.
+# Inverse table: node count, first node after t = 0, the survival level
+# the last node must fall below, the relative round trip the refinement
+# aims for at every interval midpoint, and the most checks (each halves
+# the intervals that miss it).
 _TABLE_NODES = 4096
 _TABLE_T_FIRST = 1e-3
 _TABLE_TAIL = _EPS / 4.0
+_TABLE_RTOL = 1e-10
+_TABLE_ROUNDS = 24
 
 # Rejection envelope for the squared-exponential divisor: Rayleigh proposal
 # with sigma = 1.3 and constant 1.18, verified on a grid at first use.
@@ -156,26 +166,63 @@ def _random_acceleration_from_u(u):
     return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
 
 
-@lru_cache(maxsize=128)
-def _inverse_table(model: CovarianceModel) -> CubicSpline:
-    """Cubic spline of log1p(t) in z = sqrt(-log E0(t)), built from one
-    vectorised E0 evaluation on the table nodes (see the module notes).
-
-    Raises ``RuntimeError`` when no power of two up to 2^63 brings E0
-    below eps/4, or when z is not strictly increasing on the nodes
-    (E0 not strictly decreasing there); there is no fallback inverter.
-    """
+def _table_end(model: CovarianceModel) -> float:
+    """Last table node: the first power of two where E0 < eps/4, or, when
+    E0 is not positive there (a survival that crosses zero within the
+    validity gate's tolerance), a point bisected between it and the power
+    of two before where 0 < E0 < eps/4."""
     powers = 2.0 ** np.arange(64)
     with np.errstate(all="ignore"):
         below = np.flatnonzero(np.asarray(slepian.e0(model, powers)) < _TABLE_TAIL)
     if below.size == 0:
         raise RuntimeError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
-    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, powers[below[0]], _TABLE_NODES - 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.sqrt(-np.log(slepian.e0(model, t)))
-    if not np.all(np.diff(z) > 0.0):
-        raise RuntimeError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
-    return CubicSpline(z, np.log1p(t))
+    lo, hi = (powers[below[0] - 1] if below[0] else 0.0), powers[below[0]]
+    while slepian.e0(model, hi) <= 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            raise RuntimeError(f"survival of {model.spec_string()} crosses zero before it falls below {_TABLE_TAIL:.3g}")
+        if slepian.e0(model, mid) < _TABLE_TAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@lru_cache(maxsize=128)
+def _inverse_table(model: CovarianceModel) -> CubicSpline:
+    """Cubic spline of log1p(t) in z = sqrt(-log E0(t)) on the table nodes,
+    refined until it meets the round trip (see the module notes).
+
+    Raises ``RuntimeError`` when the last node cannot be placed, when z is
+    not strictly increasing on the nodes (E0 not strictly decreasing
+    there), or when the refined table still misses the relative round trip
+    1e-9 on [eps, 1]; there is no fallback inverter.
+    """
+    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(model), _TABLE_NODES - 1)))
+    e = slepian.e0(model, t)
+    z_eps = math.sqrt(-math.log(_EPS))
+    for check in range(_TABLE_ROUNDS):
+        with np.errstate(invalid="ignore"):
+            z = np.sqrt(-np.log(e))
+        if not np.all(np.diff(z) > 0.0):
+            raise RuntimeError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
+        spline = CubicSpline(z, np.log1p(t))
+        # the intervals that reach u >= eps (the first k) are checked at
+        # their midpoint in z, or at u = eps if the midpoint lies below it
+        k = np.searchsorted(z, z_eps)
+        zc = np.minimum(0.5 * (z[:k] + z[1 : k + 1]), z_eps)
+        uc = np.exp(-zc * zc)
+        err = np.abs(slepian.e0(model, np.maximum(np.expm1(spline(zc)), 0.0)) / uc - 1.0)
+        miss = np.flatnonzero(err > _TABLE_RTOL)
+        if miss.size == 0 or check == _TABLE_ROUNDS - 1:
+            break
+        # halve the intervals that miss in t
+        tm = 0.5 * (t[miss] + t[miss + 1])
+        t = np.insert(t, miss + 1, tm)
+        e = np.insert(e, miss + 1, slepian.e0(model, tm))
+    if not np.all(err <= 1e-9):
+        raise RuntimeError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
+    return spline
 
 
 def _table_inverse(model: CovarianceModel, u):

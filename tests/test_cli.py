@@ -46,6 +46,19 @@ def test_sample_refusal_exit_code(capsys):
     assert payload["report"]["verdict"] == "invalid_oscillating"
 
 
+def test_sample_and_persistency_on_a_survival_crossing_zero_inside_gate_tolerance(tmp_path, capsys):
+    # shifted_gaussian(alpha=0.2) passes the validity gate although E0 dips
+    # below zero (by less than 1e-12) just above eps/4
+    spec = "shifted_gaussian(alpha=0.2)"
+    out = tmp_path / "vals.txt"
+    assert main(["sample", "--model", spec, "--what", "excursion", "--n", "200", "--seed", "3", "--output", str(out)]) == 0
+    vals = np.array([float(x) for x in out.read_text().split()])
+    assert vals.size == 200 and np.all(np.isfinite(vals)) and np.all(vals > 0)
+    code, payload = run_json(capsys, ["persistency", "--model", spec, "--n", "2000", "--k", "200", "--reps", "2", "--seed", "5"])
+    assert code == 0
+    assert all(math.isfinite(e["theta"]) for e in payload["estimates"])
+
+
 def test_sample_text_and_binary(tmp_path, capsys):
     txt = tmp_path / "vals.txt"
     code = main(["sample", "--model", "diffusion(d=2)", "--what", "divisor", "--n", "64", "--seed", "3", "--output", str(txt)])

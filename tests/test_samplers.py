@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import excursia as ex
+from excursia import slepian
 from excursia.samplers import (
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
@@ -119,6 +120,7 @@ def _relative_round_trip(model, u):
         st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
         st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.RandomAcceleration()]),
         st.floats(0.5, 3.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
+        st.sampled_from([ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.15, 0.2, 0.22)]),
     ),
     u=st.floats(EPS, 1.0 - EPS),
 )
@@ -135,10 +137,34 @@ def test_inverse_table_deep_tail_regressions():
     assert t[0] > t[1]
     assert _relative_round_trip(matern, [2.2e-16, 1e-12]).max() <= 1e-9
     assert _relative_round_trip(ex.GeneralizedLaplace(alpha=1.0), EPS)[0] <= 1e-9
-    # no fallback inverter: a survival that is not strictly decreasing on
-    # the nodes refuses to build
-    with pytest.raises(RuntimeError, match="not strictly decreasing"):
+    # no fallback inverter: a table that cannot meet the round trip (here
+    # for a survival that drops through zero with slope of order one)
+    # refuses to build
+    with pytest.raises(RuntimeError, match="misses the relative round trip"):
         _inverse_table(ex.ShiftedGaussian(alpha=2.0))
+
+
+def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing(monkeypatch):
+    # flat on (1, 2): z repeats on the nodes there
+    monkeypatch.setattr(slepian, "e0", lambda model, t: np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)))
+    with pytest.raises(RuntimeError, match="not strictly decreasing"):
+        _inverse_table.__wrapped__(ex.Diffusion(d=3))
+
+
+@pytest.mark.parametrize("alpha", [0.15, 0.2, 0.22, 0.2259])
+def test_inverse_table_survival_crossing_zero_inside_gate_tolerance(alpha):
+    # E0 of shifted_gaussian(alpha) crosses zero near t = pi/(2 alpha) and
+    # stays above -1e-12 after it, so the validity gate accepts the model;
+    # for alpha = 0.15 E0 falls below eps/4 well before the crossing, for
+    # the others within 0.03% of it (0.2259 is just inside the gate)
+    model = ex.ShiftedGaussian(alpha=alpha)
+    assert ex.validate_iia(model).usable
+    assert np.asarray(ex.e0(model, np.linspace(0.0, 32.0, 3201))).min() < 0.0
+    t = ex.DivisorSampler(model).draw(ex.RngStream(41, 0), 10**4)
+    u = ex.RngStream(41, 0).uniform01(10**4)
+    assert np.all(np.isfinite(t))
+    assert np.abs(np.asarray(ex.e0(model, t)) / u - 1.0).max() <= 1e-9
+    assert _relative_round_trip(model, np.geomspace(EPS, 1e-6, 4001)).max() <= 1e-9
 
 
 def _recursive_minimum_draws(d, rng, n):
