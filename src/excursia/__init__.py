@@ -49,7 +49,6 @@ from .laplace import (
 )
 from .samplers import (
     DivisorSampler,
-    EnvelopeViolationError,
     ExponentialDivisor,
     RngStream,
     g_forward,
@@ -57,7 +56,6 @@ from .samplers import (
     poly_inverse_b,
     sample_divisor,
     sample_divisor_diffusion,
-    sample_divisor_gaussian,
     sample_divisor_generic,
     sample_divisor_matern,
     sample_divisor_random_acceleration,

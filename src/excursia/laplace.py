@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import slepian
 from .covariance import CovarianceModel
@@ -123,6 +123,8 @@ class TailCompletion:
             return math.exp(self.intercept + (self.slope - s) * t_max) / (s - self.slope)
         if s == 0.0:
             return math.exp(self.intercept) * t_max ** (self.slope + 1.0) / (-self.slope - 1.0)
+        from scipy import integrate  # imported on use: only power tails need it
+
         val, _ = integrate.quad(
             lambda t: math.exp(self.intercept + self.slope * math.log(t) - s * t),
             t_max,

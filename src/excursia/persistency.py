@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .samplers import RngStream
 
@@ -155,7 +155,7 @@ def tail_exponent_ci(
     thetas = np.array([t for t, _ in results])
     intercepts = np.array([a for _, a in results])
     sd = float(thetas.std(ddof=1))
-    half = float(stats.t.ppf(0.975, reps - 1) * sd / math.sqrt(reps))
+    half = float(special.stdtrit(reps - 1, 0.975) * sd / math.sqrt(reps))
     return ExponentEstimate(
         theta=float(thetas.mean()),
         method="tail_regression",

@@ -1,11 +1,11 @@
 """Exact samplers for the geometric divisor and the compound exceedance time.
 
-Every divisor sampler but one draws T = E0^{-1}(U) from a single uniform.
-The inverse is a closed form for diffusion d = 1, d = 2 and random
-acceleration; for every other model it is read from one cached inverse
-table per model (numerical inversion from a fixed table, after Hoermann &
-Leydold 2003, ACM TOMACS 13(4)).  shifted_gaussian(alpha=0) keeps its
-rejection sampler.  Every inverse must satisfy the round-trip oracle
+Every divisor sampler draws T = E0^{-1}(U) from a single uniform.  The
+inverse is a closed form for diffusion d = 1, d = 2 and random
+acceleration; for every other model, shifted_gaussian(alpha=0) included,
+it is read from one cached inverse table per model (numerical inversion
+from a fixed table, after Hoermann & Leydold 2003, ACM TOMACS 13(4)).
+Every inverse must satisfy the round-trip oracle
 |E0(T(U)) - U| <= 1e-9, and the table also |E0(T(U))/U - 1| <= 1e-9 on
 [eps, 1 - eps].  The exceedance time itself is the compound draw
 
@@ -38,7 +38,11 @@ spline of x in z meets the relative round trip to about 1e-11.  Near a
 zero crossing x(z) flattens; the build checks the round trip at the
 midpoint in z of every interval reaching U >= eps and halves in t the
 intervals that miss 1e-10, until none does (smooth tails pass the first
-check).  A draw is t = max(expm1(x(sqrt(-log U))), 0).
+check).  A draw is t = max(expm1(x(sqrt(-log U))), 0); the spline piece
+holding z = sqrt(-log U) is found through a guide table on log z (one cell
+index and one compare for a smooth table, see ``_InverseTable``), not by a
+binary search, and the result equals the spline's own evaluation bit for
+bit.
 
 ``g_forward``/``g_inverse``/``poly_inverse_b`` are the recursive-minimum
 construction of the diffusion divisor for d >= 3 (T_d = min(T_{d-1},
@@ -64,7 +68,6 @@ from .covariance import (
     Diffusion,
     MaternHalfInteger,
     RandomAcceleration,
-    ShiftedGaussian,
     _log_cosh,
 )
 from . import slepian
@@ -73,13 +76,11 @@ __all__ = [
     "RngStream",
     "DivisorSampler",
     "ExponentialDivisor",
-    "EnvelopeViolationError",
     "poly_inverse_b",
     "g_forward",
     "g_inverse",
     "sample_divisor_diffusion",
     "sample_divisor_random_acceleration",
-    "sample_divisor_gaussian",
     "sample_divisor_matern",
     "sample_divisor_generic",
     "sample_divisor",
@@ -100,16 +101,6 @@ _TABLE_T_FIRST = 1e-3
 _TABLE_TAIL = _EPS / 4.0
 _TABLE_RTOL = 1e-10
 _TABLE_ROUNDS = 24
-
-# Rejection envelope for the squared-exponential divisor: Rayleigh proposal
-# with sigma = 1.3 and constant 1.18, verified on a grid at first use.
-_GAUSS_SIGMA = 1.3
-_GAUSS_ENVELOPE = 1.18
-
-
-class EnvelopeViolationError(RuntimeError):
-    """The rejection envelope does not dominate the target density."""
-
 
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_index).
@@ -188,10 +179,63 @@ def _table_end(model: CovarianceModel) -> float:
     return hi
 
 
+class _InverseTable:
+    """The table's cubic spline of log1p(t) in z, evaluated through a guide
+    table (indexed search: Chen & Asau 1974; Hoermann, Leydold & Derflinger
+    2004, sec. 3.1.2) in place of a binary search per draw.
+
+    log z is cut into twice as many equal cells as there are knots, and
+    ``guide[c]`` counts the interior knots in the cells before c.  The knots
+    are geometric in t, so close to uniform in log z, and a cell of a smooth
+    table holds at most one knot: the interval of z is ``guide[c]`` plus one
+    compare.  z in a cell holding more knots (power tails, refined zero
+    crossings) is located by binary search.  The cubic is evaluated in the
+    power form and order of scipy's ``PPoly``, so a call equals
+    ``spline(z)`` bit for bit.
+    """
+
+    def __init__(self, spline: CubicSpline):
+        self.spline = spline
+        self.x, self.c = spline.x, spline.c
+        inner = self.x[1:-1]
+        self.cells = 2 * self.x.size
+        self.log_lo = math.log(inner[0])
+        self.scale = self.cells / (math.log(inner[-1]) - self.log_lo)
+        knot_cell = self._cell(inner)
+        self.guide = np.searchsorted(knot_cell, np.arange(self.cells))
+        crowded = np.bincount(knot_cell, minlength=self.cells) > 1
+        self.crowded = crowded if crowded.any() else None
+
+    def _cell(self, z):
+        with np.errstate(divide="ignore"):
+            v = (np.log(z) - self.log_lo) * self.scale
+        # fmax/fmin send NaN to cell 0, where it stays NaN through the cubic
+        return np.fmin(np.fmax(v, 0.0), self.cells - 1).astype(np.intp)
+
+    def interval(self, z):
+        """Index i of the spline piece for each z in the array ``z`` (at
+        least 1-d): clip(searchsorted(x, z, "right") - 1, 0, n - 2)."""
+        c = self._cell(z)
+        g = self.guide[c]
+        i = g + (z >= self.x[1:][g])
+        if self.crowded is not None:
+            crowded = self.crowded[c]
+            i[crowded] = np.searchsorted(self.x[1:-1], z[crowded], "right")
+        return i
+
+    def __call__(self, z):
+        i = self.interval(z)
+        d = z - self.x[i]
+        d2 = d * d
+        c = self.c
+        return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
+
+
 @lru_cache(maxsize=128)
-def _inverse_table(model: CovarianceModel) -> CubicSpline:
+def _inverse_table(model: CovarianceModel) -> _InverseTable:
     """Cubic spline of log1p(t) in z = sqrt(-log E0(t)) on the table nodes,
-    refined until it meets the round trip (see the module notes).
+    refined until it meets the round trip (see the module notes), with its
+    guide table.
 
     Raises ``RuntimeError`` when the last node cannot be placed, when z is
     not strictly increasing on the nodes (E0 not strictly decreasing
@@ -222,11 +266,12 @@ def _inverse_table(model: CovarianceModel) -> CubicSpline:
         e = np.insert(e, miss + 1, slepian.e0(model, tm))
     if not np.all(err <= 1e-9):
         raise RuntimeError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
-    return spline
+    return _InverseTable(spline)
 
 
 def _table_inverse(model: CovarianceModel, u):
-    """E0^{-1}(u) from the model's cached inverse table."""
+    """E0^{-1}(u) for an array ``u`` (at least 1-d) from the model's cached
+    inverse table."""
     x = _inverse_table(model)(np.sqrt(-np.log(u)))
     return np.maximum(np.expm1(x), 0.0)
 
@@ -354,11 +399,12 @@ def g_inverse(d: int, g):
 
 
 # ---------------------------------------------------------------------------
-# squared-exponential (shift 0) divisor via rejection
+# squared-exponential (shift 0) divisor density (tests only)
 
 
 def gaussian_divisor_density(t):
-    """Density of the squared-exponential divisor,
+    """Density of the squared-exponential divisor, -dE0/dt of
+    shifted_gaussian(alpha=0) (an oracle for its inverse-table draws),
     f(t) = (e^{t^2}(t^2 - 1) + 1) / (e^{t^2} - 1)^{3/2},
     evaluated in cancellation-free branches for small and large t."""
     t = np.asarray(t, dtype=float)
@@ -370,65 +416,6 @@ def gaussian_divisor_density(t):
         f_large = ((tt - 1.0) * np.exp(-0.5 * tt) + np.exp(-1.5 * tt)) / (-np.expm1(-tt)) ** 1.5
     out = np.where(small, f_small, f_large)
     return np.where(tt == 0.0, 0.0, out)
-
-
-def _rayleigh_density(t, sigma=_GAUSS_SIGMA):
-    t = np.asarray(t, dtype=float)
-    s2 = sigma * sigma
-    return t / s2 * np.exp(-0.5 * t * t / s2)
-
-
-_envelope_checked = False
-
-
-def _ensure_gaussian_envelope():
-    """Assert f <= 1.18 g on the grid [1e-4, 20] step 1e-3 once per process.
-
-    A violated envelope would silently bias the sampler, so construction
-    aborts instead."""
-    global _envelope_checked
-    if _envelope_checked:
-        return
-    grid = np.arange(1e-4, 20.0 + 1e-9, 1e-3)
-    f = gaussian_divisor_density(grid)
-    g = _GAUSS_ENVELOPE * _rayleigh_density(grid)
-    bad = np.flatnonzero(f > g)
-    if bad.size:
-        t0 = grid[bad[0]]
-        raise EnvelopeViolationError(
-            f"rejection envelope violated at t={t0:g}: f={f[bad[0]]:.6g} > {g[bad[0]]:.6g}"
-        )
-    _envelope_checked = True
-
-
-def sample_divisor_gaussian(rng: RngStream, size=None, return_stats=False):
-    """Divisor draw for shifted_gaussian(alpha=0) by rejection sampling.
-
-    Proposals are Rayleigh(sigma=1.3) via inverse transform; a proposal x
-    is accepted with probability f(x) / (1.18 g(x)).  The loop has no
-    iteration cap: termination is geometric with expected 1.18 proposals
-    per draw.
-    """
-    _ensure_gaussian_envelope()
-    n = 1 if size is None else int(size)
-    out = np.empty(n)
-    filled = 0
-    proposed = 0
-    accepted_total = 0
-    while filled < n:
-        m = max(int((n - filled) * _GAUSS_ENVELOPE * 1.1) + 16, 32)
-        u1 = rng.uniform01(m)
-        u2 = rng.uniform01(m)
-        x = _GAUSS_SIGMA * np.sqrt(-2.0 * np.log(u1))
-        accept = u2 * (_GAUSS_ENVELOPE * _rayleigh_density(x)) <= gaussian_divisor_density(x)
-        proposed += m
-        accepted_total += int(accept.sum())
-        take = x[accept][: n - filled]
-        out[filled : filled + take.size] = take
-        filled += take.size
-    if return_stats:
-        return _ret(out, size), {"proposed": proposed, "accepted": accepted_total}
-    return _ret(out, size)
 
 
 @dataclass(frozen=True)
@@ -471,10 +458,7 @@ class DivisorSampler:
         return slepian.e0(self.model, t)
 
     def draw(self, rng: RngStream, size=None):
-        m = self.model
-        if isinstance(m, ShiftedGaussian) and m.alpha == 0.0:
-            return sample_divisor_gaussian(rng, size)
-        return _draw_by_inversion(m, rng, size)
+        return _draw_by_inversion(self.model, rng, size)
 
 
 def sample_divisor(model: CovarianceModel, rng: RngStream, size=None):

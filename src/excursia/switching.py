@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, stats
 
 from .samplers import DivisorSampler, RngStream, sample_excursions
 from .covariance import CovarianceModel
@@ -97,6 +96,8 @@ def gamma_switching(shape: float, rate: float = 1.0) -> SwitchingTimeDistributio
     k, lam = float(shape), float(rate)
     if k <= 0 or lam <= 0:
         raise ValueError("shape and rate must be positive")
+    from scipy import stats  # imported on use: scipy.stats costs about 1 s to import
+
     dist = stats.gamma(a=k, scale=1.0 / lam)
 
     return SwitchingTimeDistribution(
@@ -236,6 +237,8 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be increasing and start at or after 0")
+    from scipy import integrate  # imported on use, as in gamma_switching
+
     acc = 0.0
     prev = 0.0
     rows = np.empty((grid.size, 2))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,3 +261,41 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code, payload = run_json(capsys, ["persistency", "--model", "random_acceleration", "--n", "2000", "--k", "200", "--reps", "2", "--seed", "8"])
     assert code == 0
     assert payload["estimates"][0]["theta"] > 0
+
+
+# Every command the benchmark workloads run, at small sizes, in a fresh
+# interpreter: scipy.stats and scipy.integrate (about 0.5 s of import) must
+# load neither at import nor inside any of them.
+IMPORT_GUARD = """
+import sys
+from excursia import cli
+
+out = sys.argv[1]
+runs = [
+    (0, ["pole", "--model", "diffusion(d=3)"]),
+    (0, ["pole", "--model", "matern(nu=2.5)"]),
+    (0, ["validate", "--model", "generalized_laplace(alpha=1)"]),
+    (2, ["pole", "--model", "shifted_gaussian(alpha=2)"]),
+    (0, ["reproduce", "table2", "--dmax", "4", "--n", "3000", "--reps", "2", "--seed", "3"]),
+    (0, ["persistency", "--method", "mc", "--model", "shifted_gaussian(alpha=0)", "--n", "3000", "--k", "300", "--reps", "3"]),
+    (0, ["switch", "--dist", "excursion:diffusion(d=2)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
+    (0, ["switch", "--dist", "divisor:matern(nu=2.5)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
+    (0, ["sample", "--what", "excursion", "--model", "generalized_laplace(alpha=1)", "--n", "3000", "--streams", "2"]),
+]
+for code, argv in runs:
+    got = cli.main(argv + ["--output", out])
+    assert got == code, (argv, got)
+print("loaded:", *(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_workload_commands_load_neither_scipy_stats_nor_integrate(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    env["EXCURSIA_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"

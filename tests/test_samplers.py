@@ -14,7 +14,6 @@ from excursia.samplers import (
     _inverse_table,
     _table_inverse,
     gaussian_divisor_density,
-    _rayleigh_density,
 )
 
 from conftest import survival_inverse_oracle
@@ -189,18 +188,70 @@ def test_inverse_table_matches_recursive_minimum(d):
     assert stats.ks_2samp(draws, oracle).pvalue > 0.01
 
 
-def test_gaussian_envelope_and_acceptance_rate():
-    grid = np.arange(1e-4, 20.0, 1e-3)
-    assert np.all(gaussian_divisor_density(grid) <= 1.18 * _rayleigh_density(grid))
-    samples, st = ex.sample_divisor_gaussian(ex.RngStream(11, 0), size=10**6, return_stats=True)
-    rate = st["accepted"] / st["proposed"]
-    assert rate == pytest.approx(1.0 / 1.18, abs=0.01)
+def test_gaussian_divisor_table_draws_match_survival():
+    model = ex.ShiftedGaussian(alpha=0.0)
+    samples = ex.DivisorSampler(model).draw(ex.RngStream(11, 0), 10**6)
+    # one uniform per draw, mapped through the inverse table
+    assert np.array_equal(samples, _table_inverse(model, ex.RngStream(11, 0).uniform01(10**6)))
+    assert stats.kstest(samples, lambda x: 1.0 - np.asarray(ex.e0(model, x))).pvalue > 0.01
     assert samples.mean() == pytest.approx(math.pi / 2.0, rel=0.005)
-    e0_at_1 = float(np.asarray(ex.e0(ex.ShiftedGaussian(alpha=0.0), 1.0)))
+    e0_at_1 = float(np.asarray(ex.e0(model, 1.0)))
     assert e0_at_1 == pytest.approx(0.7628, abs=2e-4)
     emp = float((samples > 1.0).mean())
     se = math.sqrt(emp * (1 - emp) / samples.size)
     assert abs(emp - e0_at_1) <= 3 * se
+    # the closed-form density is -dE0/dt (central difference, h = 1e-4)
+    t, h = np.linspace(0.05, 8.0, 801), 1e-4
+    slope = (np.asarray(ex.e0(model, t - h)) - np.asarray(ex.e0(model, t + h))) / (2.0 * h)
+    assert np.abs(gaussian_divisor_density(t) - slope).max() <= 1e-7
+
+
+# every table shape: smooth (one knot per guide cell at most), power tails
+# and refined zero crossings (cells holding several knots)
+TABLE_MODELS = [ex.Diffusion(d=3), ex.Diffusion(d=10), ex.Diffusion(d=64)]
+TABLE_MODELS += [ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.GeneralizedLaplace(alpha=1.0)]
+TABLE_MODELS += [ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.2, 0.2259)]
+TABLE_IDS = [m.spec_string() for m in TABLE_MODELS]
+
+
+@st.composite
+def _table_and_points(draw):
+    table = _inverse_table(draw(st.sampled_from(TABLE_MODELS)))
+    x = table.x
+    knot = st.integers(0, x.size - 1).map(lambda k: x[k])
+    point = st.one_of(
+        knot,  # exactly on a knot
+        st.integers(1, x.size - 1).map(lambda k: np.nextafter(x[k], -np.inf)),  # z >= 0
+        knot.map(lambda v: np.nextafter(v, np.inf)),
+        st.integers(0, x.size - 2).flatmap(lambda k: st.floats(x[k], x[k + 1])),  # between knots
+        st.floats(0.0, x[1]),  # below the first interior knot
+        st.floats(x[-1], 4.0 * x[-1]),  # past the last knot
+    )
+    return table, np.array(draw(st.lists(point, min_size=1, max_size=64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_and_points())
+def test_guided_interval_matches_binary_search(case):
+    table, z = case
+    n = table.x.size
+    expected = np.clip(np.searchsorted(table.x, z, "right") - 1, 0, n - 2)
+    assert np.array_equal(table.interval(z), expected)
+
+
+@pytest.mark.parametrize("model", TABLE_MODELS, ids=TABLE_IDS)
+def test_guided_table_equals_spline_bit_for_bit(model):
+    table = _inverse_table(model)
+    u = np.concatenate((ex.RngStream(61, 0).uniform01(10**6), np.geomspace(EPS, 1e-12, 10001), [1.0 - EPS]))
+    z = np.sqrt(-np.log(u))
+    assert np.array_equal(table(z), table.spline(z))
+    assert np.array_equal(_table_inverse(model, u), np.maximum(np.expm1(table.spline(z)), 0.0))
+    # knots and their neighbours, where the interval changes
+    x = table.x
+    for zk in (x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)):
+        assert np.array_equal(table(zk), table.spline(zk))
+    t = _table_inverse(model, np.array([np.nan, 1.0]))
+    assert np.isnan(t[0]) and t[1] == 0.0
 
 
 def test_divisor_distribution_ks_match():
