@@ -55,10 +55,6 @@ from .samplers import (
     g_inverse,
     poly_inverse_b,
     sample_divisor,
-    sample_divisor_diffusion,
-    sample_divisor_generic,
-    sample_divisor_matern,
-    sample_divisor_random_acceleration,
     sample_excursions,
     sample_geometric_half,
 )

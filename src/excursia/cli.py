@@ -33,7 +33,7 @@ from .covariance import (
     parse_model_spec,
 )
 from .laplace import AtPoleError, DivergenceError, PoleNotFoundError, QuadratureError
-from .samplers import DivisorSampler, RngStream, sample_excursions
+from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excursions
 from .slepian import ValidityError
 
 TOOL = "excursia"
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, AtPoleError, QuadratureError) as exc:
+    except (PoleNotFoundError, DivergenceError, AtPoleError, QuadratureError, InverseTableError) as exc:
         print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -7,7 +7,9 @@ it is read from one cached inverse table per model (numerical inversion
 from a fixed table, after Hoermann & Leydold 2003, ACM TOMACS 13(4)).
 Every inverse must satisfy the round-trip oracle
 |E0(T(U)) - U| <= 1e-9, and the table also |E0(T(U))/U - 1| <= 1e-9 on
-[eps, 1 - eps].  The exceedance time itself is the compound draw
+[eps, 1 - eps].  The size-biased divisor (density t f(t)/m, m = mu/2) is
+drawn the same way, from a table of its closed-form survival (see
+``_size_biased_survival``).  The exceedance time itself is the compound draw
 
     T_a = sum of nu_geo iid divisor draws,   nu_geo ~ Geometric(1/2),
 
@@ -26,13 +28,14 @@ Numerical notes on the closed forms:
   circulates in print fails the round-trip oracle (U = 0.5 gives 2.485
   where the survival inverse requires 3.32578) and is not used.
 
-The inverse table: E0 is evaluated once, vectorised, at t = 0 and on
-geometric nodes from 1e-3 (where 1 - E0 is resolved in floating point) up
-to the first power of two where E0 < eps/4.  A survival that is not
-positive there (it crosses zero within the validity gate's tolerance, as
-shifted_gaussian does for alpha near the gate's limit) ends instead at a
-point bisected back to 0 < E0 < eps/4.  With z = sqrt(-log E0) and
-x = log1p(t), x(z) is close to linear near t = 0 (1 - E0 ~ c t^2) and
+The inverse table of a survival S (E0 or the size-biased S*): S is
+evaluated once, vectorised, at t = 0 and on geometric nodes from 1e-3
+(where 1 - S is resolved in floating point) up to the first power of two
+where S < eps/4.  A survival that is not positive there (it crosses zero
+within the validity gate's tolerance, as shifted_gaussian does for alpha
+near the gate's limit) ends instead at a point bisected back to
+0 < S < eps/4.  With z = sqrt(-log S) and
+x = log1p(t), x(z) is close to linear near t = 0 (1 - S ~ c t^2 or c t^3) and
 smooth in exponential, superexponential and power tails, so a cubic
 spline of x in z meets the relative round trip to about 1e-11.  Near a
 zero crossing x(z) flattens; the build checks the round trip at the
@@ -63,26 +66,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .covariance import (
-    CovarianceModel,
-    Diffusion,
-    MaternHalfInteger,
-    RandomAcceleration,
-    _log_cosh,
-)
+from .covariance import CovarianceModel, Diffusion, RandomAcceleration, _log_cosh
 from . import slepian
 
 __all__ = [
     "RngStream",
+    "InverseTableError",
     "DivisorSampler",
     "ExponentialDivisor",
     "poly_inverse_b",
     "g_forward",
     "g_inverse",
-    "sample_divisor_diffusion",
-    "sample_divisor_random_acceleration",
-    "sample_divisor_matern",
-    "sample_divisor_generic",
     "sample_divisor",
     "sample_geometric_half",
     "sample_excursions",
@@ -101,6 +95,11 @@ _TABLE_T_FIRST = 1e-3
 _TABLE_TAIL = _EPS / 4.0
 _TABLE_RTOL = 1e-10
 _TABLE_ROUNDS = 24
+
+
+class InverseTableError(RuntimeError):
+    """An inverse table cannot be built within its round-trip contract."""
+
 
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_index).
@@ -157,22 +156,39 @@ def _random_acceleration_from_u(u):
     return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
 
 
-def _table_end(model: CovarianceModel) -> float:
-    """Last table node: the first power of two where E0 < eps/4, or, when
-    E0 is not positive there (a survival that crosses zero within the
-    validity gate's tolerance), a point bisected between it and the power
-    of two before where 0 < E0 < eps/4."""
+def _size_biased_survival(model: CovarianceModel, t):
+    """Survival of the size-biased divisor, S*(t) = (t E0(t) + int_t^inf E0)/m
+    with m = mu/2.  The matching identity d/dt (2/pi) arcsin r = -(2/mu) E0
+    integrates to int_t^inf E0 = (mu/pi) arcsin r(t), so
+
+        S*(t) = 2 t E0(t)/mu + (2/pi) arcsin r(t).
+
+    Where r > 1/2, (2/pi) arcsin r is formed as 1 - (2/pi) arcsin sqrt(1 - r^2)
+    from the compensated 1 - r^2, so 1 - S* keeps its digits near t = 0."""
+    t = np.asarray(t, dtype=float)
+    bias = 2.0 * t * slepian.e0(model, t) / slepian.mean_excursion(model)
+    r = model.r(t)
+    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(model.one_minus_r2(t), 1.0)))
+    out = np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
+    return out if out.ndim else float(out)
+
+
+def _table_end(survival, model: CovarianceModel) -> float:
+    """Last table node: the first power of two where the survival is below
+    eps/4, or, when it is not positive there (a survival that crosses zero
+    within the validity gate's tolerance), a point bisected between it and
+    the power of two before where 0 < survival < eps/4."""
     powers = 2.0 ** np.arange(64)
     with np.errstate(all="ignore"):
-        below = np.flatnonzero(np.asarray(slepian.e0(model, powers)) < _TABLE_TAIL)
+        below = np.flatnonzero(np.asarray(survival(model, powers)) < _TABLE_TAIL)
     if below.size == 0:
-        raise RuntimeError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
+        raise InverseTableError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
     lo, hi = (powers[below[0] - 1] if below[0] else 0.0), powers[below[0]]
-    while slepian.e0(model, hi) <= 0.0:
+    while survival(model, hi) <= 0.0:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            raise RuntimeError(f"survival of {model.spec_string()} crosses zero before it falls below {_TABLE_TAIL:.3g}")
-        if slepian.e0(model, mid) < _TABLE_TAIL:
+            raise InverseTableError(f"survival of {model.spec_string()} crosses zero before it falls below {_TABLE_TAIL:.3g}")
+        if survival(model, mid) < _TABLE_TAIL:
             hi = mid
         else:
             lo = mid
@@ -232,93 +248,63 @@ class _InverseTable:
 
 
 @lru_cache(maxsize=128)
-def _inverse_table(model: CovarianceModel) -> _InverseTable:
-    """Cubic spline of log1p(t) in z = sqrt(-log E0(t)) on the table nodes,
-    refined until it meets the round trip (see the module notes), with its
-    guide table.
+def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
+    """Cubic spline of log1p(t) in z = sqrt(-log survival(model, t)) on the
+    table nodes, refined until it meets the round trip (see the module
+    notes), with its guide table.  ``survival`` is ``slepian.e0`` or
+    ``_size_biased_survival``.
 
-    Raises ``RuntimeError`` when the last node cannot be placed, when z is
-    not strictly increasing on the nodes (E0 not strictly decreasing
-    there), or when the refined table still misses the relative round trip
-    1e-9 on [eps, 1]; there is no fallback inverter.
+    Raises ``InverseTableError`` when the last node cannot be placed, when z is
+    not strictly increasing on the nodes (the survival not strictly
+    decreasing there), or when the refined table still misses the relative
+    round trip 1e-9 on [eps, 1]; there is no fallback inverter.
     """
-    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(model), _TABLE_NODES - 1)))
-    e = slepian.e0(model, t)
+    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(survival, model), _TABLE_NODES - 1)))
+    e = survival(model, t)
     z_eps = math.sqrt(-math.log(_EPS))
     for check in range(_TABLE_ROUNDS):
         with np.errstate(invalid="ignore"):
             z = np.sqrt(-np.log(e))
         if not np.all(np.diff(z) > 0.0):
-            raise RuntimeError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
+            raise InverseTableError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
         spline = CubicSpline(z, np.log1p(t))
         # the intervals that reach u >= eps (the first k) are checked at
         # their midpoint in z, or at u = eps if the midpoint lies below it
         k = np.searchsorted(z, z_eps)
         zc = np.minimum(0.5 * (z[:k] + z[1 : k + 1]), z_eps)
         uc = np.exp(-zc * zc)
-        err = np.abs(slepian.e0(model, np.maximum(np.expm1(spline(zc)), 0.0)) / uc - 1.0)
+        err = np.abs(survival(model, np.maximum(np.expm1(spline(zc)), 0.0)) / uc - 1.0)
         miss = np.flatnonzero(err > _TABLE_RTOL)
         if miss.size == 0 or check == _TABLE_ROUNDS - 1:
             break
         # halve the intervals that miss in t
         tm = 0.5 * (t[miss] + t[miss + 1])
         t = np.insert(t, miss + 1, tm)
-        e = np.insert(e, miss + 1, slepian.e0(model, tm))
+        e = np.insert(e, miss + 1, survival(model, tm))
     if not np.all(err <= 1e-9):
-        raise RuntimeError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
+        raise InverseTableError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
     return _InverseTable(spline)
 
 
-def _table_inverse(model: CovarianceModel, u):
-    """E0^{-1}(u) for an array ``u`` (at least 1-d) from the model's cached
-    inverse table."""
-    x = _inverse_table(model)(np.sqrt(-np.log(u)))
+def _table_inverse(survival, model: CovarianceModel, u):
+    """survival^{-1}(u) for an array ``u`` (at least 1-d) from the cached
+    inverse table of (survival, model)."""
+    x = _inverse_table(survival, model)(np.sqrt(-np.log(u)))
     return np.maximum(np.expm1(x), 0.0)
+
+
+_CLOSED_FORM_INVERSES = {
+    Diffusion(d=1): _diffusion_d1_from_u,
+    Diffusion(d=2): _diffusion_d2_from_u,
+    RandomAcceleration(): _random_acceleration_from_u,
+}
 
 
 def _inverse_survival(model: CovarianceModel, u):
     """E0^{-1}(u): closed form for diffusion d = 1, 2 and random
     acceleration, the cached inverse table for every other model."""
-    if isinstance(model, Diffusion) and model.d == 1:
-        return _diffusion_d1_from_u(u)
-    if isinstance(model, Diffusion) and model.d == 2:
-        return _diffusion_d2_from_u(u)
-    if isinstance(model, RandomAcceleration):
-        return _random_acceleration_from_u(u)
-    return _table_inverse(model, u)
-
-
-def _draw_by_inversion(model: CovarianceModel, rng: RngStream, size):
-    n = 1 if size is None else int(size)
-    return _ret(_inverse_survival(model, rng.uniform01(n)), size)
-
-
-def sample_divisor_diffusion(d: int, rng: RngStream, size=None):
-    """Divisor draw for the d-dimensional diffusion covariance, one
-    uniform per sample: closed-form inverses for d = 1 and d = 2, the
-    inverse table for d >= 3.  ``d`` outside 1..64 raises ``ModelSpecError``."""
-    return _draw_by_inversion(Diffusion(d=d), rng, size)
-
-
-def sample_divisor_random_acceleration(rng: RngStream, size=None):
-    """Divisor draw for the random-acceleration covariance:
-    T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of E0(t) = sqrt(3/(4e^t - 1)).
-    """
-    return _draw_by_inversion(RandomAcceleration(), rng, size)
-
-
-def sample_divisor_matern(nu: float, rng: RngStream, size=None):
-    """Divisor draw for the half-integer Matern covariance from the
-    model's inverse table.  ``nu`` outside 2.5/3.5/4.5 raises ``ModelSpecError``."""
-    return _draw_by_inversion(MaternHalfInteger(nu=nu), rng, size)
-
-
-def sample_divisor_generic(model: CovarianceModel, rng: RngStream, size=None):
-    """Inverse-table draw for any model whose validity report allows
-    sampling (verdict valid or the power-tail warning)."""
-    slepian.require_usable(model)
-    n = 1 if size is None else int(size)
-    return _ret(_table_inverse(model, rng.uniform01(n)), size)
+    closed = _CLOSED_FORM_INVERSES.get(model)
+    return closed(u) if closed else _table_inverse(slepian.e0, model, u)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +444,14 @@ class DivisorSampler:
         return slepian.e0(self.model, t)
 
     def draw(self, rng: RngStream, size=None):
-        return _draw_by_inversion(self.model, rng, size)
+        n = 1 if size is None else int(size)
+        return _ret(_inverse_survival(self.model, rng.uniform01(n)), size)
+
+    def size_biased_draw(self, rng: RngStream, size=None):
+        """Draw from the size-biased divisor (density t f(t)/mean), one
+        uniform per draw through the inverse table of its survival."""
+        n = 1 if size is None else int(size)
+        return _ret(_table_inverse(_size_biased_survival, self.model, rng.uniform01(n)), size)
 
 
 def sample_divisor(model: CovarianceModel, rng: RngStream, size=None):

@@ -10,7 +10,11 @@ and the stationary (delayed) version - started inside an interval that
 covers the origin, with forward delay A, backward delay B and a symmetric
 initial sign - has covariance R with R'(t) = -(2/mu) E(t).  The delayed
 interval is size-biased (density x f(x) / mu, the inspection paradox), and
-A given A+B is uniform on the interval.
+A given A+B is uniform on the interval.  Every law with a density draws
+it exactly: closed forms for the exponential and gamma laws, an inverse
+table of the closed-form size-biased survival for the divisor, and the
+random-sum size-bias identity for the compound exceedance time (see
+``excursion_switching``).
 
 These relations cross-check the exceedance construction from an entirely
 independent direction: simulated paths against analytic transforms.
@@ -28,14 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 
-from .samplers import DivisorSampler, RngStream, sample_excursions
+from .samplers import DivisorSampler, RngStream, sample_excursions, sample_geometric_half
 from .covariance import CovarianceModel
 from .slepian import mean_excursion
-
-# Tail mass of the divisor beyond the truncation point of its size-biased
-# rejection sampler.
-SB_MASS_TOL = 1e-13
 
 __all__ = [
     "SwitchingTimeDistribution",
@@ -96,16 +97,19 @@ def gamma_switching(shape: float, rate: float = 1.0) -> SwitchingTimeDistributio
     k, lam = float(shape), float(rate)
     if k <= 0 or lam <= 0:
         raise ValueError("shape and rate must be positive")
-    from scipy import stats  # imported on use: scipy.stats costs about 1 s to import
 
-    dist = stats.gamma(a=k, scale=1.0 / lam)
+    def density(t):
+        x = lam * np.asarray(t, float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pdf = lam * np.exp(special.xlogy(k - 1.0, x) - x - special.gammaln(k))
+        return np.where(x < 0.0, 0.0, pdf)
 
     return SwitchingTimeDistribution(
         label=f"gamma:{k:g},{lam:g}",
         mean=k / lam,
         draw=lambda rng, size=None: rng.gen.gamma(k, 1.0 / lam, size),
-        density=dist.pdf,
-        cdf=dist.cdf,
+        density=density,
+        cdf=lambda t: special.gammainc(k, lam * np.maximum(np.asarray(t, float), 0.0)),
         # size-biased Gamma(k) is Gamma(k+1)
         size_biased_draw=lambda rng, size=None: rng.gen.gamma(k + 1.0, 1.0 / lam, size),
     )
@@ -124,39 +128,14 @@ def point_mass_switching(c: float) -> SwitchingTimeDistribution:
     return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=draw)
 
 
-def _size_biased_by_rejection(draw: Callable, mu: float, t_trunc: float) -> Callable:
-    """Size-biased sampler by weighted rejection: proposals x from
-    ``draw(rng, m)`` accepted with probability min(x / t_trunc, 1)."""
-
-    def size_biased(rng: RngStream, size: int):
-        n = int(size)
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(int((n - filled) * t_trunc / mu * 1.1) + 16, 64)
-            x = np.atleast_1d(draw(rng, m))
-            u = rng.uniform01(m)
-            take = x[u <= x / t_trunc][: n - filled]
-            out[filled : filled + take.size] = take
-            filled += take.size
-        return out
-
-    return size_biased
-
-
 def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     """Switching times drawn from a model's geometric divisor.
 
-    The size-biased draw uses weighted rejection with T_trunc grown until
-    the survival drops below SB_MASS_TOL (the capped acceptance beyond
-    T_trunc biases by at most that tail mass).
+    The size-biased draw takes one uniform through the inverse table of the
+    closed-form size-biased survival S*(t) = 2 t E0(t)/mu + (2/pi) arcsin r(t)
+    (``DivisorSampler.size_biased_draw``).
     """
     sampler = DivisorSampler(model)
-    mu = sampler.mean
-
-    t_trunc = 1.0
-    while float(np.asarray(sampler.survival(t_trunc))) > SB_MASS_TOL and t_trunc < 1e6:
-        t_trunc *= 2.0
 
     def density(t, h=1e-6):
         t = np.asarray(t, dtype=float)
@@ -165,11 +144,11 @@ def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
 
     return SwitchingTimeDistribution(
         label=f"divisor:{model.spec_string()}",
-        mean=mu,
+        mean=sampler.mean,
         draw=sampler.draw,
         density=density,
         cdf=lambda t: 1.0 - np.asarray(sampler.survival(t)),
-        size_biased_draw=_size_biased_by_rejection(sampler.draw, mu, t_trunc),
+        size_biased_draw=sampler.size_biased_draw,
     )
 
 
@@ -181,25 +160,31 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     reproduces the clipped autocovariance (2/pi) arcsin r(t) - the
     strongest end-to-end cross-check the simulator offers.
 
-    The size-biased draw uses the same weighted rejection as the divisor
-    case; lacking a closed survival, the truncation point is four times
-    the maximum of a pilot sample, beyond which the capped acceptance
-    bias is negligible for exponential-class tails.
+    The size-biased draw is exact, by the size-bias identity for random
+    sums (Goldstein & Rinott 1996; Arratia, Goldstein & Kochman 2019): for
+    S = X_1 + ... + X_N, size-biased S is X* + X_2 + ... + X_{N*}, with X*
+    the size-biased divisor and N* the size-biased count.  For N ~
+    Geometric(1/2), P(N* = k) = k 2^-(k+1), the law of N_1 + N_2 - 1 with
+    N_1, N_2 iid Geometric(1/2).  A draw costs one size-biased divisor
+    draw, two counts and on average two divisor draws.
     """
     sampler = DivisorSampler(model)
-    mu = mean_excursion(model)
 
     def draw(rng: RngStream, size: int):
         return sample_excursions(sampler, rng, int(size))[0]
 
-    pilot, _ = sample_excursions(sampler, RngStream(0x5EED, 917), 4096)
-    t_trunc = 4.0 * float(pilot.max())
+    def size_biased(rng: RngStream, size: int):
+        n = int(size)
+        head = sampler.size_biased_draw(rng, n)
+        extra = sample_geometric_half(rng, n) + sample_geometric_half(rng, n) - 2
+        rest = sampler.draw(rng, int(extra.sum()))
+        return head + np.bincount(np.repeat(np.arange(n), extra), weights=rest, minlength=n)
 
     return SwitchingTimeDistribution(
         label=f"excursion:{model.spec_string()}",
-        mean=mu,
+        mean=mean_excursion(model),
         draw=draw,
-        size_biased_draw=_size_biased_by_rejection(draw, mu, t_trunc),
+        size_biased_draw=size_biased,
     )
 
 
@@ -237,7 +222,7 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be increasing and start at or after 0")
-    from scipy import integrate  # imported on use, as in gamma_switching
+    from scipy import integrate  # imported on use: no workload command needs it
 
     acc = 0.0
     prev = 0.0

@@ -202,6 +202,16 @@ def test_switch_stationary_without_size_biased_sampler_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_switch_size_biased_table_refusal_is_numerical_failure(capsys):
+    # the size-biased survival of shifted_gaussian(alpha=0.22) crosses zero
+    # too steeply for the inverse table's round-trip contract
+    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.22)", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: inverse table of shifted_gaussian(alpha=0.22) misses the relative round trip" in captured.err
+
+
 @pytest.mark.parametrize("mode", ["origin", "stationary"])
 def test_switch_rejects_single_path(mode, capsys):
     assert main(["switch", "--dist", "exp:1", "--mode", mode, "--n", "1", "--grid", "0.5:1:0.5"]) == 1
@@ -280,6 +290,7 @@ runs = [
     (0, ["persistency", "--method", "mc", "--model", "shifted_gaussian(alpha=0)", "--n", "3000", "--k", "300", "--reps", "3"]),
     (0, ["switch", "--dist", "excursion:diffusion(d=2)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
     (0, ["switch", "--dist", "divisor:matern(nu=2.5)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
+    (0, ["switch", "--dist", "gamma:2,1", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
     (0, ["sample", "--what", "excursion", "--model", "generalized_laplace(alpha=1)", "--n", "3000", "--streams", "2"]),
 ]
 for code, argv in runs:

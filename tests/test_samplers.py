@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 import excursia as ex
 from excursia import slepian
 from excursia.samplers import (
+    InverseTableError,
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
     _inverse_survival,
     _inverse_table,
+    _size_biased_survival,
     _table_inverse,
     gaussian_divisor_density,
 )
@@ -85,11 +87,11 @@ def test_matern_round_trip():
     for nu in (2.5, 3.5, 4.5):
         model = ex.MaternHalfInteger(nu=nu)
         rng = ex.RngStream(3, 17)
-        t = ex.sample_divisor_matern(nu, rng, size=10000)
+        t = ex.sample_divisor(model, rng, size=10000)
         u = ex.RngStream(3, 17).uniform01(10000)
         err = np.abs(np.asarray(ex.e0(model, t)) - u)
         assert err.max() <= 1e-8, nu
-    t_mid = ex.sample_divisor_matern(2.5, ex.RngStream(8, 0), size=2000)
+    t_mid = ex.sample_divisor(ex.MaternHalfInteger(nu=2.5), ex.RngStream(8, 0), size=2000)
     assert np.all(t_mid > 0)
     # oracle spot check at u = 0.3
     t_oracle = survival_inverse_oracle(ex.MaternHalfInteger(nu=2.5), 0.3)
@@ -99,32 +101,70 @@ def test_matern_round_trip():
 def test_generic_round_trip_and_dispatch_match():
     gl = ex.GeneralizedLaplace(alpha=1.0)
     rng = ex.RngStream(4, 2)
-    t = ex.sample_divisor_generic(gl, rng, size=10000)
+    t = ex.sample_divisor(gl, rng, size=10000)
     u = ex.RngStream(4, 2).uniform01(10000)
     assert np.abs(np.asarray(ex.e0(gl, t)) - u).max() <= 1e-8
     # the inverse table agrees with the closed form for diffusion d=2 at the
     # median, where the survival slope is order one
-    t_gen = _table_inverse(ex.Diffusion(d=2), np.array([0.5]))[0]
+    t_gen = _table_inverse(slepian.e0, ex.Diffusion(d=2), np.array([0.5]))[0]
     assert t_gen == pytest.approx(T_STAR, abs=1e-7)
 
 
-def _relative_round_trip(model, u):
+def _relative_round_trip(model, u, survival=slepian.e0):
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return np.abs(np.asarray(ex.e0(model, _inverse_survival(model, u))) / u - 1.0)
+    t = _inverse_survival(model, u) if survival is slepian.e0 else _table_inverse(survival, model, u)
+    return np.abs(np.asarray(survival(model, t)) / u - 1.0)
+
+
+# every usable family; the size-biased survival S* of shifted_gaussian with
+# alpha above about 0.21 crosses zero too steeply for the contract (see
+# test_size_biased_table_refuses_a_steep_zero_crossing)
+ROUND_TRIP_MODELS = st.one_of(
+    st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
+    st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.RandomAcceleration()]),
+    st.floats(0.5, 3.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
+    st.sampled_from([ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.15, 0.2)]),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    model=st.one_of(
-        st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
-        st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.RandomAcceleration()]),
-        st.floats(0.5, 3.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
-        st.sampled_from([ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.15, 0.2, 0.22)]),
+    case=st.one_of(
+        st.tuples(st.just(slepian.e0), st.one_of(ROUND_TRIP_MODELS, st.just(ex.ShiftedGaussian(alpha=0.22)))),
+        st.tuples(st.just(_size_biased_survival), ROUND_TRIP_MODELS),
     ),
     u=st.floats(EPS, 1.0 - EPS),
 )
-def test_inverse_survival_relative_round_trip(model, u):
-    assert _relative_round_trip(model, u)[0] <= 1e-9
+def test_inverse_survival_relative_round_trip(case, u):
+    survival, model = case
+    assert _relative_round_trip(model, u, survival)[0] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "model, upper",
+    [(ex.Diffusion(d=3), 200.0), (ex.RandomAcceleration(), 200.0), (ex.ShiftedGaussian(alpha=0.0), 200.0),
+     (ex.MaternHalfInteger(nu=2.5), 200.0), (ex.GeneralizedLaplace(alpha=1.0), np.inf)],
+    ids=lambda v: v.spec_string() if isinstance(v, ex.CovarianceModel) else "",
+)
+def test_size_biased_survival_matches_quadrature(model, upper):
+    # S*(t) = (t E0(t) + int_t^inf E0) / m with m = mu/2; E0 is negligible
+    # past t = 200 for the exponential-class models
+    m = ex.mean_excursion(model) / 2.0
+    for t in (0.05, 0.5, 2.0, 6.0):
+        tail, _ = integrate.quad(lambda x: float(ex.e0(model, x)), t, upper, epsabs=0.0, epsrel=1e-12, limit=400)
+        expected = (t * float(ex.e0(model, t)) + tail) / m
+        assert _size_biased_survival(model, t) == pytest.approx(expected, rel=1e-9), t
+    assert _size_biased_survival(model, 0.0) == 1.0
+
+
+def test_size_biased_table_refuses_a_steep_zero_crossing():
+    # for shifted_gaussian(alpha=0.22), E0 > 0 until about t = 7.3 but S*
+    # crosses zero just before, with |S*'/S*| about 1e6 at S* = eps: storing
+    # log1p(t) in double precision resolves S* there only to about 1e-9
+    model = ex.ShiftedGaussian(alpha=0.22)
+    assert ex.validate_iia(model).usable
+    with pytest.raises(InverseTableError, match="misses the relative round trip"):
+        _inverse_table(_size_biased_survival, model)
 
 
 def test_inverse_table_deep_tail_regressions():
@@ -140,14 +180,14 @@ def test_inverse_table_deep_tail_regressions():
     # for a survival that drops through zero with slope of order one)
     # refuses to build
     with pytest.raises(RuntimeError, match="misses the relative round trip"):
-        _inverse_table(ex.ShiftedGaussian(alpha=2.0))
+        _inverse_table(slepian.e0, ex.ShiftedGaussian(alpha=2.0))
 
 
 def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing(monkeypatch):
     # flat on (1, 2): z repeats on the nodes there
     monkeypatch.setattr(slepian, "e0", lambda model, t: np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)))
     with pytest.raises(RuntimeError, match="not strictly decreasing"):
-        _inverse_table.__wrapped__(ex.Diffusion(d=3))
+        _inverse_table.__wrapped__(slepian.e0, ex.Diffusion(d=3))
 
 
 @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.22, 0.2259])
@@ -182,7 +222,7 @@ def test_inverse_table_matches_recursive_minimum(d):
     draws = ex.DivisorSampler(model).draw(rng, 10**5)
     # exactly one uniform per draw, mapped through the table
     u = ex.RngStream(31, d).uniform01(10**5 + 1)
-    assert np.array_equal(draws, _table_inverse(model, u[:-1]))
+    assert np.array_equal(draws, _table_inverse(slepian.e0, model, u[:-1]))
     assert rng.uniform01(1)[0] == u[-1]
     oracle = _recursive_minimum_draws(d, ex.RngStream(32, d), 10**5)
     assert stats.ks_2samp(draws, oracle).pvalue > 0.01
@@ -192,7 +232,7 @@ def test_gaussian_divisor_table_draws_match_survival():
     model = ex.ShiftedGaussian(alpha=0.0)
     samples = ex.DivisorSampler(model).draw(ex.RngStream(11, 0), 10**6)
     # one uniform per draw, mapped through the inverse table
-    assert np.array_equal(samples, _table_inverse(model, ex.RngStream(11, 0).uniform01(10**6)))
+    assert np.array_equal(samples, _table_inverse(slepian.e0, model, ex.RngStream(11, 0).uniform01(10**6)))
     assert stats.kstest(samples, lambda x: 1.0 - np.asarray(ex.e0(model, x))).pvalue > 0.01
     assert samples.mean() == pytest.approx(math.pi / 2.0, rel=0.005)
     e0_at_1 = float(np.asarray(ex.e0(model, 1.0)))
@@ -216,7 +256,7 @@ TABLE_IDS = [m.spec_string() for m in TABLE_MODELS]
 
 @st.composite
 def _table_and_points(draw):
-    table = _inverse_table(draw(st.sampled_from(TABLE_MODELS)))
+    table = _inverse_table(slepian.e0, draw(st.sampled_from(TABLE_MODELS)))
     x = table.x
     knot = st.integers(0, x.size - 1).map(lambda k: x[k])
     point = st.one_of(
@@ -241,16 +281,16 @@ def test_guided_interval_matches_binary_search(case):
 
 @pytest.mark.parametrize("model", TABLE_MODELS, ids=TABLE_IDS)
 def test_guided_table_equals_spline_bit_for_bit(model):
-    table = _inverse_table(model)
+    table = _inverse_table(slepian.e0, model)
     u = np.concatenate((ex.RngStream(61, 0).uniform01(10**6), np.geomspace(EPS, 1e-12, 10001), [1.0 - EPS]))
     z = np.sqrt(-np.log(u))
     assert np.array_equal(table(z), table.spline(z))
-    assert np.array_equal(_table_inverse(model, u), np.maximum(np.expm1(table.spline(z)), 0.0))
+    assert np.array_equal(_table_inverse(slepian.e0, model, u), np.maximum(np.expm1(table.spline(z)), 0.0))
     # knots and their neighbours, where the interval changes
     x = table.x
     for zk in (x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)):
         assert np.array_equal(table(zk), table.spline(zk))
-    t = _table_inverse(model, np.array([np.nan, 1.0]))
+    t = _table_inverse(slepian.e0, model, np.array([np.nan, 1.0]))
     assert np.isnan(t[0]) and t[1] == 0.0
 
 
@@ -301,7 +341,7 @@ def test_sampling_refuses_invalid_model():
     with pytest.raises(ex.ValidityError):
         ex.sample_excursions(ex.ShiftedGaussian(alpha=2.0), ex.RngStream(1, 0), 10)
     with pytest.raises(ex.ValidityError):
-        ex.sample_divisor_generic(ex.ShiftedGaussian(alpha=2.0), ex.RngStream(1, 0), size=10)
+        ex.divisor_switching(ex.ShiftedGaussian(alpha=2.0))
 
 
 def test_determinism_and_stream_independence():

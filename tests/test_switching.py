@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 import excursia as ex
 from excursia import switching
+from excursia.samplers import _size_biased_survival, _table_inverse
 
 
 def test_origin_path_starts_on():
@@ -196,3 +197,48 @@ def test_divisor_switching_distribution():
     # E[A+B] = E[T^2]/E[T] for the divisor: compute the moment by quadrature
     m2, _ = integrate.quad(lambda t: 2 * t * float(np.asarray(ex.e0(ex.Diffusion(d=2), t))), 0.0, 200.0, limit=200)
     assert np.mean(ab) == pytest.approx(m2 / math.pi, rel=0.05)
+
+
+# one model per usable family, with the closed-form divisor inverses, a
+# power tail and a survival that crosses zero inside the gate's tolerance
+SIZE_BIASED_MODELS = [ex.Diffusion(d=1), ex.Diffusion(d=2), ex.Diffusion(d=5), ex.RandomAcceleration(),
+                      ex.ShiftedGaussian(alpha=0.0), ex.ShiftedGaussian(alpha=0.2), ex.MaternHalfInteger(nu=2.5),
+                      ex.GeneralizedLaplace(alpha=1.0)]
+
+
+@pytest.mark.parametrize("model", SIZE_BIASED_MODELS, ids=[m.spec_string() for m in SIZE_BIASED_MODELS])
+def test_divisor_size_biased_draw_takes_one_uniform(model):
+    # n stays small: a rejection sampler would need thousands of proposals
+    # per draw for the power tail
+    n = 20
+    rng = ex.RngStream(81, 3)
+    draws = ex.divisor_switching(model).size_biased_draw(rng, n)
+    u = ex.RngStream(81, 3).uniform01(n + 1)
+    assert np.array_equal(draws, _table_inverse(_size_biased_survival, model, u[:-1]))
+    assert rng.uniform01(1)[0] == u[-1]
+    assert np.abs(np.asarray(_size_biased_survival(model, draws)) / u[:-1] - 1.0).max() <= 1e-9
+
+
+def _size_biased_by_rejection(dist, rng, n, t_trunc):
+    """Oracle: proposals x accepted with probability min(x / t_trunc, 1)."""
+    out = []
+    while sum(v.size for v in out) < n:
+        x = np.asarray(dist.draw(rng, 8 * n), dtype=float)
+        out.append(x[rng.uniform01(x.size) <= x / t_trunc])
+    return np.concatenate(out)[:n]
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
+def test_excursion_size_biased_draw_matches_moment_and_rejection_oracle(model):
+    # E[S*] = E[S^2]/E[S] = (E X^2 + 2 m^2)/m for a Geometric(1/2) sum S
+    # of divisor draws X with mean m
+    dist = ex.excursion_switching(model)
+    m = ex.mean_excursion(model) / 2.0
+    ex2, _ = integrate.quad(lambda t: 2.0 * t * float(ex.e0(model, t)), 0.0, 200.0, limit=200)
+    ab = dist.size_biased_draw(ex.RngStream(82, 0), 10**5)
+    se = ab.std(ddof=1) / math.sqrt(ab.size)
+    assert abs(ab.mean() - (ex2 + 2.0 * m * m) / m) <= 4.0 * se
+    # the whole law against weighted rejection, truncated at 40 m, where
+    # the exceedance survival is about e^{-40 theta m} < 1e-10
+    oracle = _size_biased_by_rejection(dist, ex.RngStream(83, 0), 2 * 10**4, 40.0 * m)
+    assert stats.ks_2samp(ab[: 2 * 10**4], oracle).pvalue > 0.01
