@@ -19,11 +19,11 @@ models = [
     ex.GeneralizedLaplace(alpha=1.0),
 ]
 
-print(f"{'model':32s} {'r''(0)':>8s} {'d2r(0)':>8s} {'mu':>8s} {'lambda':>8s}")
+print(f"{'model':32s} {'dr(0)':>8s} {'d2r(0)':>8s} {'mu':>8s} {'lambda':>8s}")
 for m in models:
     print(
-        f"{m.spec_string():32s} {float(ex.eval_dr(m, 0.0)):8.4f} "
-        f"{ex.second_derivative_at_zero(m):8.4f} {ex.mean_excursion(m):8.4f} "
+        f"{m.spec_string():32s} {float(m.dr(0.0)):8.4f} "
+        f"{m.d2r0():8.4f} {ex.mean_excursion(m):8.4f} "
         f"{ex.crossing_intensity(m):8.4f}"
     )
 
@@ -31,6 +31,6 @@ print("\ncovariance and clipped covariance for diffusion(d=2):")
 ts = np.array([0.0, 0.5, 1.0, 2.0, 2 * np.arccosh(2.0), 5.0])
 m = ex.Diffusion(d=2)
 for t in ts:
-    print(f"  t={t:7.4f}  r={float(ex.eval_r(m, t)):+.6f}  (2/pi) arcsin r = {float(ex.clipped_autocovariance(m, t)):+.6f}")
+    print(f"  t={t:7.4f}  r={float(m.r(t)):+.6f}  (2/pi) arcsin r = {float(ex.clipped_autocovariance(m, t)):+.6f}")
 
 print("\nat t = 2 arccosh(2) the covariance is exactly 1/2 and the clipped one 1/3.")

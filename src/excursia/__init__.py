@@ -16,37 +16,20 @@ from .covariance import (
     Diffusion,
     GeneralizedLaplace,
     MaternHalfInteger,
-    ModelSpecError,
     RandomAcceleration,
     ShiftedGaussian,
-    builtin_models,
     clipped_autocovariance,
-    eval_dr,
-    eval_r,
     parse_model_spec,
-    second_derivative_at_zero,
 )
 from .slepian import (
-    TailClass,
     ValidityError,
-    ValidityReport,
     check_equivalence,
     crossing_intensity,
     e0,
-    e0_closed,
     mean_excursion,
     validate_iia,
 )
-from .laplace import (
-    AtPoleError,
-    DivergenceError,
-    LaplaceEvaluator,
-    PoleNotFoundError,
-    find_pole,
-    laplace_e0,
-    psi_divisor,
-    psi_excursion,
-)
+from .laplace import find_pole, laplace_e0, psi_divisor
 from .samplers import (
     DivisorSampler,
     ExponentialDivisor,
@@ -59,7 +42,6 @@ from .samplers import (
     sample_geometric_half,
 )
 from .switching import (
-    SwitchingTimeDistribution,
     covariance_from_expectation,
     divisor_switching,
     excursion_switching,
@@ -70,11 +52,4 @@ from .switching import (
     laplace_stationary_covariance,
     point_mass_switching,
 )
-from .persistency import (
-    DegenerateTailError,
-    ExponentEstimate,
-    TailBoundReport,
-    tail_bound_check,
-    tail_exponent,
-    tail_exponent_ci,
-)
+from .persistency import tail_bound_check, tail_exponent, tail_exponent_ci

@@ -21,10 +21,11 @@ The catalog:
     r(t) = (1 + t^2/2)^(-alpha), a power-tail covariance (it is the
     characteristic function of a symmetric generalized Laplace law).
 
-Besides r and r', each model exposes a numerically stable ``one_minus_r2``
-(for 1 - r(t)^2, which suffers catastrophic cancellation near t = 0 when
-formed naively) and a closed-form evaluation of the clipped-expectation
-survival function used as an independent cross-check downstream.
+Each model class is the one definition of its family: its parameters and
+their validation, r, r', r''(0) (``d2r0``) and a numerically stable
+``one_minus_r2`` (for 1 - r(t)^2, which suffers catastrophic cancellation
+near t = 0 when formed naively).  Everything downstream (the divisor
+survival E0, its tail class, its transform) is derived from these four.
 """
 
 from __future__ import annotations
@@ -43,14 +44,9 @@ __all__ = [
     "MaternHalfInteger",
     "GeneralizedLaplace",
     "ModelSpecError",
-    "MODEL_FACTORIES",
     "MATERN_NU_VALUES",
     "MAX_DIFFUSION_DIM",
     "parse_model_spec",
-    "builtin_models",
-    "eval_r",
-    "eval_dr",
-    "second_derivative_at_zero",
     "clipped_autocovariance",
 ]
 
@@ -80,10 +76,6 @@ class CovarianceModel:
     name = "base"
 
     @property
-    def r0(self) -> float:
-        return 1.0
-
-    @property
     def params(self) -> dict:
         return {}
 
@@ -91,12 +83,6 @@ class CovarianceModel:
         """Canonical ``name(param=value,...)`` form accepted by the parser."""
         inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.name}({inner})" if inner else self.name
-
-    # tail metadata: ("exponential", rate) | ("superexponential", None)
-    # | ("power", exponent). The rate is the asymptotic decay rate of the
-    # survival function E0, used for Laplace truncation and pole bracketing.
-    def tail_hint(self) -> tuple[str, float | None]:
-        raise NotImplementedError
 
     def r(self, t):
         raise NotImplementedError
@@ -111,10 +97,6 @@ class CovarianceModel:
         """1 - r(t)^2 without cancellation near t = 0."""
         raise NotImplementedError
 
-    def e0_closed(self, t):
-        """Closed-form clipped-expectation survival (cross-check path)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Diffusion(CovarianceModel):
@@ -123,18 +105,18 @@ class Diffusion(CovarianceModel):
     name = "diffusion"
 
     def __post_init__(self):
-        if not (isinstance(self.d, (int, np.integer)) and 1 <= self.d <= MAX_DIFFUSION_DIM):
+        d = self.d
+        if isinstance(d, (float, np.floating)) and float(d).is_integer():
+            d = int(d)  # spec strings carry every value as a float
+        if not (isinstance(d, (int, np.integer)) and 1 <= d <= MAX_DIFFUSION_DIM):
             raise ModelSpecError(
                 f"diffusion dimension must be an integer in [1, {MAX_DIFFUSION_DIM}], got {self.d!r}"
             )
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", int(d))
 
     @property
     def params(self):
         return {"d": self.d}
-
-    def tail_hint(self):
-        return ("exponential", self.d / 4.0)
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
@@ -151,30 +133,10 @@ class Diffusion(CovarianceModel):
         t = np.asarray(t, dtype=float)
         return -np.expm1(-self.d * _log_cosh(0.5 * t))
 
-    def e0_closed(self, t):
-        # sech(t/2) * sqrt((d/2) * sinh(t/2)^2 / (cosh(t/2)^d - 1)),
-        # with cosh^d - 1 = expm1(d log cosh) and a log-space fallback
-        # when that exponent would overflow.
-        t = np.asarray(t, dtype=float)
-        lc = _log_cosh(0.5 * t)
-        sh = np.sinh(0.5 * t)
-        dlc = self.d * lc
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = np.where(
-                dlc < 700.0,
-                sh * sh / np.expm1(np.where(dlc < 700.0, dlc, 0.0)),
-                np.exp(2.0 * np.log(np.where(sh > 0, sh, 1.0)) - dlc),
-            )
-            val = np.exp(-lc) * np.sqrt(0.5 * self.d * ratio)
-        return np.where(t == 0.0, 1.0, val)
-
 
 @dataclass(frozen=True)
 class RandomAcceleration(CovarianceModel):
     name = "random_acceleration"
-
-    def tail_hint(self):
-        return ("exponential", 0.5)
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
@@ -196,12 +158,6 @@ class RandomAcceleration(CovarianceModel):
         m = -np.expm1(-t)
         return 0.25 * m * m * (4.0 - x)
 
-    def e0_closed(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            val = np.sqrt(3.0 / (4.0 * np.exp(t) - 1.0))
-        return val
-
 
 @dataclass(frozen=True)
 class ShiftedGaussian(CovarianceModel):
@@ -217,9 +173,6 @@ class ShiftedGaussian(CovarianceModel):
     @property
     def params(self):
         return {"alpha": self.alpha}
-
-    def tail_hint(self):
-        return ("superexponential", None)
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
@@ -239,17 +192,6 @@ class ShiftedGaussian(CovarianceModel):
         tt = t * t
         s = np.sin(self.alpha * t)
         return -np.expm1(-tt) + np.exp(-tt) * s * s
-
-    def e0_closed(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        tt = t * t
-        num = (a * np.sin(a * t) + t * np.cos(a * t)) * np.exp(-0.5 * tt)
-        s = np.sin(a * t)
-        den = np.sqrt(-np.expm1(-tt) + np.exp(-tt) * s * s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = num / (math.sqrt(1.0 + a * a) * den)
-        return np.where(t == 0.0, 1.0, val)
 
 
 # Half-integer Matern polynomials: for nu = m + 1/2 the Bessel factor
@@ -306,10 +248,6 @@ class MaternHalfInteger(CovarianceModel):
     def _c(self) -> float:
         return float(self._poly[-1])
 
-    def tail_hint(self):
-        # e^{-t} decay with a polynomial factor of degree nu - 1/2
-        return ("exponential", 1.0)
-
     def r(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-t) * np.polyval(self._poly, t) / self._c
@@ -335,23 +273,13 @@ class MaternHalfInteger(CovarianceModel):
         return np.where(np.abs(t) < 1.0, series, self._c * (np.expm1(t) - t) - np.polyval(q, t))
 
     def one_minus_r2(self, t):
+        # Past t = 700, r < 1e-290 and c e^t overflows near t = 709.8, so
+        # 1 - r is formed directly there.
         t = np.asarray(t, dtype=float)
-        p = np.polyval(self._poly, t)
-        one_minus_r = np.exp(-t) * self._c_exp_minus_poly(t) / self._c
-        return one_minus_r * (1.0 + np.exp(-t) * p / self._c)
-
-    def e0_closed(self, t):
-        # sqrt(2(nu-1)) t p_{m-1}(t) / sqrt(c^2 e^{2t} - p_m(t)^2), the
-        # half-integer reduction of the Bessel-form survival; the
-        # difference of squares is split so the leading terms cancel
-        # analytically rather than in floating point.
-        t = np.asarray(t, dtype=float)
-        p = np.polyval(self._poly, t)
-        delta = self._c_exp_minus_poly(t) * (self._c * np.exp(t) + p)
-        num = math.sqrt(2.0 * (self.nu - 1.0)) * t * np.polyval(self._poly_lower, t)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = num / np.sqrt(delta)
-        return np.where(t == 0.0, 1.0, val)
+        r = self.r(t)
+        far = t > 700.0
+        near = np.exp(-t) * self._c_exp_minus_poly(np.where(far, 0.0, t)) / self._c
+        return np.where(far, 1.0 - r, near) * (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -369,10 +297,6 @@ class GeneralizedLaplace(CovarianceModel):
     def params(self):
         return {"alpha": self.alpha}
 
-    def tail_hint(self):
-        # survival decays like t^{-(1+2 alpha)}
-        return ("power", -(1.0 + 2.0 * self.alpha))
-
     def r(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-self.alpha * np.log1p(0.5 * t * t))
@@ -388,60 +312,18 @@ class GeneralizedLaplace(CovarianceModel):
         t = np.asarray(t, dtype=float)
         return -np.expm1(-2.0 * self.alpha * np.log1p(0.5 * t * t))
 
-    def e0_closed(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        lg = np.log1p(0.5 * t * t)
-        num = math.sqrt(a) * t * np.exp(-(1.0 + a) * lg)
-        den = np.sqrt(-np.expm1(-2.0 * a * lg))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = num / den
-        return np.where(t == 0.0, 1.0, val)
-
 
 # ---------------------------------------------------------------------------
 # spec-string parsing
 
 
-def _make_diffusion(d=2, **kw):
-    _reject_extra("diffusion", kw)
-    if float(d) != int(float(d)):
-        raise ModelSpecError(f"diffusion dimension must be an integer, got {d!r}")
-    return Diffusion(d=int(float(d)))
-
-
-def _make_random_acceleration(**kw):
-    _reject_extra("random_acceleration", kw)
-    return RandomAcceleration()
-
-
-def _make_shifted_gaussian(alpha=0.0, **kw):
-    _reject_extra("shifted_gaussian", kw)
-    return ShiftedGaussian(alpha=float(alpha))
-
-
-def _make_matern(nu=2.5, **kw):
-    _reject_extra("matern", kw)
-    return MaternHalfInteger(nu=float(nu))
-
-
-def _make_generalized_laplace(alpha=1.0, **kw):
-    _reject_extra("generalized_laplace", kw)
-    return GeneralizedLaplace(alpha=float(alpha))
-
-
-def _reject_extra(name, kw):
-    if kw:
-        raise ModelSpecError(f"unknown parameter(s) {sorted(kw)} for model '{name}'")
-
-
-MODEL_FACTORIES = {
-    "diffusion": _make_diffusion,
-    "random_acceleration": _make_random_acceleration,
-    "shifted_gaussian": _make_shifted_gaussian,
-    "matern": _make_matern,
-    "matern_half_integer": _make_matern,
-    "generalized_laplace": _make_generalized_laplace,
+_MODEL_CLASSES = {
+    "diffusion": Diffusion,
+    "random_acceleration": RandomAcceleration,
+    "shifted_gaussian": ShiftedGaussian,
+    "matern": MaternHalfInteger,
+    "matern_half_integer": MaternHalfInteger,
+    "generalized_laplace": GeneralizedLaplace,
 }
 
 _USAGE = (
@@ -462,8 +344,8 @@ def parse_model_spec(spec: str) -> CovarianceModel:
     if not m:
         raise ModelSpecError(f"cannot parse model spec {spec!r}; {_USAGE}")
     name, arglist = m.group(1), m.group(2)
-    factory = MODEL_FACTORIES.get(name)
-    if factory is None:
+    cls = _MODEL_CLASSES.get(name)
+    if cls is None:
         raise ModelSpecError(f"unknown model {name!r}; {_USAGE}")
     kwargs = {}
     if arglist:
@@ -476,39 +358,9 @@ def parse_model_spec(spec: str) -> CovarianceModel:
             except ValueError:
                 raise ModelSpecError(f"non-numeric value for {key.strip()!r}: {val.strip()!r}") from None
     try:
-        return factory(**kwargs)
-    except TypeError:
-        raise ModelSpecError(f"invalid parameters for model {name!r}; {_USAGE}") from None
-
-
-def builtin_models() -> list[CovarianceModel]:
-    """A representative instance of every built-in family."""
-    return [
-        Diffusion(d=2),
-        RandomAcceleration(),
-        ShiftedGaussian(alpha=0.0),
-        MaternHalfInteger(nu=2.5),
-        GeneralizedLaplace(alpha=1.0),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# functional surface
-
-
-def eval_r(model: CovarianceModel, t):
-    """Autocovariance r(t) at lag t >= 0."""
-    return model.r(t)
-
-
-def eval_dr(model: CovarianceModel, t):
-    """First derivative r'(t)."""
-    return model.dr(t)
-
-
-def second_derivative_at_zero(model: CovarianceModel) -> float:
-    """r''(0), strictly negative for every model in the catalog."""
-    return model.d2r0()
+        return cls(**kwargs)
+    except TypeError as exc:  # an unknown parameter name
+        raise ModelSpecError(f"invalid parameters for model {name!r} ({exc}); {_USAGE}") from None
 
 
 def clipped_autocovariance(model: CovarianceModel, t):

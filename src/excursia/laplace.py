@@ -8,8 +8,9 @@ tail, because bare truncation biases the transform exactly at the negative
 s values where persistency poles live.  A lower-order rule on the same
 panels gives the error estimate; above rel_tol it raises QuadratureError.
 The completion parameters are fitted to log E0 over the final decade
-before t_max (exponential form for exponentially decaying survivals,
-log-log form for power tails).
+before t_max.  Its form follows the tail class the validity gate measured
+(``slepian.cached_validity``): log-log for a power law, exponential for
+every other class.
 
 From the transform:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -199,20 +200,24 @@ class LaplaceEvaluator:
         cls,
         survival: Callable,
         rel_tol: float = 1e-9,
-        tail_kind: Optional[str] = None,
+        tail_kind: str = "exponential",
         t_cap: float = T_CAP,
         label: str = "",
     ) -> "LaplaceEvaluator":
         """Evaluator for a vectorised survival: ``survival(ts)`` must map an
-        array of times to an array of the same shape."""
+        array of times to an array of the same shape.  ``tail_kind``
+        ("exponential" or "power") is the form of the tail completion."""
         t_max = cls._find_t_max(survival, t_cap)
         completion = cls._fit_tail(survival, t_max, tail_kind)
         return cls(survival, t_max, completion, rel_tol=rel_tol, label=label)
 
     @classmethod
     def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9, t_cap: float = T_CAP) -> "LaplaceEvaluator":
-        kind, _ = model.tail_hint()
-        tail_kind = "power" if kind == "power" else "exponential"
+        """Evaluator for E0 of ``model``, completed in the form of the
+        validity gate's tail class: log-log for a power law, exponential
+        for every other class (and for an unclassified tail)."""
+        tail_class = slepian.cached_validity(model).tail_class
+        tail_kind = "power" if tail_class is not None and tail_class.kind == "power_law" else "exponential"
         return cls.for_survival(
             lambda t: slepian.e0(model, t),
             rel_tol=rel_tol,
@@ -233,6 +238,8 @@ class LaplaceEvaluator:
 
     @staticmethod
     def _fit_tail(survival, t_max, tail_kind):
+        if tail_kind not in ("exponential", "power"):
+            raise ValueError(f"tail_kind must be 'exponential' or 'power', got {tail_kind!r}")
         ts = np.linspace(t_max / 10.0, t_max, 200)
         vals = np.asarray(survival(ts), dtype=float)
         good = vals > 0
@@ -240,17 +247,13 @@ class LaplaceEvaluator:
         if ts.size < 20:
             raise ValueError("too few positive survival values to fit a tail completion")
         logs = np.log(vals)
-        b_exp, a_exp = np.polyfit(ts, logs, 1)
-        b_pow, a_pow = np.polyfit(np.log(ts), logs, 1)
-        if tail_kind is None:
-            sse_exp = float(np.sum((logs - (a_exp + b_exp * ts)) ** 2))
-            sse_pow = float(np.sum((logs - (a_pow + b_pow * np.log(ts))) ** 2))
-            tail_kind = "exponential" if sse_exp <= sse_pow else "power"
-        if tail_kind == "exponential":
-            if b_exp >= 0:
-                raise ValueError("survival does not decay; cannot build a transform")
-            return TailCompletion("exponential", float(a_exp), float(b_exp))
-        return TailCompletion("power", float(a_pow), float(b_pow))
+        if tail_kind == "power":
+            slope, intercept = np.polyfit(np.log(ts), logs, 1)
+            return TailCompletion("power", float(intercept), float(slope))
+        slope, intercept = np.polyfit(ts, logs, 1)
+        if slope >= 0:
+            raise ValueError("survival does not decay; cannot build a transform")
+        return TailCompletion("exponential", float(intercept), float(slope))
 
     # -- evaluation --------------------------------------------------------
 

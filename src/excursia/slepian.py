@@ -10,9 +10,12 @@ nonincreasing it is a survival function, and the exceedance-time
 approximation built on it is a proper distribution: the exceedance time is
 a Geometric(1/2) random sum of iid "divisor" draws whose survival function
 is exactly E0.  ``validate_iia`` checks those hypotheses on a grid and
-classifies the tail; models with oscillating E0 are rejected, and power
+classifies the tail; models with oscillating E0 are rejected, power
 tails are flagged because the resulting tail behavior cannot match the
-underlying process.
+underlying process, and a tail the grid cannot classify gets its own
+verdict.  The tail class is also what the Laplace transform completes
+the truncated survival with (log-log form for a power law, exponential
+form otherwise).
 
 The module also exposes the two crossing statistics that anchor the scale:
 mean excursion length mu = pi / sqrt(-r''(0)) and its reciprocal, the
@@ -35,7 +38,6 @@ __all__ = [
     "ValidityReport",
     "ValidityError",
     "e0",
-    "e0_closed",
     "mean_excursion",
     "crossing_intensity",
     "validate_iia",
@@ -115,7 +117,7 @@ class ValidityReport:
     @property
     def usable(self) -> bool:
         """True when sampling from the divisor is allowed."""
-        return self.verdict in ("valid", "valid_but_power_tail_warning")
+        return self.verdict in ("valid", "valid_tail_inconclusive", "valid_but_power_tail_warning")
 
     def as_dict(self) -> dict:
         return {
@@ -145,13 +147,6 @@ def e0(model: CovarianceModel, t):
         val = -scale * model.dr(t) / np.sqrt(model.one_minus_r2(t))
     val = np.where(t == 0.0, 1.0, val)
     return val if val.ndim else float(val)
-
-
-def e0_closed(model: CovarianceModel, t):
-    """Per-family closed form of the divisor survival (cross-check path)."""
-    out = model.e0_closed(t)
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
 
 
 def mean_excursion(model: CovarianceModel) -> float:
@@ -206,7 +201,9 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     prove divergence): exponential or superexponential tails are
     integrable; a power tail is integrable only when its exponent is below
     -1, in which case the verdict carries a warning because the implied
-    exceedance tail cannot be of the right order.
+    exceedance tail cannot be of the right order.  A monotone, nonnegative
+    E0 whose tail the grid cannot classify is "valid_tail_inconclusive":
+    usable for sampling, refused by the pole search.
     """
     if not (t_max > 0 and 0 < step < t_max):
         raise ValueError("require t_max > 0 and 0 < step < t_max")
@@ -243,10 +240,11 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
         integrable = None
         verdict = "invalid_oscillating"
     elif tail_class is None:
-        # Shape checks passed but the tail could not be certified; keep the
-        # result usable with an explicit warning rather than guessing.
+        # Shape checks passed but the tail could not be certified: usable
+        # for sampling, but not for the pole search, which needs a
+        # certified exponential tail.
         integrable = None
-        verdict = "valid_but_power_tail_warning"
+        verdict = "valid_tail_inconclusive"
         inconclusive = True
     elif tail_class.kind in ("exponential", "superexponential"):
         integrable = True

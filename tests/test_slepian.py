@@ -1,10 +1,14 @@
 import math
+import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import excursia as ex
+from excursia import slepian
 
 from conftest import ALL_MODELS, VALID_MODELS
 
@@ -19,17 +23,6 @@ def test_e0_at_zero_is_one():
 def test_e0_pointwise_values():
     assert ex.e0(ex.Diffusion(d=2), T_STAR) == pytest.approx(0.5, rel=1e-12)
     assert ex.e0(ex.RandomAcceleration(), math.log(2.0)) == pytest.approx(math.sqrt(3.0 / 7.0), rel=1e-12)
-
-
-def test_e0_generic_matches_closed_forms():
-    # both evaluation paths agree at 1000 random points to relative 1e-10
-    rng = np.random.default_rng(314159)
-    ts = rng.uniform(1e-3, 30.0, 1000)
-    for m in ALL_MODELS:
-        a = np.asarray(ex.e0(m, ts))
-        b = np.asarray(ex.e0_closed(m, ts))
-        mask = np.abs(b) > 1e-290
-        assert np.all(np.abs(a[mask] - b[mask]) <= 1e-10 * np.abs(b[mask])), m.spec_string()
 
 
 def test_e0_stable_near_zero():
@@ -60,6 +53,78 @@ def _random_acceleration_mpmath():
     r = lambda t: (3 * mpmath.exp(-t / 2) - mpmath.exp(-3 * t / 2)) / 2
     dr = lambda t: mpmath.mpf(3) / 4 * (mpmath.exp(-3 * t / 2) - mpmath.exp(-t / 2))
     return r, dr, -mpmath.mpf(3) / 4
+
+
+def _mpmath_parts(model):
+    """(r, r', r''(0)) of ``model`` written out again from the catalog
+    formulas in mpmath, at the model's own (double) parameter values; the
+    independent oracle for every E0 test below."""
+    if isinstance(model, ex.MaternHalfInteger):
+        return _matern_mpmath(model.nu)
+    if isinstance(model, ex.RandomAcceleration):
+        return _random_acceleration_mpmath()
+    if isinstance(model, ex.Diffusion):
+        d = mpmath.mpf(model.d)
+        r = lambda t: mpmath.sech(t / 2) ** (d / 2)
+        dr = lambda t: -d / 4 * mpmath.tanh(t / 2) * r(t)
+        return r, dr, -d / 8
+    if isinstance(model, ex.ShiftedGaussian):
+        a = mpmath.mpf(model.alpha)
+        r = lambda t: mpmath.cos(a * t) * mpmath.exp(-t * t / 2)
+        dr = lambda t: -(a * mpmath.sin(a * t) + t * mpmath.cos(a * t)) * mpmath.exp(-t * t / 2)
+        return r, dr, -(1 + a * a)
+    if isinstance(model, ex.GeneralizedLaplace):
+        a = mpmath.mpf(model.alpha)
+        r = lambda t: (1 + t * t / 2) ** -a
+        dr = lambda t: -a * t * (1 + t * t / 2) ** (-a - 1)
+        return r, dr, -a
+    raise TypeError(model)
+
+
+def _e0_reference(model, ts):
+    with mpmath.workdps(50):
+        parts = _mpmath_parts(model)
+    return np.array([_e0_mpmath(*parts, t) for t in np.atleast_1d(ts)])
+
+
+def test_e0_matches_mpmath_every_family():
+    # the generic E0 against 50 digits at 1000 random points, every family
+    rng = np.random.default_rng(314159)
+    ts = rng.uniform(1e-3, 30.0, 1000)
+    for m in ALL_MODELS:
+        got = np.asarray(ex.e0(m, ts))
+        ref = _e0_reference(m, ts)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-300), m.spec_string()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=st.one_of(
+        st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
+        st.floats(0.0, 0.2259).map(lambda a: ex.ShiftedGaussian(alpha=a)),
+        st.floats(0.25, 5.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
+        st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)]),
+    ),
+    t=st.floats(1e-9, 40.0),
+)
+def test_e0_matches_mpmath_at_extreme_parameters(model, t):
+    got = ex.e0(model, t)
+    ref = _e0_reference(model, t)[0]
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-300
+
+
+@pytest.mark.parametrize("nu", [2.5, 3.5, 4.5])
+def test_matern_e0_finite_past_exp_overflow(nu):
+    # c e^t overflows past t = 709.8; 1 - r^2 is then formed from r directly
+    m = ex.MaternHalfInteger(nu=nu)
+    ts = np.array([711.0, 720.0, 800.0, 1000.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(ex.e0(m, ts))
+        one_minus_r2 = np.asarray(m.one_minus_r2(ts))
+    assert np.all(np.isfinite(got) & (got >= 0.0))
+    assert np.all(np.isfinite(one_minus_r2) & (one_minus_r2 >= 0.0))
+    assert np.all(np.abs(got - _e0_reference(m, ts)) <= 1e-300)
 
 
 @pytest.mark.parametrize(
@@ -121,6 +186,19 @@ def test_validate_diffusion_rates_within_3_percent():
 def test_validate_small_grid_flags_inconclusive():
     rep = ex.validate_iia(ex.Diffusion(d=2), t_max=0.4, step=0.01)
     assert rep.classification_inconclusive
+    assert rep.verdict == "valid_tail_inconclusive"
+    assert rep.usable
+    assert rep.tail_class is None
+    # the pole search reads the cached default-grid report; an inconclusive
+    # one is refused like any verdict other than "valid"
+    model = ex.Diffusion(d=3)
+    slepian.cached_validity.cache_clear()
+    try:
+        with mock.patch.object(slepian, "validate_iia", lambda m: ex.validate_iia(m, t_max=0.4, step=0.01)):
+            with pytest.raises(ex.ValidityError, match="valid_tail_inconclusive"):
+                ex.find_pole(model)
+    finally:
+        slepian.cached_validity.cache_clear()
 
 
 def test_validate_grid_preconditions():
