@@ -28,20 +28,19 @@ t = 2 * (np.log1p(np.sqrt((1 - u) * (1 + u))) - np.log(u))
 print(f"closed-form round trip |E0(T(U)) - U|: {np.abs(np.asarray(ex.e0(model, t)) - u).max():.2e}")
 
 # divisor draws against the analytic CDF 1 - E0
-draws = np.atleast_1d(ex.sample_divisor(model, ex.RngStream(7, 1), size=100_000))
+draws = ex.sample_divisor(model, ex.RngStream(7, 1), 100_000)
 ks = stats.kstest(draws, lambda x: 1.0 - np.asarray(ex.e0(model, x)))
 print(f"KS of 1e5 divisor draws vs 1 - E0: statistic {ks.statistic:.2e}, p = {ks.pvalue:.3f}")
 
-# the exponential fixture closes the loop analytically
-fx = ex.ExponentialDivisor(rate=1.0)
-vals, _ = ex.sample_excursions(fx, ex.RngStream(7, 2), n)
+# an Exp(1) divisor (the Exp(1) switching law) closes the loop analytically
+vals, _ = ex.sample_excursions(ex.exponential_switching(1.0), ex.RngStream(7, 2), n)
 ks = stats.kstest(vals, lambda x: -np.expm1(-0.5 * np.asarray(x)))
 print(f"Exp(1) divisor -> compound vs Exp(1/2): KS p = {ks.pvalue:.3f}")
 
 # the squared-exponential divisor comes from its inverse table, like every
 # model without a closed-form inverse: one uniform per draw
 sg = ex.ShiftedGaussian(alpha=0.0)
-samples = np.atleast_1d(ex.sample_divisor(sg, ex.RngStream(7, 3), size=100_000))
+samples = ex.sample_divisor(sg, ex.RngStream(7, 3), 100_000)
 ks = stats.kstest(samples, lambda x: 1.0 - np.asarray(ex.e0(sg, x)))
 print(
     f"squared-exponential divisor: KS p = {ks.pvalue:.3f}, "

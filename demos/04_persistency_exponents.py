@@ -35,6 +35,6 @@ for spec in ["diffusion(d=2)", "random_acceleration", "shifted_gaussian(alpha=0)
 print("\ndivisor tail rates (exact d/4):")
 for d in (1, 2, 3):
     sampler = ex.DivisorSampler(ex.Diffusion(d=d))
-    draws = np.atleast_1d(sampler.draw(ex.RngStream(1, d), 100_000))
+    draws = sampler.draw(ex.RngStream(1, d), 100_000)
     theta, _ = ex.tail_exponent(draws, 10_000)
     print(f"  d={d}: estimated {theta:.4f}, exact {d/4:.4f}")

@@ -32,7 +32,6 @@ from .slepian import (
 from .laplace import find_pole, laplace_e0, psi_divisor
 from .samplers import (
     DivisorSampler,
-    ExponentialDivisor,
     RngStream,
     g_forward,
     g_inverse,

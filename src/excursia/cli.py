@@ -55,6 +55,25 @@ def _g17(x) -> str:
     return str(x)
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _tail_count(k: int, n: int) -> int:
+    """A tail count the regression accepts: 2 <= k <= n - 1."""
+    if not 2 <= k <= n - 1:
+        raise UsageError(f"tail count must satisfy 2 <= k <= n-1, got k={k}, n={n}")
+    return k
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
@@ -95,12 +114,14 @@ def _emit_csv(header: list[str], rows, args) -> None:
 
 
 def _cmd_models(args) -> int:
+    """Model names and parameters; ``validate --model`` measures a model's
+    tail class."""
     catalog = [
-        {"name": "diffusion", "params": {"d": f"integer in [1, {MAX_DIFFUSION_DIM}]"}, "tail": "exponential, rate d/4"},
-        {"name": "random_acceleration", "params": {}, "tail": "exponential, rate 1/2"},
-        {"name": "shifted_gaussian", "params": {"alpha": ">= 0 (only alpha=0 is a valid sampling target)"}, "tail": "superexponential"},
-        {"name": "matern (matern_half_integer)", "params": {"nu": f"one of {list(MATERN_NU_VALUES)}"}, "tail": "exponential with polynomial factor"},
-        {"name": "generalized_laplace", "params": {"alpha": "> 0"}, "tail": "power law, exponent -(1+2*alpha)"},
+        {"name": "diffusion", "params": {"d": f"integer in [1, {MAX_DIFFUSION_DIM}]"}},
+        {"name": "random_acceleration", "params": {}},
+        {"name": "shifted_gaussian", "params": {"alpha": ">= 0 (only alpha=0 is a valid sampling target)"}},
+        {"name": "matern (matern_half_integer)", "params": {"nu": f"one of {list(MATERN_NU_VALUES)}"}},
+        {"name": "generalized_laplace", "params": {"alpha": "> 0"}},
     ]
     _emit_json({"models": catalog}, args)
     return 0
@@ -124,14 +145,9 @@ def _cmd_e0(args) -> int:
         _emit_csv(["t", "value", "log_value"], rows, args)
         return 0
     # survival_mc: empirical exceedance survival with binomial SE
-    rng = RngStream(args.seed, 0)
-    values, _ = sample_excursions(model, rng, args.n)
-    values = np.sort(values)
-    rows = []
-    for t in ts:
-        p = float(np.mean(values > t))
-        se = float(np.sqrt(max(p * (1 - p), 1.0 / args.n) / args.n))
-        rows.append((t, p, np.log(p) if p > 0 else -np.inf, se))
+    values, _ = sample_excursions(model, RngStream(args.seed, 0), args.n)
+    p, se = persistency.empirical_survival(values, ts)
+    rows = [(t, pt, np.log(pt) if pt > 0 else -np.inf, st) for t, pt, st in zip(ts, p, se)]
     _emit_csv(["t", "value", "log_value", "se"], rows, args)
     return 0
 
@@ -146,7 +162,7 @@ def _cmd_sample(args) -> int:
             continue
         rng = RngStream(args.seed, i)
         if args.what == "divisor":
-            chunks.append(np.atleast_1d(DivisorSampler(model).draw(rng, ni)))
+            chunks.append(DivisorSampler(model).draw(rng, ni))
         else:
             chunks.append(sample_excursions(model, rng, ni)[0])
     values = np.concatenate(chunks) if chunks else np.empty(0)
@@ -178,6 +194,7 @@ def _cmd_persistency(args) -> int:
     threads = _resolve_threads(args.threads)
     estimates = []
     if args.method in ("mc", "both"):
+        _tail_count(k, args.n)
         sampler = DivisorSampler(model)  # validity gate before any sampling
 
         def draw(stream: RngStream, m: int):
@@ -240,14 +257,14 @@ def _cmd_reproduce(args) -> int:
     if args.target != "table2":
         raise UsageError(f"unknown reproduce target {args.target!r}; available: table2")
     threads = _resolve_threads(args.threads)
-    k_div = args.k_divisor if args.k_divisor is not None else persistency.default_tail_count(args.n)
-    k_iia = args.k_iia if args.k_iia is not None else max(2, args.n // 10)
+    k_div = _tail_count(args.k_divisor if args.k_divisor is not None else persistency.default_tail_count(args.n), args.n)
+    k_iia = _tail_count(args.k_iia if args.k_iia is not None else max(2, args.n // 10), args.n)
     rows = []
     for d in range(1, args.dmax + 1):
         model = Diffusion(d=d)
         sampler = DivisorSampler(model)
         div_est = persistency.tail_exponent_ci(
-            lambda st, m: np.atleast_1d(sampler.draw(st, m)),
+            sampler.draw,
             args.n,
             k_div,
             args.reps,
@@ -305,7 +322,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tmin", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.1)
-    sp.add_argument("--n", type=int, default=100000, help="MC sample size for survival_mc")
+    sp.add_argument("--n", type=_at_least(1), default=100000, help="MC sample size for survival_mc")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_e0)
@@ -313,7 +330,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="draw divisor or exceedance-time samples")
     sp.add_argument("--model", required=True)
     sp.add_argument("--what", choices=["divisor", "excursion"], default="excursion")
-    sp.add_argument("--n", type=int, default=1000)
+    sp.add_argument("--n", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--streams", type=int, default=1, help="number of independent streams the draw is split over")
     sp.add_argument("--binary", action="store_true", help="little-endian float64 instead of text")
@@ -329,10 +346,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("persistency", help="persistency exponent estimates")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=int, default=100000)
+    sp.add_argument("--n", type=_at_least(1), default=100000)
     sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100))")
     sp.add_argument("--tail-frac", type=float, default=None, dest="tail_frac", help="tail fraction alternative to --k")
-    sp.add_argument("--reps", type=int, default=10)
+    sp.add_argument("--reps", type=_at_least(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--method", choices=["mc", "pole", "both"], default="mc")
     sp.add_argument("--threads", type=int, default=None, help="worker threads (default: EXCURSIA_THREADS or machine parallelism)")
@@ -351,8 +368,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce", help="recompute a reference table side by side with the published values")
     sp.add_argument("target", choices=["table2"], help="which table to reproduce")
-    sp.add_argument("--n", type=int, default=100000)
-    sp.add_argument("--reps", type=int, default=10)
+    sp.add_argument("--n", type=_at_least(1), default=100000)
+    sp.add_argument("--reps", type=_at_least(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--dmax", type=int, default=10)
     sp.add_argument("--k-divisor", type=int, default=None, dest="k_divisor")

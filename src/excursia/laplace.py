@@ -113,11 +113,6 @@ class TailCompletion:
     intercept: float
     slope: float
 
-    @property
-    def rate(self) -> float:
-        """Decay rate for the exponential form (-slope)."""
-        return -self.slope
-
     def remainder(self, s: float, t_max: float) -> float:
         """int_{t_max}^inf (fitted tail)(t) e^{-st} dt."""
         if self.kind == "exponential":
@@ -165,12 +160,10 @@ class LaplaceEvaluator:
         t_max: float,
         completion: TailCompletion,
         rel_tol: float = 1e-9,
-        label: str = "",
     ):
         self.t_max = float(t_max)
         self.completion = completion
         self.rel_tol = float(rel_tol)
-        self.label = label
         self._weighted = _weighted_values(survival, self.t_max, ORDER)
         self.abserr = self._certify(_weighted_values(survival, self.t_max, CHECK_ORDER))
 
@@ -202,14 +195,13 @@ class LaplaceEvaluator:
         rel_tol: float = 1e-9,
         tail_kind: str = "exponential",
         t_cap: float = T_CAP,
-        label: str = "",
     ) -> "LaplaceEvaluator":
         """Evaluator for a vectorised survival: ``survival(ts)`` must map an
         array of times to an array of the same shape.  ``tail_kind``
         ("exponential" or "power") is the form of the tail completion."""
         t_max = cls._find_t_max(survival, t_cap)
         completion = cls._fit_tail(survival, t_max, tail_kind)
-        return cls(survival, t_max, completion, rel_tol=rel_tol, label=label)
+        return cls(survival, t_max, completion, rel_tol=rel_tol)
 
     @classmethod
     def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9, t_cap: float = T_CAP) -> "LaplaceEvaluator":
@@ -223,7 +215,6 @@ class LaplaceEvaluator:
             rel_tol=rel_tol,
             tail_kind=tail_kind,
             t_cap=t_cap,
-            label=model.spec_string(),
         )
 
     @staticmethod
@@ -256,13 +247,6 @@ class LaplaceEvaluator:
         return TailCompletion("exponential", float(intercept), float(slope))
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def boundary(self) -> float:
-        """Largest s at which the transform diverges."""
-        if self.completion.kind == "exponential":
-            return self.completion.slope  # = -rate
-        return 0.0
 
     def _check_domain(self, s: float):
         if self.completion.kind == "exponential":
@@ -302,7 +286,7 @@ class LaplaceEvaluator:
         """
         if self.completion.kind != "exponential":
             raise PoleNotFoundError(0.0, 0.0, math.nan, math.nan)
-        rate = self.completion.rate
+        rate = -self.completion.slope
         lo = -BOUNDARY_MARGIN * rate
         hi = -1e-4 * rate
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ __all__ = [
     "ExponentEstimate",
     "DegenerateTailError",
     "default_tail_count",
+    "empirical_survival",
     "tail_exponent",
     "tail_exponent_ci",
     "tail_bound_check",
@@ -75,29 +76,27 @@ class ExponentEstimate:
     per_rep: Optional[tuple] = None
 
     def as_dict(self) -> dict:
-        out = {"theta": self.theta, "method": self.method}
-        for key in (
-            "intercept",
-            "half_width",
-            "n",
-            "k",
-            "reps",
-            "seed",
-            "bracket",
-            "residual",
-            "boundary",
-            "boundary_margin",
-            "quad_abserr",
-            "per_rep",
-        ):
-            val = getattr(self, key)
+        """The fields that are set, tuples as lists."""
+        out = {}
+        for field in fields(self):
+            val = getattr(self, field.name)
             if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
+                out[field.name] = list(val) if isinstance(val, tuple) else val
         return out
 
 
 def default_tail_count(n: int) -> int:
     return max(1000, n // 100)
+
+
+def empirical_survival(samples, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical survival p = P(X > tau) of the samples at each tau and its
+    binomial standard error sqrt(max(p(1 - p), 1/n)/n); the floor keeps
+    the SE positive where no sample (or every sample) exceeds tau."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    p = np.array([np.mean(samples > tau) for tau in taus], dtype=float)
+    return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
 def tail_exponent(samples, k: int) -> tuple[float, float]:
@@ -217,8 +216,6 @@ def tail_bound_check(
     b = float(divisor_rate)
     if b <= 0:
         raise ValueError("divisor rate must be positive")
-    samples = np.asarray(excursion_samples, dtype=float)
-    n = samples.size
     taus = np.asarray(taus, dtype=float)
 
     if divisor_survival is None:
@@ -233,16 +230,14 @@ def tail_bound_check(
         assumed = False
 
     rows = []
-    for tau in taus:
-        emp = float(np.mean(samples > tau))
-        se = math.sqrt(max(emp * (1.0 - emp), 1.0 / n) / n)
+    for tau, emp, se in zip(taus, *empirical_survival(excursion_samples, taus)):
         bound = math.exp(-0.5 * b * tau)
         rows.append(
             TailBoundRow(
                 tau=float(tau),
-                empirical=emp,
+                empirical=float(emp),
                 bound=bound,
-                se=se,
+                se=float(se),
                 upper_violation=bool(upper_applies and emp > bound + 3.0 * se),
                 lower_violation=bool(lower_applies and emp < bound - 3.0 * se),
             )

@@ -1,6 +1,7 @@
 """Exact samplers for the geometric divisor and the compound exceedance time.
 
-Every divisor sampler draws T = E0^{-1}(U) from a single uniform.  The
+Every sampler takes an integer n and returns an array of n draws.  A
+divisor draw is T = E0^{-1}(U) from a single uniform.  The
 inverse is a closed form for diffusion d = 1, d = 2 and random
 acceleration; for every other model, shifted_gaussian(alpha=0) included,
 it is read from one cached inverse table per model (numerical inversion
@@ -60,7 +61,6 @@ scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,7 +73,6 @@ __all__ = [
     "RngStream",
     "InverseTableError",
     "DivisorSampler",
-    "ExponentialDivisor",
     "poly_inverse_b",
     "g_forward",
     "g_inverse",
@@ -123,15 +122,12 @@ class RngStream:
         """A fresh stream for replication ``offset`` of this stream's seed."""
         return RngStream(self.seed, self.stream_index + offset)
 
-    def uniform01(self, size=None):
-        """Uniforms clamped to the open interval; 0 maps to +inf draws and
-        1 to zero-length draws, so exact endpoints are never emitted."""
+    def uniform01(self, size) -> np.ndarray:
+        """An array of uniforms of ``size`` (a count or a shape), clamped to
+        the open interval; 0 maps to +inf draws and 1 to zero-length draws,
+        so exact endpoints are never emitted."""
         u = self.gen.random(size)
         return np.clip(u, _EPS, 1.0 - _EPS)
-
-
-def _ret(x, size):
-    return float(x[0]) if size is None else x
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +372,12 @@ def g_inverse(d: int, g):
     if np.any((g <= 0.0) | (g >= 1.0)):
         raise ValueError("g must lie strictly inside (0, 1)")
     a = d / (d - g * (d - 1))
-    b = np.atleast_1d(poly_inverse_b(d, a))
+    b = poly_inverse_b(d, a)
     # g small enough that a rounds to 1 gives b = 0: the survival inverse
     # there is +inf, which the recursive minimum absorbs harmlessly
     with np.errstate(divide="ignore"):
         t = 2.0 * np.arccosh(1.0 / b)
-    return _ret(t, None if scalar else g.size)
+    return float(t[0]) if scalar else t
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +400,6 @@ def gaussian_divisor_density(t):
     return np.where(tt == 0.0, 0.0, out)
 
 
-@dataclass(frozen=True)
-class ExponentialDivisor:
-    """Analytic fixture: divisor with survival e^{-rate t}.
-
-    The compound exceedance time is then exactly Exp(rate/2), which makes
-    this the closure oracle for the whole sampling pipeline.
-    """
-
-    rate: float = 1.0
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def survival(self, t):
-        return np.exp(-self.rate * np.asarray(t, dtype=float))
-
-    def draw(self, rng: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        t = -np.log(rng.uniform01(n)) / self.rate
-        return _ret(t, size)
-
-
 class DivisorSampler:
     """Divisor distribution of a model bundled with its sampling strategy:
     survival E0, mean mu/2 and the model's validity report.
@@ -443,53 +416,41 @@ class DivisorSampler:
     def survival(self, t):
         return slepian.e0(self.model, t)
 
-    def draw(self, rng: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        return _ret(_inverse_survival(self.model, rng.uniform01(n)), size)
+    def draw(self, rng: RngStream, n: int) -> np.ndarray:
+        return _inverse_survival(self.model, rng.uniform01(n))
 
-    def size_biased_draw(self, rng: RngStream, size=None):
+    def size_biased_draw(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw from the size-biased divisor (density t f(t)/mean), one
         uniform per draw through the inverse table of its survival."""
-        n = 1 if size is None else int(size)
-        return _ret(_table_inverse(_size_biased_survival, self.model, rng.uniform01(n)), size)
+        return _table_inverse(_size_biased_survival, self.model, rng.uniform01(n))
 
 
-def sample_divisor(model: CovarianceModel, rng: RngStream, size=None):
-    """Validity-gated divisor draw dispatched to the model's sampler."""
-    return DivisorSampler(model).draw(rng, size)
+def sample_divisor(model: CovarianceModel, rng: RngStream, n: int) -> np.ndarray:
+    """Validity-gated divisor draws dispatched to the model's sampler."""
+    return DivisorSampler(model).draw(rng, n)
 
 
 # ---------------------------------------------------------------------------
 # compound exceedance sampling
 
 
-def sample_geometric_half(rng: RngStream, size=None):
-    """Geometric(1/2) count on {1, 2, ...} by inversion
+def sample_geometric_half(rng: RngStream, n: int) -> np.ndarray:
+    """Geometric(1/2) counts on {1, 2, ...} by inversion
     (ceil(log U / log 1/2)), chosen over Bernoulli looping for
     determinism: exactly one uniform per draw."""
-    n = 1 if size is None else int(size)
     u = rng.uniform01(n)
-    k = np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0).astype(np.int64)
-    return (int(k[0]) if size is None else k)
+    return np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0).astype(np.int64)
 
 
-def _as_divisor_source(source):
-    if isinstance(source, CovarianceModel):
-        return DivisorSampler(source)
-    return source
-
-
-def sample_excursions(source, rng: RngStream, size: int):
+def sample_excursions(source, rng: RngStream, n: int):
     """Vectorized compound draws.
 
-    Returns ``(values, counts)``: each value is the sum of ``counts[i]``
-    divisor draws, with counts Geometric(1/2).  ``source`` is a model or
-    any object with a ``draw(rng, size)`` method.
+    Returns ``(values, counts)``, two arrays of length ``n``: each value is
+    the sum of ``counts[i]`` divisor draws, with counts Geometric(1/2).
+    ``source`` is a model or any object with a ``draw(rng, n)`` method.
     """
-    src = _as_divisor_source(source)
-    counts = np.atleast_1d(sample_geometric_half(rng, size))
-    total = int(counts.sum())
-    draws = np.atleast_1d(src.draw(rng, total))
-    offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-    values = np.add.reduceat(draws, offsets)
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    counts = sample_geometric_half(rng, n)
+    draws = src.draw(rng, int(counts.sum()))
+    values = np.add.reduceat(draws, np.cumsum(counts) - counts)
     return values, counts

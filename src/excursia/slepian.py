@@ -107,7 +107,11 @@ class ValidityReport:
     verdict: str
     t_max: float
     step: float
-    classification_inconclusive: bool = False
+
+    @property
+    def classification_inconclusive(self) -> bool:
+        """Shape checks passed but the grid could not classify the tail."""
+        return self.verdict == "valid_tail_inconclusive"
 
     @property
     def first_violation_t(self) -> Optional[float]:
@@ -220,21 +224,13 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     neg_t = float(ts[neg_viol[0]]) if not nonnegative else None
 
     tail_class = None
-    inconclusive = False
     if monotone and nonnegative:
         usable = np.flatnonzero(vals > POSITIVE_FLOOR)
-        if usable.size:
-            n_tail = int(TAIL_FRACTION * usable.size)
-            idx = usable[-n_tail:] if n_tail > 0 else usable[:0]
-            idx = idx[ts[idx] > 0]
-            if idx.size < MIN_TAIL_POINTS:
-                inconclusive = True
-            else:
-                tail_class = _classify_tail(ts[idx], vals[idx])
-                if tail_class is None:
-                    inconclusive = True
-        else:
-            inconclusive = True
+        n_tail = int(TAIL_FRACTION * usable.size)
+        idx = usable[-n_tail:] if n_tail > 0 else usable[:0]
+        idx = idx[ts[idx] > 0]
+        if idx.size >= MIN_TAIL_POINTS:
+            tail_class = _classify_tail(ts[idx], vals[idx])
 
     if not (monotone and nonnegative):
         integrable = None
@@ -245,7 +241,6 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
         # certified exponential tail.
         integrable = None
         verdict = "valid_tail_inconclusive"
-        inconclusive = True
     elif tail_class.kind in ("exponential", "superexponential"):
         integrable = True
         verdict = "valid"
@@ -267,7 +262,6 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
         verdict=verdict,
         t_max=float(t_max),
         step=float(step),
-        classification_inconclusive=inconclusive,
     )
 
 

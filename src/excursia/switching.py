@@ -10,19 +10,25 @@ and the stationary (delayed) version - started inside an interval that
 covers the origin, with forward delay A, backward delay B and a symmetric
 initial sign - has covariance R with R'(t) = -(2/mu) E(t).  The delayed
 interval is size-biased (density x f(x) / mu, the inspection paradox), and
-A given A+B is uniform on the interval.  Every law with a density draws
-it exactly: closed forms for the exponential and gamma laws, an inverse
-table of the closed-form size-biased survival for the divisor, and the
-random-sum size-bias identity for the compound exceedance time (see
-``excursion_switching``).
+A given A+B is uniform on the interval.
+
+A switching-time law is its mean, ``draw(rng, n)`` and, for the stationary
+version, ``size_biased_draw(rng, n)``; both return an array of n draws.
+Every size-biased draw is exact: closed forms for the exponential and gamma
+laws, an inverse table of the closed-form size-biased survival for the
+divisor, and the random-sum size-bias identity for the compound exceedance
+time (see ``excursion_switching``).
 
 These relations cross-check the exceedance construction from an entirely
 independent direction: simulated paths against analytic transforms.
 
 Only the forward half (t >= 0) of the stationary representation is
 simulated; the backward branch adds nothing testable for stationarity on
-the positive axis.  Paths use the left-closed convention: the state at an
-exact switch instant is the value before the flip.
+the positive axis, and times before 0 are refused.  Both estimators read
+path states with one function (``_states``); the origin-attached path is
+the stationary one with A = 0 and delta = +1.  Paths use the left-closed
+convention: the state at an exact switch instant is the value before the
+flip.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .samplers import DivisorSampler, RngStream, sample_excursions, sample_geometric_half
 from .covariance import CovarianceModel
@@ -56,19 +61,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SwitchingTimeDistribution:
-    """Positive switching-time law with the pieces the simulators need.
+    """Positive switching-time law: its mean and exact draws.
 
-    ``size_biased_draw`` samples the interval covering the origin
-    (density x f(x)/mean); it is None for laws without a density, in
-    which case the stationary construction refuses.
+    ``draw(rng, n)`` returns n iid intervals.  ``size_biased_draw(rng, n)``
+    returns n draws of the interval covering the origin (density
+    x f(x)/mean); it is None for a law without one, and then the stationary
+    construction refuses.
     """
 
     label: str
     mean: float
-    draw: Callable  # (rng, size) -> array
-    density: Optional[Callable] = None
-    cdf: Optional[Callable] = None
-    size_biased_draw: Optional[Callable] = None  # (rng, size) -> array of A+B
+    draw: Callable  # (rng, n) -> array
+    size_biased_draw: Optional[Callable] = None  # (rng, n) -> array of A+B
 
 
 def exponential_switching(rate: float = 1.0) -> SwitchingTimeDistribution:
@@ -76,56 +80,37 @@ def exponential_switching(rate: float = 1.0) -> SwitchingTimeDistribution:
     if lam <= 0:
         raise ValueError("rate must be positive")
 
-    def draw(rng: RngStream, size=None):
-        return -np.log(rng.uniform01(size)) / lam
+    def draw(rng: RngStream, n: int):
+        return -np.log(rng.uniform01(n)) / lam
 
-    def size_biased(rng: RngStream, size=None):
+    def size_biased(rng: RngStream, n: int):
         # size-biased exponential is Gamma(2, rate): sum of two draws
-        return -(np.log(rng.uniform01(size)) + np.log(rng.uniform01(size))) / lam
+        return -(np.log(rng.uniform01(n)) + np.log(rng.uniform01(n))) / lam
 
-    return SwitchingTimeDistribution(
-        label=f"exp:{lam:g}",
-        mean=1.0 / lam,
-        draw=draw,
-        density=lambda t: lam * np.exp(-lam * np.asarray(t, float)),
-        cdf=lambda t: -np.expm1(-lam * np.asarray(t, float)),
-        size_biased_draw=size_biased,
-    )
+    return SwitchingTimeDistribution(label=f"exp:{lam:g}", mean=1.0 / lam, draw=draw, size_biased_draw=size_biased)
 
 
 def gamma_switching(shape: float, rate: float = 1.0) -> SwitchingTimeDistribution:
     k, lam = float(shape), float(rate)
     if k <= 0 or lam <= 0:
         raise ValueError("shape and rate must be positive")
-
-    def density(t):
-        x = lam * np.asarray(t, float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pdf = lam * np.exp(special.xlogy(k - 1.0, x) - x - special.gammaln(k))
-        return np.where(x < 0.0, 0.0, pdf)
-
     return SwitchingTimeDistribution(
         label=f"gamma:{k:g},{lam:g}",
         mean=k / lam,
-        draw=lambda rng, size=None: rng.gen.gamma(k, 1.0 / lam, size),
-        density=density,
-        cdf=lambda t: special.gammainc(k, lam * np.maximum(np.asarray(t, float), 0.0)),
+        draw=lambda rng, n: rng.gen.gamma(k, 1.0 / lam, n),
         # size-biased Gamma(k) is Gamma(k+1)
-        size_biased_draw=lambda rng, size=None: rng.gen.gamma(k + 1.0, 1.0 / lam, size),
+        size_biased_draw=lambda rng, n: rng.gen.gamma(k + 1.0, 1.0 / lam, n),
     )
 
 
 def point_mass_switching(c: float) -> SwitchingTimeDistribution:
     """Deterministic switching times; usable for origin-attached paths only
-    (the stationary construction needs a non-lattice law with a density)."""
+    (the stationary construction needs a non-lattice law with a size-biased
+    draw)."""
     c = float(c)
     if c <= 0:
         raise ValueError("point mass must be positive")
-
-    def draw(rng: RngStream, size=None):
-        return c if size is None else np.full(size, c)
-
-    return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=draw)
+    return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=lambda rng, n: np.full(n, c))
 
 
 def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
@@ -136,18 +121,10 @@ def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     (``DivisorSampler.size_biased_draw``).
     """
     sampler = DivisorSampler(model)
-
-    def density(t, h=1e-6):
-        t = np.asarray(t, dtype=float)
-        hh = np.minimum(h, 0.5 * np.maximum(t, h))
-        return -(sampler.survival(t + hh) - sampler.survival(t - hh)) / (2.0 * hh)
-
     return SwitchingTimeDistribution(
         label=f"divisor:{model.spec_string()}",
         mean=sampler.mean,
         draw=sampler.draw,
-        density=density,
-        cdf=lambda t: 1.0 - np.asarray(sampler.survival(t)),
         size_biased_draw=sampler.size_biased_draw,
     )
 
@@ -170,11 +147,10 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     """
     sampler = DivisorSampler(model)
 
-    def draw(rng: RngStream, size: int):
-        return sample_excursions(sampler, rng, int(size))[0]
+    def draw(rng: RngStream, n: int):
+        return sample_excursions(sampler, rng, n)[0]
 
-    def size_biased(rng: RngStream, size: int):
-        n = int(size)
+    def size_biased(rng: RngStream, n: int):
         head = sampler.size_biased_draw(rng, n)
         extra = sample_geometric_half(rng, n) + sample_geometric_half(rng, n) - 2
         rest = sampler.draw(rng, int(extra.sum()))
@@ -241,38 +217,49 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
 # the standard-error formulas elementary)
 
 
-def _check_paths(n: int) -> None:
+def _check(n: int, times: np.ndarray) -> None:
+    """At least 2 paths (for a standard error) and no time before 0."""
     if n < 2:
         raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
+    if not np.all(times >= 0.0):
+        raise ValueError(f"paths are simulated for t >= 0 only, got t={np.min(times):g}")
 
 
 def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
     """(n, m) cumulative switch instants per path, covering [0, beyond].
 
-    Draws are taken flat and reshaped row-major, so the draw contract only
-    needs integer sizes."""
+    Draws are taken flat and reshaped row-major."""
     mu = dist.mean
     m0 = int(beyond / mu + 6.0 * math.sqrt(beyond / mu + 1.0) + 8)
-    block = np.asarray(dist.draw(rng, n * m0), dtype=float).reshape(n, m0)
-    cums = np.cumsum(block, axis=1)
+    cums = np.cumsum(dist.draw(rng, n * m0).reshape(n, m0), axis=1)
     while float(cums[:, -1].min()) <= beyond:
-        extra = np.cumsum(np.asarray(dist.draw(rng, n * 8), dtype=float).reshape(n, 8), axis=1)
+        extra = np.cumsum(dist.draw(rng, n * 8).reshape(n, 8), axis=1)
         cums = np.concatenate([cums, cums[:, -1:] + extra], axis=1)
     return cums
 
 
+def _states(cums: np.ndarray, a: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
+    """Path states at time t: -delta on [0, a), then delta, flipped at each
+    instant a + cums strictly before t."""
+    flips = (cums < (t - a)[:, None]).sum(axis=1)
+    after = delta * np.where(flips % 2 == 0, 1.0, -1.0)
+    return np.where(t < a, -delta, after)
+
+
 def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream):
-    """Ensemble estimate of E(t) for the origin-attached path.
+    """Ensemble estimate of E(t) for the origin-attached path (A = 0,
+    delta = +1).
 
     Returns (E_hat, SE) arrays over the grid; n must be at least 2.
     """
-    _check_paths(n)
     grid = np.asarray(grid, dtype=float)
+    _check(n, grid)
     cums = _instant_matrix(dist, n, float(grid.max()), rng)
+    a, delta = np.zeros(n), np.ones(n)
     e_hat = np.empty(grid.size)
     se = np.empty(grid.size)
     for i, t in enumerate(grid):
-        states = np.where(((cums < t).sum(axis=1) % 2) == 0, 1.0, -1.0)
+        states = _states(cums, a, delta, t)
         e_hat[i] = states.mean()
         se[i] = states.std(ddof=1) / math.sqrt(n)
     return e_hat, se
@@ -285,7 +272,7 @@ def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
     symmetric sign delta.  The state is -delta on [0, A)."""
     if dist.size_biased_draw is None:
         raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
-    s_tot = np.atleast_1d(dist.size_biased_draw(rng, n))
+    s_tot = dist.size_biased_draw(rng, n)
     a = rng.uniform01(n) * s_tot
     delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
     return s_tot, a, delta
@@ -301,24 +288,18 @@ def estimate_stationary_covariance(
     ``base_time`` and at ``base_time + t`` for each lag t in the grid;
     n must be at least 2.
     """
-    _check_paths(n)
     grid = np.asarray(grid, dtype=float)
+    _check(n, base_time + np.append(grid, 0.0))
     horizon = base_time + float(grid.max())
     _, a, delta = _stationary_start(dist, n, rng)
     cums = _instant_matrix(dist, n, horizon, rng)
-
-    def states_at(t: float) -> np.ndarray:
-        flips = (cums < (t - a)[:, None]).sum(axis=1)
-        after = delta * np.where(flips % 2 == 0, 1.0, -1.0)
-        return np.where(t < a, -delta, after)
-
-    s0 = states_at(base_time)
+    s0 = _states(cums, a, delta, base_time)
     e_hat = np.empty(grid.size)
     e_se = np.empty(grid.size)
     r_hat = np.empty(grid.size)
     r_se = np.empty(grid.size)
     for i, t in enumerate(grid):
-        st = states_at(base_time + t)
+        st = _states(cums, a, delta, base_time + t)
         e_hat[i] = st.mean()
         e_se[i] = st.std(ddof=1) / math.sqrt(n)
         prod = s0 * st

@@ -240,6 +240,32 @@ def test_models_listing(capsys):
     names = " ".join(m["name"] for m in payload["models"])
     for frag in ["diffusion", "random_acceleration", "shifted_gaussian", "matern", "generalized_laplace"]:
         assert frag in names
+    # a tail class is measured by `validate`, not declared in the listing
+    assert all(set(m) == {"name", "params"} for m in payload["models"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "0"],
+        ["sample", "--model", "diffusion(d=2)", "--n", "-3"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "1"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "0"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "2"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--k", "1"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--reps", "1"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "500"],
+        ["switch", "--dist", "exp:1", "--n", "100", "--grid", "-1:1:0.5"],
+    ],
+    ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
+         "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time"],
+)
+def test_count_and_time_inputs_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "excursia: usage error:" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_one(capsys):

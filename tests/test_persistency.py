@@ -67,7 +67,7 @@ def test_diffusion_divisor_rates_match_reference_table():
     for d in range(1, 6):
         sampler = ex.DivisorSampler(ex.Diffusion(d=d))
         est = ex.tail_exponent_ci(
-            lambda st, n: np.atleast_1d(sampler.draw(st, n)), 10**5, 1000, 40, ex.RngStream(11, 10 * d)
+            sampler.draw, 10**5, 1000, 40, ex.RngStream(11, 10 * d)
         )
         assert est.theta == pytest.approx(DIFFUSION_REFERENCE[d].divisor, abs=0.02), d
 
@@ -80,9 +80,8 @@ def test_threads_do_not_change_results():
 
 
 def test_tail_bound_check_exponential_fixture():
-    vals, _ = ex.sample_excursions(ex.ExponentialDivisor(1.0), ex.RngStream(17, 0), 10**5)
-    fx = ex.ExponentialDivisor(1.0)
-    report = ex.tail_bound_check(1.0, vals, np.linspace(0.0, 10.0, 21), divisor_survival=fx.survival)
+    vals, _ = ex.sample_excursions(ex.exponential_switching(1.0), ex.RngStream(17, 0), 10**5)
+    report = ex.tail_bound_check(1.0, vals, np.linspace(0.0, 10.0, 21), divisor_survival=lambda t: np.exp(-t))
     assert report.upper_applies and report.lower_applies
     assert not report.directions_assumed
     assert report.ok
