@@ -74,6 +74,14 @@ def _tail_count(k: int, n: int) -> int:
     return k
 
 
+def _time_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop: a usage error unless step > 0
+    and start <= stop, both finite."""
+    if not (step > 0 and -np.inf < start <= stop < np.inf):
+        raise UsageError(f"time grid needs step > 0 and finite start <= stop, got start={start:g}, stop={stop:g}, step={step:g}")
+    return np.arange(start, stop + 0.5 * step, step)
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
@@ -128,6 +136,8 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not (args.tmax > 0 and 0 < args.step < args.tmax):
+        raise UsageError(f"validate needs --tmax > 0 and 0 < --step < --tmax, got tmax={args.tmax:g}, step={args.step:g}")
     model = parse_model_spec(args.model)
     report = slepian.validate_iia(model, t_max=args.tmax, step=args.step)
     _emit_json({"report": report.as_dict(), "model": model.spec_string()}, args)
@@ -135,8 +145,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_e0(args) -> int:
+    ts = _time_grid(args.tmin, args.tmax, args.step)
     model = parse_model_spec(args.model)
-    ts = np.arange(args.tmin, args.tmax + 0.5 * args.step, args.step)
     if args.what in ("e0", "rcl"):
         fn = slepian.e0 if args.what == "e0" else clipped_autocovariance
         vals = np.asarray(fn(model, ts))
@@ -154,8 +164,7 @@ def _cmd_e0(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = parse_model_spec(args.model)
-    streams = max(1, args.streams)
-    per = [args.n // streams + (1 if i < args.n % streams else 0) for i in range(streams)]
+    per = [args.n // args.streams + (1 if i < args.n % args.streams else 0) for i in range(args.streams)]
     chunks = []
     for i, ni in enumerate(per):
         if ni == 0:
@@ -179,8 +188,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_pole(args) -> int:
-    model = parse_model_spec(args.model)
     t_cap = laplace.T_CAP if args.tmax is None else args.tmax
+    if not 0 < t_cap < np.inf:
+        raise UsageError(f"pole --tmax must be positive and finite, got {t_cap:g}")
+    model = parse_model_spec(args.model)
     est = laplace.find_pole(model, args.rel_tol, t_cap)
     _emit_json({**est.as_dict(), "reference": reference.reference_for(model.spec_string())}, args)
     return 0
@@ -234,11 +245,11 @@ def _parse_dist(spec: str) -> switching.SwitchingTimeDistribution:
 
 def _cmd_switch(args) -> int:
     try:
-        dist = _parse_dist(args.dist)
         start, stop, step = (float(x) for x in args.grid.split(":"))
+        grid = _time_grid(start, stop, step)
+        dist = _parse_dist(args.dist)
     except ValueError as exc:
         raise UsageError(f"bad --dist or --grid value: {exc}") from exc
-    grid = np.arange(start, stop + 0.5 * step, step)
     rng = RngStream(args.seed, 0)
     try:
         if args.mode == "origin":
@@ -332,7 +343,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--what", choices=["divisor", "excursion"], default="excursion")
     sp.add_argument("--n", type=_at_least(1), default=1000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--streams", type=int, default=1, help="number of independent streams the draw is split over")
+    sp.add_argument("--streams", type=_at_least(1), default=1, help="number of independent streams the draw is split over")
     sp.add_argument("--binary", action="store_true", help="little-endian float64 instead of text")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_sample)
@@ -371,7 +382,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_at_least(1), default=100000)
     sp.add_argument("--reps", type=_at_least(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--dmax", type=int, default=10)
+    sp.add_argument("--dmax", type=_at_least(1), default=10)
     sp.add_argument("--k-divisor", type=int, default=None, dest="k_divisor")
     sp.add_argument("--k-iia", type=int, default=None, dest="k_iia")
     sp.add_argument("--threads", type=int, default=None)

@@ -197,17 +197,16 @@ class ShiftedGaussian(CovarianceModel):
 # Half-integer Matern polynomials: for nu = m + 1/2 the Bessel factor
 # reduces to  r(t) = e^{-t} p_m(t) / p_m(0)  with
 # p_m(t) = sum_k (m+k)!/((m-k)! k!) 2^{-k} t^{m-k}  and  p_m(0) = (2m-1)!!.
-_MATERN_POLY = {
-    2.5: np.array([1.0, 3.0, 3.0]),
-    3.5: np.array([1.0, 6.0, 15.0, 15.0]),
-    4.5: np.array([1.0, 10.0, 45.0, 105.0, 105.0]),
-}
+def _bessel_poly(m: int) -> np.ndarray:
+    """Coefficients of p_m, highest power first (np.polyval order); every
+    coefficient is an integer, so the floats are exact."""
+    f = math.factorial
+    return np.array([f(m + k) // (f(m - k) * f(k) * 2**k) for k in range(m + 1)], dtype=float)
+
+
+_MATERN_POLY = {nu: _bessel_poly(int(nu - 0.5)) for nu in MATERN_NU_VALUES}
 # p_{m-1}, which appears in r'(t) = -t e^{-t} p_{m-1}(t) / p_m(0).
-_MATERN_POLY_LOWER = {
-    2.5: np.array([1.0, 1.0]),
-    3.5: np.array([1.0, 3.0, 3.0]),
-    4.5: np.array([1.0, 6.0, 15.0, 15.0]),
-}
+_MATERN_POLY_LOWER = {nu: _bessel_poly(int(nu - 1.5)) for nu in MATERN_NU_VALUES}
 # Taylor coefficients of c e^t - p_m(t), c = p_m(0), for powers 20 ... 0
 # (np.polyval order): c/k! - [t^k] p_m, exact for k <= m and correctly
 # rounded above.  The terms of order 0 and 1 vanish and every other one is

@@ -17,12 +17,13 @@ From the transform:
 * divisor transform        Psi_div(s) = 1 - s L(s)  (integration by parts),
 * exceedance transform     Psi_exc(s) = (1 - s L(s)) / (1 + s L(s)),
 
-and the persistency pole is the largest negative real root of
-h(s) = 1 + s L(s) = 0, equivalently Psi_div(s) = 2.  The root is located
-by sign-change scanning from zero toward the convergence boundary, then
-bisection refined with secant-type steps.  Real roots only: the search is
-a heuristic for transforms that are not rational, and a complex dominant
-pole is reported as pole-not-found rather than guessed.
+and the persistency pole is the root of h(s) = 1 + s L(s) = 0,
+equivalently Psi_div(s) = 2.  When E0 is a survival, Psi_div(s) = E[e^{-sX}]
+is strictly decreasing in real s, so h = 2 - Psi_div is strictly increasing:
+h has at most one real root, and since |Psi_div(sigma + i w)| <= Psi_div(sigma)
+no complex root lies to its right (the adjustment-coefficient argument,
+Feller 1971, Vol. II, XI.6).  The root is bracketed by h at the two ends of
+the admissible interval and refined by Brent's method.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ __all__ = [
 # power tails, where the analytic completion carries the remainder).
 TRUNCATION_THRESHOLD = 1e-15
 T_CAP = 1000.0
-# Points of the main sweep of the pole scan.
-SCAN_POINTS = 48
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
 BOUNDARY_MARGIN = 0.95
@@ -92,8 +91,8 @@ class PoleNotFoundError(RuntimeError):
         self.bracket = (lo, hi)
         self.h_values = (h_lo, h_hi)
         super().__init__(
-            f"no real pole: h({lo:g})={h_lo:g}, h({hi:g})={h_hi:g} have equal sign "
-            "(the dominant pole may sit at or beyond the convergence boundary, or be complex)"
+            f"no real pole: h({lo:g})={h_lo:g}, h({hi:g})={h_hi:g} do not change sign "
+            "(h increases for a survival E0, so any pole lies at or beyond the boundary margin)"
         )
 
 
@@ -169,7 +168,7 @@ class LaplaceEvaluator:
 
     def _certify(self, check: np.ndarray) -> float:
         """Largest |main - lower-order| + round-off floor at s = 0 and at the
-        scan's far end; raises QuadratureError above rel_tol * |main|."""
+        pole bracket's far end; raises QuadratureError above rel_tol * |main|."""
         points = [0.0]
         if self.completion.kind == "exponential":
             points.append(BOUNDARY_MARGIN * self.completion.slope)
@@ -219,13 +218,14 @@ class LaplaceEvaluator:
 
     @staticmethod
     def _find_t_max(survival, t_cap):
-        t = 1.0
-        while t < t_cap:
-            v = float(np.asarray(survival(t)))
-            if not np.isfinite(v) or v < TRUNCATION_THRESHOLD:
-                return t
-            t *= 1.25
-        return t_cap
+        """First node of the ladder 1, 1.25, 1.25^2, ... below t_cap where the
+        survival is non-finite or below TRUNCATION_THRESHOLD, else t_cap."""
+        steps = max(0, math.ceil(math.log(t_cap) / math.log(1.25))) + 1
+        ts = np.cumprod(np.concatenate([[1.0], np.full(steps, 1.25)]))
+        ts = ts[ts < t_cap]
+        vals = np.asarray(survival(ts), dtype=float)
+        stop = np.flatnonzero(~np.isfinite(vals) | (vals < TRUNCATION_THRESHOLD))
+        return float(ts[stop[0]]) if stop.size else t_cap
 
     @staticmethod
     def _fit_tail(survival, t_max, tail_kind):
@@ -278,41 +278,31 @@ class LaplaceEvaluator:
     # -- pole search --------------------------------------------------------
 
     def find_pole(self) -> ExponentEstimate:
-        """Largest negative real root of h(s) = 1 + s L(s).
+        """The real root of h(s) = 1 + s L(s) in the admissible interval.
 
-        Scans from 0- toward BOUNDARY_MARGIN times the convergence
-        boundary for the first sign change, then refines by bracketed
-        bisection/secant iteration to |h| <= 1e-10.
+        h is strictly increasing when E0 is a survival, so the root is
+        unique and dominant: it is bracketed by the interval's ends,
+        -BOUNDARY_MARGIN times the decay rate and -1e-7 times it, and
+        refined by Brent's method to |h| <= 1e-10.
         """
         if self.completion.kind != "exponential":
             raise PoleNotFoundError(0.0, 0.0, math.nan, math.nan)
         rate = -self.completion.slope
         lo = -BOUNDARY_MARGIN * rate
-        hi = -1e-4 * rate
+        hi = -1e-7 * rate
 
         def h(s):
             return 1.0 + s * self.transform(s)
 
-        # descending scan: a short stretch hugging zero (where h -> 1),
-        # then the main sweep toward the boundary margin
-        grid = np.concatenate([np.linspace(1e-3 * hi, hi, 8), np.linspace(hi, lo, SCAN_POINTS)[1:]])
-        s_prev = float(grid[0])
-        h_prev = h(s_prev)
-        bracket = None
-        for s_val in grid[1:]:
-            h_cur = h(float(s_val))
-            if h_prev > 0.0 >= h_cur:
-                bracket = (float(s_val), s_prev)
-                break
-            s_prev, h_prev = float(s_val), h_cur
-        if bracket is None:
-            raise PoleNotFoundError(lo, hi, h(lo), h(hi))
-        root = optimize.brentq(h, bracket[0], bracket[1], xtol=1e-14, rtol=8.9e-16)
+        h_lo, h_hi = h(lo), h(hi)
+        if not h_hi > 0.0 >= h_lo:
+            raise PoleNotFoundError(lo, hi, h_lo, h_hi)
+        root = optimize.brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16)
         residual = abs(h(root))
         return ExponentEstimate(
             theta=-float(root),
             method="pole",
-            bracket=bracket,
+            bracket=(lo, hi),
             residual=float(residual),
             boundary=float(self.completion.slope),
             boundary_margin=BOUNDARY_MARGIN,
@@ -348,7 +338,7 @@ def find_pole(model: CovarianceModel, rel_tol: float = 1e-12, t_cap: float = T_C
     """Pole-based persistency exponent for a validated model.
 
     Refuses models whose validity verdict is not plain "valid" (the pole
-    heuristic needs an exponentially decaying divisor).  ``t_cap`` caps
+    bracket needs an exponentially decaying divisor).  ``t_cap`` caps
     the truncation point of the transform.
     """
     report = slepian.cached_validity(model)

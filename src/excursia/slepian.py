@@ -94,19 +94,45 @@ class ValidityReport:
     """Grid certificate for the hypotheses behind the exceedance construction.
 
     The checks are necessarily finite: the report records the grid it used
-    rather than claiming a proof.
+    rather than claiming a proof.  It stores what the grid measured (the
+    first violation times and the tail class); every judgement is derived.
     """
 
     model_spec: str
-    monotone_nonincreasing: bool
     monotone_violation_t: Optional[float]
-    nonnegative: bool
     nonnegative_violation_t: Optional[float]
-    integrable: Optional[bool]
     tail_class: Optional[TailClass]
-    verdict: str
     t_max: float
     step: float
+
+    @property
+    def monotone_nonincreasing(self) -> bool:
+        return self.monotone_violation_t is None
+
+    @property
+    def nonnegative(self) -> bool:
+        return self.nonnegative_violation_t is None
+
+    @property
+    def verdict(self) -> str:
+        """Integrability is decided from the tail class (direct quadrature
+        cannot prove divergence); an unclassified tail is usable for
+        sampling but not for the pole search, which needs a certified
+        exponential tail."""
+        if not (self.monotone_nonincreasing and self.nonnegative):
+            return "invalid_oscillating"
+        if self.tail_class is None:
+            return "valid_tail_inconclusive"
+        if self.tail_class.kind in ("exponential", "superexponential"):
+            return "valid"
+        if self.tail_class.exponent is not None and self.tail_class.exponent < -1.0:
+            return "valid_but_power_tail_warning"
+        return "invalid_nonintegrable"
+
+    @property
+    def integrable(self) -> Optional[bool]:
+        """None when the shape checks failed or the tail is unclassified."""
+        return {"valid": True, "valid_but_power_tail_warning": True, "invalid_nonintegrable": False}.get(self.verdict)
 
     @property
     def classification_inconclusive(self) -> bool:
@@ -201,30 +227,22 @@ def _classify_tail(ts: np.ndarray, vals: np.ndarray):
 def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) -> ValidityReport:
     """Check monotonicity, nonnegativity and tail class of E0 on a grid.
 
-    Integrability is decided from the tail class (direct quadrature cannot
-    prove divergence): exponential or superexponential tails are
-    integrable; a power tail is integrable only when its exponent is below
-    -1, in which case the verdict carries a warning because the implied
-    exceedance tail cannot be of the right order.  A monotone, nonnegative
-    E0 whose tail the grid cannot classify is "valid_tail_inconclusive":
-    usable for sampling, refused by the pole search.
+    The report derives integrability and the verdict from these; an
+    integrable power tail gets a warning verdict because the implied
+    exceedance tail cannot be of the right order.
     """
     if not (t_max > 0 and 0 < step < t_max):
         raise ValueError("require t_max > 0 and 0 < step < t_max")
     ts = np.arange(0.0, t_max + 0.5 * step, step)
     vals = np.asarray(e0(model, ts))
 
-    diffs = vals[1:] - vals[:-1]
-    mono_viol = np.flatnonzero(diffs > MONOTONE_TOL)
-    monotone = mono_viol.size == 0
-    mono_t = float(ts[mono_viol[0] + 1]) if not monotone else None
-
+    mono_viol = np.flatnonzero(vals[1:] - vals[:-1] > MONOTONE_TOL)
+    mono_t = float(ts[mono_viol[0] + 1]) if mono_viol.size else None
     neg_viol = np.flatnonzero(vals < NONNEG_TOL)
-    nonnegative = neg_viol.size == 0
-    neg_t = float(ts[neg_viol[0]]) if not nonnegative else None
+    neg_t = float(ts[neg_viol[0]]) if neg_viol.size else None
 
     tail_class = None
-    if monotone and nonnegative:
+    if mono_t is None and neg_t is None:
         usable = np.flatnonzero(vals > POSITIVE_FLOOR)
         n_tail = int(TAIL_FRACTION * usable.size)
         idx = usable[-n_tail:] if n_tail > 0 else usable[:0]
@@ -232,34 +250,11 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
         if idx.size >= MIN_TAIL_POINTS:
             tail_class = _classify_tail(ts[idx], vals[idx])
 
-    if not (monotone and nonnegative):
-        integrable = None
-        verdict = "invalid_oscillating"
-    elif tail_class is None:
-        # Shape checks passed but the tail could not be certified: usable
-        # for sampling, but not for the pole search, which needs a
-        # certified exponential tail.
-        integrable = None
-        verdict = "valid_tail_inconclusive"
-    elif tail_class.kind in ("exponential", "superexponential"):
-        integrable = True
-        verdict = "valid"
-    elif tail_class.exponent is not None and tail_class.exponent < -1.0:
-        integrable = True
-        verdict = "valid_but_power_tail_warning"
-    else:
-        integrable = False
-        verdict = "invalid_nonintegrable"
-
     return ValidityReport(
         model_spec=model.spec_string(),
-        monotone_nonincreasing=monotone,
         monotone_violation_t=mono_t,
-        nonnegative=nonnegative,
         nonnegative_violation_t=neg_t,
-        integrable=integrable,
         tail_class=tail_class,
-        verdict=verdict,
         t_max=float(t_max),
         step=float(step),
     )

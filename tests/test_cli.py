@@ -256,9 +256,20 @@ def test_models_listing(capsys):
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--reps", "1"],
         ["reproduce", "table2", "--dmax", "1", "--n", "500"],
         ["switch", "--dist", "exp:1", "--n", "100", "--grid", "-1:1:0.5"],
+        ["e0", "--model", "diffusion(d=2)", "--step", "0"],
+        ["e0", "--model", "diffusion(d=2)", "--step", "-0.1"],
+        ["e0", "--model", "diffusion(d=2)", "--tmin", "2", "--tmax", "1"],
+        ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0:1:0"],
+        ["validate", "--model", "diffusion(d=2)", "--step", "0"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "5", "--step", "5"],
+        ["sample", "--model", "diffusion(d=2)", "--n", "10", "--streams", "0"],
+        ["reproduce", "table2", "--dmax", "0", "--n", "2000"],
+        ["pole", "--model", "diffusion(d=2)", "--tmax", "0"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
-         "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time"],
+         "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
+         "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
+         "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     assert main(argv) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import excursia as ex
-from excursia.covariance import ModelSpecError, parse_model_spec
+from excursia.covariance import MATERN_NU_VALUES, ModelSpecError, parse_model_spec
 
 from conftest import ALL_MODELS
 
@@ -28,6 +28,16 @@ def test_r_pointwise_values():
     # generalized Laplace at sqrt(2): (1 + 1)^(-1) = 1/2
     gl = ex.GeneralizedLaplace(alpha=1.0)
     assert gl.r(math.sqrt(2.0)) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", MATERN_NU_VALUES)
+def test_matern_polynomial_form_matches_bessel_definition(nu):
+    # r(t) = 2^(1-nu)/Gamma(nu) t^nu K_nu(t), against the polynomial form
+    from scipy.special import gamma, kv
+
+    ts = np.linspace(0.01, 50.0, 5000)
+    bessel = 2.0 ** (1.0 - nu) / gamma(nu) * ts**nu * kv(nu, ts)
+    np.testing.assert_allclose(ex.MaternHalfInteger(nu=nu).r(ts), bessel, rtol=1e-12)
 
 
 def test_dr_zero_at_origin():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.special import digamma
 
 import excursia as ex
+from excursia import laplace
 from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError
 
 FIXTURE = LaplaceEvaluator.for_survival(lambda t: np.exp(-np.asarray(t, dtype=float)), rel_tol=1e-12, tail_kind="exponential")
@@ -125,3 +127,69 @@ def test_pole_not_found_when_no_real_root():
         ev.find_pole()
     h_lo, h_hi = exc_info.value.h_values
     assert h_lo > 0 and h_hi > 0
+
+
+def _scan_pole_oracle(ev):
+    """Independent pole oracle: the descending sign-change scan (8 points
+    hugging zero, then 48 toward the boundary margin) followed by brentq
+    on the first bracket found."""
+    rate = -ev.completion.slope
+    lo, hi = -laplace.BOUNDARY_MARGIN * rate, -1e-4 * rate
+
+    def h(s):
+        return 1.0 + s * ev.transform(s)
+
+    grid = np.concatenate([np.linspace(1e-3 * hi, hi, 8), np.linspace(hi, lo, 48)[1:]])
+    s_prev, h_prev = float(grid[0]), h(float(grid[0]))
+    for s_val in grid[1:]:
+        h_cur = h(float(s_val))
+        if h_prev > 0.0 >= h_cur:
+            return -optimize.brentq(h, float(s_val), s_prev, xtol=1e-14, rtol=8.9e-16)
+        s_prev, h_prev = float(s_val), h_cur
+    raise AssertionError("scan oracle found no sign change")
+
+
+POLE_MODELS = (
+    [ex.Diffusion(d=d) for d in range(1, 65)]
+    + [ex.RandomAcceleration(), ex.MaternHalfInteger(nu=2.5), ex.MaternHalfInteger(nu=3.5), ex.MaternHalfInteger(nu=4.5)]
+    + [ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.05, 0.1, 0.15, 0.2, 0.2259)]
+)
+
+
+@pytest.mark.parametrize("model", POLE_MODELS, ids=lambda m: m.spec_string())
+def test_bracketed_pole_matches_scan_oracle_and_h_increases(model):
+    est = ex.find_pole(model)
+    ev = laplace._evaluator(model, 1e-12, laplace.T_CAP)
+    assert est.theta == pytest.approx(_scan_pole_oracle(ev), rel=1e-13, abs=0.0)
+    assert est.residual <= 1e-10
+    # h = 2 - Psi_div is strictly increasing on the admissible interval,
+    # which makes the bracketed root the unique, dominant one
+    lo, hi = est.bracket
+    hs = np.array([1.0 + s * ev.transform(s) for s in np.linspace(lo, hi, 400)])
+    assert np.all(np.diff(hs) > 0.0)
+
+
+def _t_max_loop_oracle(survival, t_cap):
+    t = 1.0
+    while t < t_cap:
+        v = float(np.asarray(survival(t)))
+        if not np.isfinite(v) or v < laplace.TRUNCATION_THRESHOLD:
+            return t
+        t *= 1.25
+    return t_cap
+
+
+@pytest.mark.parametrize("t_cap", [40.0, 1000.0, 5000.0])
+@pytest.mark.parametrize(
+    "survival",
+    [
+        lambda t: ex.e0(ex.Diffusion(d=2), t),
+        lambda t: ex.e0(ex.MaternHalfInteger(nu=4.5), t),
+        lambda t: np.exp(-np.asarray(t, dtype=float)),
+        # power tail: above the threshold at every cap, so the cap is returned
+        lambda t: (1.0 + np.asarray(t, dtype=float)) ** -3.0,
+    ],
+    ids=["diffusion-d2", "matern-4.5", "exp", "power"],
+)
+def test_find_t_max_matches_scalar_loop_oracle(survival, t_cap):
+    assert LaplaceEvaluator._find_t_max(survival, t_cap) == _t_max_loop_oracle(survival, t_cap)
