@@ -83,12 +83,21 @@ def _time_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("EXCURSIA_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """--threads, else EXCURSIA_THREADS, else the machine's core count; a
+    count that is not an integer of at least 1 is a usage error."""
+    source = "--threads"
+    if value is None:
+        env = os.environ.get("EXCURSIA_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        source = "EXCURSIA_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise UsageError(f"EXCURSIA_THREADS must be an integer, got {env!r}") from None
+    if value < 1:
+        raise UsageError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _metadata(args: argparse.Namespace) -> dict:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .samplers import RngStream
 
@@ -56,8 +55,9 @@ class ExponentEstimate:
     replications (absent for single runs and pole results).  The pole
     fields record the sign-change bracket, the residual of the pole
     equation at the returned root, the convergence boundary together
-    with the safety margin kept from it, and the quadrature error estimate
-    of the transform.
+    with the safety margin kept from it, the quadrature error estimate
+    of the transform, the residue prefactor C of P(T > t) ~ C e^{-theta t}
+    and the number of evaluations of the pole equation.
     """
 
     theta: float
@@ -73,6 +73,8 @@ class ExponentEstimate:
     boundary: Optional[float] = None
     boundary_margin: Optional[float] = None
     quad_abserr: Optional[float] = None
+    prefactor: Optional[float] = None
+    h_evals: Optional[int] = None
     per_rep: Optional[tuple] = None
 
     def as_dict(self) -> dict:
@@ -151,6 +153,8 @@ def tail_exponent_ci(
             results = list(pool.map(one, range(reps)))
     else:
         results = [one(r) for r in range(reps)]
+    from scipy import special  # imported on use: only Monte Carlo estimates need it
+
     thetas = np.array([t for t, _ in results])
     intercepts = np.array([a for _, a in results])
     sd = float(thetas.std(ddof=1))

@@ -45,8 +45,9 @@ intervals that miss 1e-10, until none does (smooth tails pass the first
 check).  A draw is t = max(expm1(x(sqrt(-log U))), 0); the spline piece
 holding z = sqrt(-log U) is found through a guide table on log z (one cell
 index and one compare for a smooth table, see ``_InverseTable``), not by a
-binary search, and the result equals the spline's own evaluation bit for
-bit.
+binary search, and the result equals the evaluation after a binary search
+bit for bit.  The not-a-knot spline is built in this module
+(``_not_a_knot``); its values agree with scipy's ``CubicSpline`` to 1 ulp.
 
 ``g_forward``/``g_inverse``/``poly_inverse_b`` are the recursive-minimum
 construction of the diffusion divisor for d >= 3 (T_d = min(T_{d-1},
@@ -64,7 +65,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .covariance import CovarianceModel, Diffusion, RandomAcceleration, _log_cosh
 from . import slepian
@@ -191,6 +191,43 @@ def _table_end(survival, model: CovarianceModel) -> float:
     return hi
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients c[4, n - 1] of the not-a-knot cubic spline through
+    (x, y), piece i being c[0, i] d^3 + c[1, i] d^2 + c[2, i] d + c[3, i]
+    with d = z - x[i] (the layout of scipy's ``CubicSpline.c``).
+
+    The knot slopes solve the tridiagonal system of ``CubicSpline``: row i
+    of the interior is dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] +
+    dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1] m[i]) for the secant slopes
+    m, and the two end rows make the third derivative continuous at the
+    second and the second-last knot.  The interior rows are diagonally
+    dominant, so elimination without pivoting (the Thomas algorithm) is
+    stable.  It runs once per table, as a loop over Python floats.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    d_first, d_last = x[2] - x[0], x[-1] - x[-3]
+    # Python floats throughout: numpy scalars make the loops about twice as slow
+    lower = [*dx[1:].tolist(), float(d_last)]
+    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+    upper = [float(d_first), *dx[:-1].tolist()]
+    b = [
+        float(((dx[0] + 2 * d_first) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d_first),
+        *(3 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(),
+        float((dx[-1] ** 2 * m[-2] + (2 * d_last + dx[-1]) * dx[-2] * m[-1]) / d_last),
+    ]
+    for i in range(len(b) - 1):
+        f = lower[i] / diag[i]
+        diag[i + 1] -= f * upper[i]
+        b[i + 1] -= f * b[i]
+    b[-1] /= diag[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2 * m) / dx
+    return np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class _InverseTable:
     """The table's cubic spline of log1p(t) in z, evaluated through a guide
     table (indexed search: Chen & Asau 1974; Hoermann, Leydold & Derflinger
@@ -201,14 +238,13 @@ class _InverseTable:
     are geometric in t, so close to uniform in log z, and a cell of a smooth
     table holds at most one knot: the interval of z is ``guide[c]`` plus one
     compare.  z in a cell holding more knots (power tails, refined zero
-    crossings) is located by binary search.  The cubic is evaluated in the
-    power form and order of scipy's ``PPoly``, so a call equals
-    ``spline(z)`` bit for bit.
+    crossings) is located by binary search.  ``c`` holds the power-form
+    coefficients of each piece, highest degree first (``_not_a_knot``), and
+    a call equals the plain evaluation with a binary search bit for bit.
     """
 
-    def __init__(self, spline: CubicSpline):
-        self.spline = spline
-        self.x, self.c = spline.x, spline.c
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
         inner = self.x[1:-1]
         self.cells = 2 * self.x.size
         self.log_lo = math.log(inner[0])
@@ -263,13 +299,13 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
             z = np.sqrt(-np.log(e))
         if not np.all(np.diff(z) > 0.0):
             raise InverseTableError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
-        spline = CubicSpline(z, np.log1p(t))
+        table = _InverseTable(z, _not_a_knot(z, np.log1p(t)))
         # the intervals that reach u >= eps (the first k) are checked at
         # their midpoint in z, or at u = eps if the midpoint lies below it
         k = np.searchsorted(z, z_eps)
         zc = np.minimum(0.5 * (z[:k] + z[1 : k + 1]), z_eps)
         uc = np.exp(-zc * zc)
-        err = np.abs(survival(model, np.maximum(np.expm1(spline(zc)), 0.0)) / uc - 1.0)
+        err = np.abs(survival(model, np.maximum(np.expm1(table(zc)), 0.0)) / uc - 1.0)
         miss = np.flatnonzero(err > _TABLE_RTOL)
         if miss.size == 0 or check == _TABLE_ROUNDS - 1:
             break
@@ -279,7 +315,7 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
         e = np.insert(e, miss + 1, survival(model, tm))
     if not np.all(err <= 1e-9):
         raise InverseTableError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
-    return _InverseTable(spline)
+    return table
 
 
 def _table_inverse(survival, model: CovarianceModel, u):

@@ -121,6 +121,8 @@ def test_pole_json(capsys):
     assert len(payload["bracket"]) == 2
     assert payload["residual"] <= 1e-9
     assert payload["reference"]["pole"] == 0.1862
+    assert payload["prefactor"] == pytest.approx(1.1954257, abs=1e-7)
+    assert isinstance(payload["h_evals"], int) and payload["h_evals"] >= 3
 
 
 def test_pole_json_carries_quadrature_error(capsys):
@@ -265,11 +267,15 @@ def test_models_listing(capsys):
         ["sample", "--model", "diffusion(d=2)", "--n", "10", "--streams", "0"],
         ["reproduce", "table2", "--dmax", "0", "--n", "2000"],
         ["pole", "--model", "diffusion(d=2)", "--tmax", "0"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "0"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "-2"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--threads", "0"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
          "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
-         "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0"],
+         "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0", "persistency-threads0",
+         "persistency-threads-negative", "reproduce-threads0"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     assert main(argv) == 1
@@ -301,6 +307,15 @@ def test_parser_built_once_and_reused(capsys):
     assert "excursia: usage error:" in capsys.readouterr().err
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_threads_env_is_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("EXCURSIA_THREADS", value)
+    assert main(["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "excursia: usage error: EXCURSIA_THREADS" in captured.err
 
 
 def test_threads_env_fallback(capsys, monkeypatch):
@@ -347,3 +362,43 @@ def test_workload_commands_load_neither_scipy_stats_nor_integrate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+# The parser, and every command that needs neither Monte Carlo confidence
+# bounds nor a power-tail transform, in a fresh interpreter: no scipy
+# module loads at all (scipy.special, scipy.interpolate and scipy.optimize
+# together cost about 0.6 s of import).
+NO_SCIPY_GUARD = """
+import sys
+from excursia import cli
+
+cli.build_parser()
+loaded = [m for m in sys.modules if m.startswith("scipy")]
+out = sys.argv[1]
+runs = [
+    (0, ["pole", "--model", "diffusion(d=3)"]),
+    (0, ["pole", "--model", "matern(nu=2.5)"]),
+    (2, ["pole", "--model", "shifted_gaussian(alpha=2)"]),
+    (0, ["validate", "--model", "generalized_laplace(alpha=1)"]),
+    (0, ["validate", "--model", "diffusion(d=2)"]),
+    (0, ["e0", "--model", "matern(nu=3.5)"]),
+    (0, ["e0", "--what", "rcl", "--model", "diffusion(d=4)"]),
+    (0, ["sample", "--what", "divisor", "--model", "diffusion(d=2)", "--n", "1000"]),
+]
+for code, argv in runs:
+    got = cli.main(argv + ["--output", out])
+    assert got == code, (argv, got)
+print("after parser:", *loaded)
+print("after commands:", *(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_parser_and_transform_commands_load_no_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["after parser:", "after commands:"]

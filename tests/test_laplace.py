@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -7,7 +8,7 @@ from scipy.special import digamma
 
 import excursia as ex
 from excursia import laplace
-from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError
+from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError, QuadratureError
 
 FIXTURE = LaplaceEvaluator.for_survival(lambda t: np.exp(-np.asarray(t, dtype=float)), rel_tol=1e-12, tail_kind="exponential")
 
@@ -156,17 +157,76 @@ POLE_MODELS = (
 )
 
 
+def _brentq_pole_oracle(ev, bracket):
+    """Independent pole oracle: brentq on the pole bracket."""
+    return -optimize.brentq(lambda s: 1.0 + s * ev.transform(s), *bracket, xtol=1e-14, rtol=8.9e-16)
+
+
 @pytest.mark.parametrize("model", POLE_MODELS, ids=lambda m: m.spec_string())
 def test_bracketed_pole_matches_scan_oracle_and_h_increases(model):
     est = ex.find_pole(model)
     ev = laplace._evaluator(model, 1e-12, laplace.T_CAP)
     assert est.theta == pytest.approx(_scan_pole_oracle(ev), rel=1e-13, abs=0.0)
+    assert est.theta == pytest.approx(_brentq_pole_oracle(ev, est.bracket), rel=1e-13, abs=0.0)
     assert est.residual <= 1e-10
     # h = 2 - Psi_div is strictly increasing on the admissible interval,
     # which makes the bracketed root the unique, dominant one
     lo, hi = est.bracket
     hs = np.array([1.0 + s * ev.transform(s) for s in np.linspace(lo, hi, 400)])
     assert np.all(np.diff(hs) > 0.0)
+
+
+@pytest.mark.parametrize(
+    "model, prefactor",
+    [(ex.Diffusion(d=2), 1.1954257), (ex.Diffusion(d=1), 1.0613269), (ex.MaternHalfInteger(nu=2.5), 1.2374014)],
+    ids=lambda v: v.spec_string() if isinstance(v, ex.CovarianceModel) else "",
+)
+def test_pole_prefactor_matches_central_difference(model, prefactor):
+    # P(T > t) ~ C e^{-theta t} with C = 2/(theta h'(-theta)); h' from a
+    # central difference of h = 1 + s L(s) at the root
+    est = ex.find_pole(model)
+    ev = laplace._evaluator(model, 1e-12, laplace.T_CAP)
+    root, step = -est.theta, 1e-5
+    dh = ((1.0 + (root + step) * ev.transform(root + step)) - (1.0 + (root - step) * ev.transform(root - step))) / (2.0 * step)
+    assert est.prefactor == pytest.approx(2.0 / (est.theta * dh), rel=1e-8)
+    assert est.prefactor == pytest.approx(prefactor, abs=1e-7)
+
+
+def test_pole_h_evals_counts_transform_calls(monkeypatch):
+    ev = LaplaceEvaluator.for_model(ex.Diffusion(d=5), rel_tol=1e-12)
+    calls = []
+    transform = ev.transform
+    monkeypatch.setattr(ev, "transform", lambda s: calls.append(s) or transform(s))
+    est = ev.find_pole()
+    assert est.h_evals == len(calls) >= 3
+    assert ev.find_pole().h_evals == est.h_evals
+
+
+def _power_remainder_oracle(completion, s, t_max):
+    # int_T^inf e^a t^b e^{-st} dt = e^a s^{-(b+1)} Gamma(b+1, sT), 50 digits
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(completion.intercept), mpmath.mpf(completion.slope)
+        return float(mpmath.exp(a) * mpmath.mpf(s) ** (-(b + 1)) * mpmath.gammainc(b + 1, mpmath.mpf(s) * t_max))
+
+
+@pytest.mark.parametrize("power, t_cap", [(-3.0, 1000.0), (-1.5, 1000.0), (-1.2, 10.0)])
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e-2, 1.0])
+def test_power_tail_remainder_meets_rel_tol(power, t_cap, s):
+    # the numerical remainder of a power tail enters L(s) within rel_tol * |L|
+    ev = LaplaceEvaluator.for_survival(lambda t: (1.0 + np.asarray(t, dtype=float)) ** power, tail_kind="power", t_cap=t_cap)
+    fixed = float(laplace._rule_terms(ev._weighted, laplace.ORDER, s, ev.t_max).sum())
+    want = fixed + _power_remainder_oracle(ev.completion, s, ev.t_max)
+    assert abs(ev.transform(s) - want) <= ev.rel_tol * want
+
+
+@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
+def test_power_tail_remainder_error_above_rel_tol_raises():
+    # a tail (1 + t)^{-1.05} cut at t = 5 and s = 1e-8: quad cannot resolve
+    # the remainder (its estimate is about 1e-7 of |L|)
+    ev = LaplaceEvaluator.for_survival(lambda t: (1.0 + np.asarray(t, dtype=float)) ** -1.05, tail_kind="power", t_cap=5.0)
+    assert ev.transform(1e-2) > 0.0
+    with pytest.raises(QuadratureError, match="tail remainder error estimate"):
+        ev.transform(1e-8)
 
 
 def _t_max_loop_oracle(survival, t_cap):
