@@ -24,7 +24,7 @@ for spec in ["diffusion(d=2)", "random_acceleration", "shifted_gaussian(alpha=0)
     mc = ex.tail_exponent_ci(
         lambda st, m: ex.sample_excursions(sampler, st, m)[0], n, k, reps, ex.RngStream(42, 0)
     )
-    ref = reference_for(model.spec_string())
+    ref = reference_for(model)
     print(f"{spec}:")
     print(f"  pole            theta = {pole.theta:.4f}   (residual {pole.residual:.1e})")
     print(f"  tail regression theta = {mc.theta:.4f} +- {mc.half_width:.4f}   (n={n}, k={k}, reps={reps})")

@@ -29,13 +29,10 @@ from .slepian import (
     mean_excursion,
     validate_iia,
 )
-from .laplace import find_pole, laplace_e0, psi_divisor
+from .laplace import find_pole, laplace_e0
 from .samplers import (
     DivisorSampler,
     RngStream,
-    g_forward,
-    g_inverse,
-    poly_inverse_b,
     sample_divisor,
     sample_excursions,
     sample_geometric_half,
@@ -47,8 +44,7 @@ from .switching import (
     exponential_switching,
     gamma_switching,
     laplace_expectation,
-    laplace_state_probability,
     laplace_stationary_covariance,
     point_mass_switching,
 )
-from .persistency import tail_bound_check, tail_exponent, tail_exponent_ci
+from .persistency import tail_exponent, tail_exponent_ci

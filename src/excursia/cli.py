@@ -67,6 +67,17 @@ def _at_least(minimum: int):
     return count
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a float that is positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _tail_count(k: int, n: int) -> int:
     """A tail count the regression accepts: 2 <= k <= n - 1."""
     if not 2 <= k <= n - 1:
@@ -75,10 +86,11 @@ def _tail_count(k: int, n: int) -> int:
 
 
 def _time_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... up to stop: a usage error unless step > 0
-    and start <= stop, both finite."""
-    if not (step > 0 and -np.inf < start <= stop < np.inf):
-        raise UsageError(f"time grid needs step > 0 and finite start <= stop, got start={start:g}, stop={stop:g}, step={step:g}")
+    """start, start + step, ... up to stop: a usage error unless
+    0 <= start <= stop and 0 < step, all finite (E0 is a survival only
+    for t >= 0)."""
+    if not (0 < step < np.inf and 0 <= start <= stop < np.inf):
+        raise UsageError(f"time grid needs finite 0 <= start <= stop and step > 0, got start={start:g}, stop={stop:g}, step={step:g}")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -145,8 +157,8 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not (args.tmax > 0 and 0 < args.step < args.tmax):
-        raise UsageError(f"validate needs --tmax > 0 and 0 < --step < --tmax, got tmax={args.tmax:g}, step={args.step:g}")
+    if not args.step < args.tmax:
+        raise UsageError(f"validate needs --step < --tmax, got tmax={args.tmax:g}, step={args.step:g}")
     model = parse_model_spec(args.model)
     report = slepian.validate_iia(model, t_max=args.tmax, step=args.step)
     _emit_json({"report": report.as_dict(), "model": model.spec_string()}, args)
@@ -198,11 +210,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_pole(args) -> int:
     t_cap = laplace.T_CAP if args.tmax is None else args.tmax
-    if not 0 < t_cap < np.inf:
-        raise UsageError(f"pole --tmax must be positive and finite, got {t_cap:g}")
     model = parse_model_spec(args.model)
     est = laplace.find_pole(model, args.rel_tol, t_cap)
-    _emit_json({**est.as_dict(), "reference": reference.reference_for(model.spec_string())}, args)
+    _emit_json({**est.as_dict(), "reference": reference.reference_for(model)}, args)
     return 0
 
 
@@ -225,7 +235,7 @@ def _cmd_persistency(args) -> int:
     if args.method in ("pole", "both"):
         estimates.append(laplace.find_pole(model).as_dict())
     _emit_json(
-        {"estimates": estimates, "model": model.spec_string(), "reference": reference.reference_for(model.spec_string())},
+        {"estimates": estimates, "model": model.spec_string(), "reference": reference.reference_for(model)},
         args,
     )
     return 0
@@ -331,8 +341,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="grid validity report for a model")
     sp.add_argument("--model", required=True, help='model spec, e.g. "diffusion(d=2)"')
-    sp.add_argument("--tmax", type=float, default=slepian.DEFAULT_T_MAX, help="grid end (default %(default)s)")
-    sp.add_argument("--step", type=float, default=slepian.DEFAULT_STEP, help="grid step (default %(default)s)")
+    sp.add_argument("--tmax", type=_positive_finite, default=slepian.DEFAULT_T_MAX, help="grid end (default %(default)s)")
+    sp.add_argument("--step", type=_positive_finite, default=slepian.DEFAULT_STEP, help="grid step (default %(default)s)")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_validate)
 
@@ -359,8 +369,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("pole", help="persistency exponent from the transform pole")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tmax", type=float, default=None, help="truncation override for the transform")
-    sp.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
+    sp.add_argument("--tmax", type=_positive_finite, default=None, help="truncation override for the transform")
+    sp.add_argument("--rel-tol", type=_positive_finite, default=1e-12, dest="rel_tol")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_pole)
 
@@ -368,7 +378,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=_at_least(1), default=100000)
     sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100))")
-    sp.add_argument("--tail-frac", type=float, default=None, dest="tail_frac", help="tail fraction alternative to --k")
+    sp.add_argument("--tail-frac", type=_positive_finite, default=None, dest="tail_frac", help="tail fraction alternative to --k")
     sp.add_argument("--reps", type=_at_least(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--method", choices=["mc", "pole", "both"], default="mc")

@@ -53,8 +53,6 @@ __all__ = [
     "TailCompletion",
     "LaplaceEvaluator",
     "laplace_e0",
-    "psi_divisor",
-    "psi_excursion",
     "find_pole",
 ]
 
@@ -387,16 +385,6 @@ def _evaluator(model: CovarianceModel, rel_tol: float, t_cap: float) -> LaplaceE
 def laplace_e0(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
     """L E0(s) for a catalog model."""
     return _evaluator(model, rel_tol, T_CAP).transform(s)
-
-
-def psi_divisor(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
-    """Divisor Laplace transform 1 - s L E0(s)."""
-    return _evaluator(model, rel_tol, T_CAP).psi_divisor(s)
-
-
-def psi_excursion(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
-    """Exceedance-time Laplace transform (1 - s L E0)/(1 + s L E0)."""
-    return _evaluator(model, rel_tol, T_CAP).psi_excursion(s)
 
 
 def find_pole(model: CovarianceModel, rel_tol: float = 1e-12, t_cap: float = T_CAP) -> ExponentEstimate:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "empirical_survival",
     "tail_exponent",
     "tail_exponent_ci",
-    "tail_bound_check",
-    "TailBoundReport",
 ]
 
 
@@ -169,87 +167,4 @@ def tail_exponent_ci(
         reps=int(reps),
         seed=rng.seed,
         per_rep=tuple(float(t) for t in thetas),
-    )
-
-
-@dataclass(frozen=True)
-class TailBoundRow:
-    tau: float
-    empirical: float
-    bound: float
-    se: float
-    upper_violation: bool
-    lower_violation: bool
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Outcome of the exponential tail-bound comparison.
-
-    If the divisor survival is bounded above (below) by e^{-b t}, the
-    compound exceedance survival is bounded above (below) by e^{-b t/2};
-    a row flags a violation only when the empirical survival crosses the
-    bound by more than three binomial standard errors in the forbidden
-    direction, and only for the directions actually certified.
-    """
-
-    divisor_rate: float
-    upper_applies: bool
-    lower_applies: bool
-    directions_assumed: bool
-    rows: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not any(r.upper_violation or r.lower_violation for r in self.rows)
-
-
-def tail_bound_check(
-    divisor_rate: float,
-    excursion_samples,
-    taus: Sequence[float],
-    divisor_survival: Callable | None = None,
-) -> TailBoundReport:
-    """Compare empirical exceedance survival against e^{-b tau / 2}.
-
-    ``divisor_survival``, when given, is checked against e^{-b t} on a
-    dense grid to decide which inequality direction the rate ``b``
-    certifies; without it both directions are assumed certified by the
-    caller and the report says so.
-    """
-    b = float(divisor_rate)
-    if b <= 0:
-        raise ValueError("divisor rate must be positive")
-    taus = np.asarray(taus, dtype=float)
-
-    if divisor_survival is None:
-        upper_applies = lower_applies = True
-        assumed = True
-    else:
-        ts = np.linspace(0.0, float(taus.max()) if taus.size else 1.0, 2001)
-        sv = np.asarray(divisor_survival(ts), dtype=float)
-        ref = np.exp(-b * ts)
-        upper_applies = bool(np.all(sv <= ref + 1e-12))
-        lower_applies = bool(np.all(sv >= ref - 1e-12))
-        assumed = False
-
-    rows = []
-    for tau, emp, se in zip(taus, *empirical_survival(excursion_samples, taus)):
-        bound = math.exp(-0.5 * b * tau)
-        rows.append(
-            TailBoundRow(
-                tau=float(tau),
-                empirical=float(emp),
-                bound=bound,
-                se=float(se),
-                upper_violation=bool(upper_applies and emp > bound + 3.0 * se),
-                lower_violation=bool(lower_applies and emp < bound - 3.0 * se),
-            )
-        )
-    return TailBoundReport(
-        divisor_rate=b,
-        upper_applies=upper_applies,
-        lower_applies=lower_applies,
-        directions_assumed=assumed,
-        rows=tuple(rows),
     )

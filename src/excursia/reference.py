@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .covariance import CovarianceModel, Diffusion
+
 __all__ = ["DiffusionReference", "DIFFUSION_REFERENCE", "SCALAR_MC_REFERENCE", "POLE_REFERENCE"]
 
 
@@ -59,26 +61,22 @@ POLE_REFERENCE = {
 }
 
 
-def reference_for(spec_string: str) -> dict:
-    """All known reference values for a canonical model spec string."""
+def reference_for(model: CovarianceModel) -> dict:
+    """All known reference values for a catalog model."""
     out: dict = {}
-    if spec_string.startswith("diffusion(d="):
-        try:
-            d = int(float(spec_string[len("diffusion(d=") : -1]))
-        except ValueError:
-            d = None
-        row = DIFFUSION_REFERENCE.get(d) if d is not None else None
-        if row:
-            out["divisor"] = row.divisor
-            out["divisor_half_width"] = row.divisor_hw
-            out["exceedance"] = row.iia
-            out["exceedance_half_width"] = row.iia_hw
-            if row.exact is not None:
-                out["exact"] = row.exact
-    if spec_string in SCALAR_MC_REFERENCE:
-        val, hw = SCALAR_MC_REFERENCE[spec_string]
+    row = DIFFUSION_REFERENCE.get(model.d) if isinstance(model, Diffusion) else None
+    if row:
+        out["divisor"] = row.divisor
+        out["divisor_half_width"] = row.divisor_hw
+        out["exceedance"] = row.iia
+        out["exceedance_half_width"] = row.iia_hw
+        if row.exact is not None:
+            out["exact"] = row.exact
+    spec = model.spec_string()
+    if spec in SCALAR_MC_REFERENCE:
+        val, hw = SCALAR_MC_REFERENCE[spec]
         out["exceedance"] = val
         out["exceedance_half_width"] = hw
-    if spec_string in POLE_REFERENCE:
-        out["pole"] = POLE_REFERENCE[spec_string]
+    if spec in POLE_REFERENCE:
+        out["pole"] = POLE_REFERENCE[spec]
     return out

@@ -49,11 +49,6 @@ binary search, and the result equals the evaluation after a binary search
 bit for bit.  The not-a-knot spline is built in this module
 (``_not_a_knot``); its values agree with scipy's ``CubicSpline`` to 1 ulp.
 
-``g_forward``/``g_inverse``/``poly_inverse_b`` are the recursive-minimum
-construction of the diffusion divisor for d >= 3 (T_d = min(T_{d-1},
-G_d^{-1}(U^2)), d - 1 uniforms per draw).  No draw uses them; tests keep
-them as an independent oracle for the table.
-
 All samplers are pure functions of an RngStream, so replications on
 distinct stream indices are independent and reproducible regardless of
 scheduling.
@@ -66,20 +61,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import CovarianceModel, Diffusion, RandomAcceleration, _log_cosh
+from .covariance import CovarianceModel, Diffusion, RandomAcceleration
 from . import slepian
 
 __all__ = [
     "RngStream",
     "InverseTableError",
     "DivisorSampler",
-    "poly_inverse_b",
-    "g_forward",
-    "g_inverse",
     "sample_divisor",
     "sample_geometric_half",
     "sample_excursions",
-    "gaussian_divisor_density",
 ]
 
 _EPS = np.finfo(float).eps  # uniforms clamped to the open interval (0, 1)
@@ -337,103 +328,6 @@ def _inverse_survival(model: CovarianceModel, u):
     acceleration, the cached inverse table for every other model."""
     closed = _CLOSED_FORM_INVERSES.get(model)
     return closed(u) if closed else _table_inverse(slepian.e0, model, u)
-
-
-# ---------------------------------------------------------------------------
-# recursive-minimum oracle for diffusion d >= 3 (tests only)
-
-
-def poly_inverse_b(d: int, a, tol: float = 1e-12):
-    """Invert a(b) = 1 + b + ... + b^(d-1) on b >= 0 for a >= 1.
-
-    Newton iteration from b0 = (a - 1)/(d - 1); the polynomial is convex
-    and increasing, so a bracket [0, max(1, a^(1/(d-1)))] safeguards every
-    step.  Terminates with |a(b) - a| <= tol * a.
-    """
-    if d < 3:
-        raise ValueError("poly_inverse_b is defined for d >= 3")
-    scalar = np.ndim(a) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a < 1.0):
-        raise ValueError("polynomial inverse requires a >= 1")
-    coef = np.ones(d)
-    dcoef = np.arange(d - 1, 0, -1, dtype=float)
-    lo = np.zeros_like(a)
-    hi = np.maximum(1.0, a ** (1.0 / (d - 1)))
-    # clamp the start into the bracket: the plain starting point overshoots
-    # badly for a >> d, where the root is just above a^(1/(d-1))
-    b = np.minimum((a - 1.0) / (d - 1.0), hi)
-    remaining = np.arange(a.size)
-    for _ in range(200):
-        if remaining.size == 0:
-            break
-        bb = b[remaining]
-        f = np.polyval(coef, bb) - a[remaining]
-        done = np.abs(f) <= tol * a[remaining]
-        idx = remaining[~done]
-        remaining = idx
-        if idx.size == 0:
-            break
-        bb = b[idx]
-        f = f[~done]
-        pos = f > 0
-        hi[idx[pos]] = bb[pos]
-        lo[idx[~pos]] = bb[~pos]
-        step = bb - f / np.polyval(dcoef, bb)
-        bad = ~np.isfinite(step) | (step <= lo[idx]) | (step >= hi[idx])
-        step[bad] = 0.5 * (lo[idx[bad]] + hi[idx[bad]])
-        b[idx] = step
-    return float(b[0]) if scalar else b
-
-
-def g_forward(d: int, t):
-    """The survival factor linking consecutive diffusion dimensions:
-    G_d(t) = d (cosh^(d-1)(t/2) - 1) / ((d-1)(cosh^d(t/2) - 1))."""
-    if d < 3:
-        raise ValueError("g_forward is defined for d >= 3")
-    t = np.asarray(t, dtype=float)
-    lc = _log_cosh(0.5 * t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        val = d * np.expm1((d - 1) * lc) / ((d - 1) * np.expm1(d * lc))
-    return np.where(t == 0.0, 1.0, val)
-
-
-def g_inverse(d: int, g):
-    """Inverse of ``g_forward`` on (0, 1): with a = d/(d - g(d-1)) and
-    b the polynomial inverse, t = 2 arccosh(1/b)."""
-    if d < 3:
-        raise ValueError("g_inverse is defined for d >= 3")
-    scalar = np.ndim(g) == 0
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if np.any((g <= 0.0) | (g >= 1.0)):
-        raise ValueError("g must lie strictly inside (0, 1)")
-    a = d / (d - g * (d - 1))
-    b = poly_inverse_b(d, a)
-    # g small enough that a rounds to 1 gives b = 0: the survival inverse
-    # there is +inf, which the recursive minimum absorbs harmlessly
-    with np.errstate(divide="ignore"):
-        t = 2.0 * np.arccosh(1.0 / b)
-    return float(t[0]) if scalar else t
-
-
-# ---------------------------------------------------------------------------
-# squared-exponential (shift 0) divisor density (tests only)
-
-
-def gaussian_divisor_density(t):
-    """Density of the squared-exponential divisor, -dE0/dt of
-    shifted_gaussian(alpha=0) (an oracle for its inverse-table draws),
-    f(t) = (e^{t^2}(t^2 - 1) + 1) / (e^{t^2} - 1)^{3/2},
-    evaluated in cancellation-free branches for small and large t."""
-    t = np.asarray(t, dtype=float)
-    tt = t * t
-    small = tt < 35.0
-    tts = np.where(small, tt, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f_small = (tts * np.exp(tts) - np.expm1(tts)) / np.expm1(tts) ** 1.5
-        f_large = ((tt - 1.0) * np.exp(-0.5 * tt) + np.exp(-1.5 * tt)) / (-np.expm1(-tt)) ** 1.5
-    out = np.where(small, f_small, f_large)
-    return np.where(tt == 0.0, 0.0, out)
 
 
 class DivisorSampler:

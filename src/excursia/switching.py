@@ -51,7 +51,6 @@ __all__ = [
     "divisor_switching",
     "excursion_switching",
     "laplace_expectation",
-    "laplace_state_probability",
     "laplace_stationary_covariance",
     "covariance_from_expectation",
     "estimate_expectation",
@@ -77,8 +76,8 @@ class SwitchingTimeDistribution:
 
 def exponential_switching(rate: float = 1.0) -> SwitchingTimeDistribution:
     lam = float(rate)
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {lam:g}")
 
     def draw(rng: RngStream, n: int):
         return -np.log(rng.uniform01(n)) / lam
@@ -92,8 +91,8 @@ def exponential_switching(rate: float = 1.0) -> SwitchingTimeDistribution:
 
 def gamma_switching(shape: float, rate: float = 1.0) -> SwitchingTimeDistribution:
     k, lam = float(shape), float(rate)
-    if k <= 0 or lam <= 0:
-        raise ValueError("shape and rate must be positive")
+    if not (0 < k < math.inf and 0 < lam < math.inf):
+        raise ValueError(f"shape and rate must be positive and finite, got {k:g}, {lam:g}")
     return SwitchingTimeDistribution(
         label=f"gamma:{k:g},{lam:g}",
         mean=k / lam,
@@ -108,8 +107,8 @@ def point_mass_switching(c: float) -> SwitchingTimeDistribution:
     (the stationary construction needs a non-lattice law with a size-biased
     draw)."""
     c = float(c)
-    if c <= 0:
-        raise ValueError("point mass must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"point mass must be positive and finite, got {c:g}")
     return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=lambda rng, n: np.full(n, c))
 
 
@@ -172,16 +171,6 @@ def laplace_expectation(psi_f: Callable, s: float) -> float:
     """L E(s) = (1/s)(1 - Psi(s))/(1 + Psi(s)) for the origin-attached path."""
     psi = float(psi_f(s))
     return (1.0 - psi) / (s * (1.0 + psi))
-
-
-def laplace_state_probability(psi_f: Callable, mu: float, s: float, delta: int) -> float:
-    """Transform of P(D_s(t) = 1 | D_s(0) = delta) for the stationary path."""
-    core = laplace_expectation(psi_f, s) / mu
-    if delta == 1:
-        return (1.0 - core) / s
-    if delta == -1:
-        return core / s
-    raise ValueError("delta must be +1 or -1")
 
 
 def laplace_stationary_covariance(psi_f: Callable, mu: float, s: float) -> float:

@@ -1,6 +1,4 @@
-import numpy as np
 import pytest
-from scipy import optimize
 
 import excursia as ex
 
@@ -17,14 +15,6 @@ VALID_MODELS = [
 ]
 
 ALL_MODELS = VALID_MODELS + [ex.ShiftedGaussian(alpha=2.0)]
-
-
-def survival_inverse_oracle(model, u, hi0=1.0):
-    """Independent root-bracketing inverse of the survival, via brentq."""
-    hi = hi0
-    while float(np.asarray(ex.e0(model, hi))) >= u:
-        hi *= 2.0
-    return optimize.brentq(lambda t: float(np.asarray(ex.e0(model, t))) - u, 0.0, hi, xtol=1e-14)
 
 
 @pytest.fixture

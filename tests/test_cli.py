@@ -270,12 +270,26 @@ def test_models_listing(capsys):
         ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "0"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "-2"],
         ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--threads", "0"],
+        ["pole", "--model", "diffusion(d=2)", "--rel-tol", "-1"],
+        ["pole", "--model", "diffusion(d=2)", "--rel-tol", "nan"],
+        ["pole", "--model", "diffusion(d=2)", "--tmax", "inf"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "inf"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "nan"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "inf"],
+        ["switch", "--dist", "exp:inf", "--grid", "0:1:0.5"],
+        ["switch", "--dist", "exp:nan", "--n", "10", "--grid", "0:1:0.5"],
+        ["switch", "--dist", "gamma:nan,1", "--n", "10", "--grid", "0:1:0.5"],
+        ["switch", "--dist", "point:inf", "--n", "10", "--grid", "0:1:0.5"],
+        ["e0", "--model", "diffusion(d=2)", "--tmin", "-1", "--tmax", "1", "--step", "0.5"],
+        ["e0", "--model", "diffusion(d=2)", "--step", "inf"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
          "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0", "persistency-threads0",
-         "persistency-threads-negative", "reproduce-threads0"],
+         "persistency-threads-negative", "reproduce-threads0", "pole-rel-tol-negative", "pole-rel-tol-nan",
+         "pole-tmax-inf", "validate-tmax-inf", "persistency-tail-frac-nan", "persistency-tail-frac-inf",
+         "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     assert main(argv) == 1

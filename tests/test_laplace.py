@@ -22,7 +22,7 @@ def test_transform_at_zero_equals_half_mean():
 def test_psi_divisor_fixture_and_limits():
     assert FIXTURE.psi_divisor(0.0) == pytest.approx(1.0, abs=1e-12)
     assert FIXTURE.psi_divisor(1.0) == pytest.approx(0.5, rel=1e-10)
-    assert abs(ex.psi_divisor(ex.Diffusion(d=2), 1000.0)) <= 1e-3
+    assert abs(LaplaceEvaluator.for_model(ex.Diffusion(d=2)).psi_divisor(1000.0)) <= 1e-3
 
 
 @pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.RandomAcceleration(), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())

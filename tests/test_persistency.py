@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import excursia as ex
+from excursia import persistency
 from excursia.persistency import DegenerateTailError
-from excursia.reference import DIFFUSION_REFERENCE
+from excursia.reference import DIFFUSION_REFERENCE, reference_for
 
 
 def _exp_sampler(theta):
@@ -67,9 +68,18 @@ def test_diffusion_divisor_rates_match_reference_table():
     for d in range(1, 6):
         sampler = ex.DivisorSampler(ex.Diffusion(d=d))
         est = ex.tail_exponent_ci(
-            sampler.draw, 10**5, 1000, 40, ex.RngStream(11, 10 * d)
+            sampler.draw, 10**5, 1000, 40, ex.RngStream(11, 100 * d)
         )
         assert est.theta == pytest.approx(DIFFUSION_REFERENCE[d].divisor, abs=0.02), d
+
+
+def test_reference_for_reads_the_model():
+    assert reference_for(ex.Diffusion(d=2)) == {
+        "divisor": 0.496, "divisor_half_width": 0.004, "exceedance": 0.1858,
+        "exceedance_half_width": 0.0017, "exact": 0.1875, "pole": 0.1862,
+    }
+    assert reference_for(ex.Diffusion(d=11)) == {}
+    assert reference_for(ex.MaternHalfInteger(nu=2.5)) == {"exceedance": 0.2188, "exceedance_half_width": 0.0011}
 
 
 def test_threads_do_not_change_results():
@@ -79,21 +89,39 @@ def test_threads_do_not_change_results():
     assert est1.per_rep == est4.per_rep
 
 
+def _certified_directions(divisor_survival, rate, t_max):
+    """Which of S(t) <= e^{-bt} (upper) and S(t) >= e^{-bt} (lower) the
+    divisor survival satisfies on a dense grid of [0, t_max]."""
+    ts = np.linspace(0.0, t_max, 2001)
+    sv = np.asarray(divisor_survival(ts), dtype=float)
+    ref = np.exp(-rate * ts)
+    return bool(np.all(sv <= ref + 1e-12)), bool(np.all(sv >= ref - 1e-12))
+
+
+def _tail_bound_violations(rate, samples, taus, upper, lower):
+    """Taus where the compound survival crosses e^{-b tau/2} by more than
+    3 SE in a certified direction."""
+    emp, se = persistency.empirical_survival(samples, taus)
+    bound = np.exp(-0.5 * rate * taus)
+    return taus[(upper & (emp > bound + 3.0 * se)) | (lower & (emp < bound - 3.0 * se))]
+
+
 def test_tail_bound_check_exponential_fixture():
     vals, _ = ex.sample_excursions(ex.exponential_switching(1.0), ex.RngStream(17, 0), 10**5)
-    report = ex.tail_bound_check(1.0, vals, np.linspace(0.0, 10.0, 21), divisor_survival=lambda t: np.exp(-t))
-    assert report.upper_applies and report.lower_applies
-    assert not report.directions_assumed
-    assert report.ok
+    taus = np.linspace(0.0, 10.0, 21)
+    upper, lower = _certified_directions(lambda t: np.exp(-t), 1.0, taus.max())
+    assert upper and lower
+    assert _tail_bound_violations(1.0, vals, taus, upper, lower).size == 0
     # tau = 0: both sides equal one
-    assert report.rows[0].bound == 1.0 and report.rows[0].empirical == 1.0
+    emp, _ = persistency.empirical_survival(vals, taus[:1])
+    assert taus[0] == 0.0 and emp[0] == 1.0
 
 
 def test_tail_bound_check_diffusion_direction():
     model = ex.Diffusion(d=2)
     vals, _ = ex.sample_excursions(model, ex.RngStream(18, 0), 10**5)
-    surv = lambda t: np.asarray(ex.e0(model, t))
-    report = ex.tail_bound_check(0.5, vals, np.linspace(5.0, 30.0, 11), divisor_survival=surv)
+    taus = np.linspace(5.0, 30.0, 11)
+    upper, lower = _certified_directions(lambda t: np.asarray(ex.e0(model, t)), 0.5, taus.max())
     # sech(t/2) >= e^{-t/2}: only the lower bound is certified
-    assert report.lower_applies and not report.upper_applies
-    assert report.ok
+    assert lower and not upper
+    assert _tail_bound_violations(0.5, vals, taus, upper, lower).size == 0

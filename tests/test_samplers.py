@@ -17,10 +17,9 @@ from excursia.samplers import (
     _size_biased_survival,
     _table_end,
     _table_inverse,
-    gaussian_divisor_density,
 )
 
-from conftest import survival_inverse_oracle
+from oracles import g_forward, g_inverse, gaussian_divisor_density, poly_inverse_b, survival_inverse_oracle
 
 T_STAR = 2.0 * np.arccosh(2.0)
 U_GRID = np.linspace(1e-6, 1.0 - 1e-6, 10001)
@@ -57,32 +56,32 @@ def test_random_acceleration_inverse():
 
 
 def test_poly_inverse_examples_and_tolerance():
-    assert ex.poly_inverse_b(3, 3.0) == pytest.approx(1.0, abs=1e-12)
-    assert ex.poly_inverse_b(3, 7.0) == pytest.approx(2.0, abs=1e-12)
-    assert ex.poly_inverse_b(4, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert poly_inverse_b(3, 3.0) == pytest.approx(1.0, abs=1e-12)
+    assert poly_inverse_b(3, 7.0) == pytest.approx(2.0, abs=1e-12)
+    assert poly_inverse_b(4, 1.0) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(5)
     for d in (3, 7, 33, 64):
         a = np.exp(rng.uniform(0.0, math.log(1e6), 200))
         a = np.maximum(a, 1.0)
-        b = ex.poly_inverse_b(d, a)
+        b = poly_inverse_b(d, a)
         resid = np.abs(np.polyval(np.ones(d), b) - a)
         assert np.all(resid <= 1e-12 * a + 1e-12)
     with pytest.raises(ValueError):
-        ex.poly_inverse_b(3, 0.5)
+        poly_inverse_b(3, 0.5)
 
 
 def test_g_inverse_round_trips():
-    assert ex.g_inverse(3, float(ex.g_forward(3, 2.0))) == pytest.approx(2.0, abs=1e-8)
-    assert ex.g_inverse(5, float(ex.g_forward(5, 1.0))) == pytest.approx(1.0, abs=1e-8)
+    assert g_inverse(3, float(g_forward(3, 2.0))) == pytest.approx(2.0, abs=1e-8)
+    assert g_inverse(5, float(g_forward(5, 1.0))) == pytest.approx(1.0, abs=1e-8)
     for d in (3, 4, 10):
         g = np.linspace(1e-6, 1 - 1e-6, 2001)
-        t = ex.g_inverse(d, g)
-        back = np.asarray(ex.g_forward(d, t))
+        t = g_inverse(d, g)
+        back = np.asarray(g_forward(d, t))
         assert np.abs(back - g).max() <= 1e-9, d
     # g -> 1 maps to vanishing times
-    assert ex.g_inverse(3, 1.0 - 1e-12) < 1e-4
+    assert g_inverse(3, 1.0 - 1e-12) < 1e-4
     with pytest.raises(ValueError):
-        ex.g_inverse(3, 1.5)
+        g_inverse(3, 1.5)
 
 
 def test_matern_round_trip():
@@ -203,7 +202,7 @@ def _recursive_minimum_draws(d, rng, n):
     u = rng.uniform01((d - 1, n))
     t = _diffusion_d2_from_u(u[0])
     for k in range(3, d + 1):
-        t = np.minimum(t, ex.g_inverse(k, u[k - 2] ** 2))
+        t = np.minimum(t, g_inverse(k, u[k - 2] ** 2))
     return t
 
 

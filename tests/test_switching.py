@@ -131,9 +131,6 @@ def test_laplace_stationary_covariance_identities():
         lr = ex.laplace_stationary_covariance(psi, mu, s)
         le = ex.laplace_expectation(psi, s)
         assert lr == pytest.approx(1.0 / s - 2.0 / mu * le / s, abs=1e-12)
-        p1 = ex.laplace_state_probability(psi, mu, s, 1)
-        pm1 = ex.laplace_state_probability(psi, mu, s, -1)
-        assert p1 + pm1 == pytest.approx(1.0 / s, abs=1e-12)
 
 
 def test_covariance_from_expectation():
@@ -157,6 +154,25 @@ def test_excursion_switching_reproduces_clipped_autocovariance():
     _, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, 2 * 10**4, ex.RngStream(71, 0))
     target = np.asarray(ex.clipped_autocovariance(model, grid))
     assert np.all(np.abs(r_hat - target) <= 3.5 * r_se + 0.005), (r_hat, target)
+
+
+@pytest.mark.parametrize(
+    "factory, args",
+    [
+        (ex.exponential_switching, (math.inf,)),
+        (ex.exponential_switching, (math.nan,)),
+        (ex.exponential_switching, (0.0,)),
+        (ex.gamma_switching, (math.nan, 1.0)),
+        (ex.gamma_switching, (1.0, math.inf)),
+        (ex.gamma_switching, (-1.0, 1.0)),
+        (ex.point_mass_switching, (math.inf,)),
+        (ex.point_mass_switching, (math.nan,)),
+        (ex.point_mass_switching, (-1.0,)),
+    ],
+)
+def test_switching_law_parameters_must_be_positive_and_finite(factory, args):
+    with pytest.raises(ValueError, match="positive and finite"):
+        factory(*args)
 
 
 def test_stationary_requires_size_biased_draw():
