@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excur
 from .slepian import ValidityError
 
 TOOL = "excursia"
+MAX_GRID_POINTS = 10**7  # 80 MB of float64 times; larger grids are usage errors
 
 
 class UsageError(Exception):
@@ -48,11 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _g17(x) -> str:
-    """17 significant digits: round-trip exact for 64-bit floats."""
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
+def _format_rows(columns) -> str:
+    """The columns as comma-separated text rows, every value ``%.17g``:
+    round-trip exact for 64-bit floats (nan and inf included), the plain
+    digits for integers up to 2**53.  One ``%`` call formats every row."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    flat = columns[0] if len(columns) == 1 else itertools.chain.from_iterable(zip(*columns))
+    return (row * len(columns[0])) % tuple(flat)
 
 
 def _at_least(minimum: int):
@@ -88,10 +93,14 @@ def _tail_count(k: int, n: int) -> int:
 def _time_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop: a usage error unless
     0 <= start <= stop and 0 < step, all finite (E0 is a survival only
-    for t >= 0)."""
+    for t >= 0), and the grid has at most MAX_GRID_POINTS points."""
     if not (0 < step < np.inf and 0 <= start <= stop < np.inf):
         raise UsageError(f"time grid needs finite 0 <= start <= stop and step > 0, got start={start:g}, stop={stop:g}, step={step:g}")
-    return np.arange(start, stop + 0.5 * step, step)
+    end = stop + 0.5 * step
+    # np.arange makes ceil((end - start)/step) points; count them before allocating
+    if not (end - start) / step <= MAX_GRID_POINTS:
+        raise UsageError(f"time grid has more than {MAX_GRID_POINTS} points: start={start:g}, stop={stop:g}, step={step:g}")
+    return np.arange(start, end, step)
 
 
 def _resolve_threads(value) -> int:
@@ -130,12 +139,10 @@ def _emit_json(payload: dict, args) -> None:
     _emit_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n", args.output)
 
 
-def _emit_csv(header: list[str], rows, args) -> None:
+def _emit_csv(header: list[str], columns, args) -> None:
     lines = [f"# {TOOL} {__version__}", f"# config {json.dumps(_metadata(args)['config'], sort_keys=True, default=str)}"]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_g17(x) for x in row))
-    _emit_text("\n".join(lines) + "\n", args.output)
+    _emit_text("\n".join(lines) + "\n" + _format_rows(columns), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +172,24 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """log of a curve: -inf at exact zeros, nan at negative values."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(values)
+
+
 def _cmd_e0(args) -> int:
     ts = _time_grid(args.tmin, args.tmax, args.step)
     model = parse_model_spec(args.model)
     if args.what in ("e0", "rcl"):
         fn = slepian.e0 if args.what == "e0" else clipped_autocovariance
         vals = np.asarray(fn(model, ts))
-        # log is -inf at exact zeros and undefined (nan) for negative values
-        rows = [(t, v, np.log(v) if v > 0 else (-np.inf if v == 0 else np.nan)) for t, v in zip(ts, vals)]
-        _emit_csv(["t", "value", "log_value"], rows, args)
+        _emit_csv(["t", "value", "log_value"], [ts, vals, _log(vals)], args)
         return 0
     # survival_mc: empirical exceedance survival with binomial SE
     values, _ = sample_excursions(model, RngStream(args.seed, 0), args.n)
     p, se = persistency.empirical_survival(values, ts)
-    rows = [(t, pt, np.log(pt) if pt > 0 else -np.inf, st) for t, pt, st in zip(ts, p, se)]
-    _emit_csv(["t", "value", "log_value", "se"], rows, args)
+    _emit_csv(["t", "value", "log_value", "se"], [ts, p, _log(p), se], args)
     return 0
 
 
@@ -204,7 +214,7 @@ def _cmd_sample(args) -> int:
         else:
             sys.stdout.buffer.write(payload)
     else:
-        _emit_text("".join(_g17(v) + "\n" for v in values), args.output)
+        _emit_text(_format_rows([values]), args.output)
     return 0
 
 
@@ -273,13 +283,13 @@ def _cmd_switch(args) -> int:
     try:
         if args.mode == "origin":
             e_hat, se = switching.estimate_expectation(dist, grid, args.n, rng)
-            rows = [(t, e, np.nan, s) for t, e, s in zip(grid, e_hat, se)]
+            columns = [grid, e_hat, np.full(grid.size, np.nan), se]
         else:
             e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
-            rows = [(t, e, r, s) for t, e, r, s in zip(grid, e_hat, r_hat, r_se)]
+            columns = [grid, e_hat, r_hat, r_se]
     except ValueError as exc:  # n < 2, or a stationary law without a size-biased sampler
         raise UsageError(str(exc)) from exc
-    _emit_csv(["t", "E_hat", "R_hat", "SE"], rows, args)
+    _emit_csv(["t", "E_hat", "R_hat", "SE"], columns, args)
     return 0
 
 
@@ -321,7 +331,7 @@ def _cmd_reproduce(args) -> int:
                 pole_theta,
             )
         )
-    _emit_csv(["d", "divisor_theta", "divisor_ref", "iia_theta", "iia_ref", "pole_theta"], rows, args)
+    _emit_csv(["d", "divisor_theta", "divisor_ref", "iia_theta", "iia_ref", "pole_theta"], list(zip(*rows)), args)
     return 0
 
 

