@@ -14,10 +14,18 @@ paths cross-check the analytic machinery end to end.
 import math
 
 import numpy as np
-from scipy import stats
 
 import excursia as ex
 from excursia import switching
+
+
+def ks_scaled(samples, cdf):
+    """sqrt(n) times the Kolmogorov-Smirnov distance of the samples from cdf;
+    above 1.63 the fit is rejected at the 1% level."""
+    x = np.sort(samples)
+    f, n = cdf(x), x.size
+    return math.sqrt(n) * max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+
 
 dist = ex.exponential_switching(1.0)
 grid = np.array([0.25, 0.5, 1.0, 2.0])
@@ -34,8 +42,9 @@ for t, e, r, s in zip(grid, e_h, r_h, r_s):
     print(f"  mean({t:4.2f}) = {e:+.4f}   R({t:4.2f}) = {r:+.4f} +- {s:.4f}")
 
 ab = dist.size_biased_draw(ex.RngStream(3, 2), n)
+ks = ks_scaled(ab, lambda x: -np.expm1(-x) - x * np.exp(-x))
 print(f"interval covering the origin: mean {np.mean(ab):.4f} (target 2), "
-      f"KS vs Gamma(2,1) p = {stats.kstest(ab, stats.gamma(a=2).cdf).pvalue:.3f}")
+      f"KS vs Gamma(2,1): sqrt(n) D = {ks:.3f} (1% critical value 1.63)")
 
 # one readable path: unit switching times flip every path at t = 1, 2, 3,
 # so the ensemble mean is the path itself; at an instant the state is
@@ -53,7 +62,7 @@ print(f"  L R(1)  = {ex.laplace_stationary_covariance(psi, 1.0, 1.0):.6f}  (same
 # transform side: covariance rebuilt from the divisor survival matches the
 # clipped autocovariance of the model exactly
 m = ex.Diffusion(d=2)
-rows = ex.covariance_from_expectation(lambda u: float(ex.e0(m, u)), ex.mean_excursion(m), np.linspace(0, 8, 9))
+rows = ex.covariance_from_expectation(lambda u: ex.e0(m, u), ex.mean_excursion(m), np.linspace(0, 8, 9))
 err = max(abs(r - float(ex.clipped_autocovariance(m, t))) for t, r in rows)
 print(f"covariance rebuilt from E0 vs clipped autocovariance, max err: {err:.2e}")
 

@@ -10,7 +10,8 @@ panels gives the error estimate; above rel_tol it raises QuadratureError.
 The completion parameters are fitted to log E0 over the final decade
 before t_max.  Its form follows the tail class the validity gate measured
 (``slepian.cached_validity``): log-log for a power law, exponential for
-every other class.
+every other class.  Its integral is in closed form, except for a power
+tail at s > 0, which goes on the same composite rule after t = t_max/u.
 
 From the transform:
 
@@ -120,24 +121,23 @@ class TailCompletion:
     intercept: float
     slope: float
 
-    def remainder(self, s: float, t_max: float, epsabs: float) -> tuple[float, float]:
+    def remainder(self, s: float, t_max: float) -> tuple[float, float]:
         """int_{t_max}^inf (fitted tail)(t) e^{-st} dt and its absolute error
-        estimate: 0 for the closed forms, and the estimate of the numerical
-        integral (a power tail at s > 0), which aims for ``epsabs``."""
+        estimate: 0 for the closed forms.  A power tail at s > 0 is summed
+        on the composite rule after t = t_max/u (dt = t du/u); its estimate
+        is the gap to the lower-order rule plus a bound on the tail beyond
+        that rule's last node t_last, which the gap does not check:
+        e^a t_last^b e^{-s t_last}/s for the decaying fit (b < 0)."""
         if self.kind == "exponential":
             return math.exp(self.intercept + (self.slope - s) * t_max) / (s - self.slope), 0.0
         if s == 0.0:
             return math.exp(self.intercept) * t_max ** (self.slope + 1.0) / (-self.slope - 1.0), 0.0
-        from scipy import integrate  # imported on use: only power tails need it
-
-        val, err = integrate.quad(
-            lambda t: math.exp(self.intercept + self.slope * math.log(t) - s * t),
-            t_max,
-            np.inf,
-            epsabs=epsabs,
-            epsrel=0.0,
+        main, low = (
+            float((w / u) @ np.exp(self.intercept + (self.slope + 1.0) * np.log(t_max / u) - s * t_max / u))
+            for u, w in (_unit_rule(ORDER), _unit_rule(CHECK_ORDER))
         )
-        return val, err
+        t_last = t_max / _unit_rule(CHECK_ORDER)[0][0]
+        return main, abs(main - low) + math.exp(self.intercept + self.slope * math.log(t_last) - s * t_last) / s
 
 
 @lru_cache(maxsize=None)
@@ -249,14 +249,10 @@ class LaplaceEvaluator:
         ts, vals = ts[good], vals[good]
         if ts.size < 20:
             raise ValueError("too few positive survival values to fit a tail completion")
-        logs = np.log(vals)
-        if tail_kind == "power":
-            slope, intercept = np.polyfit(np.log(ts), logs, 1)
-            return TailCompletion("power", float(intercept), float(slope))
-        slope, intercept = np.polyfit(ts, logs, 1)
+        slope, intercept = np.polyfit(np.log(ts) if tail_kind == "power" else ts, np.log(vals), 1)
         if slope >= 0:
             raise ValueError("survival does not decay; cannot build a transform")
-        return TailCompletion("exponential", float(intercept), float(slope))
+        return TailCompletion(tail_kind, float(intercept), float(slope))
 
     # -- evaluation --------------------------------------------------------
 
@@ -271,16 +267,16 @@ class LaplaceEvaluator:
     def transform(self, s: float) -> float:
         """L(s) = fixed-node quadrature on [0, t_max] + tail remainder.
 
-        The remainder of a power tail is integrated numerically, aiming for
-        half of rel_tol * |quadrature|; an error estimate above
-        rel_tol * |L| raises QuadratureError.
+        The remainder of a power tail at s > 0 is summed on the same
+        composite rule; its error estimate above rel_tol * |L| raises
+        QuadratureError.
         """
         s = float(s)
         self._check_domain(s)
         quadrature = float(_rule_terms(self._weighted, ORDER, s, self.t_max).sum())
-        rem, err = self.completion.remainder(s, self.t_max, 0.5 * self.rel_tol * abs(quadrature))
+        rem, err = self.completion.remainder(s, self.t_max)
         value = quadrature + rem
-        if err > self.rel_tol * abs(value):
+        if not err <= self.rel_tol * abs(value):
             raise QuadratureError(
                 f"tail remainder error estimate {err:.3g} at s={s:g} exceeds rel_tol * |L| = {self.rel_tol * abs(value):.3g}"
             )
@@ -291,7 +287,7 @@ class LaplaceEvaluator:
         -t E0(t) e^{-st} plus R'(s) = -R(s) (t_max + 1/(s - slope)), the
         derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope)."""
         terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
-        rem, _ = self.completion.remainder(s, self.t_max, 0.0)
+        rem, _ = self.completion.remainder(s, self.t_max)
         return -self.t_max * float(terms @ _unit_rule(ORDER)[0]) - rem * (self.t_max + 1.0 / (s - self.completion.slope))
 
     def psi_divisor(self, s: float) -> float:

@@ -50,6 +50,7 @@ __all__ = [
 # must still see at that range.
 DEFAULT_T_MAX = 50.0
 DEFAULT_STEP = 0.01
+MAX_GRID_POINTS = 10**7  # 80 MB of float64 times; larger grids are refused
 # A monotonicity violation must exceed this to fire (guards against
 # roundoff wiggle in flat tails).
 MONOTONE_TOL = 1e-12
@@ -224,6 +225,18 @@ def _classify_tail(ts: np.ndarray, vals: np.ndarray):
     return None
 
 
+def time_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop: a ValueError unless 0 <= start <= stop and
+    0 < step, all finite (E0 is a survival only for t >= 0), and at most MAX_GRID_POINTS points."""
+    if not (0 < step < np.inf and 0 <= start <= stop < np.inf):
+        raise ValueError(f"time grid needs finite 0 <= start <= stop and step > 0, got start={start:g}, stop={stop:g}, step={step:g}")
+    end = stop + 0.5 * step
+    # np.arange makes ceil((end - start)/step) points; count them before allocating
+    if not (end - start) / step <= MAX_GRID_POINTS:
+        raise ValueError(f"time grid has more than {MAX_GRID_POINTS} points: start={start:g}, stop={stop:g}, step={step:g}")
+    return np.arange(start, end, step)
+
+
 def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) -> ValidityReport:
     """Check monotonicity, nonnegativity and tail class of E0 on a grid.
 
@@ -232,8 +245,8 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     exceedance tail cannot be of the right order.
     """
     if not (t_max > 0 and 0 < step < t_max):
-        raise ValueError("require t_max > 0 and 0 < step < t_max")
-    ts = np.arange(0.0, t_max + 0.5 * step, step)
+        raise ValueError(f"validate needs 0 < step < t_max, got t_max={t_max:g}, step={step:g}")
+    ts = time_grid(0.0, t_max, step)
     vals = np.asarray(e0(model, ts))
 
     mono_viol = np.flatnonzero(vals[1:] - vals[:-1] > MONOTONE_TOL)

@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .laplace import CHECK_ORDER, ORDER, QuadratureError, _unit_rule
 from .samplers import DivisorSampler, RngStream, sample_excursions, sample_geometric_half
 from .covariance import CovarianceModel
 from .slepian import mean_excursion
@@ -180,25 +181,27 @@ def laplace_stationary_covariance(psi_f: Callable, mu: float, s: float) -> float
 
 
 def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.ndarray:
-    """R(t) = 1 - (2/mu) * int_0^t E(u) du by cumulative adaptive quadrature.
+    """R(t) = 1 - (2/mu) * int_0^t E(u) du, cumulated over the grid.
 
-    Returns an array of (t, R(t)) rows over the grid.
+    Each grid interval gets the transform's composite rule
+    (``laplace._unit_rule``), and the vectorised ``expectation`` is called
+    once on the nodes of every interval.  The lower-order rule on the same
+    panels gives each interval's error estimate; above 1e-10 |part| + 1e-12
+    it raises QuadratureError.  Returns an array of (t, R(t)) rows.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be increasing and start at or after 0")
-    from scipy import integrate  # imported on use: no workload command needs it
-
-    acc = 0.0
-    prev = 0.0
-    rows = np.empty((grid.size, 2))
-    for i, t in enumerate(grid):
-        if t > prev:
-            part, _ = integrate.quad(expectation, prev, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-            acc += part
-            prev = t
-        rows[i] = (t, 1.0 - 2.0 / mu * acc)
-    return rows
+    (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
+    lo = np.concatenate([[0.0], grid[:-1]])
+    width = grid - lo
+    values = np.asarray(expectation(lo[:, None] + width[:, None] * np.concatenate([u, u_low])), dtype=float)
+    part = width * (values[:, : u.size] @ w)
+    err = np.abs(part - width * (values[:, u.size :] @ w_low))
+    i = int(np.argmax(err - 1e-10 * np.abs(part)))
+    if not err[i] <= 1e-10 * abs(part[i]) + 1e-12:
+        raise QuadratureError(f"quadrature error estimate {err[i]:.3g} on [{lo[i]:g}, {grid[i]:g}] exceeds 1e-10 |part| + 1e-12")
+    return np.column_stack([grid, 1.0 - 2.0 / mu * np.cumsum(part)])
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,8 @@ def test_models_listing(capsys):
         ["e0", "--model", "diffusion(d=2)", "--step", "inf"],
         ["e0", "--model", "diffusion(d=2)", "--tmax", "1e7", "--step", "1e-3"],
         ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0:1e9:1e-3"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "1e15", "--step", "1e-3"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "1e8", "--step", "1"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
          "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
@@ -363,7 +365,7 @@ def test_models_listing(capsys):
          "persistency-threads-negative", "reproduce-threads0", "pole-rel-tol-negative", "pole-rel-tol-nan",
          "pole-tmax-inf", "validate-tmax-inf", "persistency-tail-frac-nan", "persistency-tail-frac-inf",
          "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
-         "e0-grid-1e10-points", "switch-grid-1e12-points"],
+         "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     # refused before any large allocation: a grid is counted, not built
@@ -420,54 +422,20 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert payload["estimates"][0]["theta"] > 0
 
 
-# Benchmark workload commands at small sizes, in a fresh interpreter:
-# scipy.stats and scipy.integrate (about 0.5 s of import) must load neither
-# at import nor inside any of them.  The Monte Carlo commands are in the
-# stricter no-scipy guard below.
-IMPORT_GUARD = """
-import sys
-from excursia import cli
-
-out = sys.argv[1]
-runs = [
-    (0, ["pole", "--model", "diffusion(d=3)"]),
-    (0, ["pole", "--model", "matern(nu=2.5)"]),
-    (0, ["validate", "--model", "generalized_laplace(alpha=1)"]),
-    (2, ["pole", "--model", "shifted_gaussian(alpha=2)"]),
-    (0, ["switch", "--dist", "excursion:diffusion(d=2)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
-    (0, ["switch", "--dist", "divisor:matern(nu=2.5)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
-    (0, ["switch", "--dist", "gamma:2,1", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
-    (0, ["sample", "--what", "excursion", "--model", "generalized_laplace(alpha=1)", "--n", "3000", "--streams", "2"]),
-]
-for code, argv in runs:
-    got = cli.main(argv + ["--output", out])
-    assert got == code, (argv, got)
-print("loaded:", *(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
-"""
-
-
-def test_workload_commands_load_neither_scipy_stats_nor_integrate(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    env["EXCURSIA_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded:"
-
-
-# The parser, and every command that needs no power-tail transform, Monte
-# Carlo confidence bounds included, in a fresh interpreter: no scipy module
-# loads at all (scipy.special, scipy.interpolate and scipy.optimize together
-# cost about 0.6 s of import).
+# In a fresh interpreter with scipy blocked from import: the parser, the
+# benchmark workload commands at small sizes, the Monte Carlo confidence
+# bounds, a power-tail transform at s > 0 and the covariance rebuilt from
+# an expectation all run on numpy alone.
 NO_SCIPY_GUARD = """
+import math
 import sys
+
+sys.modules["scipy"] = None
 from excursia import cli
+
+import excursia as ex
 
 cli.build_parser()
-loaded = [m for m in sys.modules if m.startswith("scipy")]
 out = sys.argv[1]
 runs = [
     (0, ["pole", "--model", "diffusion(d=3)"]),
@@ -478,23 +446,31 @@ runs = [
     (0, ["e0", "--model", "matern(nu=3.5)"]),
     (0, ["e0", "--what", "rcl", "--model", "diffusion(d=4)"]),
     (0, ["sample", "--what", "divisor", "--model", "diffusion(d=2)", "--n", "1000"]),
+    (0, ["sample", "--what", "excursion", "--model", "generalized_laplace(alpha=1)", "--n", "3000", "--streams", "2"]),
+    (0, ["switch", "--dist", "excursion:diffusion(d=2)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
+    (0, ["switch", "--dist", "divisor:matern(nu=2.5)", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
+    (0, ["switch", "--dist", "gamma:2,1", "--mode", "stationary", "--n", "500", "--grid", "0.5:2:0.5"]),
     (0, ["reproduce", "table2", "--dmax", "4", "--n", "3000", "--reps", "2", "--seed", "3"]),
     (0, ["persistency", "--method", "mc", "--model", "shifted_gaussian(alpha=0)", "--n", "3000", "--k", "300", "--reps", "3"]),
 ]
 for code, argv in runs:
     got = cli.main(argv + ["--output", out])
     assert got == code, (argv, got)
-print("after parser:", *loaded)
-print("after commands:", *(m for m in sys.modules if m.startswith("scipy")))
+assert ex.laplace_e0(ex.GeneralizedLaplace(alpha=0.3), 1e-3) > 0.0
+m = ex.Diffusion(d=2)
+rows = ex.covariance_from_expectation(lambda u: ex.e0(m, u), 2 * math.pi, [1.0, 2.0])
+assert abs(rows[1, 1] - ex.clipped_autocovariance(m, 2.0)) < 1e-12
+print("done")
 """
 
 
-def test_parser_and_transform_commands_load_no_scipy(tmp_path):
+def test_commands_and_integrals_run_with_scipy_blocked(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    env["EXCURSIA_THREADS"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["after parser:", "after commands:"]
+    assert proc.stdout.splitlines()[-1] == "done"

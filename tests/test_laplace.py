@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 from scipy.special import digamma
 
@@ -209,24 +210,72 @@ def _power_remainder_oracle(completion, s, t_max):
         return float(mpmath.exp(a) * mpmath.mpf(s) ** (-(b + 1)) * mpmath.gammainc(b + 1, mpmath.mpf(s) * t_max))
 
 
-@pytest.mark.parametrize("power, t_cap", [(-3.0, 1000.0), (-1.5, 1000.0), (-1.2, 10.0)])
+def _power_tail_evaluator(power, t_cap):
+    return LaplaceEvaluator.for_survival(lambda t: (1.0 + np.asarray(t, dtype=float)) ** power, tail_kind="power", t_cap=t_cap)
+
+
+def _power_tail_oracle(ev, s):
+    # the evaluator's own rule on [0, t_max] plus the exact remainder of its fit
+    fixed = float(laplace._rule_terms(ev._weighted, laplace.ORDER, s, ev.t_max).sum())
+    return fixed + _power_remainder_oracle(ev.completion, s, ev.t_max)
+
+
+def _within_rel_tol_or_raises(ev, s):
+    """True if L(s) is within rel_tol of the oracle, False if it raises
+    QuadratureError; a wrong value returned fails."""
+    want = _power_tail_oracle(ev, s)
+    try:
+        got = ev.transform(s)
+    except QuadratureError:
+        return False
+    assert abs(got - want) <= ev.rel_tol * want, (ev.completion, s, got, want)
+    return True
+
+
+@pytest.mark.parametrize("power, t_cap", [(-3.0, 1000.0), (-1.5, 1000.0), (-1.2, 10.0), (-1.05, 5.0)])
 @pytest.mark.parametrize("s", [1e-8, 1e-4, 1e-2, 1.0])
 def test_power_tail_remainder_meets_rel_tol(power, t_cap, s):
-    # the numerical remainder of a power tail enters L(s) within rel_tol * |L|
-    ev = LaplaceEvaluator.for_survival(lambda t: (1.0 + np.asarray(t, dtype=float)) ** power, tail_kind="power", t_cap=t_cap)
-    fixed = float(laplace._rule_terms(ev._weighted, laplace.ORDER, s, ev.t_max).sum())
-    want = fixed + _power_remainder_oracle(ev.completion, s, ev.t_max)
+    # the remainder of a power tail, summed on the composite rule after
+    # t = t_max/u, enters L(s) within rel_tol * |L|
+    ev = _power_tail_evaluator(power, t_cap)
+    want = _power_tail_oracle(ev, s)
     assert abs(ev.transform(s) - want) <= ev.rel_tol * want
 
 
-@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
+def test_power_tail_remainder_returns_a_value_only_within_rel_tol():
+    # every value returned is within rel_tol of the 50-digit oracle; only
+    # very small s, where e^{-st} has not decayed at the last node, raise.
+    # At s = 1e-15 on (1 + t)^-1.5 cut at 1000 the two rules agree within
+    # rel_tol, yet both miss 6e-9 of L beyond the last node: the bound on
+    # that tail raises there
+    for power in (-3.5, -2.0, -1.5, -1.2, -1.05):
+        for t_cap in (5.0, 10.0, 100.0, 1000.0):
+            ev = _power_tail_evaluator(power, t_cap)
+            for s in (1e-16, 1e-15, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1.0, 10.0):
+                assert _within_rel_tol_or_raises(ev, s) or s < 1e-8, (power, t_cap, s)
+    # a bound that starts at the last node of the 24-node rule, not of the
+    # 16-node one, leaves 1.4e-9 of L unchecked here
+    _within_rel_tol_or_raises(_power_tail_evaluator(-1.5689658071316246, 100.0), 8.919383572976314e-14)
+    # a catalog power tail near the origin of the transform
+    ev = laplace._evaluator(ex.GeneralizedLaplace(alpha=0.1), 1e-9, laplace.T_CAP)
+    assert _within_rel_tol_or_raises(ev, 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-4.0, -1.0, exclude_min=True, exclude_max=True), st.sampled_from([5.0, 10.0, 100.0, 1000.0]), st.floats(-14.0, 1.0))
+def test_power_tail_remainder_within_rel_tol_or_raises_property(power, t_cap, log_s):
+    _within_rel_tol_or_raises(_power_tail_evaluator(power, t_cap), 10.0**log_s)
+
+
 def test_power_tail_remainder_error_above_rel_tol_raises():
-    # a tail (1 + t)^{-1.05} cut at t = 5 and s = 1e-8: quad cannot resolve
-    # the remainder (its estimate is about 1e-7 of |L|)
-    ev = LaplaceEvaluator.for_survival(lambda t: (1.0 + np.asarray(t, dtype=float)) ** -1.05, tail_kind="power", t_cap=5.0)
-    assert ev.transform(1e-2) > 0.0
+    # a tail (1 + t)^{-1.05} cut at t = 5 (fitted exponent about -0.68):
+    # exact at s = 1e-8, but at s = 1e-20 the fit has not decayed by the
+    # last node and the bound on the tail beyond it exceeds rel_tol * |L|
+    ev = _power_tail_evaluator(-1.05, 5.0)
+    want = _power_tail_oracle(ev, 1e-8)
+    assert abs(ev.transform(1e-8) - want) <= 2.2e-16 * want
     with pytest.raises(QuadratureError, match="tail remainder error estimate"):
-        ev.transform(1e-8)
+        ev.transform(1e-20)
 
 
 def _t_max_loop_oracle(survival, t_cap):

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 import excursia as ex
 from excursia import switching
+from excursia.laplace import QuadratureError
 from excursia.samplers import _size_biased_survival, _table_inverse
 
 
@@ -134,15 +135,26 @@ def test_laplace_stationary_covariance_identities():
 
 
 def test_covariance_from_expectation():
-    rows = ex.covariance_from_expectation(lambda u: math.exp(-2 * u), 1.0, np.linspace(0.0, 3.0, 13))
+    rows = ex.covariance_from_expectation(lambda u: np.exp(-2 * u), 1.0, np.linspace(0.0, 3.0, 13))
     for t, r in rows:
         assert r == pytest.approx(math.exp(-2 * t), abs=1e-8)
     assert rows[0][1] == 1.0
     # divisor pair: R from E0 reproduces the clipped autocovariance
     m = ex.Diffusion(d=2)
-    rows = ex.covariance_from_expectation(lambda u: float(ex.e0(m, u)), 2 * math.pi, np.linspace(0.0, 10.0, 21))
+    rows = ex.covariance_from_expectation(lambda u: ex.e0(m, u), 2 * math.pi, np.linspace(0.0, 10.0, 21))
     for t, r in rows:
         assert r == pytest.approx(float(ex.clipped_autocovariance(m, t)), abs=1e-6)
+
+
+def test_covariance_from_expectation_refuses_a_jump_inside_an_interval():
+    # the rule cannot resolve a step at u = 0.3 inside [0, 0.5]: its error
+    # estimate is raised instead of being discarded
+    step = lambda u: np.where(u < 0.3, 1.0, 0.0)
+    with pytest.raises(QuadratureError, match="quadrature error estimate"):
+        ex.covariance_from_expectation(step, 1.0, [0.0, 0.5, 1.0])
+    # a jump on a grid point is integrated exactly
+    rows = ex.covariance_from_expectation(step, 1.0, [0.0, 0.3, 1.0])
+    assert rows[:, 1] == pytest.approx([1.0, 0.4, 0.4], abs=1e-15)
 
 
 def test_excursion_switching_reproduces_clipped_autocovariance():
