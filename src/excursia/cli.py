@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -49,14 +48,192 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _format_rows(columns) -> str:
-    """The columns as comma-separated text rows, every value ``%.17g``:
-    round-trip exact for 64-bit floats (nan and inf included), the plain
-    digits for integers up to 2**53.  One ``%`` call formats every row."""
-    columns = [np.asarray(c).tolist() for c in columns]
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    flat = columns[0] if len(columns) == 1 else itertools.chain.from_iterable(zip(*columns))
-    return (row * len(columns[0])) % tuple(flat)
+# Text export.  Every value is written as "%.17g" would write it, but the
+# digits of a magnitude in [_G17_MIN, _G17_MAX] come from array arithmetic
+# (see _format_rows); the rest take Python's "%" one value at a time.
+_ROWS_PER_BLOCK = 1 << 14
+_G17_MIN, _G17_MAX = 1e-280, 1e280
+_G17_K = 282  # the power table covers decimal exponents -_G17_K .. _G17_K
+_G17_TIE = 1e-6  # a rounding this close to a tie takes the per-value path
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+# The bytes of one value: sign, "0." and up to three zeros, the leading
+# digit; 16 more digits; the exponent and the separator.  Every digit is
+# followed by a slot for the point.
+_SLOT = np.dtype([("head", np.uint64), ("digits", np.void, 32), ("tail", np.uint64)])
+
+
+def _split(x):
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _g17_tables() -> dict:
+    """The export's lookup tables, built on its first call (a few ms):
+    10**(16 - k) as a double-double hi + lo (hi also split in halves) for
+    every k, and the byte patterns of the head of a slot, of four digits
+    and of the exponent."""
+    hi, lo = [], []
+    for k in range(-_G17_K, _G17_K + 1):
+        p = 16 - k
+        power = 10 ** abs(p)
+        if p >= 0:
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:  # 10**p - hi = (den - num power)/(den power) for hi = num/den
+            hi.append(1 / power)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * power) / (den * power))
+    hi = np.array(hi)
+    # head of a slot: sign, "0." and up to three zeros, the leading digit,
+    # its point slot; index 50 [x < 0] + 10 [zeros after the point + 1] + digit
+    head = b"".join(
+        sign + (b"0." + b"0" * (pre - 1) if pre else b"").ljust(5, b"\0") + b"%d\0" % d0
+        for sign in (b"\0", b"-")
+        for pre in range(5)
+        for d0 in range(10)
+    )
+    # four digits, each followed by its point slot
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, ::2] = digits + ord("0")
+    exponents = b"".join(
+        (b"" if -4 <= x <= 16 else b"e%+03d" % x).ljust(8, b"\0") for x in range(-_G17_K - 1, _G17_K + 2)
+    )
+    # keep[j][n]: the mask of the digits of group j written when digit n is
+    # the last one written
+    written = np.clip(np.arange(17) - 4 * np.arange(4)[:, None], 0, 4)
+    keep = np.zeros((4, 17, 8), np.uint8)
+    keep[np.arange(8) < 2 * written[:, :, None]] = 0xFF
+    hi_h, hi_l = _split(hi)
+    return {
+        "hi": hi,
+        "lo": np.array(lo),
+        "hi_h": hi_h,
+        "hi_l": hi_l,
+        "head": np.frombuffer(head, np.uint64),
+        "quad": quad.view(np.uint64).ravel(),
+        # the digits of a group of four up to its last nonzero one
+        "quad_len": np.max((digits > 0) * np.arange(1, 5), axis=1).astype(np.int8),
+        "keep": keep.view(np.uint64)[..., 0],
+        "exponent": np.frombuffer(exponents, np.uint64),
+    }
+
+
+def _g17_scaled(a, k, tables):
+    """a 10**(16 - k) as h + l, h = fl(h + l), with an error below 1e-14 for
+    a 10**(16 - k) < 2e17: Dekker's exact product of a and the high part
+    of the power, plus a times its low part."""
+    i = k + _G17_K
+    hi_h, hi_l = tables["hi_h"][i], tables["hi_l"][i]
+    p = a * tables["hi"][i]
+    a_h, a_l = _split(a)
+    e = ((a_h * hi_h - p) + a_h * hi_l + a_l * hi_h) + a_l * hi_l
+    e += a * tables["lo"][i]
+    h = p + e
+    return h, e - (h - p)
+
+
+def _g17_step(h, l):
+    """-1 where h + l is below 1e16, +1 where it is 1e17 or more, else 0.
+    h == 1e16 with l < 0 is below: a value that rounds to 1e16 at 17
+    digits, but whose own 17 digits start one decade lower."""
+    above = (h > 1e17) | ((h == 1e17) & (l >= 0.0))
+    return above.astype(np.int64) - ((h < 1e16) | ((h == 1e16) & (l < 0.0)))
+
+
+def _g17_one(x) -> bytes:
+    """One value through Python's ``%``: the path of the values the array
+    arithmetic does not take."""
+    return b"%.17g" % x
+
+
+def _g17_bytes(v: np.ndarray, sep: np.ndarray) -> bytes:
+    """The values v as "%.17g" text, each followed by its separator byte."""
+    tables = _g17_tables()
+    a = np.abs(v)
+    exact = (a >= _G17_MIN) & (a <= _G17_MAX)  # false for 0, inf and nan
+    a[~exact] = 1.0
+    # the 17 significant digits are the integer nearest a 10**(16 - k),
+    # k = floor(log10 a); the logarithm can put k one off next to a power of ten
+    k = np.floor(np.log10(a)).astype(np.int64)
+    h, l = _g17_scaled(a, k, tables)
+    step = _g17_step(h, l)
+    off = np.flatnonzero(step)
+    if off.size:
+        k[off] += step[off]
+        h[off], l[off] = _g17_scaled(a[off], k[off], tables)
+        exact[off[_g17_step(h[off], l[off]) != 0]] = False  # never seen
+    floor = np.floor(l)
+    frac = l - floor
+    exact &= np.abs(frac - 0.5) >= _G17_TIE
+    q = h.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = q == 10**17  # rounded up to the next power of ten
+    q[carry] = 10**16
+    k += carry
+    quads = np.empty((4, a.size), np.int64)
+    for j in range(3, -1, -1):
+        quads[j] = q
+        q //= 10000
+        quads[j] -= 10000 * q
+    # q is now the leading digit
+    fixed = (k >= -4) & (k <= 16)
+    q[v < 0] += 50
+    pre = np.flatnonzero(fixed & (k < 0))
+    q[pre] -= 10 * k[pre]
+    digits = np.take(tables["quad"], quads.T)
+    # the digits after the last one written ("keep") are trailing zeros: deleted
+    keep = np.full(a.size, 16)
+    zero = np.flatnonzero(tables["quad_len"][quads[3]] < 4)
+    if zero.size:
+        quad_len = tables["quad_len"][quads[:, zero]]
+        last = quad_len[0]
+        for j in (1, 2, 3):
+            last = np.where(quad_len[j] > 0, quad_len[j] + 4 * j, last)
+        keep[zero] = np.where(fixed[zero], np.maximum(k[zero], last), last)
+        for j, mask in enumerate(tables["keep"]):
+            column = digits[:, j]
+            column[zero] &= mask[keep[zero]]
+    slot = np.empty(a.size, _SLOT)
+    slot["head"] = tables["head"][q]
+    slot["digits"] = digits.view(_SLOT["digits"]).ravel()
+    slot["tail"] = tables["exponent"][k + _G17_K + 1]
+    text = slot.view(np.uint8)
+    point = np.where(fixed, k, 0)  # the digit the point follows; in the "0.000" slot if negative
+    dot = np.flatnonzero((point >= 0) & (keep > point))
+    text[dot * _SLOT.itemsize + 7 + 2 * point[dot]] = ord(".")
+    text[_SLOT.itemsize - 1 :: _SLOT.itemsize] = sep
+    for i in np.flatnonzero(~exact):
+        value = _g17_one(v[i])
+        at = i * _SLOT.itemsize
+        text[at : at + _SLOT.itemsize - 1] = 0
+        text[at : at + len(value)] = np.frombuffer(value, np.uint8)
+    return text.tobytes().translate(None, b"\0")
+
+
+def _format_rows(columns) -> bytes:
+    """The columns as comma-separated text rows, every value as ``%.17g``
+    writes it (round-trip exact for 64-bit floats, nan and inf included;
+    integers go through float64, as ``%`` takes them, exact up to 2**53).
+
+    The values are written _ROWS_PER_BLOCK rows at a time, each into a
+    fixed slot of _SLOT bytes, and the unused bytes (NUL) are deleted.  The
+    17 significant digits of a magnitude a in [_G17_MIN, _G17_MAX] are the
+    integer nearest a 10**(16 - k): a double-double product with an error
+    below 1e-14, so its rounding is exact unless the fraction is within
+    _G17_TIE of 1/2.  Those near-ties, zeros, inf, nan and magnitudes
+    outside the range (1-5 values per million of an exponential
+    sample) are formatted with Python's ``%``, one value at a time.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    values = columns[0] if len(columns) == 1 else np.column_stack(columns).ravel()
+    sep = np.frombuffer(b"," * (len(columns) - 1) + b"\n", np.uint8)
+    step = _ROWS_PER_BLOCK * sep.size
+    return b"".join(
+        _g17_bytes(values[i : i + step], np.tile(sep, min(step, values.size - i) // sep.size))
+        for i in range(0, values.size, step)
+    )
 
 
 def _at_least(minimum: int):
@@ -112,12 +289,13 @@ def _metadata(args: argparse.Namespace) -> dict:
     return {"tool": TOOL, "version": __version__, "config": config}
 
 
-def _emit_text(text: str, output: str | None):
+def _emit_text(text: str | bytes, output: str | None):
+    data = text.encode() if isinstance(text, str) else text
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -128,7 +306,7 @@ def _emit_json(payload: dict, args) -> None:
 def _emit_csv(header: list[str], columns, args) -> None:
     lines = [f"# {TOOL} {__version__}", f"# config {json.dumps(_metadata(args)['config'], sort_keys=True, default=str)}"]
     lines.append(",".join(header))
-    _emit_text("\n".join(lines) + "\n" + _format_rows(columns), args.output)
+    _emit_text(("\n".join(lines) + "\n").encode() + _format_rows(columns), args.output)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,18 @@ against the other.
 * ``survival_inverse_oracle``: E0^{-1}(u) by root bracketing on E0
   itself, an oracle for the closed-form and table inverses.
 * ``g17_rows_oracle``: the CLI's text rows formatted one value at a
-  time, an oracle for the one-call ``%`` row formatter.
+  time with Python's ``format``, an oracle for the array-arithmetic
+  formatter.
 * ``student_t_quantile_oracle``: the Student-t quantile to 40 digits
   from the regularized incomplete beta function, an oracle for the
   finite trigonometric sum.
 * ``tail_exponent_sort_oracle``: the tail regression on a full sort of
   the samples, an oracle for the partial selection of the k largest.
+* ``sample_excursions_one_shot``: the compound draws with every divisor
+  drawn at once and one segment sum over all of them, an oracle for the
+  blocked compound sampler.
+* ``empirical_survival_mean_oracle``: the empirical survival as one mean
+  over the samples per tau, an oracle for the survival read from one sort.
 """
 
 import mpmath
@@ -26,7 +32,8 @@ import numpy as np
 from scipy import optimize
 
 import excursia as ex
-from excursia.covariance import _log_cosh
+from excursia.covariance import CovarianceModel, _log_cosh
+from excursia.samplers import DivisorSampler, sample_geometric_half
 
 
 def poly_inverse_b(d: int, a, tol: float = 1e-12):
@@ -164,3 +171,19 @@ def tail_exponent_sort_oracle(samples, k: int) -> tuple[float, float]:
     slope = float(np.dot(xm, y) / np.dot(xm, xm))
     intercept = float(y.mean() - slope * tail.mean())
     return -slope, intercept
+
+
+def sample_excursions_one_shot(source, rng, n: int):
+    """``sample_excursions`` without blocks: all n counts, then all their
+    divisor draws in one call, then one ``reduceat`` over them."""
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    counts = sample_geometric_half(rng, n)
+    draws = src.draw(rng, int(counts.sum()))
+    values = np.add.reduceat(draws, np.cumsum(counts) - counts)
+    return values, counts
+
+
+def empirical_survival_mean_oracle(samples, taus) -> np.ndarray:
+    """P(X > tau) of the samples as one mean per tau."""
+    samples = np.asarray(samples, dtype=float)
+    return np.array([np.mean(samples > tau) for tau in taus], dtype=float)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
 from excursia import Diffusion, RngStream, e0, laplace_e0, sample_excursions
+from excursia import cli
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
 from excursia.persistency import empirical_survival
@@ -127,18 +129,78 @@ def _column(draw, n):
     return values if kind == "int" else np.array(values, dtype=np.int64)
 
 
+def _assert_rows_match_oracle(columns):
+    assert _format_rows(columns) == g17_rows_oracle(zip(*columns)).encode()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([1, 4]), st.integers(0, 30), st.data())
 def test_format_rows_is_byte_identical_to_per_value_oracle(k, n, data):
-    columns = [data.draw(_column(n)) for _ in range(k)]
-    assert _format_rows(columns) == g17_rows_oracle(zip(*columns))
+    _assert_rows_match_oracle([data.draw(_column(n)) for _ in range(k)])
 
 
 def test_format_rows_special_values():
     floats = np.array(SPECIAL_FLOATS)
     ints = [0, -1, 7, 2**53, -(2**53)] * 3
     for columns in ([floats], [floats, floats[::-1], ints, np.array(ints, dtype=np.int64)]):
-        assert _format_rows(columns) == g17_rows_oracle(zip(*columns))
+        _assert_rows_match_oracle(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60), st.sampled_from([1, 3]))
+def test_format_rows_on_raw_bit_patterns(bits, k):
+    # every double: subnormals, nan payloads, both zeros, both infinities
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_rows_match_oracle([np.roll(values, j) for j in range(k)])
+
+
+def test_format_rows_powers_of_ten_and_neighbours():
+    # every decade: the estimate of the decimal exponent is one off next to
+    # a power of ten, and 1e23 and others round below the true power
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    _assert_rows_match_oracle([np.concatenate([values, -values])])
+
+
+def _count_fallback(monkeypatch) -> list:
+    """The values the export sends through Python's ``%``, as it runs."""
+    calls = []
+    fallback = cli._g17_one
+    monkeypatch.setattr(cli, "_g17_one", lambda x: calls.append(x) or fallback(x))
+    return calls
+
+
+def test_format_rows_exact_ties_take_python_format(monkeypatch):
+    # m 2**-e with odd m and 10**17 <= m 5**e < 10**18 has 18 significant
+    # digits ending in 5: an exact tie at 17 digits (round half to even)
+    ties = []
+    for e in range(2, 40):
+        lo, hi = -(-(10**17) // 5**e), min((10**18 - 1) // 5**e, 2**53 - 1)
+        for m in np.linspace(lo, hi, 7).astype(np.int64) | 1:
+            if lo <= m <= hi:
+                ties.append(math.ldexp(float(m), -e))
+    assert len(ties) > 100 and format(ties[0], ".18g")[-1] == "5"
+    calls = _count_fallback(monkeypatch)
+    _assert_rows_match_oracle([np.array(ties + [-t for t in ties])])
+    assert len(calls) == 2 * len(ties)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 7]), st.sampled_from([1, 4]), st.integers(0, 40), st.data())
+def test_format_rows_across_row_blocks(block, k, n, data):
+    columns = [data.draw(_column(n)) for _ in range(k)]
+    with mock.patch.object(cli, "_ROWS_PER_BLOCK", block):
+        _assert_rows_match_oracle(columns)
+
+
+def test_format_rows_default_blocks_and_fallback_share(monkeypatch):
+    calls = _count_fallback(monkeypatch)
+    values = np.random.default_rng(15).exponential(size=10**6)
+    _assert_rows_match_oracle([values])
+    assert len(calls) < 1e-4 * values.size
+    # two columns whose rows cross the block boundary
+    n = cli._ROWS_PER_BLOCK + 3
+    _assert_rows_match_oracle([values[:n], -values[n : 2 * n]])
 
 
 def _old_log(v):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import student_t_quantile_oracle, tail_exponent_sort_oracle
+from oracles import empirical_survival_mean_oracle, student_t_quantile_oracle, tail_exponent_sort_oracle
 
 import excursia as ex
 from excursia import persistency
@@ -74,7 +74,13 @@ def test_tail_selection_matches_full_sort(n, seed, decimals, data):
 def test_student_t_quantile_matches_40_digit_oracle():
     for nu in range(1, 301):
         q = student_t_quantile(nu, 0.975)
-        assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=1e-12, abs=0), nu
+        assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=5e-14, abs=0), nu
+    # p near 1: the gap is summed on the upper tail (a difference from 1
+    # before, 1.6e-5 relative off at p = 1 - 1e-12)
+    for p in (1 - 1e-6, 1 - 1e-12):
+        for nu in [*range(1, 61), 80, 120, 200]:
+            q = student_t_quantile(nu, p)
+            assert q == pytest.approx(student_t_quantile_oracle(nu, p, q), rel=1e-12, abs=0), (nu, p)
     assert student_t_quantile(4, 0.025) == -student_t_quantile(4, 0.975)
     assert student_t_quantile(7, 0.5) == 0.0
 
@@ -84,6 +90,21 @@ def test_student_t_quantile_matches_40_digit_oracle():
 def test_student_t_quantile_sweep(nu, p):
     q = student_t_quantile(nu, p)
     assert q == pytest.approx(student_t_quantile_oracle(nu, p, q), rel=1e-12, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 40).map(float) | st.floats(0.0, 50.0), max_size=300),
+    st.lists(st.integers(-1, 41).map(float) | st.floats(-1.0, 60.0) | st.just(math.inf), max_size=50),
+)
+def test_empirical_survival_matches_mean_oracle(samples, taus):
+    # integer values make ties, and taus on the samples themselves
+    samples = np.array(samples + [7.0])
+    taus = np.array(taus + samples[:5].tolist())
+    p, se = persistency.empirical_survival(samples, taus)
+    assert np.array_equal(p, empirical_survival_mean_oracle(samples, taus))
+    n = samples.size
+    assert np.array_equal(se, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n))
 
 
 def test_student_t_quantile_refuses_bad_arguments():
