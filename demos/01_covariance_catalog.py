@@ -24,7 +24,7 @@ for m in models:
     print(
         f"{m.spec_string():32s} {float(m.dr(0.0)):8.4f} "
         f"{m.d2r0():8.4f} {ex.mean_excursion(m):8.4f} "
-        f"{ex.crossing_intensity(m):8.4f}"
+        f"{1.0 / ex.mean_excursion(m):8.4f}"
     )
 
 print("\ncovariance and clipped covariance for diffusion(d=2):")

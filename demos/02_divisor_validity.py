@@ -21,7 +21,7 @@ for m in [
     ex.GeneralizedLaplace(alpha=1.0),
 ]:
     rep = ex.validate_iia(m)
-    tail = rep.tail_class.as_dict() if rep.tail_class else "unclassified"
+    tail = {k: v for k, v in rep.as_dict().items() if k.startswith("tail_") and v is not None} or "unclassified"
     print(f"{m.spec_string():32s} verdict={rep.verdict:30s} tail={tail}")
     if rep.first_violation_t is not None:
         print(f"{'':32s} first violation at t = {rep.first_violation_t}")

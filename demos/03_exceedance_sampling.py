@@ -36,7 +36,7 @@ t = 2 * (np.log1p(np.sqrt((1 - u) * (1 + u))) - np.log(u))
 print(f"closed-form round trip |E0(T(U)) - U|: {np.abs(np.asarray(ex.e0(model, t)) - u).max():.2e}")
 
 # divisor draws against the analytic CDF 1 - E0
-draws = ex.sample_divisor(model, ex.RngStream(7, 1), 100_000)
+draws = ex.DivisorSampler(model).draw(ex.RngStream(7, 1), 100_000)
 ks = ks_scaled(draws, lambda x: 1.0 - np.asarray(ex.e0(model, x)))
 print(f"KS of 1e5 divisor draws vs 1 - E0: sqrt(n) D = {ks:.3f} (1% critical value 1.63)")
 
@@ -48,7 +48,7 @@ print(f"Exp(1) divisor -> compound vs Exp(1/2): sqrt(n) D = {ks:.3f} (1% critica
 # the squared-exponential divisor comes from its inverse table, like every
 # model without a closed-form inverse: one uniform per draw
 sg = ex.ShiftedGaussian(alpha=0.0)
-samples = ex.sample_divisor(sg, ex.RngStream(7, 3), 100_000)
+samples = ex.DivisorSampler(sg).draw(ex.RngStream(7, 3), 100_000)
 ks = ks_scaled(samples, lambda x: 1.0 - np.asarray(ex.e0(sg, x)))
 print(
     f"squared-exponential divisor: sqrt(n) D = {ks:.3f} (1% critical value 1.63), "

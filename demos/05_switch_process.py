@@ -53,11 +53,14 @@ ts = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
 states, _ = switching.estimate_expectation(ex.point_mass_switching(1.0), ts, 2, ex.RngStream(3, 3))
 print(f"deterministic path at t = {ts.tolist()}: states {states.astype(int).tolist()}")
 
-# transform identities, checked pointwise
-psi = lambda s: 1.0 / (1.0 + s)
+# transform identities at s = 1 for Exp(1) switching (Psi(s) = 1/(1 + s),
+# mean mu = 1): L E(s) = (1/s)(1 - Psi)/(1 + Psi), L R(s) = (2/(s mu))(mu/2 - L E(s))
+s, mu = 1.0, 1.0
+psi = 1.0 / (1.0 + s)
+le = (1.0 - psi) / (s * (1.0 + psi))
 print("transform identities for Exp(1) switching at s = 1:")
-print(f"  L E(1)  = {ex.laplace_expectation(psi, 1.0):.6f}  (1/3 since E(t) = e^-2t)")
-print(f"  L R(1)  = {ex.laplace_stationary_covariance(psi, 1.0, 1.0):.6f}  (same covariance)")
+print(f"  L E(1)  = {le:.6f}  (1/3 since E(t) = e^-2t)")
+print(f"  L R(1)  = {2.0 / (s * mu) * (0.5 * mu - le):.6f}  (same covariance)")
 
 # transform side: covariance rebuilt from the divisor survival matches the
 # clipped autocovariance of the model exactly

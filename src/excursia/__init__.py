@@ -24,7 +24,6 @@ from .covariance import (
 from .slepian import (
     ValidityError,
     check_equivalence,
-    crossing_intensity,
     e0,
     mean_excursion,
     validate_iia,
@@ -33,7 +32,6 @@ from .laplace import find_pole, laplace_e0
 from .samplers import (
     DivisorSampler,
     RngStream,
-    sample_divisor,
     sample_excursions,
     sample_geometric_half,
 )
@@ -43,8 +41,6 @@ from .switching import (
     excursion_switching,
     exponential_switching,
     gamma_switching,
-    laplace_expectation,
-    laplace_stationary_covariance,
     point_mass_switching,
 )
 from .persistency import tail_exponent, tail_exponent_ci

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -32,7 +31,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .laplace import AtPoleError, DivergenceError, PoleNotFoundError, QuadratureError
+from .laplace import DivergenceError, PoleNotFoundError, QuadratureError
 from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excursions
 from .slepian import ValidityError
 
@@ -236,13 +235,16 @@ def _format_rows(columns) -> bytes:
     )
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer count of at least ``minimum``."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer count of at least ``minimum`` and, if
+    given, at most ``maximum``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return count
@@ -264,24 +266,6 @@ def _tail_count(k: int, n: int) -> int:
     if not 2 <= k <= n - 1:
         raise UsageError(f"tail count must satisfy 2 <= k <= n-1, got k={k}, n={n}")
     return k
-
-
-def _resolve_threads(value) -> int:
-    """--threads, else EXCURSIA_THREADS, else the machine's core count; a
-    count that is not an integer of at least 1 is a usage error."""
-    source = "--threads"
-    if value is None:
-        env = os.environ.get("EXCURSIA_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        source = "EXCURSIA_THREADS"
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"EXCURSIA_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise UsageError(f"{source} must be at least 1, got {value}")
-    return value
 
 
 def _metadata(args: argparse.Namespace) -> dict:
@@ -396,10 +380,7 @@ def _cmd_pole(args) -> int:
 
 def _cmd_persistency(args) -> int:
     model = parse_model_spec(args.model)
-    k = args.k if args.k is not None else (
-        int(args.tail_frac * args.n) if args.tail_frac is not None else persistency.default_tail_count(args.n)
-    )
-    threads = _resolve_threads(args.threads)
+    k = args.k if args.k is not None else persistency.default_tail_count(args.n)
     estimates = []
     if args.method in ("mc", "both"):
         _tail_count(k, args.n)
@@ -408,7 +389,7 @@ def _cmd_persistency(args) -> int:
         def draw(stream: RngStream, m: int):
             return sample_excursions(sampler, stream, m)[0]
 
-        est = persistency.tail_exponent_ci(draw, args.n, k, args.reps, RngStream(args.seed, 0), threads=threads)
+        est = persistency.tail_exponent_ci(draw, args.n, k, args.reps, RngStream(args.seed, 0))
         estimates.append(est.as_dict())
     if args.method in ("pole", "both"):
         estimates.append(laplace.find_pole(model).as_dict())
@@ -462,28 +443,25 @@ def _cmd_switch(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    threads = _resolve_threads(args.threads)
     k_div = _tail_count(args.k_divisor if args.k_divisor is not None else persistency.default_tail_count(args.n), args.n)
     k_iia = _tail_count(args.k_iia if args.k_iia is not None else max(2, args.n // 10), args.n)
+    # dimension d draws its divisor replications on streams 2 S d + r and
+    # its exceedance replications on 2 S d + S + r, r < reps <= S: no two
+    # replications share a stream (S = 50 keeps the streams of reps <= 50)
+    stride = max(50, args.reps)
     rows = []
     for d in range(1, args.dmax + 1):
         model = Diffusion(d=d)
         sampler = DivisorSampler(model)
         div_est = persistency.tail_exponent_ci(
-            sampler.draw,
-            args.n,
-            k_div,
-            args.reps,
-            RngStream(args.seed, 100 * d),
-            threads=threads,
+            sampler.draw, args.n, k_div, args.reps, RngStream(args.seed, 2 * stride * d)
         )
         iia_est = persistency.tail_exponent_ci(
             lambda st, m: sample_excursions(sampler, st, m)[0],
             args.n,
             k_iia,
             args.reps,
-            RngStream(args.seed, 100 * d + 50),
-            threads=threads,
+            RngStream(args.seed, 2 * stride * d + stride),
         )
         pole_theta = laplace.find_pole(model).theta
         ref = reference.DIFFUSION_REFERENCE.get(d)
@@ -528,7 +506,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--tmin", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.1)
-    sp.add_argument("--n", type=_at_least(1), default=100000, help="MC sample size for survival_mc")
+    sp.add_argument("--n", type=_count(1), default=100000, help="MC sample size for survival_mc")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_e0)
@@ -536,9 +514,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sample", help="draw divisor or exceedance-time samples")
     sp.add_argument("--model", required=True)
     sp.add_argument("--what", choices=["divisor", "excursion"], default="excursion")
-    sp.add_argument("--n", type=_at_least(1), default=1000)
+    sp.add_argument("--n", type=_count(1), default=1000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--streams", type=_at_least(1), default=1, help="number of independent streams the draw is split over")
+    sp.add_argument("--streams", type=_count(1), default=1, help="number of independent streams the draw is split over")
     sp.add_argument("--binary", action="store_true", help="little-endian float64 instead of text")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_sample)
@@ -552,13 +530,11 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("persistency", help="persistency exponent estimates")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=_at_least(1), default=100000)
+    sp.add_argument("--n", type=_count(1), default=100000)
     sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100))")
-    sp.add_argument("--tail-frac", type=_positive_finite, default=None, dest="tail_frac", help="tail fraction alternative to --k")
-    sp.add_argument("--reps", type=_at_least(2), default=10)
+    sp.add_argument("--reps", type=_count(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--method", choices=["mc", "pole", "both"], default="mc")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (default: EXCURSIA_THREADS or machine parallelism)")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_persistency)
 
@@ -574,13 +550,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce", help="recompute a reference table side by side with the published values")
     sp.add_argument("target", choices=["table2"], help="which table to reproduce")
-    sp.add_argument("--n", type=_at_least(1), default=100000)
-    sp.add_argument("--reps", type=_at_least(2), default=10)
+    sp.add_argument("--n", type=_count(1), default=100000)
+    sp.add_argument("--reps", type=_count(2), default=10)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--dmax", type=_at_least(1), default=10)
+    sp.add_argument("--dmax", type=_count(1, MAX_DIFFUSION_DIM), default=10, help=f"last diffusion dimension, at most {MAX_DIFFUSION_DIM}")
     sp.add_argument("--k-divisor", type=int, default=None, dest="k_divisor")
     sp.add_argument("--k-iia", type=int, default=None, dest="k_iia")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_reproduce)
 
@@ -607,7 +582,7 @@ def main(argv=None) -> int:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, AtPoleError, QuadratureError, InverseTableError) as exc:
+    except (PoleNotFoundError, DivergenceError, QuadratureError, InverseTableError) as exc:
         print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

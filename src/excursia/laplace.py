@@ -48,7 +48,6 @@ from .slepian import ValidityError
 
 __all__ = [
     "DivergenceError",
-    "AtPoleError",
     "PoleNotFoundError",
     "QuadratureError",
     "TailCompletion",
@@ -87,10 +86,6 @@ class DivergenceError(ValueError):
         super().__init__(
             f"Laplace transform diverges at s={s:g}: it converges only for s > {boundary:g}"
         )
-
-
-class AtPoleError(ZeroDivisionError):
-    """Exceedance transform evaluated at (numerically) a pole."""
 
 
 class PoleNotFoundError(RuntimeError):
@@ -289,18 +284,6 @@ class LaplaceEvaluator:
         terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
         rem, _ = self.completion.remainder(s, self.t_max)
         return -self.t_max * float(terms @ _unit_rule(ORDER)[0]) - rem * (self.t_max + 1.0 / (s - self.completion.slope))
-
-    def psi_divisor(self, s: float) -> float:
-        """Laplace transform of the divisor density, 1 - s L(s)."""
-        return 1.0 - s * self.transform(s)
-
-    def psi_excursion(self, s: float) -> float:
-        """Laplace transform of the compound exceedance distribution."""
-        sl = s * self.transform(s)
-        den = 1.0 + sl
-        if abs(den) < 1e-12:
-            raise AtPoleError(f"exceedance transform evaluated at a pole: 1 + s L(s) = {den:g}")
-        return (1.0 - sl) / den
 
     # -- pole search --------------------------------------------------------
 

@@ -122,56 +122,35 @@ def _student_t_central(t: float, nu: int) -> float:
     return 2.0 / math.pi * (theta + (sin * math.sqrt(cos2) * series if nu > 1 else 0.0))
 
 
-# student_t_quantile solves on the upper tail for 1 - p below _T_UPPER_P, at
-# the t where nu/(nu + t^2) is below _T_UPPER_X
-_T_UPPER_P = 1e-3
-_T_UPPER_X = 0.9
-
-
-def _student_t_upper(t: float, nu: int) -> float:
-    """P(|T| > t) = I_x(a, 1/2) for Student's t with nu degrees of freedom,
-    x = nu/(nu + t^2) <= _T_UPPER_X and a = nu/2: the positive series
-    x^a (1 - x)^(1/2) / (a B(a, 1/2)) 2F1(a + 1/2, 1; a + 1; x) (DLMF 8.17.8).
-    Its term ratios (a + 1/2 + j)/(a + 1 + j) x are below x, so 400 terms
-    reach the last bit, and a sum of positive terms loses no digits."""
-    a = 0.5 * nu
-    x = nu / (nu + t * t)
-    j = np.arange(399.0)
-    series = 1.0 + float(np.cumprod((a + 0.5 + j) / (a + 1.0 + j) * x).sum())
-    log_scale = -a * math.log1p(t * t / nu) + 0.5 * math.log1p(-x) - math.log(a)
-    log_scale += math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
-    return math.exp(log_scale) * series
+# the smallest tail probability 1 - p (or p) student_t_quantile accepts
+_T_TAIL_MIN = 1e-3
 
 
 def student_t_quantile(nu: int, p: float) -> float:
     """The p-quantile of Student's t with integer nu >= 1 degrees of freedom.
 
     Newton steps on P(|T| <= t) = 2p - 1 with the t density, from t = 0.
-    For 1 - p < _T_UPPER_P, and where nu/(nu + t^2) < _T_UPPER_X, the gap
-    is taken on the upper tail instead, 2(1 - p) - P(|T| > t): 1 - p is
-    exact and the upper tail is summed directly, so p near 1 keeps its
-    digits (P(|T| <= t) rounds to about 1e-16 absolute, which is not small
-    against 2(1 - p) there).  P(|T| <= t) is concave on t >= 0, so the
-    steps climb to the root from below; every evaluated point still
-    narrows a bracket, and a step that leaves it is replaced by bisection,
-    so round-off near the root cannot make the steps cycle.  The search
-    stops when a step is below 1e-14 relative.  Against a 40-digit
-    quantile the relative error was at most 5e-14 for nu up to 1e5 at
-    p = 0.6, 0.975 and 0.99, and at most 1e-12 for nu up to 200 at
-    p = 1 - 1e-6 and 1 - 1e-12.
+    P(|T| <= t) is concave on t >= 0, so the steps climb to the root from
+    below; every evaluated point still narrows a bracket, and a step that
+    leaves it is replaced by bisection, so round-off near the root cannot
+    make the steps cycle.  The search stops when a step is below 1e-14
+    relative.  Against a 40-digit quantile the relative error was at most
+    5e-14 for nu up to 1e5 at p = 0.6, 0.975 and 0.99.
+
+    p must lie in [_T_TAIL_MIN, 1 - _T_TAIL_MIN] = [0.001, 0.999]: further
+    out, P(|T| <= t) rounds to about 1e-16 absolute, which is no longer
+    small against the tail 2(1 - p), and the quantile would lose digits.
+    The package needs only p = 0.975.
     """
-    if not (nu >= 1 and 0.0 < p < 1.0):
-        raise ValueError(f"need nu >= 1 and 0 < p < 1, got nu={nu}, p={p}")
+    if not (nu >= 1 and _T_TAIL_MIN <= min(p, 1.0 - p)):
+        raise ValueError(f"need nu >= 1 and {_T_TAIL_MIN} <= p <= 1 - {_T_TAIL_MIN}, got nu={nu}, p={p}")
     if p < 0.5:
         return -student_t_quantile(nu, 1.0 - p)
     target = 2.0 * p - 1.0
     log_norm = math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
     lo, hi, t = 0.0, math.inf, 0.0
     for _ in range(100):
-        if 1.0 - p < _T_UPPER_P and nu < _T_UPPER_X * (nu + t * t):
-            gap = 2.0 * (1.0 - p) - _student_t_upper(t, nu)
-        else:
-            gap = _student_t_central(t, nu) - target
+        gap = _student_t_central(t, nu) - target
         if gap < 0.0:
             lo = t
         else:

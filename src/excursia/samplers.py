@@ -74,7 +74,6 @@ __all__ = [
     "RngStream",
     "InverseTableError",
     "DivisorSampler",
-    "sample_divisor",
     "sample_geometric_half",
     "sample_excursions",
 ]
@@ -374,7 +373,7 @@ def _inverse_survival(model: CovarianceModel, u):
 
 class DivisorSampler:
     """Divisor distribution of a model bundled with its sampling strategy:
-    survival E0, mean mu/2 and the model's validity report.
+    mean mu/2 and the model's validity report; its survival is E0.
 
     Construction runs the validity gate: models whose clipped expectation
     oscillates (or is non-integrable) are refused with their report.
@@ -385,9 +384,6 @@ class DivisorSampler:
         self.report = slepian.require_usable(model)
         self.mean = slepian.mean_excursion(model) / 2.0
 
-    def survival(self, t):
-        return slepian.e0(self.model, t)
-
     def draw(self, rng: RngStream, n: int) -> np.ndarray:
         return _inverse_survival(self.model, rng.uniform01(n))
 
@@ -395,11 +391,6 @@ class DivisorSampler:
         """Draw from the size-biased divisor (density t f(t)/mean), one
         uniform per draw through the inverse table of its survival."""
         return _table_inverse(_size_biased_survival, self.model, rng.uniform01(n))
-
-
-def sample_divisor(model: CovarianceModel, rng: RngStream, n: int) -> np.ndarray:
-    """Validity-gated divisor draws dispatched to the model's sampler."""
-    return DivisorSampler(model).draw(rng, n)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ verdict.  The tail class is also what the Laplace transform completes
 the truncated survival with (log-log form for a power law, exponential
 form otherwise).
 
-The module also exposes the two crossing statistics that anchor the scale:
-mean excursion length mu = pi / sqrt(-r''(0)) and its reciprocal, the
-zero-crossing intensity.
+The module also exposes the crossing statistic that anchors the scale:
+the mean excursion length mu = pi / sqrt(-r''(0)), whose reciprocal is
+Rice's zero-crossing intensity.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "ValidityError",
     "e0",
     "mean_excursion",
-    "crossing_intensity",
     "validate_iia",
     "cached_validity",
     "check_equivalence",
@@ -80,14 +79,6 @@ class TailClass:
     kind: str  # "exponential" | "superexponential" | "power_law"
     rate: Optional[float] = None  # decay rate for exponential tails
     exponent: Optional[float] = None  # log-log slope for power tails
-
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.rate is not None:
-            out["rate"] = self.rate
-        if self.exponent is not None:
-            out["exponent"] = self.exponent
-        return out
 
 
 @dataclass(frozen=True)
@@ -183,11 +174,6 @@ def e0(model: CovarianceModel, t):
 def mean_excursion(model: CovarianceModel) -> float:
     """Mean length of a zero-excursion interval, pi / sqrt(-r''(0))."""
     return math.pi / math.sqrt(-model.d2r0())
-
-
-def crossing_intensity(model: CovarianceModel) -> float:
-    """Rice zero-crossing intensity, sqrt(-r''(0)) / pi."""
-    return math.sqrt(-model.d2r0()) / math.pi
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -51,8 +51,6 @@ __all__ = [
     "point_mass_switching",
     "divisor_switching",
     "excursion_switching",
-    "laplace_expectation",
-    "laplace_stationary_covariance",
     "covariance_from_expectation",
     "estimate_expectation",
     "estimate_stationary_covariance",
@@ -162,22 +160,6 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
         draw=draw,
         size_biased_draw=size_biased,
     )
-
-
-# ---------------------------------------------------------------------------
-# transform-side identities
-
-
-def laplace_expectation(psi_f: Callable, s: float) -> float:
-    """L E(s) = (1/s)(1 - Psi(s))/(1 + Psi(s)) for the origin-attached path."""
-    psi = float(psi_f(s))
-    return (1.0 - psi) / (s * (1.0 + psi))
-
-
-def laplace_stationary_covariance(psi_f: Callable, mu: float, s: float) -> float:
-    """Transform of the stationary covariance:
-    L R(s) = (2/(s mu)) (mu/2 - (1/s)(1 - Psi)/(1 + Psi))."""
-    return 2.0 / (s * mu) * (0.5 * mu - laplace_expectation(psi_f, s))
 
 
 def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.ndarray:

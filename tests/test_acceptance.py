@@ -175,10 +175,10 @@ def test_c07_round_trip_samplers():
         checks.append((f"g_inverse d={d}", np.abs(back - g).max(), 1e-9))
     for nu in (2.5, 3.5, 4.5):
         uu = ex.RngStream(3, int(nu * 10)).uniform01(10000)
-        t = ex.sample_divisor(ex.MaternHalfInteger(nu=nu), ex.RngStream(3, int(nu * 10)), 10000)
+        t = ex.DivisorSampler(ex.MaternHalfInteger(nu=nu)).draw(ex.RngStream(3, int(nu * 10)), 10000)
         checks.append((f"matern nu={nu} (inverse table)", np.abs(np.asarray(ex.e0(ex.MaternHalfInteger(nu=nu), t)) - uu).max(), 1e-8))
     uu = ex.RngStream(4, 2).uniform01(10000)
-    t = ex.sample_divisor(ex.GeneralizedLaplace(alpha=1.0), ex.RngStream(4, 2), 10000)
+    t = ex.DivisorSampler(ex.GeneralizedLaplace(alpha=1.0)).draw(ex.RngStream(4, 2), 10000)
     checks.append(("inverse table (generalized Laplace)", np.abs(np.asarray(ex.e0(ex.GeneralizedLaplace(alpha=1.0), t)) - uu).max(), 1e-8))
     ok = all(err <= tol for _, err, tol in checks)
     detail = "; ".join(f"{name}: {err:.2e}" for name, err, _ in checks)

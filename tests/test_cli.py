@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
-from excursia import Diffusion, RngStream, e0, laplace_e0, sample_excursions
+from excursia import Diffusion, DivisorSampler, RngStream, e0, laplace_e0, sample_excursions, tail_exponent_ci
 from excursia import cli
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
@@ -291,7 +291,7 @@ def test_pole_refusal_and_numerical_failure(capsys):
 def test_persistency_json(capsys):
     code, payload = run_json(
         capsys,
-        ["persistency", "--model", "diffusion(d=2)", "--n", "4000", "--k", "400", "--reps", "3", "--seed", "5", "--method", "both", "--threads", "2"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "4000", "--k", "400", "--reps", "3", "--seed", "5", "--method", "both"],
     )
     assert code == 0
     methods = {e["method"] for e in payload["estimates"]}
@@ -369,6 +369,42 @@ def test_reproduce_table2_small(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reproduce_replications_never_share_a_stream(tmp_path, monkeypatch):
+    # 60 replications per column: on streams 100 d + r and 100 d + 50 + r,
+    # divisor replications 50..59 would draw the exceedance streams 0..9
+    seen = []
+    replicate = RngStream.replicate
+
+    def recording(self, offset):
+        stream = replicate(self, offset)
+        seen.append(stream.stream_index)
+        return stream
+
+    monkeypatch.setattr(RngStream, "replicate", recording)
+    argv = ["reproduce", "table2", "--dmax", "2", "--n", "200", "--reps", "60", "--k-divisor", "20", "--k-iia", "20"]
+    assert main(argv + ["--output", str(tmp_path / "table2.csv")]) == 0
+    assert len(seen) == 2 * 2 * 60
+    assert len(set(seen)) == len(seen)
+
+
+def test_reproduce_up_to_50_reps_keeps_its_streams(tmp_path):
+    # with reps <= 50 the stride is 50: dimension d draws on streams
+    # 100 d + r (divisor) and 100 d + 50 + r (exceedance), so such runs
+    # write the bytes they wrote before the stride depended on reps
+    n, k, reps, seed = 500, 50, 50, 9
+    out = tmp_path / "table2.csv"
+    argv = ["reproduce", "table2", "--dmax", "2", "--n", str(n), "--reps", str(reps), "--seed", str(seed)]
+    assert main(argv + ["--k-divisor", str(k), "--k-iia", str(k), "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    for d, row in zip((1, 2), rows):
+        sampler = DivisorSampler(Diffusion(d=d))
+        div = tail_exponent_ci(sampler.draw, n, k, reps, RngStream(seed, 100 * d))
+        iia = tail_exponent_ci(
+            lambda st, m: sample_excursions(sampler, st, m)[0], n, k, reps, RngStream(seed, 100 * d + 50)
+        )
+        assert (row[1], row[3]) == ("%.17g" % div.theta, "%.17g" % iia.theta), d
+
+
 def test_models_listing(capsys):
     code, payload = run_json(capsys, ["models"])
     assert code == 0
@@ -386,7 +422,6 @@ def test_models_listing(capsys):
         ["sample", "--model", "diffusion(d=2)", "--n", "-3"],
         ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "1"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "0"],
-        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "2"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--k", "1"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--reps", "1"],
         ["reproduce", "table2", "--dmax", "1", "--n", "500"],
@@ -400,15 +435,10 @@ def test_models_listing(capsys):
         ["sample", "--model", "diffusion(d=2)", "--n", "10", "--streams", "0"],
         ["reproduce", "table2", "--dmax", "0", "--n", "2000"],
         ["pole", "--model", "diffusion(d=2)", "--tmax", "0"],
-        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "0"],
-        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "-2"],
-        ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--threads", "0"],
         ["pole", "--model", "diffusion(d=2)", "--rel-tol", "-1"],
         ["pole", "--model", "diffusion(d=2)", "--rel-tol", "nan"],
         ["pole", "--model", "diffusion(d=2)", "--tmax", "inf"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "inf"],
-        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "nan"],
-        ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--tail-frac", "inf"],
         ["switch", "--dist", "exp:inf", "--grid", "0:1:0.5"],
         ["switch", "--dist", "exp:nan", "--n", "10", "--grid", "0:1:0.5"],
         ["switch", "--dist", "gamma:nan,1", "--n", "10", "--grid", "0:1:0.5"],
@@ -419,15 +449,14 @@ def test_models_listing(capsys):
         ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0:1e9:1e-3"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "1e15", "--step", "1e-3"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "1e8", "--step", "1"],
+        ["reproduce", "table2", "--dmax", "65", "--n", "2000", "--reps", "2"],
     ],
-    ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-tail-frac2",
-         "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
+    ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
-         "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0", "persistency-threads0",
-         "persistency-threads-negative", "reproduce-threads0", "pole-rel-tol-negative", "pole-rel-tol-nan",
-         "pole-tmax-inf", "validate-tmax-inf", "persistency-tail-frac-nan", "persistency-tail-frac-inf",
-         "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
-         "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points"],
+         "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0",
+         "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "validate-tmax-inf", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
+         "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points",
+         "reproduce-dmax65"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     # refused before any large allocation: a grid is counted, not built
@@ -468,20 +497,50 @@ def test_parser_built_once_and_reused(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_threads_env_is_usage_error(value, capsys, monkeypatch):
-    monkeypatch.setenv("EXCURSIA_THREADS", value)
-    assert main(["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "2"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--threads", "2"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--tail-frac", "0.1"],
+    ],
+    ids=["persistency-threads", "reproduce-threads", "persistency-tail-frac"],
+)
+def test_removed_options_are_unknown(argv, capsys):
+    # replications run one after another and --k is the one tail count:
+    # the retired flags are refused, not accepted and ignored
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "excursia: usage error: EXCURSIA_THREADS" in captured.err
+    assert "excursia: usage error:" in captured.err
+    assert "unrecognized arguments: " + argv[-2] in captured.err
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("EXCURSIA_THREADS", "2")
-    code, payload = run_json(capsys, ["persistency", "--model", "random_acceleration", "--n", "2000", "--k", "200", "--reps", "2", "--seed", "8"])
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
+def test_threads_env_is_ignored(value, capsys, monkeypatch):
+    argv = ["persistency", "--model", "random_acceleration", "--n", "2000", "--k", "200", "--reps", "2", "--seed", "8"]
+    monkeypatch.delenv("EXCURSIA_THREADS", raising=False)
+    code, plain = run_json(capsys, argv)
     assert code == 0
-    assert payload["estimates"][0]["theta"] > 0
+    monkeypatch.setenv("EXCURSIA_THREADS", value)
+    code, with_env = run_json(capsys, argv)
+    assert code == 0
+    assert with_env == plain
+
+
+def test_config_echo_has_no_removed_settings(tmp_path, capsys):
+    code, payload = run_json(capsys, ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2"])
+    assert code == 0
+    config = payload["metadata"]["config"]
+    assert config["k"] == 100
+    assert "threads" not in config and "tail_frac" not in config
+    out = tmp_path / "table2.csv"
+    assert main(["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--output", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    config = json.loads(meta[1].removeprefix("# config "))
+    assert config["reps"] == 2
+    assert "threads" not in config and "tail_frac" not in config
+    capsys.readouterr()
 
 
 # In a fresh interpreter with scipy blocked from import: the parser, the
@@ -530,7 +589,6 @@ def test_commands_and_integrals_run_with_scipy_blocked(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    env["EXCURSIA_THREADS"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=120
     )

