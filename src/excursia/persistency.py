@@ -22,7 +22,6 @@ length scale rho in lag sqrt(2 nu) d / rho) the caller rescales theta.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -212,6 +211,10 @@ def tail_exponent_ci(
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
 
     if threads > 1:
+        # imported here: concurrent.futures costs about a quarter of the
+        # package's import, and no command of the CLI runs a pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(reps)))
     else:

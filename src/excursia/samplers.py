@@ -54,16 +54,20 @@ All samplers are pure functions of an RngStream, so replications on
 distinct stream indices are independent and reproducible regardless of
 scheduling.  Every divisor sampler is also split-invariant: it turns the
 next uniforms of its stream into draws one for one, so draw(rng, a)
-followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  The
-compound draw relies on it to run its pipeline (uniforms, clamp, inverse,
-segment sum) in blocks that stay in cache, with the ufuncs writing in
-place, and still return the draws of one call bit for bit.
+followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  A
+sampler uses this itself: it allocates its n results once and fills them
+_DRAWS_PER_CHUNK at a time, each chunk's uniforms written through an
+in-place inverse into the result, with scratch rows allocated once per
+call (``_draws``), so n draws hold n doubles and a few chunk-sized rows.
+The compound draw runs its segment sums in blocks of divisor draws the
+same way, and both return the draws of one call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +99,10 @@ _GUIDE_BITS = 10
 # Compound draws per block: the divisor draws of one block (about twice as
 # many) stay in cache through every pass over them.
 _COMPOUNDS_PER_BLOCK = 1 << 14
+# Draws per chunk of a sampler: a chunk's uniforms, its result slice and its
+# scratch rows (64 KiB each) stay in cache, and are small enough for the
+# allocator to reuse their memory (see ``_draws``).
+_DRAWS_PER_CHUNK = 1 << 13
 
 
 class InverseTableError(RuntimeError):
@@ -128,52 +136,72 @@ class RngStream:
         the open interval; 0 maps to +inf draws and 1 to zero-length draws,
         so exact endpoints are never emitted."""
         u = self.gen.random(size)
-        return np.clip(u, _EPS, 1.0 - _EPS, out=u)
+        np.maximum(u, _EPS, out=u)
+        return np.minimum(u, 1.0 - _EPS, out=u)
 
 
 # ---------------------------------------------------------------------------
 # survival inversion: closed forms and the cached inverse table
 
 
-# The closed forms take an array u (at least 1-d) and leave it unchanged;
-# each works in place on one or two arrays of its size (0.55-0.7 of the
-# time of the plain expressions on a compound block).
+class _Work(NamedTuple):
+    """Scratch rows of one chunk of draws, allocated once per sampler call:
+    two float rows, the guide cell and the spline piece of each draw, and
+    a mask."""
+
+    f0: np.ndarray
+    f1: np.ndarray
+    cell: np.ndarray
+    piece: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def rows(cls, k: int) -> "_Work":
+        return cls(np.empty(k), np.empty(k), np.empty(k, np.int64), np.empty(k, np.int64), np.empty(k, bool))
+
+    def head(self, k: int) -> "_Work":
+        return _Work._make(row[:k] for row in self)
 
 
-def _diffusion_d2_from_u(u):
+# Every inverse takes (u, out, work): u is one chunk of uniforms, which it
+# may overwrite, out the slice of the result the draws go to, and work the
+# chunk's ``_Work``.  It allocates nothing the size of the chunk, and its
+# ufuncs repeat the operations of the plain expression in
+# ``tests/oracles.py`` in the same order, so it equals it bit for bit.
+
+
+def _diffusion_d2_from_u(u, out, work):
     # sech(T/2) = U exactly: T = 2 ln((1 + sqrt(1 - U^2))/U)
-    t = 1.0 - u
-    t *= 1.0 + u
-    np.sqrt(t, out=t)
-    np.log1p(t, out=t)
-    t -= np.log(u)
-    t *= 2.0
-    return t
+    np.subtract(1.0, u, out=out)
+    out *= np.add(1.0, u, out=work.f0)
+    np.sqrt(out, out=out)
+    np.log1p(out, out=out)
+    out -= np.log(u, out=u)
+    out *= 2.0
 
 
-def _diffusion_d1_from_u(u):
+def _diffusion_d1_from_u(u, out, work):
     # 2 U^2 = y + y^2 with y = sech(T/2); the positive root, formed
     # without subtraction so tiny U keeps full precision.
-    uu = u * u
-    y = 8.0 * uu
-    y += 1.0
-    np.sqrt(y, out=y)
-    y += 1.0
+    uu = np.multiply(u, u, out=u)
+    np.multiply(8.0, uu, out=out)
+    out += 1.0
+    np.sqrt(out, out=out)
+    out += 1.0
     uu *= 4.0
-    np.divide(uu, y, out=y)
-    np.divide(1.0, y, out=y)
-    np.arccosh(y, out=y)
-    y *= 2.0
-    return y
+    np.divide(uu, out, out=out)
+    np.divide(1.0, out, out=out)
+    np.arccosh(out, out=out)
+    out *= 2.0
 
 
-def _random_acceleration_from_u(u):
+def _random_acceleration_from_u(u, out, work):
     # T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of sqrt(3/(4e^t - 1))
-    t = u * u
-    np.divide(3.0, t, out=t)
-    np.log1p(t, out=t)
-    t -= 2.0 * _LN2
-    return np.maximum(t, 0.0, out=t)
+    np.multiply(u, u, out=out)
+    np.divide(3.0, out, out=out)
+    np.log1p(out, out=out)
+    out -= 2.0 * _LN2
+    np.maximum(out, 0.0, out=out)
 
 
 def _size_biased_survival(model: CovarianceModel, t):
@@ -281,34 +309,60 @@ class _InverseTable:
         self.crowded = crowded if crowded.any() else None
 
     @staticmethod
-    def _key(z):
+    def _key(z, out=None):
         # the exponent and leading mantissa bits of a double: monotone in z >= 0
-        return z.view(np.int64) >> (52 - _GUIDE_BITS)
+        return np.right_shift(z.view(np.int64), 52 - _GUIDE_BITS, out=out)
 
-    def _cell(self, z):
+    # Every index taken below lies in range (the cells are clamped, and a
+    # guide entry plus one is at most the last piece), so the takes use
+    # mode="clip", which writes to ``out`` directly; the default mode
+    # buffers it through a temporary.
+
+    def locate(self, z, work):
+        """The spline piece of each z in the chunk ``z`` into ``work.piece``:
+        clip(searchsorted(x, z, "right") - 1, 0, n - 2)."""
+        cell, piece, mask = work.cell, work.piece, work.mask
         # -0.0 (and NaN with the sign bit set) has a negative key, cell 0;
         # other NaN land in the last cell; either stays NaN through the cubic
-        key = self._key(z)
-        key -= self.key_lo
-        return np.clip(key, 0, self.cells - 1, out=key)
-
-    def interval(self, z):
-        """Index i of the spline piece for each z in the array ``z`` (at
-        least 1-d): clip(searchsorted(x, z, "right") - 1, 0, n - 2)."""
-        c = self._cell(z)
-        g = self.guide[c]
-        i = g + (z >= self.x[1:][g])
+        self._key(z, cell)
+        cell -= self.key_lo
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, self.cells - 1, out=cell)
+        np.take(self.guide, cell, out=piece, mode="clip")
+        piece += np.greater_equal(z, np.take(self.x[1:], piece, out=work.f0, mode="clip"), out=mask)
         if self.crowded is not None:
-            crowded = self.crowded[c]
-            i[crowded] = np.searchsorted(self.x[1:-1], z[crowded], "right")
-        return i
+            crowded = np.take(self.crowded, cell, out=mask, mode="clip")
+            piece[crowded] = np.searchsorted(self.x[1:-1], z[crowded], "right")
+
+    def evaluate(self, z, out, work):
+        """The spline at the chunk ``z`` into ``out``; z is overwritten."""
+        self.locate(z, work)
+        piece, s = work.piece, work.f1
+        c0, c1, c2, c3 = self.c
+        d = np.subtract(z, np.take(self.x, piece, out=s, mode="clip"), out=z)
+        d2 = np.multiply(d, d, out=work.f0)
+        # c3 + c2 d + c1 d^2 + c0 (d^2 d), summed left to right
+        np.take(c3, piece, out=out, mode="clip")
+        out += np.multiply(np.take(c2, piece, out=s, mode="clip"), d, out=s)
+        out += np.multiply(np.take(c1, piece, out=s, mode="clip"), d2, out=s)
+        d2 *= d
+        out += np.multiply(np.take(c0, piece, out=s, mode="clip"), d2, out=s)
+
+    def inverse(self, u, out, work):
+        """survival^{-1}(u) = max(expm1(x(sqrt(-log u))), 0) into ``out``."""
+        z = np.log(u, out=u)
+        np.negative(z, out=z)
+        np.sqrt(z, out=z)
+        self.evaluate(z, out, work)
+        np.expm1(out, out=out)
+        np.maximum(out, 0.0, out=out)
 
     def __call__(self, z):
-        i = self.interval(z)
-        d = z - self.x[i]
-        d2 = d * d
-        c = self.c
-        return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
+        """The spline at every z of the array ``z`` (at least 1-d), in one chunk."""
+        z = np.array(z, dtype=float)
+        out = np.empty_like(z)
+        self.evaluate(z, out, _Work.rows(z.size))
+        return out
 
 
 @lru_cache(maxsize=128)
@@ -350,13 +404,6 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
     return table
 
 
-def _table_inverse(survival, model: CovarianceModel, u):
-    """survival^{-1}(u) for an array ``u`` (at least 1-d) from the cached
-    inverse table of (survival, model)."""
-    x = _inverse_table(survival, model)(np.sqrt(-np.log(u)))
-    return np.maximum(np.expm1(x), 0.0)
-
-
 _CLOSED_FORM_INVERSES = {
     Diffusion(d=1): _diffusion_d1_from_u,
     Diffusion(d=2): _diffusion_d2_from_u,
@@ -364,11 +411,15 @@ _CLOSED_FORM_INVERSES = {
 }
 
 
-def _inverse_survival(model: CovarianceModel, u):
-    """E0^{-1}(u): closed form for diffusion d = 1, 2 and random
-    acceleration, the cached inverse table for every other model."""
-    closed = _CLOSED_FORM_INVERSES.get(model)
-    return closed(u) if closed else _table_inverse(slepian.e0, model, u)
+def _draws(rng: RngStream, out: np.ndarray, inverse) -> np.ndarray:
+    """Fill ``out`` with draws inverse(U), one uniform each,
+    _DRAWS_PER_CHUNK at a time, through scratch allocated once per call."""
+    n = out.size
+    work = _Work.rows(min(n, _DRAWS_PER_CHUNK))
+    for lo in range(0, n, _DRAWS_PER_CHUNK):
+        u = rng.uniform01(min(_DRAWS_PER_CHUNK, n - lo))
+        inverse(u, out[lo : lo + u.size], work.head(u.size))
+    return out
 
 
 class DivisorSampler:
@@ -385,27 +436,34 @@ class DivisorSampler:
         self.mean = slepian.mean_excursion(model) / 2.0
 
     def draw(self, rng: RngStream, n: int) -> np.ndarray:
-        return _inverse_survival(self.model, rng.uniform01(n))
+        """E0^{-1}(U): the closed form for diffusion d = 1, 2 and random
+        acceleration, the cached inverse table for every other model."""
+        inverse = _CLOSED_FORM_INVERSES.get(self.model) or _inverse_table(slepian.e0, self.model).inverse
+        return _draws(rng, np.empty(n), inverse)
 
     def size_biased_draw(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw from the size-biased divisor (density t f(t)/mean), one
         uniform per draw through the inverse table of its survival."""
-        return _table_inverse(_size_biased_survival, self.model, rng.uniform01(n))
+        return _draws(rng, np.empty(n), _inverse_table(_size_biased_survival, self.model).inverse)
 
 
 # ---------------------------------------------------------------------------
 # compound exceedance sampling
 
 
+def _geometric_half_from_u(u, out, work):
+    # ceil(log U / log 1/2), at least 1, cast to the integer result
+    np.log(u, out=u)
+    u /= math.log(0.5)
+    np.ceil(u, out=u)
+    np.maximum(u, 1.0, out=out, casting="unsafe")
+
+
 def sample_geometric_half(rng: RngStream, n: int) -> np.ndarray:
     """Geometric(1/2) counts on {1, 2, ...} by inversion
     (ceil(log U / log 1/2)), chosen over Bernoulli looping for
     determinism: exactly one uniform per draw."""
-    u = rng.uniform01(n)
-    np.log(u, out=u)
-    u /= math.log(0.5)
-    np.ceil(u, out=u)
-    return np.maximum(u, 1.0, out=u).astype(np.int64)
+    return _draws(rng, np.empty(n, np.int64), _geometric_half_from_u)
 
 
 def sample_excursions(source, rng: RngStream, n: int):

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import excursia as ex
+from excursia import samplers
 
 VALID_MODELS = [
     ex.Diffusion(d=1),
@@ -20,3 +22,12 @@ ALL_MODELS = VALID_MODELS + [ex.ShiftedGaussian(alpha=2.0)]
 @pytest.fixture
 def rng():
     return ex.RngStream(20240042, 0)
+
+
+def apply_inverse(inverse, u):
+    """A sampler's in-place inverse ``inverse(u, out, work)`` applied to a
+    copy of the uniforms ``u`` in one chunk."""
+    u = np.array(u, dtype=float, ndmin=1)
+    out = np.empty_like(u)
+    inverse(u, out, samplers._Work.rows(u.size))
+    return out

@@ -8,6 +8,12 @@ against the other.
   construction of the diffusion divisor for d >= 3,
   T_d = min(T_{d-1}, G_d^{-1}(U^2)) with d - 1 uniforms per draw, an
   oracle for the inverse-table draws.
+* ``diffusion_d1_inverse_oracle``, ``diffusion_d2_inverse_oracle``,
+  ``random_acceleration_inverse_oracle`` and ``table_inverse_oracle``:
+  the divisor inverses as plain whole-array expressions, the table's
+  piece found by binary search (``plain_spline``), an oracle for the
+  samplers' chunked in-place inverses; ``geometric_half_oracle`` is
+  the same for the Geometric(1/2) counts.
 * ``gaussian_divisor_density``: the closed-form density of the
   squared-exponential divisor, -dE0/dt of shifted_gaussian(alpha=0).
 * ``survival_inverse_oracle``: E0^{-1}(u) by root bracketing on E0
@@ -27,13 +33,15 @@ against the other.
   over the samples per tau, an oracle for the survival read from one sort.
 """
 
+import math
+
 import mpmath
 import numpy as np
 from scipy import optimize
 
 import excursia as ex
 from excursia.covariance import CovarianceModel, _log_cosh
-from excursia.samplers import DivisorSampler, sample_geometric_half
+from excursia.samplers import DivisorSampler, _inverse_table, sample_geometric_half
 
 
 def poly_inverse_b(d: int, a, tol: float = 1e-12):
@@ -107,6 +115,44 @@ def g_inverse(d: int, g):
     with np.errstate(divide="ignore"):
         t = 2.0 * np.arccosh(1.0 / b)
     return float(t[0]) if scalar else t
+
+
+def diffusion_d1_inverse_oracle(u):
+    """E0^{-1}(u) of diffusion d = 1: 2 arccosh(1/y) with
+    y = 4 u^2 / (sqrt(8 u^2 + 1) + 1)."""
+    uu = u * u
+    return 2.0 * np.arccosh(1.0 / (4.0 * uu / (np.sqrt(8.0 * uu + 1.0) + 1.0)))
+
+
+def diffusion_d2_inverse_oracle(u):
+    """E0^{-1}(u) of diffusion d = 2: 2 ln((1 + sqrt(1 - u^2))/u)."""
+    return 2.0 * (np.log1p(np.sqrt((1.0 - u) * (1.0 + u))) - np.log(u))
+
+
+def random_acceleration_inverse_oracle(u):
+    """E0^{-1}(u) of random acceleration: ln(3/u^2 + 1) - 2 ln 2, at least 0."""
+    return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * math.log(2.0), 0.0)
+
+
+def geometric_half_oracle(u):
+    """Geometric(1/2) counts ceil(log u / log 1/2), at least 1."""
+    return np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0).astype(np.int64)
+
+
+def plain_spline(x, c, z):
+    """The piecewise cubic with coefficients c at z, its piece found by a
+    binary search: the reference for the guided evaluation."""
+    i = np.clip(np.searchsorted(x, z, "right") - 1, 0, x.size - 2)
+    d = z - x[i]
+    d2 = d * d
+    return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
+
+
+def table_inverse_oracle(survival, model, u):
+    """survival^{-1}(u) from the cached inverse table of (survival, model),
+    evaluated by ``plain_spline`` on the whole array at once."""
+    table = _inverse_table(survival, model)
+    return np.maximum(np.expm1(plain_spline(table.x, table.c, np.sqrt(-np.log(u)))), 0.0)
 
 
 def gaussian_divisor_density(t):

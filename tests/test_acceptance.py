@@ -19,6 +19,7 @@ from excursia.laplace import LaplaceEvaluator
 from excursia.reference import DIFFUSION_REFERENCE
 from excursia.samplers import _diffusion_d1_from_u, _diffusion_d2_from_u
 
+from conftest import apply_inverse
 from oracles import g_forward, g_inverse
 
 
@@ -163,9 +164,9 @@ def test_c06_exponential_closure_oracle():
 def test_c07_round_trip_samplers():
     u = np.linspace(1e-6, 1 - 1e-6, 10001)
     checks = []
-    t = _diffusion_d1_from_u(u)
+    t = apply_inverse(_diffusion_d1_from_u, u)
     checks.append(("diffusion d=1 (corrected inverse)", np.abs(np.asarray(ex.e0(ex.Diffusion(d=1), t)) - u).max(), 1e-9))
-    t = _diffusion_d2_from_u(u)
+    t = apply_inverse(_diffusion_d2_from_u, u)
     checks.append(("diffusion d=2", np.abs(np.asarray(ex.e0(ex.Diffusion(d=2), t)) - u).max(), 1e-9))
     t = np.maximum(np.log1p(3.0 / (u * u)) - 2 * math.log(2), 0.0)
     checks.append(("random acceleration (corrected inverse)", np.abs(np.asarray(ex.e0(ex.RandomAcceleration(), t)) - u).max(), 1e-9))

@@ -546,7 +546,8 @@ def test_config_echo_has_no_removed_settings(tmp_path, capsys):
 # In a fresh interpreter with scipy blocked from import: the parser, the
 # benchmark workload commands at small sizes, the Monte Carlo confidence
 # bounds, a power-tail transform at s > 0 and the covariance rebuilt from
-# an expectation all run on numpy alone.
+# an expectation all run on numpy alone.  No command runs a thread pool, so
+# the import leaves concurrent.futures out.
 NO_SCIPY_GUARD = """
 import math
 import sys
@@ -557,6 +558,7 @@ from excursia import cli
 import excursia as ex
 
 cli.build_parser()
+assert "concurrent.futures" not in sys.modules
 out = sys.argv[1]
 runs = [
     (0, ["pole", "--model", "diffusion(d=3)"]),

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -11,24 +12,29 @@ from scipy.interpolate import CubicSpline
 import excursia as ex
 from excursia import samplers, slepian
 from excursia.samplers import (
+    _CLOSED_FORM_INVERSES,
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
-    _inverse_survival,
     _inverse_table,
     _not_a_knot,
     _size_biased_survival,
     _table_end,
-    _table_inverse,
 )
 
-from conftest import VALID_MODELS
+from conftest import VALID_MODELS, apply_inverse
 from oracles import (
+    diffusion_d1_inverse_oracle,
+    diffusion_d2_inverse_oracle,
     g_forward,
     g_inverse,
     gaussian_divisor_density,
+    geometric_half_oracle,
+    plain_spline,
     poly_inverse_b,
+    random_acceleration_inverse_oracle,
     sample_excursions_one_shot,
     survival_inverse_oracle,
+    table_inverse_oracle,
 )
 
 T_STAR = 2.0 * np.arccosh(2.0)
@@ -37,20 +43,20 @@ EPS = np.finfo(float).eps
 
 
 def test_diffusion_d2_closed_form():
-    assert _diffusion_d2_from_u(np.array([0.5]))[0] == pytest.approx(T_STAR, rel=1e-12)
+    assert apply_inverse(_diffusion_d2_from_u, 0.5)[0] == pytest.approx(T_STAR, rel=1e-12)
     # U -> 1 gives vanishing draws
-    assert _diffusion_d2_from_u(np.array([1.0 - 1e-12]))[0] < 1e-5
-    err = np.abs(np.asarray(ex.e0(ex.Diffusion(d=2), _diffusion_d2_from_u(U_GRID))) - U_GRID)
+    assert apply_inverse(_diffusion_d2_from_u, 1.0 - 1e-12)[0] < 1e-5
+    err = np.abs(np.asarray(ex.e0(ex.Diffusion(d=2), apply_inverse(_diffusion_d2_from_u, U_GRID))) - U_GRID)
     assert err.max() <= 1e-9
 
 
 def test_diffusion_d1_closed_form():
     # independent oracle: bracketing root of the survival itself
     t_oracle = survival_inverse_oracle(ex.Diffusion(d=1), 0.5)
-    t_closed = _diffusion_d1_from_u(np.array([0.5]))[0]
+    t_closed = apply_inverse(_diffusion_d1_from_u, 0.5)[0]
     assert t_closed == pytest.approx(t_oracle, abs=1e-10)
     assert t_closed == pytest.approx(3.3257717821, abs=1e-8)
-    err = np.abs(np.asarray(ex.e0(ex.Diffusion(d=1), _diffusion_d1_from_u(U_GRID))) - U_GRID)
+    err = np.abs(np.asarray(ex.e0(ex.Diffusion(d=1), apply_inverse(_diffusion_d1_from_u, U_GRID))) - U_GRID)
     assert err.max() <= 1e-9
 
 
@@ -117,13 +123,14 @@ def test_generic_round_trip_and_dispatch_match():
     assert np.abs(np.asarray(ex.e0(gl, t)) - u).max() <= 1e-8
     # the inverse table agrees with the closed form for diffusion d=2 at the
     # median, where the survival slope is order one
-    t_gen = _table_inverse(slepian.e0, ex.Diffusion(d=2), np.array([0.5]))[0]
+    t_gen = apply_inverse(_inverse_table(slepian.e0, ex.Diffusion(d=2)).inverse, 0.5)[0]
     assert t_gen == pytest.approx(T_STAR, abs=1e-7)
 
 
 def _relative_round_trip(model, u, survival=slepian.e0):
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    t = _inverse_survival(model, u) if survival is slepian.e0 else _table_inverse(survival, model, u)
+    closed = _CLOSED_FORM_INVERSES.get(model) if survival is slepian.e0 else None
+    t = apply_inverse(closed or _inverse_table(survival, model).inverse, u)
     return np.abs(np.asarray(survival(model, t)) / u - 1.0)
 
 
@@ -173,7 +180,7 @@ def test_inverse_table_deep_tail_regressions():
     # u below 1e-9: Matern 2.5 mapped both u to t = 32, generalized Laplace
     # returned a t where E0 was about 7 u
     matern = ex.MaternHalfInteger(nu=2.5)
-    t = _inverse_survival(matern, np.array([2.2e-16, 1e-12]))
+    t = apply_inverse(_inverse_table(slepian.e0, matern).inverse, [2.2e-16, 1e-12])
     assert t[0] > t[1]
     assert _relative_round_trip(matern, [2.2e-16, 1e-12]).max() <= 1e-9
     assert _relative_round_trip(ex.GeneralizedLaplace(alpha=1.0), EPS)[0] <= 1e-9
@@ -210,7 +217,7 @@ def test_inverse_table_survival_crossing_zero_inside_gate_tolerance(alpha):
 def _recursive_minimum_draws(d, rng, n):
     """Independent oracle: T_d = min(T_2, G_3^{-1}(U_3^2), ..., G_d^{-1}(U_d^2))."""
     u = rng.uniform01((d - 1, n))
-    t = _diffusion_d2_from_u(u[0])
+    t = diffusion_d2_inverse_oracle(u[0])
     for k in range(3, d + 1):
         t = np.minimum(t, g_inverse(k, u[k - 2] ** 2))
     return t
@@ -223,7 +230,7 @@ def test_inverse_table_matches_recursive_minimum(d):
     draws = ex.DivisorSampler(model).draw(rng, 10**5)
     # exactly one uniform per draw, mapped through the table
     u = ex.RngStream(31, d).uniform01(10**5 + 1)
-    assert np.array_equal(draws, _table_inverse(slepian.e0, model, u[:-1]))
+    assert np.array_equal(draws, table_inverse_oracle(slepian.e0, model, u[:-1]))
     assert rng.uniform01(1)[0] == u[-1]
     oracle = _recursive_minimum_draws(d, ex.RngStream(32, d), 10**5)
     assert stats.ks_2samp(draws, oracle).pvalue > 0.01
@@ -233,7 +240,7 @@ def test_gaussian_divisor_table_draws_match_survival():
     model = ex.ShiftedGaussian(alpha=0.0)
     samples = ex.DivisorSampler(model).draw(ex.RngStream(11, 0), 10**6)
     # one uniform per draw, mapped through the inverse table
-    assert np.array_equal(samples, _table_inverse(slepian.e0, model, ex.RngStream(11, 0).uniform01(10**6)))
+    assert np.array_equal(samples, table_inverse_oracle(slepian.e0, model, ex.RngStream(11, 0).uniform01(10**6)))
     assert stats.kstest(samples, lambda x: 1.0 - np.asarray(ex.e0(model, x))).pvalue > 0.01
     assert samples.mean() == pytest.approx(math.pi / 2.0, rel=0.005)
     e0_at_1 = float(np.asarray(ex.e0(model, 1.0)))
@@ -283,7 +290,9 @@ def test_guided_interval_matches_binary_search(case):
     table, z = case
     n = table.x.size
     expected = np.clip(np.searchsorted(table.x, z, "right") - 1, 0, n - 2)
-    assert np.array_equal(table.interval(z), expected)
+    work = samplers._Work.rows(z.size)
+    table.locate(z, work)
+    assert np.array_equal(work.piece, expected)
 
 
 def test_guide_cells_hold_crowded_knots_where_expected():
@@ -294,27 +303,18 @@ def test_guide_cells_hold_crowded_knots_where_expected():
     assert _inverse_table(slepian.e0, ex.Diffusion(d=3)).crowded is None
 
 
-def _plain_spline(x, c, z):
-    """The piecewise cubic with coefficients c at z, its piece found by a
-    binary search: the reference for the guided evaluation."""
-    i = np.clip(np.searchsorted(x, z, "right") - 1, 0, x.size - 2)
-    d = z - x[i]
-    d2 = d * d
-    return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
-
-
 @pytest.mark.parametrize("model", TABLE_MODELS, ids=TABLE_IDS)
 def test_guided_table_equals_spline_bit_for_bit(model):
     table = _inverse_table(slepian.e0, model)
     x, c = table.x, table.c
     u = np.concatenate((ex.RngStream(61, 0).uniform01(10**6), np.geomspace(EPS, 1e-12, 10001), [1.0 - EPS]))
     z = np.sqrt(-np.log(u))
-    assert np.array_equal(table(z), _plain_spline(x, c, z))
-    assert np.array_equal(_table_inverse(slepian.e0, model, u), np.maximum(np.expm1(_plain_spline(x, c, z)), 0.0))
+    assert np.array_equal(table(z), plain_spline(x, c, z))
+    assert np.array_equal(apply_inverse(table.inverse, u), np.maximum(np.expm1(plain_spline(x, c, z)), 0.0))
     # knots and their neighbours, where the interval changes
     for zk in (x, np.nextafter(x, -np.inf)[1:], np.nextafter(x, np.inf)):
-        assert np.array_equal(table(zk), _plain_spline(x, c, zk))
-    t = _table_inverse(slepian.e0, model, np.array([np.nan, 1.0]))
+        assert np.array_equal(table(zk), plain_spline(x, c, zk))
+    t = apply_inverse(table.inverse, [np.nan, 1.0])
     assert np.isnan(t[0]) and t[1] == 0.0
 
 
@@ -327,7 +327,7 @@ def test_not_a_knot_build_matches_scipy_cubic_spline(model):
     x = table.x
     y = np.append(table.c[3], np.log1p(_table_end(slepian.e0, model)))
     z = np.sqrt(-np.log(ex.RngStream(62, 0).uniform01(10**5)))
-    got = _plain_spline(x, _not_a_knot(x, y), z)
+    got = plain_spline(x, _not_a_knot(x, y), z)
     want = CubicSpline(x, y)(z)
     assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
@@ -349,7 +349,7 @@ def test_not_a_knot_property_matches_scipy_cubic_spline(knots_values, frac):
     # largest difference seen on 2e4 random cases was 3.2e-13 of it)
     x, y = knots_values
     z = np.concatenate((x, np.linspace(x[0], x[-1], 101), [x[0] + frac * (x[-1] - x[0])]))
-    got = _plain_spline(x, _not_a_knot(x, y), z)
+    got = plain_spline(x, _not_a_knot(x, y), z)
     want = CubicSpline(x, y)(z)
     assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want).max())
 
@@ -463,6 +463,94 @@ def test_blocked_compound_equals_one_shot(name, block, monkeypatch):
     assert np.array_equal(values, want_values)
     # both took the same uniforms: the streams continue alike
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
+
+
+class _EdgeStream(ex.RngStream):
+    """An RngStream whose uniforms at the positions of ``edges`` (counted
+    from the stream's first uniform) are replaced by the given values."""
+
+    def __init__(self, seed, stream_index, edges):
+        super().__init__(seed, stream_index)
+        self.edges, self.taken = edges, 0
+
+    def uniform01(self, size):
+        u = super().uniform01(size)
+        for pos, value in self.edges.items():
+            if self.taken <= pos < self.taken + u.size:
+                u[pos - self.taken] = value
+        self.taken += u.size
+        return u
+
+
+def _table_draw(survival, model):
+    sampler = ex.DivisorSampler(model)
+    return sampler.size_biased_draw if survival is _size_biased_survival else sampler.draw
+
+
+# every chunked sampler with its whole-array oracle: the closed forms, the E0
+# tables, the size-biased tables and the Geometric(1/2) counts
+CHUNK_SOURCES = {
+    "closed-d1": (lambda: ex.DivisorSampler(ex.Diffusion(d=1)).draw, diffusion_d1_inverse_oracle),
+    "closed-d2": (lambda: ex.DivisorSampler(ex.Diffusion(d=2)).draw, diffusion_d2_inverse_oracle),
+    "closed-random-acceleration": (lambda: ex.DivisorSampler(ex.RandomAcceleration()).draw,
+                                   random_acceleration_inverse_oracle),
+    "geometric-half": (lambda: ex.sample_geometric_half, geometric_half_oracle),
+    **{
+        f"{'size-biased' if survival is _size_biased_survival else 'table'}-{m.spec_string()}": (
+            functools.partial(_table_draw, survival, m),
+            functools.partial(table_inverse_oracle, survival, m),
+        )
+        for survival, m in TABLE_CASES
+    },
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
+@pytest.mark.parametrize("name", sorted(CHUNK_SOURCES))
+def test_chunked_draws_equal_whole_array_oracle(name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(samplers, "_DRAWS_PER_CHUNK", chunk)
+    c = samplers._DRAWS_PER_CHUNK
+    n = 3 * c + 5
+    # edge uniforms at chunk ends and starts; NaN maps to NaN and 1 to a
+    # zero-length draw (the counts take no NaN: it has no integer value)
+    edges = {0: EPS, 2 * c - 1: 1.0 - EPS, 2 * c: np.nan, 3 * c + 1: 1.0, n - 1: EPS}
+    if name == "geometric-half":
+        del edges[2 * c]
+    make_draw, oracle = CHUNK_SOURCES[name]
+    draw = make_draw()
+    rng, rng_oracle = _EdgeStream(5, 4, edges), _EdgeStream(5, 4, edges)
+    got = draw(rng, n)
+    want = oracle(rng_oracle.uniform01(n))
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+    if name != "geometric-half":
+        assert np.isnan(got[2 * c]) and got[3 * c + 1] == 0.0
+    # both took the same uniforms: the streams continue alike
+    assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
+
+
+MIB = 1 << 20
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.Diffusion(d=5)], ids=lambda m: m.spec_string())
+def test_draws_allocate_little_beyond_their_result(model):
+    # numpy reports its allocations to tracemalloc; n = 10**6 draws take
+    # 8 MiB, and a compound draw holds its values and counts (16 MiB)
+    sampler = ex.DivisorSampler(model)
+    sampler.draw(ex.RngStream(1, 0), 10)  # any table is built before tracing
+    n = 10**6
+    tracemalloc.start()
+    try:
+        sampler.draw(ex.RngStream(2, 0), n)
+        _, draw_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ex.sample_excursions(sampler, ex.RngStream(3, 0), n)
+        _, compound_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draw_peak <= 8 * MIB + 1 * MIB
+    assert compound_peak <= 16 * MIB + 1.5 * MIB
 
 
 SPLIT_SAMPLERS = {
