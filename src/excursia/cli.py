@@ -31,7 +31,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .laplace import DivergenceError, PoleNotFoundError, QuadratureError
+from .laplace import DivergenceError, PoleNotFoundError, QuadratureError, TailFitError
 from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excursions
 from .slepian import ValidityError
 
@@ -582,7 +582,7 @@ def main(argv=None) -> int:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, QuadratureError, InverseTableError) as exc:
+    except (PoleNotFoundError, DivergenceError, QuadratureError, TailFitError, InverseTableError) as exc:
         print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:

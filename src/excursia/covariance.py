@@ -22,10 +22,15 @@ The catalog:
     characteristic function of a symmetric generalized Laplace law).
 
 Each model class is the one definition of its family: its parameters and
-their validation, r, r', r''(0) (``d2r0``) and a numerically stable
-``one_minus_r2`` (for 1 - r(t)^2, which suffers catastrophic cancellation
-near t = 0 when formed naively).  Everything downstream (the divisor
-survival E0, its tail class, its transform) is derived from these four.
+their validation, then r, then r' and 1 - r(t)^2 evaluated together
+(``dr_and_one_minus_r2``), then r''(0) (``d2r0``).  The divisor survival
+E0 needs r' and 1 - r^2 at the same t, and within a family the two share
+their costly factor (log cosh(t/2), expm1(-t), sin(alpha t), e^(-t) or
+log1p(t^2/2)), so one method forms that factor once and returns both;
+``dr`` and ``one_minus_r2`` are its two halves.  1 - r^2 is formed
+without the catastrophic cancellation the naive expression suffers near
+t = 0.  Everything downstream (the divisor survival E0, its tail class,
+its transform) is derived from these.
 """
 
 from __future__ import annotations
@@ -58,12 +63,17 @@ class ModelSpecError(ValueError):
     """A model specification string could not be parsed or validated."""
 
 
+# Below this, log cosh x < x^2/2 < 2^-1021: it is returned as 0, so the
+# square 2 sinh(x/2)^2 never underflows.
+_LOG_COSH_TINY = 2.0**-510
+
+
 def _log_cosh(x):
-    """log(cosh(x)), accurate for tiny x and overflow-safe for large x."""
+    """log(cosh(x)), accurate for tiny x and overflow-safe for large x:
+    sinh's argument stays below 175."""
     x = np.abs(x)
     small = x < 350.0
-    with np.errstate(over="ignore"):
-        sh = np.sinh(np.where(small, 0.5 * x, 0.0))
+    sh = np.sinh(0.5 * np.where(small & (x >= _LOG_COSH_TINY), x, 0.0))
     out_small = np.log1p(2.0 * sh * sh)
     out_large = x - math.log(2.0)
     return np.where(small, out_small, out_large)
@@ -87,14 +97,20 @@ class CovarianceModel:
     def r(self, t):
         raise NotImplementedError
 
-    def dr(self, t):
+    def dr_and_one_minus_r2(self, t):
+        """r'(t) and 1 - r(t)^2 (without cancellation near t = 0), from the
+        factors they share."""
         raise NotImplementedError
 
-    def d2r0(self) -> float:
-        raise NotImplementedError
+    def dr(self, t):
+        """r'(t)."""
+        return self.dr_and_one_minus_r2(t)[0]
 
     def one_minus_r2(self, t):
         """1 - r(t)^2 without cancellation near t = 0."""
+        return self.dr_and_one_minus_r2(t)[1]
+
+    def d2r0(self) -> float:
         raise NotImplementedError
 
 
@@ -120,18 +136,18 @@ class Diffusion(CovarianceModel):
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-0.5 * self.d * _log_cosh(0.5 * t))
+        return self._r(_log_cosh(0.5 * t))
 
-    def dr(self, t):
+    def _r(self, lc):
+        return np.exp(-0.5 * self.d * lc)
+
+    def dr_and_one_minus_r2(self, t):
         t = np.asarray(t, dtype=float)
-        return -0.25 * self.d * np.tanh(0.5 * t) * self.r(t)
+        lc = _log_cosh(0.5 * t)
+        return -0.25 * self.d * np.tanh(0.5 * t) * self._r(lc), -np.expm1(-self.d * lc)
 
     def d2r0(self):
         return -self.d / 8.0
-
-    def one_minus_r2(self, t):
-        t = np.asarray(t, dtype=float)
-        return -np.expm1(-self.d * _log_cosh(0.5 * t))
 
 
 @dataclass(frozen=True)
@@ -143,20 +159,17 @@ class RandomAcceleration(CovarianceModel):
         x = np.exp(-t)
         return 0.5 * (3.0 - x) * np.exp(-0.5 * t)
 
-    def dr(self, t):
+    def dr_and_one_minus_r2(self, t):
+        # r' = 3/4 (e^{-3t/2} - e^{-t/2}) = 3/4 e^{-t/2} expm1(-t), without
+        # cancellation near 0; 1 - r^2 factors exactly as (1-x)^2 (4-x) / 4
+        # with x = e^{-t} and 1 - x = -expm1(-t).
         t = np.asarray(t, dtype=float)
-        # e^{-3t/2} - e^{-t/2} = e^{-t/2} expm1(-t), without cancellation near 0
-        return 0.75 * np.exp(-0.5 * t) * np.expm1(-t)
+        em = np.expm1(-t)
+        m = -em
+        return 0.75 * np.exp(-0.5 * t) * em, 0.25 * m * m * (4.0 - np.exp(-t))
 
     def d2r0(self):
         return -0.75
-
-    def one_minus_r2(self, t):
-        # 1 - r^2 factors exactly as (1-x)^2 (4-x) / 4 with x = e^{-t}.
-        t = np.asarray(t, dtype=float)
-        x = np.exp(-t)
-        m = -np.expm1(-t)
-        return 0.25 * m * m * (4.0 - x)
 
 
 @dataclass(frozen=True)
@@ -178,20 +191,16 @@ class ShiftedGaussian(CovarianceModel):
         t = np.asarray(t, dtype=float)
         return np.cos(self.alpha * t) * np.exp(-0.5 * t * t)
 
-    def dr(self, t):
+    def dr_and_one_minus_r2(self, t):
+        # 1 - cos^2(at) e^{-t^2} = -expm1(-t^2) + e^{-t^2} sin^2(at)
         t = np.asarray(t, dtype=float)
         a = self.alpha
-        return -(a * np.sin(a * t) + t * np.cos(a * t)) * np.exp(-0.5 * t * t)
+        s = np.sin(a * t)
+        tt = t * t
+        return -(a * s + t * np.cos(a * t)) * np.exp(-0.5 * t * t), -np.expm1(-tt) + np.exp(-tt) * s * s
 
     def d2r0(self):
         return -(1.0 + self.alpha**2)
-
-    def one_minus_r2(self, t):
-        # 1 - cos^2(at) e^{-t^2} = -expm1(-t^2) + e^{-t^2} sin^2(at)
-        t = np.asarray(t, dtype=float)
-        tt = t * t
-        s = np.sin(self.alpha * t)
-        return -np.expm1(-tt) + np.exp(-tt) * s * s
 
 
 # Half-integer Matern polynomials: for nu = m + 1/2 the Bessel factor
@@ -249,11 +258,10 @@ class MaternHalfInteger(CovarianceModel):
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-t) * np.polyval(self._poly, t) / self._c
+        return self._r(t, np.exp(-t))
 
-    def dr(self, t):
-        t = np.asarray(t, dtype=float)
-        return -t * np.exp(-t) * np.polyval(self._poly_lower, t) / self._c
+    def _r(self, t, e):
+        return e * np.polyval(self._poly, t) / self._c
 
     def d2r0(self):
         return -1.0 / (2.0 * (self.nu - 1.0))
@@ -271,14 +279,15 @@ class MaternHalfInteger(CovarianceModel):
         series = np.polyval(_MATERN_SERIES[self.nu], np.clip(t, -1.0, 1.0))
         return np.where(np.abs(t) < 1.0, series, self._c * (np.expm1(t) - t) - np.polyval(q, t))
 
-    def one_minus_r2(self, t):
-        # Past t = 700, r < 1e-290 and c e^t overflows near t = 709.8, so
-        # 1 - r is formed directly there.
+    def dr_and_one_minus_r2(self, t):
+        # r' = -t e^{-t} p_{m-1}(t) / c.  Past t = 700, r < 1e-290 and c e^t
+        # overflows near t = 709.8, so 1 - r is formed directly there.
         t = np.asarray(t, dtype=float)
-        r = self.r(t)
+        e = np.exp(-t)
+        r = self._r(t, e)
         far = t > 700.0
-        near = np.exp(-t) * self._c_exp_minus_poly(np.where(far, 0.0, t)) / self._c
-        return np.where(far, 1.0 - r, near) * (1.0 + r)
+        near = e * self._c_exp_minus_poly(np.where(far, 0.0, t)) / self._c
+        return -t * e * np.polyval(self._poly_lower, t) / self._c, np.where(far, 1.0 - r, near) * (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -300,16 +309,13 @@ class GeneralizedLaplace(CovarianceModel):
         t = np.asarray(t, dtype=float)
         return np.exp(-self.alpha * np.log1p(0.5 * t * t))
 
-    def dr(self, t):
+    def dr_and_one_minus_r2(self, t):
         t = np.asarray(t, dtype=float)
-        return -self.alpha * t * np.exp(-(self.alpha + 1.0) * np.log1p(0.5 * t * t))
+        lp = np.log1p(0.5 * t * t)
+        return -self.alpha * t * np.exp(-(self.alpha + 1.0) * lp), -np.expm1(-2.0 * self.alpha * lp)
 
     def d2r0(self):
         return -self.alpha
-
-    def one_minus_r2(self, t):
-        t = np.asarray(t, dtype=float)
-        return -np.expm1(-2.0 * self.alpha * np.log1p(0.5 * t * t))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ tail, because bare truncation biases the transform exactly at the negative
 s values where persistency poles live.  A lower-order rule on the same
 panels gives the error estimate; above rel_tol it raises QuadratureError.
 The completion parameters are fitted to log E0 over the final decade
-before t_max.  Its form follows the tail class the validity gate measured
+before t_max; a survival that does not decay there raises TailFitError.
+The completion's form follows the tail class the validity gate measured
 (``slepian.cached_validity``): log-log for a power law, exponential for
 every other class.  Its integral is in closed form, except for a power
 tail at s > 0, which goes on the same composite rule after t = t_max/u.
@@ -50,6 +51,7 @@ __all__ = [
     "DivergenceError",
     "PoleNotFoundError",
     "QuadratureError",
+    "TailFitError",
     "TailCompletion",
     "LaplaceEvaluator",
     "laplace_e0",
@@ -104,6 +106,10 @@ class QuadratureError(RuntimeError):
     """Quadrature error estimate of the transform exceeds rel_tol."""
 
 
+class TailFitError(RuntimeError):
+    """The survival does not decay over the tail-completion fit window."""
+
+
 @dataclass(frozen=True)
 class TailCompletion:
     """Analytic extension of the survival beyond t_max.
@@ -144,11 +150,6 @@ def _unit_rule(order: int):
     return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
-def _weighted_values(survival, t_max: float, order: int) -> np.ndarray:
-    nodes, weights = _unit_rule(order)
-    return t_max * weights * np.asarray(survival(t_max * nodes), dtype=float)
-
-
 def _rule_terms(weighted: np.ndarray, order: int, s: float, t_max: float) -> np.ndarray:
     return weighted * np.exp((-s * t_max) * _unit_rule(order)[0])
 
@@ -157,7 +158,10 @@ class LaplaceEvaluator:
     """Transform of one survival function with truncation + tail completion.
 
     Keeps the weighted survival values on the shared unit nodes scaled by
-    t_max, and ``abserr``, the quadrature error estimate.
+    t_max, and ``abserr``, the quadrature error estimate.  The survival is
+    called once, on the nodes of both rules.  The rule terms of the last
+    ``transform`` point are kept for ``_slope`` at the same point, and
+    dropped when a pole search ends.
     """
 
     def __init__(
@@ -170,8 +174,11 @@ class LaplaceEvaluator:
         self.t_max = float(t_max)
         self.completion = completion
         self.rel_tol = float(rel_tol)
-        self._weighted = _weighted_values(survival, self.t_max, ORDER)
-        self.abserr = self._certify(_weighted_values(survival, self.t_max, CHECK_ORDER))
+        (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
+        values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
+        self._weighted = self.t_max * w * values[: u.size]
+        self._terms = (math.nan, None)  # (s, rule terms at s) of the last transform
+        self.abserr = self._certify(self.t_max * w_low * values[u.size :])
 
     def _certify(self, check: np.ndarray) -> float:
         """Largest |main - lower-order| + round-off floor at s = 0 and at the
@@ -243,10 +250,14 @@ class LaplaceEvaluator:
         good = vals > 0
         ts, vals = ts[good], vals[good]
         if ts.size < 20:
-            raise ValueError("too few positive survival values to fit a tail completion")
+            raise TailFitError("too few positive survival values to fit a tail completion")
+        # a survival flat over the window (E0 rounds to 1 below t ~ 1e-8)
+        # has no tail to fit, and polyfit fails on a window of tiny t
+        if not vals[-1] < vals[0]:
+            raise TailFitError(f"survival does not decay over [{ts[0]:g}, {ts[-1]:g}]; cannot build a transform")
         slope, intercept = np.polyfit(np.log(ts) if tail_kind == "power" else ts, np.log(vals), 1)
         if slope >= 0:
-            raise ValueError("survival does not decay; cannot build a transform")
+            raise TailFitError("survival does not decay; cannot build a transform")
         return TailCompletion(tail_kind, float(intercept), float(slope))
 
     # -- evaluation --------------------------------------------------------
@@ -268,7 +279,9 @@ class LaplaceEvaluator:
         """
         s = float(s)
         self._check_domain(s)
-        quadrature = float(_rule_terms(self._weighted, ORDER, s, self.t_max).sum())
+        terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
+        self._terms = (s, terms)
+        quadrature = float(terms.sum())
         rem, err = self.completion.remainder(s, self.t_max)
         value = quadrature + rem
         if not err <= self.rel_tol * abs(value):
@@ -280,8 +293,11 @@ class LaplaceEvaluator:
     def _slope(self, s: float) -> float:
         """L'(s) for the exponential completion: the fixed-node sum of
         -t E0(t) e^{-st} plus R'(s) = -R(s) (t_max + 1/(s - slope)), the
-        derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope)."""
-        terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
+        derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope).
+        Reuses the rule terms of the last ``transform`` when that was at s."""
+        last_s, terms = self._terms
+        if last_s != s:
+            terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
         rem, _ = self.completion.remainder(s, self.t_max)
         return -self.t_max * float(terms @ _unit_rule(ORDER)[0]) - rem * (self.t_max + 1.0 / (s - self.completion.slope))
 
@@ -339,6 +355,8 @@ class LaplaceEvaluator:
             raise RuntimeError(f"pole search did not converge in {MAX_POLE_STEPS} steps; last bracket ({a!r}, {b!r})")
         L = self.transform(s)
         theta = -s
+        dL = self._slope(s)
+        self._terms = (math.nan, None)  # an evaluator cached per model keeps no per-point array
         return ExponentEstimate(
             theta=theta,
             method="pole",
@@ -347,7 +365,7 @@ class LaplaceEvaluator:
             boundary=float(self.completion.slope),
             boundary_margin=BOUNDARY_MARGIN,
             quad_abserr=self.abserr,
-            prefactor=2.0 / (theta * (L + s * self._slope(s))),
+            prefactor=2.0 / (theta * (L + s * dL)),
             h_evals=evals + 1,
         )
 

@@ -160,13 +160,15 @@ class ValidityReport:
 def e0(model: CovarianceModel, t):
     """Survival function of the geometric divisor (clipped expectation).
 
-    Evaluated from r' and the compensated form of 1 - r^2 so it is stable
-    arbitrarily close to t = 0, where the naive expression is 0/0.
+    Evaluated from r' and the compensated form of 1 - r^2, both from one
+    ``dr_and_one_minus_r2`` call, so it is stable arbitrarily close to
+    t = 0, where the naive expression is 0/0.
     """
     t = np.asarray(t, dtype=float)
     scale = 1.0 / math.sqrt(-model.d2r0())
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = -scale * model.dr(t) / np.sqrt(model.one_minus_r2(t))
+        dr, one_minus_r2 = model.dr_and_one_minus_r2(t)
+        val = -scale * dr / np.sqrt(one_minus_r2)
     val = np.where(t == 0.0, 1.0, val)
     return val if val.ndim else float(val)
 

@@ -31,6 +31,10 @@ against the other.
   blocked compound sampler.
 * ``empirical_survival_mean_oracle``: the empirical survival as one mean
   over the samples per tau, an oracle for the survival read from one sort.
+* ``log_cosh_oracle``, ``dr_oracle``, ``one_minus_r2_oracle`` and
+  ``e0_oracle``: r'(t) and 1 - r(t)^2 of each covariance family as two
+  separate expressions, each forming the factor they share on its own,
+  and E0 from them, an oracle for the models' ``dr_and_one_minus_r2``.
 """
 
 import math
@@ -40,7 +44,15 @@ import numpy as np
 from scipy import optimize
 
 import excursia as ex
-from excursia.covariance import CovarianceModel, _log_cosh
+from excursia.covariance import (
+    CovarianceModel,
+    Diffusion,
+    GeneralizedLaplace,
+    MaternHalfInteger,
+    RandomAcceleration,
+    ShiftedGaussian,
+    _log_cosh,
+)
 from excursia.samplers import DivisorSampler, _inverse_table, sample_geometric_half
 
 
@@ -233,3 +245,61 @@ def empirical_survival_mean_oracle(samples, taus) -> np.ndarray:
     """P(X > tau) of the samples as one mean per tau."""
     samples = np.asarray(samples, dtype=float)
     return np.array([np.mean(samples > tau) for tau in taus], dtype=float)
+
+
+def log_cosh_oracle(x):
+    """log(cosh(x)) as log1p(2 sinh(x/2)^2) below x = 350 and x - log 2 above."""
+    x = np.abs(x)
+    small = x < 350.0
+    with np.errstate(over="ignore"):
+        sh = np.sinh(np.where(small, 0.5 * x, 0.0))
+    return np.where(small, np.log1p(2.0 * sh * sh), x - math.log(2.0))
+
+
+def dr_oracle(model, t):
+    """r'(t) of a catalog model, on its own."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(model, Diffusion):
+        r = np.exp(-0.5 * model.d * log_cosh_oracle(0.5 * t))
+        return -0.25 * model.d * np.tanh(0.5 * t) * r
+    if isinstance(model, RandomAcceleration):
+        return 0.75 * np.exp(-0.5 * t) * np.expm1(-t)
+    if isinstance(model, ShiftedGaussian):
+        a = model.alpha
+        return -(a * np.sin(a * t) + t * np.cos(a * t)) * np.exp(-0.5 * t * t)
+    if isinstance(model, MaternHalfInteger):
+        return -t * np.exp(-t) * np.polyval(model._poly_lower, t) / model._c
+    if isinstance(model, GeneralizedLaplace):
+        return -model.alpha * t * np.exp(-(model.alpha + 1.0) * np.log1p(0.5 * t * t))
+    raise TypeError(f"no r' oracle for {model!r}")
+
+
+def one_minus_r2_oracle(model, t):
+    """1 - r(t)^2 of a catalog model, on its own."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(model, Diffusion):
+        return -np.expm1(-model.d * log_cosh_oracle(0.5 * t))
+    if isinstance(model, RandomAcceleration):
+        x = np.exp(-t)
+        m = -np.expm1(-t)
+        return 0.25 * m * m * (4.0 - x)
+    if isinstance(model, ShiftedGaussian):
+        tt = t * t
+        s = np.sin(model.alpha * t)
+        return -np.expm1(-tt) + np.exp(-tt) * s * s
+    if isinstance(model, MaternHalfInteger):
+        r = np.exp(-t) * np.polyval(model._poly, t) / model._c
+        far = t > 700.0
+        near = np.exp(-t) * model._c_exp_minus_poly(np.where(far, 0.0, t)) / model._c
+        return np.where(far, 1.0 - r, near) * (1.0 + r)
+    if isinstance(model, GeneralizedLaplace):
+        return -np.expm1(-2.0 * model.alpha * np.log1p(0.5 * t * t))
+    raise TypeError(f"no 1 - r^2 oracle for {model!r}")
+
+
+def e0_oracle(model, t):
+    """E0(t) = -r'(t) / (sqrt(-r''(0)) sqrt(1 - r(t)^2)), 1 at t = 0."""
+    t = np.asarray(t, dtype=float)
+    scale = 1.0 / math.sqrt(-model.d2r0())
+    val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2_oracle(model, t))
+    return np.where(t == 0.0, 1.0, val)

@@ -280,6 +280,19 @@ def test_pole_tmax_cap(capsys):
     assert capped["theta"] == pytest.approx(default["theta"], abs=1e-8)
 
 
+@pytest.mark.parametrize("tmax", ["1e-300", "1e-100", "1e-12"])
+def test_pole_tiny_tmax_is_numerical_failure(tmax, capsys):
+    # E0 rounds to 1 over the tail-fit window [tmax/10, tmax]: there is no
+    # decay to fit, and below about 1e-200 polyfit itself fails
+    assert main(["pole", "--model", "diffusion(d=2)", "--tmax", tmax]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if not line.startswith("# wall_time_s=")]
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("excursia: numerical failure: survival does not decay over")
+    assert "Traceback" not in captured.err
+
+
 def test_pole_refusal_and_numerical_failure(capsys):
     for spec, verdict in [("shifted_gaussian(alpha=2)", "invalid_oscillating"), ("generalized_laplace(alpha=1)", "valid_but_power_tail_warning")]:
         code, payload = run_json(capsys, ["pole", "--model", spec])

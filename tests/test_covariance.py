@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import excursia as ex
-from excursia.covariance import MATERN_NU_VALUES, ModelSpecError, parse_model_spec
+from excursia.covariance import MATERN_NU_VALUES, ModelSpecError, _log_cosh, parse_model_spec
+from oracles import dr_oracle, e0_oracle, log_cosh_oracle, one_minus_r2_oracle
 
 from conftest import ALL_MODELS
 
@@ -59,6 +60,38 @@ def test_dr_matches_central_differences_on_grid():
         dr = np.asarray(m.dr(ts))
         cdiff = (np.asarray(m.r(ts + h)) - np.asarray(m.r(np.abs(ts - h)))) / (2 * h)
         assert np.all(np.abs(dr - cdiff) <= 1e-6 * (1.0 + np.abs(dr))), m.spec_string()
+
+
+# t = 0, tiny t, both sides of t = 700 (where the large-x branch of
+# _log_cosh and Matern's far branch switch) and huge t
+EDGE_TIMES = (0.0, 1e-300, 1e-8, 699.99, 700.0, 700.01, 1e3, 1e300)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("m", ALL_MODELS + [ex.Diffusion(d=64), ex.ShiftedGaussian(alpha=0.3)], ids=lambda m: m.spec_string())
+def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
+    # the shared factor formed once gives the bits of each expression on its
+    # own, at the edges and on a grid that catches a reordered product
+    ts = np.concatenate([EDGE_TIMES, np.geomspace(1e-6, 60.0, 200)])
+    with np.errstate(all="ignore"):  # t^2 overflows at t = 1e300
+        for t in (ts, *EDGE_TIMES):
+            dr, one_minus_r2 = m.dr_and_one_minus_r2(t)
+            want_dr, want_one_minus_r2 = dr_oracle(m, t), one_minus_r2_oracle(m, t)
+            assert _bits(dr) == _bits(want_dr) == _bits(m.dr(t)), (t, dr, want_dr)
+            assert _bits(one_minus_r2) == _bits(want_one_minus_r2) == _bits(m.one_minus_r2(t)), (t, one_minus_r2, want_one_minus_r2)
+            assert _bits(ex.e0(m, t)) == _bits(e0_oracle(m, t)), t
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 349.99, 350.0, 700.0, 1e300, math.inf])
+def test_log_cosh_raises_no_floating_point_error(x):
+    with np.errstate(all="raise"):
+        got = (_log_cosh(x), _log_cosh(np.array([x, -x])))
+    want = log_cosh_oracle(x)
+    assert _bits(got[0]) == _bits(want)
+    assert _bits(got[1]) == _bits([want, want])
 
 
 def test_second_derivative_values():

@@ -210,6 +210,42 @@ def test_pole_h_evals_counts_transform_calls(monkeypatch):
     assert ev.find_pole().h_evals == est.h_evals
 
 
+def test_evaluator_calls_the_survival_once_on_the_nodes_of_both_rules():
+    sizes = []
+
+    def survival(t):
+        sizes.append(np.size(t))
+        return np.exp(-np.asarray(t))
+
+    ev = LaplaceEvaluator(survival, 40.0, laplace.TailCompletion("exponential", -40.0, -1.0))
+    assert sizes == [laplace.PANELS * (laplace.ORDER + laplace.CHECK_ORDER)]
+    assert ev.transform(0.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def _fresh_slope(ev, s):
+    # L'(s) with the rule terms formed anew
+    u = laplace._unit_rule(laplace.ORDER)[0]
+    terms = ev._weighted * np.exp((-s * ev.t_max) * u)
+    rem, _ = ev.completion.remainder(s, ev.t_max)
+    return -ev.t_max * float(terms @ u) - rem * (ev.t_max + 1.0 / (s - ev.completion.slope))
+
+
+def test_slope_reuses_the_rule_terms_of_transform_only_at_the_same_point(monkeypatch):
+    ev = LaplaceEvaluator.for_model(ex.Diffusion(d=3), rel_tol=1e-12)
+    s, other = -0.3, -0.1
+    want = _fresh_slope(ev, s)
+    calls = []
+    rule_terms = laplace._rule_terms
+    monkeypatch.setattr(laplace, "_rule_terms", lambda *a: calls.append(a[2]) or rule_terms(*a))
+    assert ev._slope(s) == want  # before any transform
+    ev.transform(s)
+    assert ev._slope(s) == want
+    ev.transform(other)
+    assert ev._slope(s) == want
+    # one set of terms per point: _slope(s) right after transform(s) forms none
+    assert calls == [s, s, other, s]
+
+
 def _power_remainder_oracle(completion, s, t_max):
     # int_T^inf e^a t^b e^{-st} dt = e^a s^{-(b+1)} Gamma(b+1, sT), 50 digits
     with mpmath.workdps(50):
