@@ -8,7 +8,8 @@ byte-identical for identical (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 model failed the validity gate
 when sampling was requested (the report is printed), 3 numerical failure
-(pole not found, transform divergence, quadrature error above rel_tol).
+(pole not found, transform divergence, quadrature error estimate above
+1e-12 of the transform).
 """
 
 from __future__ import annotations
@@ -274,12 +275,14 @@ def _metadata(args: argparse.Namespace) -> dict:
 
 
 def _emit_text(text: str | bytes, output: str | None):
+    """The text, or bytes as they are, to the output file or to stdout."""
     data = text.encode() if isinstance(text, str) else text
     if output:
         with open(output, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _emit_json(payload: dict, args) -> None:
@@ -358,23 +361,13 @@ def _cmd_sample(args) -> int:
         else:
             chunks.append(sample_excursions(model, rng, ni)[0])
     values = np.concatenate(chunks) if chunks else np.empty(0)
-    if args.binary:
-        payload = values.astype("<f8").tobytes()
-        if args.output:
-            with open(args.output, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-    else:
-        _emit_text(_format_rows([values]), args.output)
+    _emit_text(values.astype("<f8").tobytes() if args.binary else _format_rows([values]), args.output)
     return 0
 
 
 def _cmd_pole(args) -> int:
-    t_cap = laplace.T_CAP if args.tmax is None else args.tmax
     model = parse_model_spec(args.model)
-    est = laplace.find_pole(model, args.rel_tol, t_cap)
-    _emit_json({**est.as_dict(), "reference": reference.reference_for(model)}, args)
+    _emit_json({**laplace.find_pole(model).as_dict(), "reference": reference.reference_for(model)}, args)
     return 0
 
 
@@ -523,8 +516,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("pole", help="persistency exponent from the transform pole")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--tmax", type=_positive_finite, default=None, help="truncation override for the transform")
-    sp.add_argument("--rel-tol", type=_positive_finite, default=1e-12, dest="rel_tol")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_pole)
 

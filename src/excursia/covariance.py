@@ -187,10 +187,13 @@ class ShiftedGaussian(CovarianceModel):
     def params(self):
         return {"alpha": self.alpha}
 
+    # t * t overflows to inf above t ~ 1.3e154, where e^{-t^2/2} is 0 anyway
+    @np.errstate(over="ignore")
     def r(self, t):
         t = np.asarray(t, dtype=float)
         return np.cos(self.alpha * t) * np.exp(-0.5 * t * t)
 
+    @np.errstate(over="ignore")
     def dr_and_one_minus_r2(self, t):
         # 1 - cos^2(at) e^{-t^2} = -expm1(-t^2) + e^{-t^2} sin^2(at)
         t = np.asarray(t, dtype=float)
@@ -261,7 +264,9 @@ class MaternHalfInteger(CovarianceModel):
         return self._r(t, np.exp(-t))
 
     def _r(self, t, e):
-        return e * np.polyval(self._poly, t) / self._c
+        # e^{-t} is 0 above t ~ 745.2, and p(t) overflows above t ~ 1e77
+        # (nu = 4.5): p is evaluated at min(t, 1e3), which avoids 0 * inf
+        return e * np.polyval(self._poly, np.minimum(t, 1e3)) / self._c
 
     def d2r0(self):
         return -1.0 / (2.0 * (self.nu - 1.0))
@@ -287,7 +292,7 @@ class MaternHalfInteger(CovarianceModel):
         r = self._r(t, e)
         far = t > 700.0
         near = e * self._c_exp_minus_poly(np.where(far, 0.0, t)) / self._c
-        return -t * e * np.polyval(self._poly_lower, t) / self._c, np.where(far, 1.0 - r, near) * (1.0 + r)
+        return -t * e * np.polyval(self._poly_lower, np.minimum(t, 1e3)) / self._c, np.where(far, 1.0 - r, near) * (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -305,10 +310,13 @@ class GeneralizedLaplace(CovarianceModel):
     def params(self):
         return {"alpha": self.alpha}
 
+    # t * t overflows to inf above t ~ 1.3e154, and r and r' are then 0
+    @np.errstate(over="ignore")
     def r(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-self.alpha * np.log1p(0.5 * t * t))
 
+    @np.errstate(over="ignore")
     def dr_and_one_minus_r2(self, t):
         t = np.asarray(t, dtype=float)
         lp = np.log1p(0.5 * t * t)

@@ -62,6 +62,7 @@ __all__ = [
 # power tails, where the analytic completion carries the remainder).
 TRUNCATION_THRESHOLD = 1e-15
 T_CAP = 1000.0
+POLE_REL_TOL = 1e-12  # quadrature tolerance of the pole search
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
 BOUNDARY_MARGIN = 0.95
@@ -217,18 +218,13 @@ class LaplaceEvaluator:
         return cls(survival, t_max, completion, rel_tol=rel_tol)
 
     @classmethod
-    def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9, t_cap: float = T_CAP) -> "LaplaceEvaluator":
+    def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9) -> "LaplaceEvaluator":
         """Evaluator for E0 of ``model``, completed in the form of the
         validity gate's tail class: log-log for a power law, exponential
         for every other class (and for an unclassified tail)."""
         tail_class = slepian.cached_validity(model).tail_class
         tail_kind = "power" if tail_class is not None and tail_class.kind == "power_law" else "exponential"
-        return cls.for_survival(
-            lambda t: slepian.e0(model, t),
-            rel_tol=rel_tol,
-            tail_kind=tail_kind,
-            t_cap=t_cap,
-        )
+        return cls.for_survival(lambda t: slepian.e0(model, t), rel_tol=rel_tol, tail_kind=tail_kind)
 
     @staticmethod
     def _find_t_max(survival, t_cap):
@@ -375,23 +371,22 @@ class LaplaceEvaluator:
 
 
 @lru_cache(maxsize=64)
-def _evaluator(model: CovarianceModel, rel_tol: float, t_cap: float) -> LaplaceEvaluator:
-    return LaplaceEvaluator.for_model(model, rel_tol=rel_tol, t_cap=t_cap)
+def _evaluator(model: CovarianceModel, rel_tol: float) -> LaplaceEvaluator:
+    return LaplaceEvaluator.for_model(model, rel_tol=rel_tol)
 
 
 def laplace_e0(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
     """L E0(s) for a catalog model."""
-    return _evaluator(model, rel_tol, T_CAP).transform(s)
+    return _evaluator(model, rel_tol).transform(s)
 
 
-def find_pole(model: CovarianceModel, rel_tol: float = 1e-12, t_cap: float = T_CAP) -> ExponentEstimate:
+def find_pole(model: CovarianceModel) -> ExponentEstimate:
     """Pole-based persistency exponent for a validated model.
 
     Refuses models whose validity verdict is not plain "valid" (the pole
-    bracket needs an exponentially decaying divisor).  ``t_cap`` caps
-    the truncation point of the transform.
+    bracket needs an exponentially decaying divisor).
     """
     report = slepian.cached_validity(model)
     if report.verdict != "valid":
         raise ValidityError(report, f"pole search requires a valid model, got verdict={report.verdict}")
-    return _evaluator(model, rel_tol, t_cap).find_pole()
+    return _evaluator(model, POLE_REL_TOL).find_pole()

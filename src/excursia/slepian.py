@@ -215,10 +215,13 @@ def _classify_tail(ts: np.ndarray, vals: np.ndarray):
 
 def time_grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop: a ValueError unless 0 <= start <= stop and
-    0 < step, all finite (E0 is a survival only for t >= 0), and at most MAX_GRID_POINTS points."""
+    0 < step, all finite (E0 is a survival only for t >= 0), at most MAX_GRID_POINTS points,
+    and half a step is not lost to rounding at stop (the grid would be empty)."""
     if not (0 < step < np.inf and 0 <= start <= stop < np.inf):
         raise ValueError(f"time grid needs finite 0 <= start <= stop and step > 0, got start={start:g}, stop={stop:g}, step={step:g}")
     end = stop + 0.5 * step
+    if end == stop:
+        raise ValueError(f"time grid step {step:g} is below the spacing of doubles at stop={stop:g}")
     # np.arange makes ceil((end - start)/step) points; count them before allocating
     if not (end - start) / step <= MAX_GRID_POINTS:
         raise ValueError(f"time grid has more than {MAX_GRID_POINTS} points: start={start:g}, stop={stop:g}, step={step:g}")

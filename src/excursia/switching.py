@@ -25,7 +25,7 @@ independent direction: simulated paths against analytic transforms.
 Only the forward half (t >= 0) of the stationary representation is
 simulated; the backward branch adds nothing testable for stationarity on
 the positive axis, and times before 0 are refused.  Both estimators read
-path states with one function (``_states``); the origin-attached path is
+path states from one ensemble (``_ensemble``): the origin-attached path is
 the stationary one with A = 0 and delta = +1.  Paths use the left-closed
 convention: the state at an exact switch instant is the value before the
 flip.
@@ -191,14 +191,6 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
 # the standard-error formulas elementary)
 
 
-def _check(n: int, times: np.ndarray) -> None:
-    """At least 2 paths (for a standard error) and no time before 0."""
-    if n < 2:
-        raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
-    if not np.all(times >= 0.0):
-        raise ValueError(f"paths are simulated for t >= 0 only, got t={np.min(times):g}")
-
-
 def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
     """(n, m) cumulative switch instants per path, covering [0, beyond].
 
@@ -212,12 +204,37 @@ def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng:
     return cums
 
 
-def _states(cums: np.ndarray, a: np.ndarray, delta: np.ndarray, t: float) -> np.ndarray:
-    """Path states at time t: -delta on [0, a), then delta, flipped at each
-    instant a + cums strictly before t."""
-    flips = (cums < (t - a)[:, None]).sum(axis=1)
-    after = delta * np.where(flips % 2 == 0, 1.0, -1.0)
-    return np.where(t < a, -delta, after)
+def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
+    """Per-path start of the stationary path: the forward delay A, uniform
+    on the size-biased interval covering the origin (the joint delay
+    density is constant on a + b = s), and the symmetric sign delta."""
+    if dist.size_biased_draw is None:
+        raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
+    s_tot = dist.size_biased_draw(rng, n)
+    return rng.uniform01(n) * s_tot, np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
+
+
+def _ensemble(dist: SwitchingTimeDistribution, times, n: int, rng: RngStream, stationary: bool):
+    """The states of n paths at each of ``times``, one (n,) array per time.
+
+    A path is -delta on [0, A), then delta, flipped at each instant
+    A + cums strictly before t: A = 0 and delta = +1 for the
+    origin-attached path, ``_stationary_start`` for the stationary one.
+    Needs n >= 2 (for a standard error) and no time before 0."""
+    times = np.asarray(times, dtype=float)
+    if n < 2:
+        raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
+    if not np.all(times >= 0.0):
+        raise ValueError(f"paths are simulated for t >= 0 only, got t={np.min(times):g}")
+    a, delta = _stationary_start(dist, n, rng) if stationary else (np.zeros(n), np.ones(n))
+    cums = _instant_matrix(dist, n, float(times.max()), rng)
+    for t in times:
+        flips = (cums < (t - a)[:, None]).sum(axis=1)
+        yield np.where(t < a, -delta, delta * np.where(flips % 2 == 0, 1.0, -1.0))
+
+
+def _mean_se(x: np.ndarray):
+    return x.mean(), x.std(ddof=1) / math.sqrt(x.size)
 
 
 def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream):
@@ -226,35 +243,10 @@ def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: Rng
 
     Returns (E_hat, SE) arrays over the grid; n must be at least 2.
     """
-    grid = np.asarray(grid, dtype=float)
-    _check(n, grid)
-    cums = _instant_matrix(dist, n, float(grid.max()), rng)
-    a, delta = np.zeros(n), np.ones(n)
-    e_hat = np.empty(grid.size)
-    se = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        states = _states(cums, a, delta, t)
-        e_hat[i] = states.mean()
-        se[i] = states.std(ddof=1) / math.sqrt(n)
-    return e_hat, se
+    return tuple(np.array([_mean_se(st) for st in _ensemble(dist, grid, n, rng, False)]).reshape(-1, 2).T)
 
 
-def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
-    """Per-path start of the stationary path: the size-biased interval
-    covering the origin, the forward delay A (uniform on that interval,
-    because the joint delay density is constant on a + b = s) and the
-    symmetric sign delta.  The state is -delta on [0, A)."""
-    if dist.size_biased_draw is None:
-        raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
-    s_tot = dist.size_biased_draw(rng, n)
-    a = rng.uniform01(n) * s_tot
-    delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
-    return s_tot, a, delta
-
-
-def estimate_stationary_covariance(
-    dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream, base_time: float = 0.0
-):
+def estimate_stationary_covariance(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream, base_time: float = 0.0):
     """Ensemble estimates for the stationary path.
 
     Returns (E_hat, E_se, R_hat, R_se) where E_hat is the mean state at
@@ -262,21 +254,10 @@ def estimate_stationary_covariance(
     ``base_time`` and at ``base_time + t`` for each lag t in the grid;
     n must be at least 2.
     """
-    grid = np.asarray(grid, dtype=float)
-    _check(n, base_time + np.append(grid, 0.0))
-    horizon = base_time + float(grid.max())
-    _, a, delta = _stationary_start(dist, n, rng)
-    cums = _instant_matrix(dist, n, horizon, rng)
-    s0 = _states(cums, a, delta, base_time)
-    e_hat = np.empty(grid.size)
-    e_se = np.empty(grid.size)
-    r_hat = np.empty(grid.size)
-    r_se = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        st = _states(cums, a, delta, base_time + t)
-        e_hat[i] = st.mean()
-        e_se[i] = st.std(ddof=1) / math.sqrt(n)
-        prod = s0 * st
-        r_hat[i] = prod.mean() - s0.mean() * st.mean()
-        r_se[i] = prod.std(ddof=1) / math.sqrt(n)
-    return e_hat, e_se, r_hat, r_se
+    paths = _ensemble(dist, base_time + np.append(0.0, grid), n, rng, True)
+    s0 = next(paths)
+    rows = []
+    for st in paths:
+        (e, e_se), (prod_mean, r_se) = _mean_se(st), _mean_se(s0 * st)
+        rows.append((e, e_se, prod_mean - s0.mean() * e, r_se))
+    return tuple(np.array(rows).reshape(-1, 4).T)

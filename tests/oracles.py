@@ -35,6 +35,10 @@ against the other.
   ``e0_oracle``: r'(t) and 1 - r(t)^2 of each covariance family as two
   separate expressions, each forming the factor they share on its own,
   and E0 from them, an oracle for the models' ``dr_and_one_minus_r2``.
+* ``switch_expectation_loop_oracle`` and ``switch_covariance_loop_oracle``:
+  the two switch estimators as separate per-time loops over a path-state
+  function, the origin and stationary starts drawn on their own, an
+  oracle for the one ensemble generator both estimators read.
 """
 
 import math
@@ -54,6 +58,7 @@ from excursia.covariance import (
     _log_cosh,
 )
 from excursia.samplers import DivisorSampler, _inverse_table, sample_geometric_half
+from excursia.switching import _instant_matrix
 
 
 def poly_inverse_b(d: int, a, tol: float = 1e-12):
@@ -268,7 +273,8 @@ def dr_oracle(model, t):
         a = model.alpha
         return -(a * np.sin(a * t) + t * np.cos(a * t)) * np.exp(-0.5 * t * t)
     if isinstance(model, MaternHalfInteger):
-        return -t * np.exp(-t) * np.polyval(model._poly_lower, t) / model._c
+        # e^{-t} is 0 above t ~ 745.2: the polynomial is taken at min(t, 1e3)
+        return -t * np.exp(-t) * np.polyval(model._poly_lower, np.minimum(t, 1e3)) / model._c
     if isinstance(model, GeneralizedLaplace):
         return -model.alpha * t * np.exp(-(model.alpha + 1.0) * np.log1p(0.5 * t * t))
     raise TypeError(f"no r' oracle for {model!r}")
@@ -288,7 +294,7 @@ def one_minus_r2_oracle(model, t):
         s = np.sin(model.alpha * t)
         return -np.expm1(-tt) + np.exp(-tt) * s * s
     if isinstance(model, MaternHalfInteger):
-        r = np.exp(-t) * np.polyval(model._poly, t) / model._c
+        r = np.exp(-t) * np.polyval(model._poly, np.minimum(t, 1e3)) / model._c
         far = t > 700.0
         near = np.exp(-t) * model._c_exp_minus_poly(np.where(far, 0.0, t)) / model._c
         return np.where(far, 1.0 - r, near) * (1.0 + r)
@@ -303,3 +309,46 @@ def e0_oracle(model, t):
     scale = 1.0 / math.sqrt(-model.d2r0())
     val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2_oracle(model, t))
     return np.where(t == 0.0, 1.0, val)
+
+
+def _switch_states(cums, a, delta, t):
+    """Path states at time t: -delta on [0, a), then delta, flipped at each
+    instant a + cums strictly before t."""
+    flips = (cums < (t - a)[:, None]).sum(axis=1)
+    after = delta * np.where(flips % 2 == 0, 1.0, -1.0)
+    return np.where(t < a, -delta, after)
+
+
+def switch_expectation_loop_oracle(dist, grid, n, rng):
+    """(E_hat, SE) of the origin-attached path (A = 0, delta = +1)."""
+    grid = np.asarray(grid, dtype=float)
+    cums = _instant_matrix(dist, n, float(grid.max()), rng)
+    a, delta = np.zeros(n), np.ones(n)
+    e_hat = np.empty(grid.size)
+    se = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        states = _switch_states(cums, a, delta, t)
+        e_hat[i] = states.mean()
+        se[i] = states.std(ddof=1) / math.sqrt(n)
+    return e_hat, se
+
+
+def switch_covariance_loop_oracle(dist, grid, n, rng, base_time=0.0):
+    """(E_hat, E_se, R_hat, R_se) of the stationary path: the size-biased
+    interval, A uniform on it and a symmetric sign, drawn in that order;
+    the paths run to the last of base_time and base_time + grid."""
+    grid = np.asarray(grid, dtype=float)
+    s_tot = dist.size_biased_draw(rng, n)
+    a = rng.uniform01(n) * s_tot
+    delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
+    cums = _instant_matrix(dist, n, base_time + max(0.0, float(grid.max())), rng)
+    s0 = _switch_states(cums, a, delta, base_time)
+    e_hat, e_se, r_hat, r_se = (np.empty(grid.size) for _ in range(4))
+    for i, t in enumerate(grid):
+        st = _switch_states(cums, a, delta, base_time + t)
+        e_hat[i] = st.mean()
+        e_se[i] = st.std(ddof=1) / math.sqrt(n)
+        prod = s0 * st
+        r_hat[i] = prod.mean() - s0.mean() * st.mean()
+        r_se[i] = prod.std(ddof=1) / math.sqrt(n)
+    return e_hat, e_se, r_hat, r_se

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
 from excursia import Diffusion, DivisorSampler, RngStream, e0, laplace_e0, sample_excursions, tail_exponent_ci
-from excursia import cli
+from excursia import cli, laplace
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
 from excursia.persistency import empirical_survival
@@ -83,6 +84,24 @@ def test_sample_text_and_binary(tmp_path, capsys):
     bvals = np.frombuffer(binf.read_bytes(), dtype="<f8")
     assert np.allclose(bvals, vals, rtol=0, atol=0)
     capsys.readouterr()
+
+
+def test_sample_binary_to_stdout(capsysbinary):
+    assert main(["sample", "--model", "diffusion(d=2)", "--what", "divisor", "--n", "64", "--seed", "3", "--binary"]) == 0
+    out = capsysbinary.readouterr().out
+    assert len(out) == 8 * 64
+    want = DivisorSampler(parse_model_spec("diffusion(d=2)")).draw(RngStream(3, 0), 64)
+    assert np.array_equal(np.frombuffer(out, dtype="<f8"), want)
+
+
+@pytest.mark.parametrize("what", ["e0", "rcl"])
+def test_e0_curves_at_huge_t_have_no_nan_and_no_warning(what, capsys):
+    # Matern's polynomial overflows above t ~ 1e154 (nu = 2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["e0", "--what", what, "--model", "matern(nu=2.5)", "--tmin", "0", "--tmax", "1e300", "--step", "1e299"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 3 + 11 and "nan" not in out
 
 
 def test_sample_byte_identical_across_runs(tmp_path, capsys):
@@ -265,32 +284,14 @@ def test_pole_json_carries_quadrature_error(capsys):
     assert 0.0 <= payload["quad_abserr"] <= 1e-12 * laplace_e0(Diffusion(d=2), 0.0)
 
 
-def test_pole_quadrature_gate_exit_three(capsys):
-    assert main(["pole", "--model", "diffusion(d=2)", "--rel-tol", "1e-18"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numerical failure: quadrature error estimate" in captured.err
-
-
-def test_pole_tmax_cap(capsys):
-    _, default = run_json(capsys, ["pole", "--model", "diffusion(d=2)"])
-    code, capped = run_json(capsys, ["pole", "--model", "diffusion(d=2)", "--tmax", "40"])
-    assert code == 0
-    assert capped["metadata"]["config"]["tmax"] == 40.0
-    assert capped["theta"] == pytest.approx(default["theta"], abs=1e-8)
-
-
-@pytest.mark.parametrize("tmax", ["1e-300", "1e-100", "1e-12"])
-def test_pole_tiny_tmax_is_numerical_failure(tmax, capsys):
-    # E0 rounds to 1 over the tail-fit window [tmax/10, tmax]: there is no
-    # decay to fit, and below about 1e-200 polyfit itself fails
-    assert main(["pole", "--model", "diffusion(d=2)", "--tmax", tmax]) == 3
+@pytest.mark.parametrize("error", [laplace.QuadratureError("quadrature error estimate 1 exceeds"), laplace.TailFitError("survival does not decay")])
+def test_pole_numerical_failure_exit_three(error, capsys):
+    with mock.patch.object(laplace, "find_pole", side_effect=error):
+        assert main(["pole", "--model", "diffusion(d=2)"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = [line for line in captured.err.splitlines() if not line.startswith("# wall_time_s=")]
-    assert len(lines) == 1, captured.err
-    assert lines[0].startswith("excursia: numerical failure: survival does not decay over")
-    assert "Traceback" not in captured.err
+    assert lines == [f"excursia: numerical failure: {error}"], captured.err
 
 
 def test_pole_refusal_and_numerical_failure(capsys):
@@ -451,6 +452,9 @@ def test_models_listing(capsys):
         ["pole", "--model", "diffusion(d=2)", "--rel-tol", "-1"],
         ["pole", "--model", "diffusion(d=2)", "--rel-tol", "nan"],
         ["pole", "--model", "diffusion(d=2)", "--tmax", "inf"],
+        ["pole", "--model", "diffusion(d=2)", "--tmax", "1"],
+        ["pole", "--model", "diffusion(d=2)", "--rel-tol", "1"],
+        ["e0", "--model", "diffusion(d=2)", "--tmin", "1e300", "--tmax", "1e300", "--step", "1"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "inf"],
         ["switch", "--dist", "exp:inf", "--grid", "0:1:0.5"],
         ["switch", "--dist", "exp:nan", "--n", "10", "--grid", "0:1:0.5"],
@@ -467,7 +471,7 @@ def test_models_listing(capsys):
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0",
-         "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "validate-tmax-inf", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
+         "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "pole-tmax1", "pole-rel-tol1", "e0-step-below-spacing-at-tmax", "validate-tmax-inf", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
          "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points",
          "reproduce-dmax65"],
 )

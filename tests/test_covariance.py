@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +84,35 @@ def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
             assert _bits(dr) == _bits(want_dr) == _bits(m.dr(t)), (t, dr, want_dr)
             assert _bits(one_minus_r2) == _bits(want_one_minus_r2) == _bits(m.one_minus_r2(t)), (t, one_minus_r2, want_one_minus_r2)
             assert _bits(ex.e0(m, t)) == _bits(e0_oracle(m, t)), t
+
+
+HUGE_TIMES = np.array([1e3, 1e80, 1e160, 1e300])
+
+
+def _generalized_laplace_mp(alpha, t):
+    """E0 and the clipped autocovariance of generalized_laplace in 40 digits."""
+    with mpmath.workdps(40):
+        t, alpha = mpmath.mpf(t), mpmath.mpf(alpha)
+        r = (1 + t * t / 2) ** -alpha
+        e0 = alpha * t * (1 + t * t / 2) ** (-alpha - 1) / (mpmath.sqrt(alpha) * mpmath.sqrt(1 - r * r))
+        return float(e0), float(2 / mpmath.pi * mpmath.asin(r))
+
+
+@pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.spec_string())
+def test_e0_and_clipped_autocovariance_at_huge_t(m):
+    # Matern's polynomial overflows above t ~ 1e77 (nu = 4.5) and t * t above
+    # t ~ 1.3e154: neither may leave a nan or raise a floating-point error
+    with np.errstate(all="raise", under="ignore"):
+        arrays = (ex.e0(m, HUGE_TIMES), ex.clipped_autocovariance(m, HUGE_TIMES))
+        scalars = [(ex.e0(m, t), float(ex.clipped_autocovariance(m, t))) for t in HUGE_TIMES]
+    for got in (np.column_stack(arrays), np.array(scalars)):
+        if isinstance(m, ex.GeneralizedLaplace):  # a power tail
+            want = np.array([_generalized_laplace_mp(m.alpha, t) for t in HUGE_TIMES])
+            # from t ~ 1e80 on, r' passes through subnormal doubles and keeps few digits
+            rel = np.array([[1e-12], [1e-4], [1e-4], [1e-4]])
+            assert np.all(np.abs(got - want) <= rel * want + 1e-300), (got, want)
+        else:  # e^{-t} or e^{-t^2/2} underflows long before t = 1e80
+            assert np.all(got[1:] == 0.0) and np.all(np.abs(got[0]) < 1e-100), got
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 349.99, 350.0, 700.0, 1e300, math.inf])

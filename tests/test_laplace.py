@@ -9,7 +9,7 @@ from scipy.special import digamma
 
 import excursia as ex
 from excursia import laplace
-from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError, QuadratureError
+from excursia.laplace import DivergenceError, LaplaceEvaluator, PoleNotFoundError, QuadratureError, TailFitError
 
 FIXTURE = LaplaceEvaluator.for_survival(lambda t: np.exp(-np.asarray(t, dtype=float)), rel_tol=1e-12, tail_kind="exponential")
 
@@ -173,7 +173,7 @@ def _brentq_pole_oracle(ev, bracket):
 @pytest.mark.parametrize("model", POLE_MODELS, ids=lambda m: m.spec_string())
 def test_bracketed_pole_matches_scan_oracle_and_h_increases(model):
     est = ex.find_pole(model)
-    ev = laplace._evaluator(model, 1e-12, laplace.T_CAP)
+    ev = laplace._evaluator(model, 1e-12)
     assert est.theta == pytest.approx(_scan_pole_oracle(ev), rel=1e-13, abs=0.0)
     assert est.theta == pytest.approx(_brentq_pole_oracle(ev, est.bracket), rel=1e-13, abs=0.0)
     assert est.residual <= 1e-10
@@ -182,6 +182,23 @@ def test_bracketed_pole_matches_scan_oracle_and_h_increases(model):
     lo, hi = est.bracket
     hs = np.array([1.0 + s * ev.transform(s) for s in np.linspace(lo, hi, 400)])
     assert np.all(np.diff(hs) > 0.0)
+
+
+def test_pole_on_a_capped_truncation_matches_the_default():
+    # diffusion(d=2) truncates near t = 69 by default; a cap at 40 leaves
+    # more of the survival to the tail completion
+    model = ex.Diffusion(d=2)
+    capped = LaplaceEvaluator.for_survival(lambda t: ex.e0(model, t), rel_tol=1e-12, t_cap=40.0)
+    assert capped.t_max == 40.0 < laplace._evaluator(model, 1e-12).t_max
+    assert abs(capped.find_pole().theta - ex.find_pole(model).theta) <= 1e-8
+
+
+@pytest.mark.parametrize("t_cap", [1e-300, 1e-100, 1e-12])
+def test_tiny_truncation_cap_is_a_tail_fit_error(t_cap):
+    # E0 rounds to 1 over the tail-fit window [t_cap/10, t_cap]: there is
+    # no decay to fit
+    with pytest.raises(TailFitError, match="survival does not decay over"):
+        LaplaceEvaluator.for_survival(lambda t: ex.e0(ex.Diffusion(d=2), t), t_cap=t_cap)
 
 
 @pytest.mark.parametrize(
@@ -193,7 +210,7 @@ def test_pole_prefactor_matches_central_difference(model, prefactor):
     # P(T > t) ~ C e^{-theta t} with C = 2/(theta h'(-theta)); h' from a
     # central difference of h = 1 + s L(s) at the root
     est = ex.find_pole(model)
-    ev = laplace._evaluator(model, 1e-12, laplace.T_CAP)
+    ev = laplace._evaluator(model, 1e-12)
     root, step = -est.theta, 1e-5
     dh = ((1.0 + (root + step) * ev.transform(root + step)) - (1.0 + (root - step) * ev.transform(root - step))) / (2.0 * step)
     assert est.prefactor == pytest.approx(2.0 / (est.theta * dh), rel=1e-8)
@@ -300,7 +317,7 @@ def test_power_tail_remainder_returns_a_value_only_within_rel_tol():
     # 16-node one, leaves 1.4e-9 of L unchecked here
     _within_rel_tol_or_raises(_power_tail_evaluator(-1.5689658071316246, 100.0), 8.919383572976314e-14)
     # a catalog power tail near the origin of the transform
-    ev = laplace._evaluator(ex.GeneralizedLaplace(alpha=0.1), 1e-9, laplace.T_CAP)
+    ev = laplace._evaluator(ex.GeneralizedLaplace(alpha=0.1), 1e-9)
     assert _within_rel_tol_or_raises(ev, 1e-12)
 
 

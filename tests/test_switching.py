@@ -10,7 +10,7 @@ from excursia import switching
 from excursia.laplace import QuadratureError
 from excursia.samplers import _size_biased_survival
 
-from oracles import table_inverse_oracle
+from oracles import switch_covariance_loop_oracle, switch_expectation_loop_oracle, table_inverse_oracle
 
 
 def test_origin_path_starts_on():
@@ -55,13 +55,38 @@ def test_expectation_matches_exponential_formula():
 
 def test_stationary_delay_laws():
     dist = ex.exponential_switching(1.0)
-    ab, a, sign = switching._stationary_start(dist, 20000, ex.RngStream(23, 1))
+    # the start draws the covering interval first, so the same stream gives it again
+    ab = dist.size_biased_draw(ex.RngStream(23, 1), 20000)
+    a, sign = switching._stationary_start(dist, 20000, ex.RngStream(23, 1))
     # interval covering the origin is size-biased: Gamma(2, 1)
     assert stats.kstest(ab, stats.gamma(a=2).cdf).pvalue > 0.01
     # forward delay marginal is Exp(1)
     assert stats.kstest(a, stats.expon.cdf).pvalue > 0.01
     assert abs(sign.mean()) <= 3.0 / math.sqrt(sign.size)
     assert ab.mean() == pytest.approx(2.0, rel=0.01)
+
+
+SWITCH_LAWS = {
+    "exp": lambda: ex.exponential_switching(1.0),
+    "gamma": lambda: ex.gamma_switching(2.0, 1.5),
+    "divisor-matern": lambda: ex.divisor_switching(ex.MaternHalfInteger(nu=2.5)),
+    "excursion-diffusion": lambda: ex.excursion_switching(ex.Diffusion(d=2)),
+}
+
+
+@pytest.mark.parametrize("law", SWITCH_LAWS)
+def test_ensemble_matches_loop_oracles_bit_for_bit(law):
+    dist = SWITCH_LAWS[law]()
+    grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.5])
+    got = switching.estimate_expectation(dist, grid, 500, ex.RngStream(91, 0))
+    want = switch_expectation_loop_oracle(dist, grid, 500, ex.RngStream(91, 0))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # a later base time takes negative lags down to the origin; with every
+    # lag negative the paths still run to the base time
+    for base_time, lags in [(0.0, grid), (1.0, np.concatenate([[-1.0, -0.5], grid])), (1.0, np.array([-0.75, -0.5]))]:
+        got = switching.estimate_stationary_covariance(dist, lags, 500, ex.RngStream(92, 0), base_time=base_time)
+        want = switch_covariance_loop_oracle(dist, lags, 500, ex.RngStream(92, 0), base_time=base_time)
+        assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want)), base_time
 
 
 def test_size_biased_mean_identity():
