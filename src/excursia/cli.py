@@ -446,8 +446,10 @@ def _cmd_reproduce(args) -> int:
     for d in range(1, args.dmax + 1):
         model = Diffusion(d=d)
         sampler = DivisorSampler(model)
+        # the regression reads only the k largest draws: the inverses of the
+        # k smallest uniforms (E0^{-1} decreases), so only those are inverted
         div_est = persistency.tail_exponent_ci(
-            sampler.draw, args.n, k_div, args.reps, RngStream(args.seed, 2 * stride * d)
+            lambda st, m: sampler.largest(st, m, k_div), args.n, k_div, args.reps, RngStream(args.seed, 2 * stride * d)
         )
         iia_est = persistency.tail_exponent_ci(
             lambda st, m: sample_excursions(sampler, st, m)[0],

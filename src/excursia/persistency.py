@@ -162,17 +162,23 @@ def student_t_quantile(nu: int, p: float) -> float:
     raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}, p={p}")
 
 
-def tail_exponent(samples, k: int) -> tuple[float, float]:
-    """OLS tail-slope estimate on the k largest order statistics.
+def tail_exponent(samples, k: int, n: Optional[int] = None) -> tuple[float, float]:
+    """OLS tail-slope estimate on the k largest of n order statistics.
 
     Returns ``(theta, intercept)`` from the regression of
-    ln((n - i + 1/2)/n) on x_(i), with theta = -slope.
+    ln((n - i + 1/2)/n) on x_(i), with theta = -slope.  ``samples`` holds
+    the n draws, or any part of them that includes their k largest (for
+    instance ``DivisorSampler.largest``); n defaults to its size.  The
+    estimate depends only on the k largest and on n, so both forms give
+    the same bits.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    n = x.size if n is None else int(n)
     if not 2 <= k <= n - 1:
         raise ValueError(f"tail count k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
-    tail = np.sort(np.partition(x, n - k)[n - k :])  # the k largest, ascending
+    if not k <= x.size <= n:
+        raise ValueError(f"need between k and n samples, got {x.size} for k={k}, n={n}")
+    tail = np.sort(np.partition(x, x.size - k)[x.size - k :])  # the k largest, ascending
     xm = tail - tail.mean()
     spread = np.dot(xm, xm)
     if spread == 0.0:  # identical values, or differences whose squares underflow
@@ -196,8 +202,9 @@ def tail_exponent_ci(
 
     Replication r draws ``n`` samples from ``sampler`` on the stream
     ``(rng.seed, rng.stream_index + r)``, so results are independent of
-    thread count and scheduling.  A failed replication aborts with its
-    index.
+    thread count and scheduling.  The sampler may return the n samples or
+    only part of them that holds their k largest (see ``tail_exponent``).
+    A failed replication aborts with its index.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 for a confidence bound")
@@ -206,7 +213,7 @@ def tail_exponent_ci(
         stream = rng.replicate(r)
         try:
             values = np.asarray(sampler(stream, n), dtype=float)
-            return tail_exponent(values, k)
+            return tail_exponent(values, k, n)
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
 

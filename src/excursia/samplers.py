@@ -411,14 +411,17 @@ _CLOSED_FORM_INVERSES = {
 }
 
 
-def _draws(rng: RngStream, out: np.ndarray, inverse) -> np.ndarray:
+def _draws(uniforms, out: np.ndarray, inverse) -> np.ndarray:
     """Fill ``out`` with draws inverse(U), one uniform each,
-    _DRAWS_PER_CHUNK at a time, through scratch allocated once per call."""
+    _DRAWS_PER_CHUNK at a time, through scratch allocated once per call.
+    ``uniforms`` is an RngStream, whose next uniforms are drawn a chunk at a
+    time, or an array of the uniforms, which is overwritten."""
     n = out.size
     work = _Work.rows(min(n, _DRAWS_PER_CHUNK))
     for lo in range(0, n, _DRAWS_PER_CHUNK):
-        u = rng.uniform01(min(_DRAWS_PER_CHUNK, n - lo))
-        inverse(u, out[lo : lo + u.size], work.head(u.size))
+        m = min(_DRAWS_PER_CHUNK, n - lo)
+        u = uniforms[lo : lo + m] if isinstance(uniforms, np.ndarray) else uniforms.uniform01(m)
+        inverse(u, out[lo : lo + m], work.head(m))
     return out
 
 
@@ -435,11 +438,31 @@ class DivisorSampler:
         self.report = slepian.require_usable(model)
         self.mean = slepian.mean_excursion(model) / 2.0
 
-    def draw(self, rng: RngStream, n: int) -> np.ndarray:
-        """E0^{-1}(U): the closed form for diffusion d = 1, 2 and random
+    def _inverse(self):
+        """E0^{-1}: the closed form for diffusion d = 1, 2 and random
         acceleration, the cached inverse table for every other model."""
-        inverse = _CLOSED_FORM_INVERSES.get(self.model) or _inverse_table(slepian.e0, self.model).inverse
-        return _draws(rng, np.empty(n), inverse)
+        return _CLOSED_FORM_INVERSES.get(self.model) or _inverse_table(slepian.e0, self.model).inverse
+
+    def draw(self, rng: RngStream, n: int) -> np.ndarray:
+        """n draws E0^{-1}(U), one uniform each."""
+        return _draws(rng, np.empty(n), self._inverse())
+
+    def largest(self, rng: RngStream, n: int, k: int) -> np.ndarray:
+        """The k largest of the n draws ``draw(rng, n)`` would return,
+        ascending, bit for bit, with the stream left where ``draw`` leaves it.
+
+        E0^{-1} decreases in U, so the k largest draws are the inverses of
+        the k smallest of the n uniforms (order statistics under a monotone
+        map): those k are selected with a partition and only they are
+        inverted.
+        """
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        u = rng.uniform01(n)
+        u.partition(k - 1)
+        out = _draws(u[:k], np.empty(k), self._inverse())
+        out.sort()
+        return out
 
     def size_biased_draw(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw from the size-biased divisor (density t f(t)/mean), one

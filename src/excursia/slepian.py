@@ -240,9 +240,12 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     ts = time_grid(0.0, t_max, step)
     vals = np.asarray(e0(model, ts))
 
-    mono_viol = np.flatnonzero(vals[1:] - vals[:-1] > MONOTONE_TOL)
+    # negated comparisons: a non-finite value (NaN, or inf minus inf) fails
+    # them, so it is a violation at its t
+    with np.errstate(invalid="ignore"):
+        mono_viol = np.flatnonzero(~(vals[1:] - vals[:-1] <= MONOTONE_TOL))
     mono_t = float(ts[mono_viol[0] + 1]) if mono_viol.size else None
-    neg_viol = np.flatnonzero(vals < NONNEG_TOL)
+    neg_viol = np.flatnonzero(~(vals >= NONNEG_TOL))
     neg_t = float(ts[neg_viol[0]]) if neg_viol.size else None
 
     tail_class = None

@@ -276,7 +276,12 @@ def dr_oracle(model, t):
         # e^{-t} is 0 above t ~ 745.2: the polynomial is taken at min(t, 1e3)
         return -t * np.exp(-t) * np.polyval(model._poly_lower, np.minimum(t, 1e3)) / model._c
     if isinstance(model, GeneralizedLaplace):
-        return -model.alpha * t * np.exp(-(model.alpha + 1.0) * np.log1p(0.5 * t * t))
+        # from t = 1e150 on, from log t: log1p(t^2/2) = 2 log t - log 2
+        far = t >= 1e150
+        log_t = np.log(np.where(far, t, 1.0))
+        lp = np.where(far, 2.0 * log_t - math.log(2.0), np.log1p(0.5 * t * t))
+        near = -model.alpha * t * np.exp(-(model.alpha + 1.0) * lp)
+        return np.where(far, -model.alpha * np.exp(log_t - (model.alpha + 1.0) * lp), near)
     raise TypeError(f"no r' oracle for {model!r}")
 
 
@@ -299,7 +304,8 @@ def one_minus_r2_oracle(model, t):
         near = np.exp(-t) * model._c_exp_minus_poly(np.where(far, 0.0, t)) / model._c
         return np.where(far, 1.0 - r, near) * (1.0 + r)
     if isinstance(model, GeneralizedLaplace):
-        return -np.expm1(-2.0 * model.alpha * np.log1p(0.5 * t * t))
+        lp = np.where(t >= 1e150, 2.0 * np.log(np.maximum(t, 1.0)) - math.log(2.0), np.log1p(0.5 * t * t))
+        return -np.expm1(-2.0 * model.alpha * lp)
     raise TypeError(f"no 1 - r^2 oracle for {model!r}")
 
 

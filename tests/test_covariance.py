@@ -98,7 +98,12 @@ def _generalized_laplace_mp(alpha, t):
         return float(e0), float(2 / mpmath.pi * mpmath.asin(r))
 
 
-@pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.spec_string())
+# alpha = 0.1 and 1e-3 keep E0 a normal double at t = 1e160 (about 7e-193)
+# and, for 1e-3, at 1e300; at alpha = 1 (4 t^-3) it underflows to 0 past t ~ 1e108
+HUGE_T_MODELS = ALL_MODELS + [ex.GeneralizedLaplace(alpha=0.1), ex.GeneralizedLaplace(alpha=1e-3)]
+
+
+@pytest.mark.parametrize("m", HUGE_T_MODELS, ids=lambda m: m.spec_string())
 def test_e0_and_clipped_autocovariance_at_huge_t(m):
     # Matern's polynomial overflows above t ~ 1e77 (nu = 4.5) and t * t above
     # t ~ 1.3e154: neither may leave a nan or raise a floating-point error
@@ -108,8 +113,10 @@ def test_e0_and_clipped_autocovariance_at_huge_t(m):
     for got in (np.column_stack(arrays), np.array(scalars)):
         if isinstance(m, ex.GeneralizedLaplace):  # a power tail
             want = np.array([_generalized_laplace_mp(m.alpha, t) for t in HUGE_TIMES])
-            # from t ~ 1e80 on, r' passes through subnormal doubles and keeps few digits
-            rel = np.array([[1e-12], [1e-4], [1e-4], [1e-4]])
+            # below t = 1e150, r' can pass through subnormal doubles (alpha = 1
+            # at t = 1e80) and keep few digits; from 1e150 on it is formed
+            # from log t
+            rel = np.array([[1e-12], [1e-4], [1e-12], [1e-12]])
             assert np.all(np.abs(got - want) <= rel * want + 1e-300), (got, want)
         else:  # e^{-t} or e^{-t^2/2} underflows long before t = 1e80
             assert np.all(got[1:] == 0.0) and np.all(np.abs(got[0]) < 1e-100), got

@@ -575,3 +575,63 @@ def test_draws_are_split_invariant(name, a, b, seed):
     rng = ex.RngStream(seed, 1)
     split = np.concatenate([draw(rng, a), draw(rng, b)])
     assert np.array_equal(split, draw(ex.RngStream(seed, 1), a + b))
+
+
+# the closed forms and table models, generalized_laplace's table with crowded
+# guide cells among them
+LARGEST_MODELS = [
+    ex.Diffusion(d=1),
+    ex.Diffusion(d=2),
+    ex.RandomAcceleration(),
+    ex.Diffusion(d=5),
+    ex.ShiftedGaussian(alpha=0.0),
+    ex.MaternHalfInteger(nu=2.5),
+    ex.GeneralizedLaplace(alpha=1.0),
+]
+
+
+def _check_largest(model, n, k, seed):
+    # the k largest of n draws, from the inverses of the k smallest uniforms,
+    # equal the sorted top k of every draw bit for bit, and both calls leave
+    # the stream at the same place
+    sampler = ex.DivisorSampler(model)
+    rng, rng_draw = ex.RngStream(seed, 2), ex.RngStream(seed, 2)
+    got, draws = sampler.largest(rng, n, k), sampler.draw(rng_draw, n)
+    want = np.sort(np.partition(draws, n - k)[n - k :])
+    assert got.shape == (k,) and got.tobytes() == want.tobytes()
+    assert np.array_equal(rng.uniform01(3), rng_draw.uniform01(3))
+    if 2 <= k <= n - 1:  # the regression reads only the k largest and n
+        assert ex.tail_exponent(got, k, n) == ex.tail_exponent(draws, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LARGEST_MODELS), st.integers(1, 3 * samplers._DRAWS_PER_CHUNK), st.integers(0, 2**32 - 1), st.data())
+def test_largest_is_the_sorted_top_k_of_draw(model, n, seed, data):
+    k = data.draw(st.sampled_from(sorted({1, min(2, n), max(n - 1, 1), n})) | st.integers(1, n), label="k")
+    _check_largest(model, n, k, seed)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "chunk-default"])
+@pytest.mark.parametrize("model", LARGEST_MODELS, ids=lambda m: m.spec_string())
+def test_largest_edge_counts(model, chunk, monkeypatch):
+    # k = 2, k = n - 1, and k above a chunk, so the k smallest uniforms are
+    # inverted in more than one chunk
+    if chunk is not None:
+        monkeypatch.setattr(samplers, "_DRAWS_PER_CHUNK", chunk)
+    c = samplers._DRAWS_PER_CHUNK
+    n = 3 * c + 5
+    for k in (1, 2, c, c + 1, 2 * c + 3, n - 1, n):
+        _check_largest(model, n, k, seed=17)
+
+
+def test_largest_and_tail_exponent_refuse_bad_counts():
+    sampler = ex.DivisorSampler(ex.Diffusion(d=2))
+    for n, k in [(10, 0), (10, 11), (10, -1), (0, 0), (0, 1)]:
+        with pytest.raises(ValueError):
+            sampler.largest(ex.RngStream(1, 0), n, k)
+    samples = np.arange(1.0, 11.0)
+    with pytest.raises(ValueError):  # fewer samples than k
+        ex.tail_exponent(samples[:4], 5, 100)
+    with pytest.raises(ValueError):  # more samples than n
+        ex.tail_exponent(samples, 5, 9)
+    assert ex.tail_exponent(samples[5:], 5, 10) == ex.tail_exponent(samples, 5)

@@ -194,6 +194,37 @@ def test_validate_small_grid_flags_inconclusive():
         slepian.cached_validity.cache_clear()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("single", [False, True], ids=["past-1", "one-point"])
+def test_validate_refuses_a_non_finite_survival(bad, single, monkeypatch):
+    # comparisons with NaN are false: a gate that tests for a violation
+    # directly passes a NaN survival as monotone and nonnegative
+    real_e0 = slepian.e0
+
+    def broken_e0(model, t):
+        vals = np.array(real_e0(model, t), dtype=float)
+        past = np.asarray(t) > 1.0
+        if single:
+            past &= np.cumsum(past) == 1
+        vals[past] = bad
+        return vals
+
+    monkeypatch.setattr(slepian, "e0", broken_e0)
+    model = ex.Diffusion(d=2)
+    rep = ex.validate_iia(model)
+    grid = slepian.time_grid(0.0, rep.t_max, rep.step)
+    t_bad = float(grid[grid > 1.0][0])  # the first (or only) non-finite value
+    assert rep.first_violation_t == t_bad
+    assert rep.verdict == "invalid_oscillating"
+    assert not rep.usable
+    slepian.cached_validity.cache_clear()
+    try:
+        with pytest.raises(ex.ValidityError):
+            ex.DivisorSampler(model)
+    finally:
+        slepian.cached_validity.cache_clear()
+
+
 def test_validate_grid_preconditions():
     with pytest.raises(ValueError):
         ex.validate_iia(ex.Diffusion(d=2), t_max=-1.0)
