@@ -310,29 +310,32 @@ class GeneralizedLaplace(CovarianceModel):
     def params(self):
         return {"alpha": self.alpha}
 
-    # t * t overflows to inf above t ~ 1.3e154, and t e^{-(alpha+1) lp}
-    # passes through subnormal doubles long before.  From _FAR_T on,
-    # lp = log1p(t^2/2) is 2 log t - log 2 (they differ by log1p(2/t^2)) and
-    # r' = -alpha e^{log t - (alpha+1) lp}, so both keep their digits.
+    # t * t overflows to inf above t ~ 1.3e154: from _FAR_T on,
+    # lp = log1p(t^2/2) is 2 log t - log 2 (they differ by log1p(2/t^2)).
+    # e^{-(alpha+1) lp} is subnormal or 0 once (alpha+1) lp exceeds
+    # _LOG_TINY, long before t scales it back up (t ~ 1e77 at alpha = 1):
+    # there, and from _FAR_T on, r' = -alpha e^{log t - (alpha+1) lp}.
     _FAR_T = 1e150
+    _LOG_TINY = -math.log(np.finfo(float).tiny)
 
     @classmethod
     @np.errstate(over="ignore")
     def _log_terms(cls, t):
-        """(far, log t where far else 0, log1p(t^2/2)) of the array ``t``."""
+        """(far, log1p(t^2/2)) of the array ``t``."""
         far = t >= cls._FAR_T
-        log_t = np.log(np.where(far, t, 1.0))
-        return far, log_t, np.where(far, 2.0 * log_t - math.log(2.0), np.log1p(0.5 * t * t))
+        return far, np.where(far, 2.0 * np.log(np.where(far, t, 1.0)) - math.log(2.0), np.log1p(0.5 * t * t))
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-self.alpha * self._log_terms(t)[2])
+        return np.exp(-self.alpha * self._log_terms(t)[1])
 
     def dr_and_one_minus_r2(self, t):
         t = np.asarray(t, dtype=float)
-        far, log_t, lp = self._log_terms(t)
+        far, lp = self._log_terms(t)
         a1 = self.alpha + 1.0
-        dr = np.where(far, -self.alpha * np.exp(log_t - a1 * lp), -self.alpha * t * np.exp(-a1 * lp))
+        deep = far | (a1 * lp > self._LOG_TINY)
+        log_t = np.log(np.where(deep, np.abs(t), 1.0))
+        dr = np.where(deep, -self.alpha * np.copysign(np.exp(log_t - a1 * lp), t), -self.alpha * t * np.exp(-a1 * lp))
         return dr, -np.expm1(-2.0 * self.alpha * lp)
 
     def d2r0(self):

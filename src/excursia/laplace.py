@@ -6,7 +6,7 @@ where e^{-st} peaks at large s; E0 evaluated once per evaluator, so each
 L(s) is one dot product) plus an analytic completion of the truncated
 tail, because bare truncation biases the transform exactly at the negative
 s values where persistency poles live.  A lower-order rule on the same
-panels gives the error estimate; above rel_tol it raises QuadratureError.
+panels gives the error estimate; above REL_TOL it raises QuadratureError.
 The completion parameters are fitted to log E0 over the final decade
 before t_max; a survival that does not decay there raises TailFitError.
 The completion's form follows the tail class the validity gate measured
@@ -62,7 +62,9 @@ __all__ = [
 # power tails, where the analytic completion carries the remainder).
 TRUNCATION_THRESHOLD = 1e-15
 T_CAP = 1000.0
-POLE_REL_TOL = 1e-12  # quadrature tolerance of the pole search
+# Largest relative quadrature error estimate of a transform value: of the
+# rule when an evaluator is built, of a power-tail remainder per value.
+REL_TOL = 1e-12
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
 BOUNDARY_MARGIN = 0.95
@@ -104,7 +106,7 @@ class PoleNotFoundError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature error estimate of the transform exceeds rel_tol."""
+    """Quadrature error estimate of the transform exceeds REL_TOL."""
 
 
 class TailFitError(RuntimeError):
@@ -128,8 +130,10 @@ class TailCompletion:
         estimate: 0 for the closed forms.  A power tail at s > 0 is summed
         on the composite rule after t = t_max/u (dt = t du/u); its estimate
         is the gap to the lower-order rule plus a bound on the tail beyond
-        that rule's last node t_last, which the gap does not check:
-        e^a t_last^b e^{-s t_last}/s for the decaying fit (b < 0)."""
+        t_first = t_max/PANEL_START, the start of the first panel:
+        e^a t_first^b e^{-s t_first}/s for the decaying fit (b < 0).  The
+        gap does not check that panel: where e^{-st} cuts off inside it,
+        both rules can miss it alike."""
         if self.kind == "exponential":
             return math.exp(self.intercept + (self.slope - s) * t_max) / (s - self.slope), 0.0
         if s == 0.0:
@@ -138,8 +142,8 @@ class TailCompletion:
             float((w / u) @ np.exp(self.intercept + (self.slope + 1.0) * np.log(t_max / u) - s * t_max / u))
             for u, w in (_unit_rule(ORDER), _unit_rule(CHECK_ORDER))
         )
-        t_last = t_max / _unit_rule(CHECK_ORDER)[0][0]
-        return main, abs(main - low) + math.exp(self.intercept + self.slope * math.log(t_last) - s * t_last) / s
+        t_first = t_max / PANEL_START
+        return main, abs(main - low) + math.exp(self.intercept + self.slope * math.log(t_first) - s * t_first) / s
 
 
 @lru_cache(maxsize=None)
@@ -165,16 +169,9 @@ class LaplaceEvaluator:
     dropped when a pole search ends.
     """
 
-    def __init__(
-        self,
-        survival: Callable,
-        t_max: float,
-        completion: TailCompletion,
-        rel_tol: float = 1e-9,
-    ):
+    def __init__(self, survival: Callable, t_max: float, completion: TailCompletion):
         self.t_max = float(t_max)
         self.completion = completion
-        self.rel_tol = float(rel_tol)
         (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
         values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
         self._weighted = self.t_max * w * values[: u.size]
@@ -183,7 +180,7 @@ class LaplaceEvaluator:
 
     def _certify(self, check: np.ndarray) -> float:
         """Largest |main - lower-order| + round-off floor at s = 0 and at the
-        pole bracket's far end; raises QuadratureError above rel_tol * |main|."""
+        pole bracket's far end; raises QuadratureError above REL_TOL * |main|."""
         points = [0.0]
         if self.completion.kind == "exponential":
             points.append(BOUNDARY_MARGIN * self.completion.slope)
@@ -193,9 +190,9 @@ class LaplaceEvaluator:
             main = float(terms.sum())
             low = float(_rule_terms(check, CHECK_ORDER, s, self.t_max).sum())
             err = abs(main - low) + np.finfo(float).eps * float(np.abs(terms).sum())
-            if not err <= self.rel_tol * abs(main):
+            if not err <= REL_TOL * abs(main):
                 raise QuadratureError(
-                    f"quadrature error estimate {err:.3g} at s={s:g} exceeds rel_tol * |L| = {self.rel_tol * abs(main):.3g}"
+                    f"quadrature error estimate {err:.3g} at s={s:g} exceeds REL_TOL * |L| = {REL_TOL * abs(main):.3g}"
                 )
             abserr = max(abserr, err)
         return abserr
@@ -203,39 +200,34 @@ class LaplaceEvaluator:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def for_survival(
-        cls,
-        survival: Callable,
-        rel_tol: float = 1e-9,
-        tail_kind: str = "exponential",
-        t_cap: float = T_CAP,
-    ) -> "LaplaceEvaluator":
+    def for_survival(cls, survival: Callable, tail_kind: str = "exponential") -> "LaplaceEvaluator":
         """Evaluator for a vectorised survival: ``survival(ts)`` must map an
         array of times to an array of the same shape.  ``tail_kind``
         ("exponential" or "power") is the form of the tail completion."""
-        t_max = cls._find_t_max(survival, t_cap)
+        t_max = cls._find_t_max(survival)
         completion = cls._fit_tail(survival, t_max, tail_kind)
-        return cls(survival, t_max, completion, rel_tol=rel_tol)
+        return cls(survival, t_max, completion)
 
     @classmethod
-    def for_model(cls, model: CovarianceModel, rel_tol: float = 1e-9) -> "LaplaceEvaluator":
-        """Evaluator for E0 of ``model``, completed in the form of the
-        validity gate's tail class: log-log for a power law, exponential
-        for every other class (and for an unclassified tail)."""
-        tail_class = slepian.cached_validity(model).tail_class
+    def for_model(cls, model: CovarianceModel) -> "LaplaceEvaluator":
+        """Evaluator for E0 of a model the validity gate finds usable
+        (``slepian.require_usable``; ValidityError otherwise), completed in
+        the form of the gate's tail class: log-log for a power law,
+        exponential for every other class (and for an unclassified tail)."""
+        tail_class = slepian.require_usable(model).tail_class
         tail_kind = "power" if tail_class is not None and tail_class.kind == "power_law" else "exponential"
-        return cls.for_survival(lambda t: slepian.e0(model, t), rel_tol=rel_tol, tail_kind=tail_kind)
+        return cls.for_survival(lambda t: slepian.e0(model, t), tail_kind=tail_kind)
 
     @staticmethod
-    def _find_t_max(survival, t_cap):
-        """First node of the ladder 1, 1.25, 1.25^2, ... below t_cap where the
-        survival is non-finite or below TRUNCATION_THRESHOLD, else t_cap."""
-        steps = max(0, math.ceil(math.log(t_cap) / math.log(1.25))) + 1
+    def _find_t_max(survival):
+        """First node of the ladder 1, 1.25, 1.25^2, ... below T_CAP where the
+        survival is non-finite or below TRUNCATION_THRESHOLD, else T_CAP."""
+        steps = math.ceil(math.log(T_CAP) / math.log(1.25)) + 1
         ts = np.cumprod(np.concatenate([[1.0], np.full(steps, 1.25)]))
-        ts = ts[ts < t_cap]
+        ts = ts[ts < T_CAP]
         vals = np.asarray(survival(ts), dtype=float)
         stop = np.flatnonzero(~np.isfinite(vals) | (vals < TRUNCATION_THRESHOLD))
-        return float(ts[stop[0]]) if stop.size else t_cap
+        return float(ts[stop[0]]) if stop.size else T_CAP
 
     @staticmethod
     def _fit_tail(survival, t_max, tail_kind):
@@ -270,7 +262,7 @@ class LaplaceEvaluator:
         """L(s) = fixed-node quadrature on [0, t_max] + tail remainder.
 
         The remainder of a power tail at s > 0 is summed on the same
-        composite rule; its error estimate above rel_tol * |L| raises
+        composite rule; its error estimate above REL_TOL * |L| raises
         QuadratureError.
         """
         s = float(s)
@@ -280,9 +272,9 @@ class LaplaceEvaluator:
         quadrature = float(terms.sum())
         rem, err = self.completion.remainder(s, self.t_max)
         value = quadrature + rem
-        if not err <= self.rel_tol * abs(value):
+        if not err <= REL_TOL * abs(value):
             raise QuadratureError(
-                f"tail remainder error estimate {err:.3g} at s={s:g} exceeds rel_tol * |L| = {self.rel_tol * abs(value):.3g}"
+                f"tail remainder error estimate {err:.3g} at s={s:g} exceeds REL_TOL * |L| = {REL_TOL * abs(value):.3g}"
             )
         return value
 
@@ -371,13 +363,13 @@ class LaplaceEvaluator:
 
 
 @lru_cache(maxsize=64)
-def _evaluator(model: CovarianceModel, rel_tol: float) -> LaplaceEvaluator:
-    return LaplaceEvaluator.for_model(model, rel_tol=rel_tol)
+def _evaluator(model: CovarianceModel) -> LaplaceEvaluator:
+    return LaplaceEvaluator.for_model(model)
 
 
-def laplace_e0(model: CovarianceModel, s: float, rel_tol: float = 1e-9) -> float:
-    """L E0(s) for a catalog model."""
-    return _evaluator(model, rel_tol).transform(s)
+def laplace_e0(model: CovarianceModel, s: float) -> float:
+    """L E0(s) for a catalog model the validity gate finds usable."""
+    return _evaluator(model).transform(s)
 
 
 def find_pole(model: CovarianceModel) -> ExponentEstimate:
@@ -389,4 +381,4 @@ def find_pole(model: CovarianceModel) -> ExponentEstimate:
     report = slepian.cached_validity(model)
     if report.verdict != "valid":
         raise ValidityError(report, f"pole search requires a valid model, got verdict={report.verdict}")
-    return _evaluator(model, POLE_REL_TOL).find_pole()
+    return _evaluator(model).find_pole()

@@ -280,17 +280,17 @@ def require_usable(model: CovarianceModel) -> ValidityReport:
     return report
 
 
-def check_equivalence(model: CovarianceModel, grid, h: float = 1e-4) -> float:
+def check_equivalence(model: CovarianceModel, grid) -> float:
     """Max deviation of d/dt[(2/pi) arcsin r] + (2/mu) E0 over the grid.
 
-    The identity is exact; the returned number is finite-difference
-    truncation error and documents that the crossing-attached and
-    stationary formulations agree for the model.
+    The identity is exact; the returned number is the truncation error of
+    a central difference with step min(1e-4, t/2), and documents that the
+    crossing-attached and stationary formulations agree for the model.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be strictly increasing and positive")
-    hh = np.minimum(h, 0.5 * grid)
+    hh = np.minimum(1e-4, 0.5 * grid)
     dR = (clipped_autocovariance(model, grid + hh) - clipped_autocovariance(model, grid - hh)) / (2.0 * hh)
     mu = mean_excursion(model)
     dev = dR + (2.0 / mu) * np.asarray(e0(model, grid))

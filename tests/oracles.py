@@ -276,12 +276,15 @@ def dr_oracle(model, t):
         # e^{-t} is 0 above t ~ 745.2: the polynomial is taken at min(t, 1e3)
         return -t * np.exp(-t) * np.polyval(model._poly_lower, np.minimum(t, 1e3)) / model._c
     if isinstance(model, GeneralizedLaplace):
-        # from t = 1e150 on, from log t: log1p(t^2/2) = 2 log t - log 2
+        # from t = 1e150 on, from log t: log1p(t^2/2) = 2 log t - log 2; there
+        # and wherever e^{-(alpha+1) lp} is below the normal doubles, r' is
+        # -alpha e^{log t - (alpha+1) lp}
         far = t >= 1e150
-        log_t = np.log(np.where(far, t, 1.0))
-        lp = np.where(far, 2.0 * log_t - math.log(2.0), np.log1p(0.5 * t * t))
+        lp = np.where(far, 2.0 * np.log(np.where(far, t, 1.0)) - math.log(2.0), np.log1p(0.5 * t * t))
+        deep = far | (np.exp(-(model.alpha + 1.0) * lp) < np.finfo(float).tiny)
+        log_t = np.log(np.where(deep, np.abs(t), 1.0))
         near = -model.alpha * t * np.exp(-(model.alpha + 1.0) * lp)
-        return np.where(far, -model.alpha * np.exp(log_t - (model.alpha + 1.0) * lp), near)
+        return np.where(deep, -model.alpha * np.copysign(np.exp(log_t - (model.alpha + 1.0) * lp), t), near)
     raise TypeError(f"no r' oracle for {model!r}")
 
 

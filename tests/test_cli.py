@@ -429,6 +429,20 @@ def test_models_listing(capsys):
     assert all(set(m) == {"name", "params"} for m in payload["models"])
 
 
+def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
+    # E0 of shifted_gaussian first dips below 0 (near t = 7.2) between
+    # alpha = 0.2259 and 0.226; the listing names that limit and leaves the
+    # verdict to validate
+    verdicts = {}
+    for alpha in ("0.2259", "0.226"):
+        code, payload = run_json(capsys, ["validate", "--model", f"shifted_gaussian(alpha={alpha})"])
+        verdicts[alpha] = (code, payload["report"]["verdict"])
+    assert verdicts == {"0.2259": (0, "valid"), "0.226": (0, "invalid_oscillating")}
+    _, payload = run_json(capsys, ["models"])
+    (entry,) = [m for m in payload["models"] if m["name"] == "shifted_gaussian"]
+    assert "0.2259" in entry["params"]["alpha"] and "validate" in entry["params"]["alpha"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -113,13 +113,23 @@ def test_e0_and_clipped_autocovariance_at_huge_t(m):
     for got in (np.column_stack(arrays), np.array(scalars)):
         if isinstance(m, ex.GeneralizedLaplace):  # a power tail
             want = np.array([_generalized_laplace_mp(m.alpha, t) for t in HUGE_TIMES])
-            # below t = 1e150, r' can pass through subnormal doubles (alpha = 1
-            # at t = 1e80) and keep few digits; from 1e150 on it is formed
-            # from log t
-            rel = np.array([[1e-12], [1e-4], [1e-12], [1e-12]])
-            assert np.all(np.abs(got - want) <= rel * want + 1e-300), (got, want)
+            assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300), (got, want)
         else:  # e^{-t} or e^{-t^2/2} underflows long before t = 1e80
             assert np.all(got[1:] == 0.0) and np.all(np.abs(got[0]) < 1e-100), got
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.0, 5.0])
+def test_generalized_laplace_e0_keeps_its_digits_where_r_prime_is_tiny(alpha):
+    # e^{-(alpha+1) log1p(t^2/2)} is subnormal or 0 long before t scales it
+    # back up (from t ~ 1e77 at alpha = 1, where E0 is still about 1e-231):
+    # r' is formed from log t there, so E0 stays within 1e-12 of 40 digits
+    # until it leaves the normal doubles
+    m = ex.GeneralizedLaplace(alpha=alpha)
+    ts = np.geomspace(1e5, 1e300, 120)
+    with np.errstate(all="raise", under="ignore"):
+        got = np.asarray(ex.e0(m, ts))
+    want = np.array([_generalized_laplace_mp(alpha, t)[0] for t in ts])
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300), np.max(np.abs(got - want) / want)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 349.99, 350.0, 700.0, 1e300, math.inf])
