@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,13 +85,9 @@ class CovarianceModel:
 
     name = "base"
 
-    @property
-    def params(self) -> dict:
-        return {}
-
     def spec_string(self) -> str:
         """Canonical ``name(param=value,...)`` form accepted by the parser."""
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ",".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
         return f"{self.name}({inner})" if inner else self.name
 
     def r(self, t):
@@ -129,10 +125,6 @@ class Diffusion(CovarianceModel):
                 f"diffusion dimension must be an integer in [1, {MAX_DIFFUSION_DIM}], got {self.d!r}"
             )
         object.__setattr__(self, "d", int(d))
-
-    @property
-    def params(self):
-        return {"d": self.d}
 
     def r(self, t):
         t = np.asarray(t, dtype=float)
@@ -182,10 +174,6 @@ class ShiftedGaussian(CovarianceModel):
         if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ModelSpecError(f"shifted_gaussian shift must satisfy alpha >= 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
 
     # t * t overflows to inf above t ~ 1.3e154, where e^{-t^2/2} is 0 anyway
     @np.errstate(over="ignore")
@@ -242,10 +230,6 @@ class MaternHalfInteger(CovarianceModel):
                 f"matern smoothness must be one of {MATERN_NU_VALUES}, got {self.nu!r}"
             )
         object.__setattr__(self, "nu", float(self.nu))
-
-    @property
-    def params(self):
-        return {"nu": self.nu}
 
     @property
     def _poly(self):
@@ -305,10 +289,6 @@ class GeneralizedLaplace(CovarianceModel):
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise ModelSpecError(f"generalized_laplace exponent must be > 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @property
-    def params(self):
-        return {"alpha": self.alpha}
 
     # t * t overflows to inf above t ~ 1.3e154: from _FAR_T on,
     # lp = log1p(t^2/2) is 2 log t - log 2 (they differ by log1p(2/t^2)).
@@ -393,5 +373,10 @@ def parse_model_spec(spec: str) -> CovarianceModel:
 
 
 def clipped_autocovariance(model: CovarianceModel, t):
-    """Autocovariance of the sign of the process: (2/pi) arcsin(r(t))."""
-    return (2.0 / math.pi) * np.arcsin(model.r(t))
+    """Autocovariance of the sign of the process: (2/pi) arcsin(r(t)), and
+    its limit 0 at infinite t (where r may be NaN, as cos(inf) is)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        r = model.r(t)
+    out = np.where(np.isinf(t), 0.0, (2.0 / math.pi) * np.arcsin(r))
+    return out if out.ndim else float(out)

@@ -56,18 +56,17 @@ scheduling.  Every divisor sampler is also split-invariant: it turns the
 next uniforms of its stream into draws one for one, so draw(rng, a)
 followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  A
 sampler uses this itself: it allocates its n results once and fills them
-_DRAWS_PER_CHUNK at a time, each chunk's uniforms written through an
-in-place inverse into the result, with scratch rows allocated once per
-call (``_draws``), so n draws hold n doubles and a few chunk-sized rows.
-The compound draw runs its segment sums in blocks of divisor draws the
-same way, and both return the draws of one call bit for bit.
+_DRAWS_PER_CHUNK at a time, each chunk's draws being its inverse, a plain
+array expression, of that chunk's uniforms (``_draws``), so n draws hold n
+doubles and the temporaries of one chunk.  The compound draw runs its
+segment sums in blocks of divisor draws the same way, and both return the
+draws of one call bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +98,9 @@ _GUIDE_BITS = 10
 # Compound draws per block: the divisor draws of one block (about twice as
 # many) stay in cache through every pass over them.
 _COMPOUNDS_PER_BLOCK = 1 << 14
-# Draws per chunk of a sampler: a chunk's uniforms, its result slice and its
-# scratch rows (64 KiB each) stay in cache, and are small enough for the
-# allocator to reuse their memory (see ``_draws``).
+# Draws per chunk of a sampler: a chunk's uniforms, its result slice and the
+# temporaries of its inverse (64 KiB each) stay in cache, and are small
+# enough for the allocator to reuse their memory (see ``_draws``).
 _DRAWS_PER_CHUNK = 1 << 13
 
 
@@ -144,64 +143,26 @@ class RngStream:
 # survival inversion: closed forms and the cached inverse table
 
 
-class _Work(NamedTuple):
-    """Scratch rows of one chunk of draws, allocated once per sampler call:
-    two float rows, the guide cell and the spline piece of each draw, and
-    a mask."""
-
-    f0: np.ndarray
-    f1: np.ndarray
-    cell: np.ndarray
-    piece: np.ndarray
-    mask: np.ndarray
-
-    @classmethod
-    def rows(cls, k: int) -> "_Work":
-        return cls(np.empty(k), np.empty(k), np.empty(k, np.int64), np.empty(k, np.int64), np.empty(k, bool))
-
-    def head(self, k: int) -> "_Work":
-        return _Work._make(row[:k] for row in self)
+# Every inverse is a plain function of one chunk of uniforms that returns
+# its draws; each is the expression of its oracle in ``tests/oracles.py``,
+# with the same operations in the same order, so it equals it bit for bit.
 
 
-# Every inverse takes (u, out, work): u is one chunk of uniforms, which it
-# may overwrite, out the slice of the result the draws go to, and work the
-# chunk's ``_Work``.  It allocates nothing the size of the chunk, and its
-# ufuncs repeat the operations of the plain expression in
-# ``tests/oracles.py`` in the same order, so it equals it bit for bit.
-
-
-def _diffusion_d2_from_u(u, out, work):
+def _diffusion_d2_from_u(u):
     # sech(T/2) = U exactly: T = 2 ln((1 + sqrt(1 - U^2))/U)
-    np.subtract(1.0, u, out=out)
-    out *= np.add(1.0, u, out=work.f0)
-    np.sqrt(out, out=out)
-    np.log1p(out, out=out)
-    out -= np.log(u, out=u)
-    out *= 2.0
+    return 2.0 * (np.log1p(np.sqrt((1.0 - u) * (1.0 + u))) - np.log(u))
 
 
-def _diffusion_d1_from_u(u, out, work):
+def _diffusion_d1_from_u(u):
     # 2 U^2 = y + y^2 with y = sech(T/2); the positive root, formed
     # without subtraction so tiny U keeps full precision.
-    uu = np.multiply(u, u, out=u)
-    np.multiply(8.0, uu, out=out)
-    out += 1.0
-    np.sqrt(out, out=out)
-    out += 1.0
-    uu *= 4.0
-    np.divide(uu, out, out=out)
-    np.divide(1.0, out, out=out)
-    np.arccosh(out, out=out)
-    out *= 2.0
+    uu = u * u
+    return 2.0 * np.arccosh(1.0 / (4.0 * uu / (np.sqrt(8.0 * uu + 1.0) + 1.0)))
 
 
-def _random_acceleration_from_u(u, out, work):
+def _random_acceleration_from_u(u):
     # T = ln(3/U^2 + 1) - 2 ln 2, the exact inverse of sqrt(3/(4e^t - 1))
-    np.multiply(u, u, out=out)
-    np.divide(3.0, out, out=out)
-    np.log1p(out, out=out)
-    out -= 2.0 * _LN2
-    np.maximum(out, 0.0, out=out)
+    return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
 
 
 def _size_biased_survival(model: CovarianceModel, t):
@@ -309,60 +270,35 @@ class _InverseTable:
         self.crowded = crowded if crowded.any() else None
 
     @staticmethod
-    def _key(z, out=None):
+    def _key(z):
         # the exponent and leading mantissa bits of a double: monotone in z >= 0
-        return np.right_shift(z.view(np.int64), 52 - _GUIDE_BITS, out=out)
+        return np.right_shift(z.view(np.int64), 52 - _GUIDE_BITS)
 
-    # Every index taken below lies in range (the cells are clamped, and a
-    # guide entry plus one is at most the last piece), so the takes use
-    # mode="clip", which writes to ``out`` directly; the default mode
-    # buffers it through a temporary.
-
-    def locate(self, z, work):
-        """The spline piece of each z in the chunk ``z`` into ``work.piece``:
+    def locate(self, z):
+        """The spline piece of each z of the array ``z``:
         clip(searchsorted(x, z, "right") - 1, 0, n - 2)."""
-        cell, piece, mask = work.cell, work.piece, work.mask
         # -0.0 (and NaN with the sign bit set) has a negative key, cell 0;
         # other NaN land in the last cell; either stays NaN through the cubic
-        self._key(z, cell)
-        cell -= self.key_lo
-        np.maximum(cell, 0, out=cell)
-        np.minimum(cell, self.cells - 1, out=cell)
-        np.take(self.guide, cell, out=piece, mode="clip")
-        piece += np.greater_equal(z, np.take(self.x[1:], piece, out=work.f0, mode="clip"), out=mask)
+        cell = np.clip(self._key(z) - self.key_lo, 0, self.cells - 1)
+        piece = self.guide[cell]
+        piece += z >= self.x[1:][piece]
         if self.crowded is not None:
-            crowded = np.take(self.crowded, cell, out=mask, mode="clip")
+            crowded = self.crowded[cell]
             piece[crowded] = np.searchsorted(self.x[1:-1], z[crowded], "right")
-
-    def evaluate(self, z, out, work):
-        """The spline at the chunk ``z`` into ``out``; z is overwritten."""
-        self.locate(z, work)
-        piece, s = work.piece, work.f1
-        c0, c1, c2, c3 = self.c
-        d = np.subtract(z, np.take(self.x, piece, out=s, mode="clip"), out=z)
-        d2 = np.multiply(d, d, out=work.f0)
-        # c3 + c2 d + c1 d^2 + c0 (d^2 d), summed left to right
-        np.take(c3, piece, out=out, mode="clip")
-        out += np.multiply(np.take(c2, piece, out=s, mode="clip"), d, out=s)
-        out += np.multiply(np.take(c1, piece, out=s, mode="clip"), d2, out=s)
-        d2 *= d
-        out += np.multiply(np.take(c0, piece, out=s, mode="clip"), d2, out=s)
-
-    def inverse(self, u, out, work):
-        """survival^{-1}(u) = max(expm1(x(sqrt(-log u))), 0) into ``out``."""
-        z = np.log(u, out=u)
-        np.negative(z, out=z)
-        np.sqrt(z, out=z)
-        self.evaluate(z, out, work)
-        np.expm1(out, out=out)
-        np.maximum(out, 0.0, out=out)
+        return piece
 
     def __call__(self, z):
-        """The spline at every z of the array ``z`` (at least 1-d), in one chunk."""
-        z = np.array(z, dtype=float)
-        out = np.empty_like(z)
-        self.evaluate(z, out, _Work.rows(z.size))
-        return out
+        """The spline at every z of the array ``z`` (at least 1-d)."""
+        z = np.asarray(z, dtype=float)
+        i = self.locate(z)
+        c0, c1, c2, c3 = self.c
+        d = z - self.x[i]
+        d2 = d * d
+        return c3[i] + c2[i] * d + c1[i] * d2 + c0[i] * (d2 * d)
+
+    def inverse(self, u):
+        """survival^{-1}(u) = max(expm1(x(sqrt(-log u))), 0)."""
+        return np.maximum(np.expm1(self(np.sqrt(-np.log(u)))), 0.0)
 
 
 @lru_cache(maxsize=128)
@@ -413,15 +349,13 @@ _CLOSED_FORM_INVERSES = {
 
 def _draws(uniforms, out: np.ndarray, inverse) -> np.ndarray:
     """Fill ``out`` with draws inverse(U), one uniform each,
-    _DRAWS_PER_CHUNK at a time, through scratch allocated once per call.
-    ``uniforms`` is an RngStream, whose next uniforms are drawn a chunk at a
-    time, or an array of the uniforms, which is overwritten."""
+    _DRAWS_PER_CHUNK at a time.  ``uniforms`` is an RngStream, whose next
+    uniforms are drawn a chunk at a time, or an array of the uniforms."""
     n = out.size
-    work = _Work.rows(min(n, _DRAWS_PER_CHUNK))
     for lo in range(0, n, _DRAWS_PER_CHUNK):
         m = min(_DRAWS_PER_CHUNK, n - lo)
         u = uniforms[lo : lo + m] if isinstance(uniforms, np.ndarray) else uniforms.uniform01(m)
-        inverse(u, out[lo : lo + m], work.head(m))
+        out[lo : lo + m] = inverse(u)
     return out
 
 
@@ -474,12 +408,10 @@ class DivisorSampler:
 # compound exceedance sampling
 
 
-def _geometric_half_from_u(u, out, work):
-    # ceil(log U / log 1/2), at least 1, cast to the integer result
-    np.log(u, out=u)
-    u /= math.log(0.5)
-    np.ceil(u, out=u)
-    np.maximum(u, 1.0, out=out, casting="unsafe")
+def _geometric_half_from_u(u):
+    # ceil(log U / log 1/2), at least 1; an integral double, which the int64
+    # result takes exactly
+    return np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0)
 
 
 def sample_geometric_half(rng: RngStream, n: int) -> np.ndarray:

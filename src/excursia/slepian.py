@@ -162,14 +162,15 @@ def e0(model: CovarianceModel, t):
 
     Evaluated from r' and the compensated form of 1 - r^2, both from one
     ``dr_and_one_minus_r2`` call, so it is stable arbitrarily close to
-    t = 0, where the naive expression is 0/0.
+    t = 0, where the naive expression is 0/0.  At infinite t it is the
+    limit 0.
     """
     t = np.asarray(t, dtype=float)
     scale = 1.0 / math.sqrt(-model.d2r0())
     with np.errstate(invalid="ignore", divide="ignore"):
         dr, one_minus_r2 = model.dr_and_one_minus_r2(t)
         val = -scale * dr / np.sqrt(one_minus_r2)
-    val = np.where(t == 0.0, 1.0, val)
+    val = np.where(t == 0.0, 1.0, np.where(np.isinf(t), 0.0, val))
     return val if val.ndim else float(val)
 
 

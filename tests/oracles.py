@@ -12,7 +12,7 @@ against the other.
   ``random_acceleration_inverse_oracle`` and ``table_inverse_oracle``:
   the divisor inverses as plain whole-array expressions, the table's
   piece found by binary search (``plain_spline``), an oracle for the
-  samplers' chunked in-place inverses; ``geometric_half_oracle`` is
+  samplers' chunked inverses; ``geometric_half_oracle`` is
   the same for the Geometric(1/2) counts.
 * ``gaussian_divisor_density``: the closed-form density of the
   squared-exponential divisor, -dE0/dt of shifted_gaussian(alpha=0).

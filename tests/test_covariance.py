@@ -118,6 +118,22 @@ def test_e0_and_clipped_autocovariance_at_huge_t(m):
             assert np.all(got[1:] == 0.0) and np.all(np.abs(got[0]) < 1e-100), got
 
 
+# every family, and shifted_gaussian at an alpha the gate accepts
+INF_T_MODELS = ALL_MODELS + [ex.ShiftedGaussian(alpha=0.1)]
+
+
+@pytest.mark.parametrize("m", INF_T_MODELS, ids=lambda m: m.spec_string())
+def test_e0_and_clipped_autocovariance_at_infinite_t_are_their_limit_zero(m):
+    # cos(inf) is NaN and generalized_laplace forms r' from e^{inf - inf}:
+    # neither may leave a NaN or raise a floating-point error
+    with np.errstate(all="raise", under="ignore"):
+        e0, clipped = ex.e0(m, np.array([np.inf, 1.0])), ex.clipped_autocovariance(m, np.array([np.inf, 1.0]))
+        at_one = (ex.e0(m, 1.0), ex.clipped_autocovariance(m, 1.0))
+        scalars = (ex.e0(m, np.inf), ex.clipped_autocovariance(m, np.inf))
+    assert (e0[0], clipped[0]) == scalars == (0.0, 0.0)
+    assert (e0[1], clipped[1]) == at_one  # finite t beside it is untouched
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 2.0, 5.0])
 def test_generalized_laplace_e0_keeps_its_digits_where_r_prime_is_tiny(alpha):
     # e^{-(alpha+1) log1p(t^2/2)} is subnormal or 0 long before t scales it
@@ -181,7 +197,7 @@ def test_clipped_monotone_where_r_is():
 
 
 def test_parse_model_spec_round_trip():
-    for spec in ["diffusion(d=2)", "random_acceleration", "shifted_gaussian(alpha=0)", "matern(nu=2.5)", "generalized_laplace(alpha=1)"]:
+    for spec in ["diffusion(d=2)", "diffusion(d=64)", "random_acceleration", "shifted_gaussian(alpha=0)", "matern(nu=2.5)", "generalized_laplace(alpha=1)"]:
         m = parse_model_spec(spec)
         assert parse_model_spec(m.spec_string()) == m
 

@@ -290,9 +290,7 @@ def test_guided_interval_matches_binary_search(case):
     table, z = case
     n = table.x.size
     expected = np.clip(np.searchsorted(table.x, z, "right") - 1, 0, n - 2)
-    work = samplers._Work.rows(z.size)
-    table.locate(z, work)
-    assert np.array_equal(work.piece, expected)
+    assert np.array_equal(table.locate(z), expected)
 
 
 def test_guide_cells_hold_crowded_knots_where_expected():
