@@ -317,7 +317,7 @@ def _cmd_models(args) -> int:
 def _cmd_validate(args) -> int:
     model = parse_model_spec(args.model)
     try:  # a grid is counted before it is built
-        report = slepian.validate_iia(model, t_max=args.tmax, step=args.step)
+        report = slepian.cached_validity(model, t_max=args.tmax, step=args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _emit_json({"report": report.as_dict(), "model": model.spec_string()}, args)

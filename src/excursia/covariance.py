@@ -70,13 +70,18 @@ _LOG_COSH_TINY = 2.0**-510
 
 def _log_cosh(x):
     """log(cosh(x)), accurate for tiny x and overflow-safe for large x:
-    sinh's argument stays below 175."""
-    x = np.abs(x)
-    small = x < 350.0
-    sh = np.sinh(0.5 * np.where(small & (x >= _LOG_COSH_TINY), x, 0.0))
-    out_small = np.log1p(2.0 * sh * sh)
-    out_large = x - math.log(2.0)
-    return np.where(small, out_small, out_large)
+    log1p(2 sinh(x/2)^2) at x clamped to 350 (sinh's argument stays at
+    or below 175), replaced by x - log 2 only where x >= 350."""
+    x = np.abs(np.asarray(x, dtype=float))
+    shape = x.shape
+    x = x.reshape(-1)  # a scalar too, so the large branch can be assigned
+    arg = np.minimum(x, 350.0)
+    arg *= arg >= _LOG_COSH_TINY
+    sh = np.sinh(0.5 * arg)
+    out = np.log1p(2.0 * sh * sh)
+    large = x >= 350.0
+    out[large] = x[large] - math.log(2.0)
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,9 @@ class Diffusion(CovarianceModel):
         return np.exp(-0.5 * self.d * lc)
 
     def dr_and_one_minus_r2(self, t):
-        t = np.asarray(t, dtype=float)
-        lc = _log_cosh(0.5 * t)
-        return -0.25 * self.d * np.tanh(0.5 * t) * self._r(lc), -np.expm1(-self.d * lc)
+        half = 0.5 * np.asarray(t, dtype=float)
+        lc = _log_cosh(half)
+        return -0.25 * self.d * np.tanh(half) * self._r(lc), -np.expm1(-self.d * lc)
 
     def d2r0(self):
         return -self.d / 8.0
@@ -376,7 +381,8 @@ def clipped_autocovariance(model: CovarianceModel, t):
     """Autocovariance of the sign of the process: (2/pi) arcsin(r(t)), and
     its limit 0 at infinite t (where r may be NaN, as cos(inf) is)."""
     t = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t)
     with np.errstate(invalid="ignore"):
-        r = model.r(t)
-    out = np.where(np.isinf(t), 0.0, (2.0 / math.pi) * np.arcsin(r))
-    return out if out.ndim else float(out)
+        out = (2.0 / math.pi) * np.arcsin(model.r(ts))
+    out[np.isinf(ts)] = 0.0
+    return out if t.ndim else float(out[0])

@@ -155,6 +155,23 @@ def _unit_rule(order: int):
     return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
+@lru_cache(maxsize=None)
+def _rule_nodes(order: int, check_order: int) -> np.ndarray:
+    """The unit nodes of the main rule, then those of the lower-order rule."""
+    return np.concatenate([_unit_rule(order)[0], _unit_rule(check_order)[0]])
+
+
+@lru_cache(maxsize=None)
+def _ladder(t_cap: float) -> np.ndarray:
+    """The truncation candidates 1, 1.25, 1.25^2, ... below ``t_cap``,
+    read-only: the survival is called on the cached array itself."""
+    steps = math.ceil(math.log(t_cap) / math.log(1.25)) + 1
+    ts = np.cumprod(np.concatenate([[1.0], np.full(steps, 1.25)]))
+    ts = ts[ts < t_cap]
+    ts.flags.writeable = False
+    return ts
+
+
 def _rule_terms(weighted: np.ndarray, order: int, s: float, t_max: float) -> np.ndarray:
     return weighted * np.exp((-s * t_max) * _unit_rule(order)[0])
 
@@ -172,8 +189,8 @@ class LaplaceEvaluator:
     def __init__(self, survival: Callable, t_max: float, completion: TailCompletion):
         self.t_max = float(t_max)
         self.completion = completion
-        (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
-        values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
+        (u, w), (_, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
+        values = np.asarray(survival(self.t_max * _rule_nodes(ORDER, CHECK_ORDER)), dtype=float)
         self._weighted = self.t_max * w * values[: u.size]
         self._terms = (math.nan, None)  # (s, rule terms at s) of the last transform
         self.abserr = self._certify(self.t_max * w_low * values[u.size :])
@@ -222,9 +239,7 @@ class LaplaceEvaluator:
     def _find_t_max(survival):
         """First node of the ladder 1, 1.25, 1.25^2, ... below T_CAP where the
         survival is non-finite or below TRUNCATION_THRESHOLD, else T_CAP."""
-        steps = math.ceil(math.log(T_CAP) / math.log(1.25)) + 1
-        ts = np.cumprod(np.concatenate([[1.0], np.full(steps, 1.25)]))
-        ts = ts[ts < T_CAP]
+        ts = _ladder(T_CAP)
         vals = np.asarray(survival(ts), dtype=float)
         stop = np.flatnonzero(~np.isfinite(vals) | (vals < TRUNCATION_THRESHOLD))
         return float(ts[stop[0]]) if stop.size else T_CAP

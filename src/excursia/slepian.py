@@ -64,6 +64,8 @@ POSITIVE_FLOOR = 1e-280
 # flattening log-survival tails.
 SLOPE_RATIO_BAND = 0.05
 MIN_DECAY_SLOPE = 1e-3
+# E0 is its limit 1 where the computed 1 - r^2 is below this.
+_TINY = np.finfo(float).tiny
 
 
 class ValidityError(RuntimeError):
@@ -161,17 +163,21 @@ def e0(model: CovarianceModel, t):
     """Survival function of the geometric divisor (clipped expectation).
 
     Evaluated from r' and the compensated form of 1 - r^2, both from one
-    ``dr_and_one_minus_r2`` call, so it is stable arbitrarily close to
-    t = 0, where the naive expression is 0/0.  At infinite t it is the
-    limit 0.
+    ``dr_and_one_minus_r2`` call.  Two limits are set by assignment where
+    they apply: E0 is 1 wherever the computed 1 - r^2 is below the
+    smallest normal double (at t = 0, where the expression is 0/0, and
+    where 1 - r^2 ~ t^2 underflows, below t ~ 1e-154, where the true value
+    rounds to 1), and 0 at infinite t.
     """
     t = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t)
     scale = 1.0 / math.sqrt(-model.d2r0())
     with np.errstate(invalid="ignore", divide="ignore"):
-        dr, one_minus_r2 = model.dr_and_one_minus_r2(t)
+        dr, one_minus_r2 = model.dr_and_one_minus_r2(ts)
         val = -scale * dr / np.sqrt(one_minus_r2)
-    val = np.where(t == 0.0, 1.0, np.where(np.isinf(t), 0.0, val))
-    return val if val.ndim else float(val)
+    val[one_minus_r2 < _TINY] = 1.0
+    val[np.isinf(ts)] = 0.0
+    return val if t.ndim else float(val[0])
 
 
 def mean_excursion(model: CovarianceModel) -> float:
@@ -269,9 +275,18 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
 
 
 @lru_cache(maxsize=128)
-def cached_validity(model: CovarianceModel) -> ValidityReport:
-    """Default-grid validity report, cached per model instance."""
-    return validate_iia(model)
+def _validity(model: CovarianceModel, t_max: float, step: float) -> ValidityReport:
+    return validate_iia(model, t_max, step)
+
+
+def cached_validity(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: float = DEFAULT_STEP) -> ValidityReport:
+    """``validate_iia``'s report, built once per (model, grid) in a process
+    (a grid ValueError is raised again on every call).  The CLI's
+    ``validate``, ``require_usable`` and the pole search all read it."""
+    return _validity(model, float(t_max), float(step))
+
+
+cached_validity.cache_clear = _validity.cache_clear
 
 
 def require_usable(model: CovarianceModel) -> ValidityReport:

@@ -313,11 +313,14 @@ def one_minus_r2_oracle(model, t):
 
 
 def e0_oracle(model, t):
-    """E0(t) = -r'(t) / (sqrt(-r''(0)) sqrt(1 - r(t)^2)), 1 at t = 0."""
+    """E0(t) = -r'(t) / (sqrt(-r''(0)) sqrt(1 - r(t)^2)); 1 where 1 - r(t)^2
+    is below the smallest normal double (t = 0 and where it underflows), 0
+    at infinite t."""
     t = np.asarray(t, dtype=float)
     scale = 1.0 / math.sqrt(-model.d2r0())
-    val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2_oracle(model, t))
-    return np.where(t == 0.0, 1.0, val)
+    one_minus_r2 = one_minus_r2_oracle(model, t)
+    val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2)
+    return np.where(one_minus_r2 < np.finfo(float).tiny, 1.0, np.where(np.isinf(t), 0.0, val))
 
 
 def _switch_states(cums, a, delta, t):

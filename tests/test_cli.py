@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
 from excursia import Diffusion, DivisorSampler, RngStream, e0, laplace_e0, sample_excursions, tail_exponent_ci
-from excursia import cli, laplace
+from excursia import cli, laplace, slepian
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
 from excursia.persistency import empirical_survival
@@ -300,6 +300,34 @@ def test_pole_refusal_and_numerical_failure(capsys):
         assert code == 2
         assert payload["error"] == "validity_gate"
         assert payload["report"]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("spec", ["shifted_gaussian(alpha=2)", "diffusion(d=3)"])
+def test_validate_and_pole_build_one_gate_report(spec, capsys, monkeypatch):
+    grids = []
+    validate_iia = slepian.validate_iia
+    monkeypatch.setattr(slepian, "validate_iia", lambda model, t_max, step: grids.append((t_max, step)) or validate_iia(model, t_max, step))
+
+    def run(*argv):
+        code = main([*argv, "--model", spec])
+        return code, capsys.readouterr().out
+
+    outputs = []
+    for order in (("validate", "pole"), ("pole", "validate")):
+        slepian.cached_validity.cache_clear()
+        laplace._evaluator.cache_clear()
+        grids.clear()
+        outputs.append(dict((cmd, run(cmd)) for cmd in order))
+        assert grids == [(50.0, 0.01)]
+    assert outputs[0] == outputs[1]  # the same bytes from a fresh or a cached report
+    validated = json.loads(outputs[0]["validate"][1])["report"]
+    assert validated == json.loads(json.dumps(validate_iia(parse_model_spec(spec)).as_dict()))
+    assert outputs[0]["pole"][0] == (0 if spec.startswith("diffusion") else 2)
+    # another grid is another report, built once
+    for _ in range(2):
+        code, out = run("validate", "--tmax", "20", "--step", "0.05")
+        assert code == 0 and json.loads(out)["report"]["t_max"] == 20.0
+    assert grids == [(50.0, 0.01), (20.0, 0.05)]
 
 
 def test_persistency_json(capsys):

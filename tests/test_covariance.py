@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import excursia as ex
+from excursia import laplace, slepian
 from excursia.covariance import MATERN_NU_VALUES, ModelSpecError, _log_cosh, parse_model_spec
 from oracles import dr_oracle, e0_oracle, log_cosh_oracle, one_minus_r2_oracle
 
@@ -72,11 +73,20 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("m", ALL_MODELS + [ex.Diffusion(d=64), ex.ShiftedGaussian(alpha=0.3)], ids=lambda m: m.spec_string())
+@pytest.mark.parametrize(
+    "m", ALL_MODELS + [ex.Diffusion(d=64), ex.ShiftedGaussian(alpha=0.3), ex.GeneralizedLaplace(alpha=1e-3)], ids=lambda m: m.spec_string()
+)
 def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
     # the shared factor formed once gives the bits of each expression on its
-    # own, at the edges and on a grid that catches a reordered product
-    ts = np.concatenate([EDGE_TIMES, np.geomspace(1e-6, 60.0, 200)])
+    # own, at the edges, on a grid that catches a reordered product, on the
+    # validity gate's grid and on the nodes of both transform rules
+    t_max = laplace.LaplaceEvaluator._find_t_max(lambda t: ex.e0(m, t))
+    ts = np.concatenate([
+        EDGE_TIMES,
+        np.geomspace(1e-6, 60.0, 200),
+        slepian.time_grid(0.0, slepian.DEFAULT_T_MAX, slepian.DEFAULT_STEP),
+        t_max * laplace._rule_nodes(laplace.ORDER, laplace.CHECK_ORDER),
+    ])
     with np.errstate(all="ignore"):  # t^2 overflows at t = 1e300
         for t in (ts, *EDGE_TIMES):
             dr, one_minus_r2 = m.dr_and_one_minus_r2(t)
@@ -148,13 +158,23 @@ def test_generalized_laplace_e0_keeps_its_digits_where_r_prime_is_tiny(alpha):
     assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300), np.max(np.abs(got - want) / want)
 
 
-@pytest.mark.parametrize("x", [0.0, 1e-300, 349.99, 350.0, 700.0, 1e300, math.inf])
+# 2^-510 is the threshold below which log cosh x < 2^-1021 is returned as 0
+@pytest.mark.parametrize(
+    "x", [0.0, 1e-300, 2.0**-510, math.nextafter(2.0**-510, 1.0), 1.0, 349.99, 350.0, 700.0, 1e300, math.inf, -2.0, -400.0, math.nan]
+)
 def test_log_cosh_raises_no_floating_point_error(x):
     with np.errstate(all="raise"):
         got = (_log_cosh(x), _log_cosh(np.array([x, -x])))
     want = log_cosh_oracle(x)
     assert _bits(got[0]) == _bits(want)
     assert _bits(got[1]) == _bits([want, want])
+
+
+def test_log_cosh_is_zero_just_below_its_threshold():
+    x = math.nextafter(2.0**-510, 0.0)
+    with np.errstate(all="raise"):
+        assert _log_cosh(x) == 0.0
+    assert 0.0 < log_cosh_oracle(x) <= 2.0**-1021
 
 
 def test_second_derivative_values():

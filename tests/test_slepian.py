@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import excursia as ex
-from excursia import slepian
+from excursia import samplers, slepian
 
 from conftest import ALL_MODELS, VALID_MODELS
 
@@ -31,6 +31,44 @@ def test_e0_stable_near_zero():
         vals = np.asarray(ex.e0(m, ts))
         assert np.all(np.isfinite(vals))
         assert np.all(np.abs(vals - 1.0) < 1e-3)
+
+
+# every family, and the extreme parameters of the catalog
+TINY_T_MODELS = ALL_MODELS + [ex.Diffusion(d=64), ex.GeneralizedLaplace(alpha=1e-3)]
+
+
+@pytest.mark.parametrize("m", TINY_T_MODELS, ids=lambda m: m.spec_string())
+def test_e0_is_one_where_one_minus_r2_underflows(m):
+    # 1 - E0 is of order t^2, far below an ulp of 1 here.  Where the computed
+    # 1 - r^2 is below the smallest normal double (t = 0 included) E0 is its
+    # limit 1, not inf, NaN or 1 + 1e-5 from a subnormal divisor; elsewhere
+    # the closed form rounds to within a few ulps of 1
+    ts = np.concatenate([[0.0], np.geomspace(5e-324, 1e-100, 4000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.asarray(ex.e0(m, ts))
+        size_biased = samplers._size_biased_survival(m, ts)
+    underflow = np.asarray(m.one_minus_r2(ts)) < np.finfo(float).tiny
+    assert underflow[0] and underflow[1] and not underflow[-1]
+    assert np.all(got[underflow] == 1.0)
+    assert np.all((got >= 0.0) & (np.abs(got - 1.0) <= 8 * np.finfo(float).eps))
+    assert np.all(np.abs(size_biased - 1.0) <= 8 * np.finfo(float).eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.sampled_from(TINY_T_MODELS),
+    t=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]),
+        st.floats(0.0, np.finfo(float).tiny),  # subnormals
+        st.floats(),
+    ),
+)
+def test_e0_of_a_scalar_equals_e0_of_a_one_point_array(m, t):
+    with np.errstate(all="ignore"):
+        scalar, array = ex.e0(m, t), ex.e0(m, np.array([t]))
+    assert type(scalar) is float and array.shape == (1,)
+    assert np.array(scalar).tobytes() == array.tobytes()
 
 
 def _e0_mpmath(r, dr, d2r0, t):
@@ -187,7 +225,7 @@ def test_validate_small_grid_flags_inconclusive():
     model = ex.Diffusion(d=3)
     slepian.cached_validity.cache_clear()
     try:
-        with mock.patch.object(slepian, "validate_iia", lambda m: ex.validate_iia(m, t_max=0.4, step=0.01)):
+        with mock.patch.object(slepian, "validate_iia", lambda m, t_max, step: ex.validate_iia(m, t_max=0.4, step=0.01)):
             with pytest.raises(ex.ValidityError, match="valid_tail_inconclusive"):
                 ex.find_pole(model)
     finally:
@@ -223,6 +261,18 @@ def test_validate_refuses_a_non_finite_survival(bad, single, monkeypatch):
             ex.DivisorSampler(model)
     finally:
         slepian.cached_validity.cache_clear()
+
+
+def test_cached_validity_has_one_entry_per_model_and_grid():
+    model = ex.Diffusion(d=3)
+    report = slepian.cached_validity(model)
+    assert slepian.cached_validity(ex.Diffusion(d=3), 50, 0.01) is report
+    assert slepian.cached_validity(model, t_max=50.0, step=0.01) is report
+    assert slepian.require_usable(model) is report
+    other = slepian.cached_validity(model, t_max=20.0)
+    assert other is not report and other == ex.validate_iia(model, t_max=20.0)
+    with pytest.raises(ValueError):
+        slepian.cached_validity(model, t_max=1.0, step=2.0)
 
 
 def test_validate_grid_preconditions():
