@@ -23,7 +23,9 @@ The catalog:
 
 Each model class is the one definition of its family: its parameters and
 their validation, then r, then r' and 1 - r(t)^2 evaluated together
-(``dr_and_one_minus_r2``), then r''(0) (``d2r0``).  The divisor survival
+(``dr_and_one_minus_r2``), then r''(t) (``d2r``, which the divisor density
+needs) and r''(0) as a float (``d2r0``, read by E0 on every call;
+``d2r(0)`` equals it bit for bit).  The divisor survival
 E0 needs r' and 1 - r^2 at the same t, and within a family the two share
 their costly factor (log cosh(t/2), expm1(-t), sin(alpha t), e^(-t) or
 log1p(t^2/2)), so one method forms that factor once and returns both;
@@ -111,7 +113,12 @@ class CovarianceModel:
         """1 - r(t)^2 without cancellation near t = 0."""
         return self.dr_and_one_minus_r2(t)[1]
 
+    def d2r(self, t):
+        """r''(t)."""
+        raise NotImplementedError
+
     def d2r0(self) -> float:
+        """r''(0), equal to ``d2r(0.0)`` bit for bit."""
         raise NotImplementedError
 
 
@@ -143,6 +150,13 @@ class Diffusion(CovarianceModel):
         lc = _log_cosh(half)
         return -0.25 * self.d * np.tanh(half) * self._r(lc), -np.expm1(-self.d * lc)
 
+    def d2r(self, t):
+        # r'' = -(d/8) r (1 - (1 + d/2) tanh^2(t/2)), the derivative of
+        # r' = -(d/4) tanh(t/2) r with sech^2 = 1 - tanh^2
+        half = 0.5 * np.asarray(t, dtype=float)
+        th = np.tanh(half)
+        return -0.125 * self.d * self._r(_log_cosh(half)) * (1.0 - (1.0 + 0.5 * self.d) * th * th)
+
     def d2r0(self):
         return -self.d / 8.0
 
@@ -164,6 +178,11 @@ class RandomAcceleration(CovarianceModel):
         em = np.expm1(-t)
         m = -em
         return 0.75 * np.exp(-0.5 * t) * em, 0.25 * m * m * (4.0 - np.exp(-t))
+
+    def d2r(self, t):
+        # r'' = 3/8 (e^{-t/2} - 3 e^{-3t/2}) = 3/8 e^{-t/2} (1 - 3 e^{-t})
+        t = np.asarray(t, dtype=float)
+        return 0.375 * np.exp(-0.5 * t) * (1.0 - 3.0 * np.exp(-t))
 
     def d2r0(self):
         return -0.75
@@ -195,6 +214,16 @@ class ShiftedGaussian(CovarianceModel):
         tt = t * t
         return -(a * s + t * np.cos(a * t)) * np.exp(-0.5 * t * t), -np.expm1(-tt) + np.exp(-tt) * s * s
 
+    @np.errstate(over="ignore")
+    def d2r(self, t):
+        # r'' = ((t^2 - 1 - a^2) cos(at) + 2 a t sin(at)) e^{-t^2/2}; the
+        # factor takes t at min(t, 1e3), where e^{-t^2/2} is long 0, so it
+        # stays finite and inf * 0 never forms
+        t = np.asarray(t, dtype=float)
+        a = self.alpha
+        tc = np.minimum(t, 1e3)
+        return ((tc * tc - 1.0 - a * a) * np.cos(a * t) + 2.0 * a * tc * np.sin(a * t)) * np.exp(-0.5 * t * t)
+
     def d2r0(self):
         return -(1.0 + self.alpha**2)
 
@@ -212,6 +241,11 @@ def _bessel_poly(m: int) -> np.ndarray:
 _MATERN_POLY = {nu: _bessel_poly(int(nu - 0.5)) for nu in MATERN_NU_VALUES}
 # p_{m-1}, which appears in r'(t) = -t e^{-t} p_{m-1}(t) / p_m(0).
 _MATERN_POLY_LOWER = {nu: _bessel_poly(int(nu - 1.5)) for nu in MATERN_NU_VALUES}
+# p_{m-1} - t^2 p_{m-2}, which appears in r''(t) = -e^{-t} (p_{m-1} - t^2 p_{m-2})(t) / p_m(0):
+# d/dt e^{-t} p_k(t) = -t e^{-t} p_{k-1}(t) for every k >= 1
+_MATERN_POLY_D2 = {
+    nu: np.polysub(_MATERN_POLY_LOWER[nu], np.append(_bessel_poly(int(nu - 2.5)), [0.0, 0.0])) for nu in MATERN_NU_VALUES
+}
 # Taylor coefficients of c e^t - p_m(t), c = p_m(0), for powers 20 ... 0
 # (np.polyval order): c/k! - [t^k] p_m, exact for k <= m and correctly
 # rounded above.  The terms of order 0 and 1 vanish and every other one is
@@ -256,6 +290,11 @@ class MaternHalfInteger(CovarianceModel):
         # e^{-t} is 0 above t ~ 745.2, and p(t) overflows above t ~ 1e77
         # (nu = 4.5): p is evaluated at min(t, 1e3), which avoids 0 * inf
         return e * np.polyval(self._poly, np.minimum(t, 1e3)) / self._c
+
+    def d2r(self, t):
+        # the polynomial at min(t, 1e3), as in r
+        t = np.asarray(t, dtype=float)
+        return -np.exp(-t) * np.polyval(_MATERN_POLY_D2[self.nu], np.minimum(t, 1e3)) / self._c
 
     def d2r0(self):
         return -1.0 / (2.0 * (self.nu - 1.0))
@@ -322,6 +361,21 @@ class GeneralizedLaplace(CovarianceModel):
         log_t = np.log(np.where(deep, np.abs(t), 1.0))
         dr = np.where(deep, -self.alpha * np.copysign(np.exp(log_t - a1 * lp), t), -self.alpha * t * np.exp(-a1 * lp))
         return dr, -np.expm1(-2.0 * self.alpha * lp)
+
+    def d2r(self, t):
+        # r'' = -alpha e^{-(alpha+2) lp} (1 - (alpha + 1/2) t^2).  Where
+        # e^{-(alpha+2) lp} leaves the normal doubles, and from _FAR_T on
+        # (t^2 overflows), the t^2 term is formed from log t, as r' is:
+        # alpha (alpha + 1/2) e^{2 log t - (alpha+2) lp}
+        t = np.asarray(t, dtype=float)
+        far, lp = self._log_terms(t)
+        a = self.alpha
+        a2 = a + 2.0
+        deep = far | (a2 * lp > self._LOG_TINY)
+        near = np.where(deep, 0.0, t)
+        log_t = np.log(np.where(deep, np.abs(t), 1.0))
+        e = np.exp(-a2 * lp)
+        return np.where(deep, a * (a + 0.5) * np.exp(2.0 * log_t - a2 * lp) - a * e, -a * e * (1.0 - (a + 0.5) * near * near))
 
     def d2r0(self):
         return -self.alpha

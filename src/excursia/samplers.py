@@ -29,26 +29,34 @@ Numerical notes on the closed forms:
   circulates in print fails the round-trip oracle (U = 0.5 gives 2.485
   where the survival inverse requires 3.32578) and is not used.
 
-The inverse table of a survival S (E0 or the size-biased S*): S is
-evaluated once, vectorised, at t = 0 and on geometric nodes from 1e-3
-(where 1 - S is resolved in floating point) up to the first power of two
-where S < eps/4.  A survival that is not positive there (it crosses zero
-within the validity gate's tolerance, as shifted_gaussian does for alpha
-near the gate's limit) ends instead at a point bisected back to
-0 < S < eps/4.  With z = sqrt(-log S) and
-x = log1p(t), x(z) is close to linear near t = 0 (1 - S ~ c t^2 or c t^3) and
-smooth in exponential, superexponential and power tails, so a cubic
-spline of x in z meets the relative round trip to about 1e-11.  Near a
-zero crossing x(z) flattens; the build checks the round trip at the
-midpoint in z of every interval reaching U >= eps and halves in t the
-intervals that miss 1e-10, until none does (smooth tails pass the first
-check).  A draw is t = max(expm1(x(sqrt(-log U))), 0); the spline piece
-holding z = sqrt(-log U) is found through a guide table on the leading
-bits of z (one cell index and one compare for a smooth table, see
-``_InverseTable``), not by a binary search, and the result equals the
-evaluation after a binary search bit for bit.  The not-a-knot spline is
-built in this module (``_not_a_knot``); its values agree with scipy's
-``CubicSpline`` to 1 ulp.
+The inverse table of a survival S (E0 or the size-biased S*): S and its
+density g = -S' are evaluated once, vectorised, at t = 0 and on geometric
+nodes from 1e-3 (where 1 - S is resolved in floating point) up to the
+first power of two where S < eps/4, from one evaluation each of r, r' with
+1 - r^2, and r'' (g is the divisor density f = -E0' for E0, and t f / m
+for S*).  A survival that is not positive there (it crosses zero within
+the validity gate's tolerance, as shifted_gaussian does for alpha near the
+gate's limit) ends instead at a point bisected back to 0 < S < eps/4.
+With z = sqrt(-log S) and x = log1p(t), x(z) is smooth in exponential,
+superexponential and power tails, and the table is the cubic Hermite
+interpolant of x in z (Hoermann & Leydold 2003) with the exact slope
+dx/dz = 2 z S / ((1 + t) g) at every knot but t = 0.  There the slope is
+0/0; it takes its limit, estimated as the slope at z = 0 of the quadratic
+through the first two knots with the exact slope at the second, which is
+exact where x is quadratic in z (1 - S linear in t, as for random
+acceleration's E0) and right to order z^2 where x is smooth in z
+(1 - S ~ c t^2).  Each piece depends on its two knots only, so the build
+is one vectorised step (``_hermite``), and smooth tables meet the relative
+round trip to a few 1e-12.  Near a zero crossing x(z) flattens; the build
+checks the round trip at the midpoint in z of every interval reaching
+U >= eps and halves in t the intervals that miss 1e-10, until none does
+(smooth tails pass the first check).  A draw is
+t = max(expm1(x(sqrt(-log U))), 0); the piece holding z = sqrt(-log U) is
+found through a guide table on the leading bits of z (one cell index and
+one compare for a smooth table, see ``_InverseTable``), not by a binary
+search, and the result equals the evaluation after a binary search bit for
+bit.  The coefficients equal those of scipy's ``CubicHermiteSpline`` bit
+for bit.
 
 All samplers are pure functions of an RngStream, so replications on
 distinct stream indices are independent and reproducible regardless of
@@ -173,13 +181,33 @@ def _size_biased_survival(model: CovarianceModel, t):
         S*(t) = 2 t E0(t)/mu + (2/pi) arcsin r(t).
 
     Where r > 1/2, (2/pi) arcsin r is formed as 1 - (2/pi) arcsin sqrt(1 - r^2)
-    from the compensated 1 - r^2, so 1 - S* keeps its digits near t = 0."""
+    from the compensated 1 - r^2, so 1 - S* keeps its digits near t = 0.
+    r, r' and 1 - r^2 are each evaluated once."""
     t = np.asarray(t, dtype=float)
-    bias = 2.0 * t * slepian.e0(model, t) / slepian.mean_excursion(model)
-    r = model.r(t)
-    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(model.one_minus_r2(t), 1.0)))
-    out = np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
-    return out if out.ndim else float(out)
+    ts = np.atleast_1d(t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dr, one_minus_r2 = model.dr_and_one_minus_r2(ts)
+        e = slepian._e0_of(model, ts, dr, one_minus_r2)
+    out = _size_biased_of(model, ts, model.r(ts), one_minus_r2, e)
+    return out if t.ndim else float(out[0])
+
+
+def _size_biased_of(model: CovarianceModel, t, r, one_minus_r2, e):
+    """S* at the array ``t`` from r, 1 - r^2 and E0 there."""
+    bias = 2.0 * t * e / slepian.mean_excursion(model)
+    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(one_minus_r2, 1.0)))
+    return np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
+
+
+def _survival_and_density(survival, model: CovarianceModel, t: np.ndarray):
+    """``survival(model, t)`` and its density g = -survival' at the 1-d
+    array ``t``, from one ``slepian.divisor_terms`` evaluation: g is the
+    divisor density f for E0 and 2 t f / mu = t f / m for the size-biased
+    S*.  ``survival`` is S* if it is ``_size_biased_survival``, else E0."""
+    r, one_minus_r2, e, f = slepian.divisor_terms(model, t)
+    if survival is not _size_biased_survival:
+        return e, f
+    return _size_biased_of(model, t, r, one_minus_r2, e), 2.0 * t * f / slepian.mean_excursion(model)
 
 
 def _table_end(survival, model: CovarianceModel) -> float:
@@ -204,45 +232,20 @@ def _table_end(survival, model: CovarianceModel) -> float:
     return hi
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients c[4, n - 1] of the not-a-knot cubic spline through
-    (x, y), piece i being c[0, i] d^3 + c[1, i] d^2 + c[2, i] d + c[3, i]
-    with d = z - x[i] (the layout of scipy's ``CubicSpline.c``).
-
-    The knot slopes solve the tridiagonal system of ``CubicSpline``: row i
-    of the interior is dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] +
-    dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1] m[i]) for the secant slopes
-    m, and the two end rows make the third derivative continuous at the
-    second and the second-last knot.  The interior rows are diagonally
-    dominant, so elimination without pivoting (the Thomas algorithm) is
-    stable.  It runs once per table, as a loop over Python floats.
-    """
+def _hermite(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Coefficients c[4, n - 1] of the cubic Hermite interpolant of (x, y)
+    with slopes s at the knots, piece i being c[0, i] d^3 + c[1, i] d^2 +
+    c[2, i] d + c[3, i] with d = z - x[i] (the layout and the arithmetic of
+    scipy's ``CubicHermiteSpline.c``).  Each piece depends on its two knots
+    only, so the build is one vectorised step."""
     dx = np.diff(x)
     m = np.diff(y) / dx
-    d_first, d_last = x[2] - x[0], x[-1] - x[-3]
-    # Python floats throughout: numpy scalars make the loops about twice as slow
-    lower = [*dx[1:].tolist(), float(d_last)]
-    diag = [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
-    upper = [float(d_first), *dx[:-1].tolist()]
-    b = [
-        float(((dx[0] + 2 * d_first) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d_first),
-        *(3 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(),
-        float((dx[-1] ** 2 * m[-2] + (2 * d_last + dx[-1]) * dx[-2] * m[-1]) / d_last),
-    ]
-    for i in range(len(b) - 1):
-        f = lower[i] / diag[i]
-        diag[i + 1] -= f * upper[i]
-        b[i + 1] -= f * b[i]
-    b[-1] /= diag[-1]
-    for i in range(len(b) - 2, -1, -1):
-        b[i] = (b[i] - upper[i] * b[i + 1]) / diag[i]
-    s = np.array(b)
     t = (s[:-1] + s[1:] - 2 * m) / dx
     return np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 class _InverseTable:
-    """The table's cubic spline of log1p(t) in z, evaluated through a guide
+    """The table's piecewise cubic of log1p(t) in z, evaluated through a guide
     table (indexed search: Chen & Asau 1974; Hoermann, Leydold & Derflinger
     2004, sec. 3.1.2) in place of a binary search per draw.
 
@@ -255,7 +258,7 @@ class _InverseTable:
     interval of z is ``guide[c]`` plus one compare.  z in a cell holding
     more knots (power tails, refined zero crossings) is located by binary
     search.  ``c`` holds the power-form coefficients of each piece, highest
-    degree first (``_not_a_knot``), and a call equals the plain evaluation
+    degree first (``_hermite``), and a call equals the plain evaluation
     with a binary search bit for bit.
     """
 
@@ -275,7 +278,7 @@ class _InverseTable:
         return np.right_shift(z.view(np.int64), 52 - _GUIDE_BITS)
 
     def locate(self, z):
-        """The spline piece of each z of the array ``z``:
+        """The piece of each z of the array ``z``:
         clip(searchsorted(x, z, "right") - 1, 0, n - 2)."""
         # -0.0 (and NaN with the sign bit set) has a negative key, cell 0;
         # other NaN land in the last cell; either stays NaN through the cubic
@@ -288,7 +291,7 @@ class _InverseTable:
         return piece
 
     def __call__(self, z):
-        """The spline at every z of the array ``z`` (at least 1-d)."""
+        """The piecewise cubic at every z of the array ``z`` (at least 1-d)."""
         z = np.asarray(z, dtype=float)
         i = self.locate(z)
         c0, c1, c2, c3 = self.c
@@ -303,10 +306,10 @@ class _InverseTable:
 
 @lru_cache(maxsize=128)
 def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
-    """Cubic spline of log1p(t) in z = sqrt(-log survival(model, t)) on the
-    table nodes, refined until it meets the round trip (see the module
-    notes), with its guide table.  ``survival`` is ``slepian.e0`` or
-    ``_size_biased_survival``.
+    """Cubic Hermite interpolant of log1p(t) in z = sqrt(-log S) on the
+    table nodes, S = survival(model, t), with the exact slope at every knot,
+    refined until it meets the round trip (see the module notes), with its
+    guide table.  ``survival`` is ``slepian.e0`` or ``_size_biased_survival``.
 
     Raises ``InverseTableError`` when the last node cannot be placed, when z is
     not strictly increasing on the nodes (the survival not strictly
@@ -314,14 +317,21 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
     round trip 1e-9 on [eps, 1]; there is no fallback inverter.
     """
     t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(survival, model), _TABLE_NODES - 1)))
-    e = survival(model, t)
+    e, g = _survival_and_density(survival, model, t)
     z_eps = math.sqrt(-math.log(_EPS))
     for check in range(_TABLE_ROUNDS):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             z = np.sqrt(-np.log(e))
+            # dx/dz = 2 z S / ((1 + t) g) for x = log1p(t), since dz/dt = g/(2 z S)
+            slope = 2.0 * z * e / ((1.0 + t) * g)
         if not np.all(np.diff(z) > 0.0):
             raise InverseTableError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
-        table = _InverseTable(z, _not_a_knot(z, np.log1p(t)))
+        x = np.log1p(t)
+        # at t = 0 the slope is 0/0; it takes its limit, estimated as the
+        # slope at z = 0 of the quadratic through the first two knots with
+        # the exact slope at the second (see the module notes), at least 0
+        slope[0] = max(2.0 * (x[1] - x[0]) / (z[1] - z[0]) - slope[1], 0.0)
+        table = _InverseTable(z, _hermite(z, x, slope))
         # the intervals that reach u >= eps (the first k) are checked at
         # their midpoint in z, or at u = eps if the midpoint lies below it
         k = np.searchsorted(z, z_eps)
@@ -333,8 +343,10 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
             break
         # halve the intervals that miss in t
         tm = 0.5 * (t[miss] + t[miss + 1])
+        em, gm = _survival_and_density(survival, model, tm)
         t = np.insert(t, miss + 1, tm)
-        e = np.insert(e, miss + 1, survival(model, tm))
+        e = np.insert(e, miss + 1, em)
+        g = np.insert(g, miss + 1, gm)
     if not np.all(err <= 1e-9):
         raise InverseTableError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
     return table

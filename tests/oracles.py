@@ -34,7 +34,10 @@ against the other.
 * ``log_cosh_oracle``, ``dr_oracle``, ``one_minus_r2_oracle`` and
   ``e0_oracle``: r'(t) and 1 - r(t)^2 of each covariance family as two
   separate expressions, each forming the factor they share on its own,
-  and E0 from them, an oracle for the models' ``dr_and_one_minus_r2``.
+  and E0 from them, an oracle for the models' ``dr_and_one_minus_r2``;
+  ``size_biased_survival_oracle`` is S* from E0, r and 1 - r^2 each
+  evaluated on its own, an oracle for the size-biased survival and the
+  table build, which evaluate them together.
 * ``switch_expectation_loop_oracle`` and ``switch_covariance_loop_oracle``:
   the two switch estimators as separate per-time loops over a path-state
   function, the origin and stationary starts drawn on their own, an
@@ -321,6 +324,17 @@ def e0_oracle(model, t):
     one_minus_r2 = one_minus_r2_oracle(model, t)
     val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2)
     return np.where(one_minus_r2 < np.finfo(float).tiny, 1.0, np.where(np.isinf(t), 0.0, val))
+
+
+def size_biased_survival_oracle(model, t):
+    """S*(t) = 2 t E0(t)/mu + (2/pi) arcsin r(t), the arcsin formed as
+    1 - (2/pi) arcsin sqrt(1 - r^2) where r > 1/2; E0, r and 1 - r^2 each
+    evaluated on its own."""
+    t = np.asarray(t, dtype=float)
+    bias = 2.0 * t * ex.e0(model, t) / ex.mean_excursion(model)
+    r = model.r(t)
+    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(model.one_minus_r2(t), 1.0)))
+    return np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
 
 
 def _switch_states(cums, a, delta, t):

@@ -380,13 +380,28 @@ def test_switch_stationary_without_size_biased_sampler_is_usage_error(capsys):
 
 
 def test_switch_size_biased_table_refusal_is_numerical_failure(capsys):
-    # the size-biased survival of shifted_gaussian(alpha=0.22) crosses zero
-    # too steeply for the inverse table's round-trip contract
-    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.22)", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]
+    # the size-biased survival of shifted_gaussian(alpha=0.2259), the
+    # gate's limit, crosses zero too steeply for the inverse table's
+    # round-trip contract (from alpha = 0.224 on)
+    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.2259)", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "numerical failure: inverse table of shifted_gaussian(alpha=0.22) misses the relative round trip" in captured.err
+    assert "numerical failure: inverse table of shifted_gaussian(alpha=0.2259) misses the relative round trip" in captured.err
+
+
+def test_switch_stationary_divisor_near_a_zero_crossing(tmp_path, capsys):
+    # the size-biased table of shifted_gaussian(alpha=0.22) meets the round
+    # trip with exact knot slopes (it missed 1e-9 by 1.07e-9 with the
+    # not-a-knot spline, and the command exited 3)
+    out = tmp_path / "switch_sg.csv"
+    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.22)", "--mode", "stationary", "--n", "4000", "--grid", "1:3:1", "--seed", "2", "--output", str(out)]
+    assert main(argv) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["t", "E_hat", "R_hat", "SE"]
+    assert len(rows) == 3
+    assert all(abs(float(r[1])) < 0.06 for r in rows)  # stationary mean ~ 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("mode", ["origin", "stationary"])

@@ -187,6 +187,16 @@ def test_second_derivative_values():
     assert ex.GeneralizedLaplace(alpha=1.5).d2r0() == pytest.approx(-1.5, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "m", ALL_MODELS + [ex.Diffusion(d=d) for d in (3, 63, 64)] + [ex.ShiftedGaussian(alpha=a) for a in (0.1, 0.2259, 0.3)]
+    + [ex.GeneralizedLaplace(alpha=a) for a in (1e-3, 0.1, 10.0)], ids=lambda m: m.spec_string()
+)
+def test_d2r_at_zero_is_d2r0_bit_for_bit(m):
+    # E0 reads r''(0) from d2r0, a float; d2r(0) is the same number
+    assert _bits(m.d2r(0.0)) == _bits(m.d2r0())
+    assert _bits(m.d2r(np.zeros(3))) == _bits([m.d2r0()] * 3)
+
+
 def test_second_derivative_matches_second_differences():
     # one-sided-in-h extrapolation over h in {1e-2, 1e-3}: the random
     # acceleration covariance has an odd third-order term at zero, so the

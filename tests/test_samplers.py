@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 import excursia as ex
 from excursia import samplers, slepian
@@ -15,9 +15,10 @@ from excursia.samplers import (
     _CLOSED_FORM_INVERSES,
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
+    _hermite,
     _inverse_table,
-    _not_a_knot,
     _size_biased_survival,
+    _survival_and_density,
     _table_end,
 )
 
@@ -25,6 +26,7 @@ from conftest import VALID_MODELS, apply_inverse
 from oracles import (
     diffusion_d1_inverse_oracle,
     diffusion_d2_inverse_oracle,
+    e0_oracle,
     g_forward,
     g_inverse,
     gaussian_divisor_density,
@@ -33,6 +35,7 @@ from oracles import (
     poly_inverse_b,
     random_acceleration_inverse_oracle,
     sample_excursions_one_shot,
+    size_biased_survival_oracle,
     survival_inverse_oracle,
     table_inverse_oracle,
 )
@@ -135,7 +138,7 @@ def _relative_round_trip(model, u, survival=slepian.e0):
 
 
 # every usable family; the size-biased survival S* of shifted_gaussian with
-# alpha above about 0.21 crosses zero too steeply for the contract, and its
+# alpha from about 0.224 on crosses zero too steeply for the contract, and its
 # table refuses to build (test_cli::test_switch_size_biased_table_refusal_is_numerical_failure)
 ROUND_TRIP_MODELS = st.one_of(
     st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
@@ -147,10 +150,7 @@ ROUND_TRIP_MODELS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    case=st.one_of(
-        st.tuples(st.just(slepian.e0), st.one_of(ROUND_TRIP_MODELS, st.just(ex.ShiftedGaussian(alpha=0.22)))),
-        st.tuples(st.just(_size_biased_survival), ROUND_TRIP_MODELS),
-    ),
+    case=st.tuples(st.sampled_from([slepian.e0, _size_biased_survival]), st.one_of(ROUND_TRIP_MODELS, st.just(ex.ShiftedGaussian(alpha=0.22)))),
     u=st.floats(EPS, 1.0 - EPS),
 )
 def test_inverse_survival_relative_round_trip(case, u):
@@ -193,7 +193,8 @@ def test_inverse_table_deep_tail_regressions():
 
 def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing(monkeypatch):
     # flat on (1, 2): z repeats on the nodes there
-    monkeypatch.setattr(slepian, "e0", lambda model, t: np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)))
+    flat = lambda survival, model, t: (np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)), np.ones_like(t))
+    monkeypatch.setattr(samplers, "_survival_and_density", flat)
     with pytest.raises(RuntimeError, match="not strictly decreasing"):
         _inverse_table.__wrapped__(slepian.e0, ex.Diffusion(d=3))
 
@@ -316,40 +317,95 @@ def test_guided_table_equals_spline_bit_for_bit(model):
     assert np.isnan(t[0]) and t[1] == 0.0
 
 
-@pytest.mark.parametrize("model", TABLE_MODELS, ids=TABLE_IDS)
-def test_not_a_knot_build_matches_scipy_cubic_spline(model):
-    # the knots and values of a built table (refined ones included: the
-    # shifted_gaussian alpha >= 0.2 tables have more than 4096 knots); the
-    # last knot is always the table end, log1p(t) at the others is c[3]
-    table = _inverse_table(slepian.e0, model)
+@pytest.mark.parametrize("model", TABLE_MODELS + [ex.Diffusion(d=1), ex.Diffusion(d=2), ex.RandomAcceleration()], ids=lambda m: m.spec_string())
+def test_table_survivals_keep_their_bits(model):
+    # the build evaluates r, r' with 1 - r^2, and r'' once per node set for
+    # the survival and its density; E0 and S* keep the bits of E0, r and
+    # 1 - r^2 evaluated one by one, on the validity gate's grid and on both
+    # tables' nodes
+    grid = slepian.time_grid(0.0, slepian.DEFAULT_T_MAX, slepian.DEFAULT_STEP)
+    for survival, oracle in ((slepian.e0, e0_oracle), (_size_biased_survival, size_biased_survival_oracle)):
+        nodes = np.concatenate(([0.0], np.geomspace(samplers._TABLE_T_FIRST, _table_end(survival, model), samplers._TABLE_NODES - 1)))
+        for t in (grid, nodes):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = oracle(model, t)
+            got, density = _survival_and_density(survival, model, t)
+            assert got.tobytes() == survival(model, t).tobytes() == want.tobytes()
+            assert np.all(np.isfinite(density[1:]))
+
+
+def _knot_slopes(survival, model, table):
+    """The slope dx/dz at every knot of a built table: c[2] at every knot
+    but the last, and at the last one, the table end, the build's
+    2 z S / ((1 + t) g) from the survival and its density there."""
+    t_end = np.array([_table_end(survival, model)])
+    e, g = _survival_and_density(survival, model, t_end)
+    last = 2.0 * table.x[-1] * e / ((1.0 + t_end) * g)
+    return np.append(table.c[2], last)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"{'S*' if c[0] is _size_biased_survival else 'E0'}-{c[1].spec_string()}")
+def test_hermite_build_matches_scipy_cubic_hermite_spline(case):
+    # the knots, values and slopes of a built table (refined ones included:
+    # the shifted_gaussian alpha >= 0.2 tables have more than 4096 knots);
+    # the last knot is always the table end, log1p(t) at the others is c[3]
+    survival, model = case
+    table = _inverse_table(survival, model)
     x = table.x
-    y = np.append(table.c[3], np.log1p(_table_end(slepian.e0, model)))
+    y = np.append(table.c[3], np.log1p(_table_end(survival, model)))
+    s = _knot_slopes(survival, model, table)
+    assert np.array_equal(_hermite(x, y, s), table.c)
+    oracle = CubicHermiteSpline(x, y, s)
+    assert np.array_equal(table.c, oracle.c)
     z = np.sqrt(-np.log(ex.RngStream(62, 0).uniform01(10**5)))
-    got = plain_spline(x, _not_a_knot(x, y), z)
-    want = CubicSpline(x, y)(z)
-    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    want = oracle(z)
+    assert np.all(np.abs(plain_spline(x, table.c, z) - want) <= np.spacing(np.abs(want)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.floats(1e-2, 1.0), min_size=3, max_size=40).flatmap(
+    st.lists(st.floats(1e-2, 1.0), min_size=1, max_size=40).flatmap(
         lambda dx: st.tuples(
             st.just(np.concatenate(([0.0], np.cumsum(dx)))),
-            st.lists(st.floats(-1e3, 1e3), min_size=len(dx) + 1, max_size=len(dx) + 1).map(np.array),
+            st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=len(dx) + 1, max_size=len(dx) + 1).map(np.array),
         )
     ),
     st.floats(0.0, 1.0),
 )
-def test_not_a_knot_property_matches_scipy_cubic_spline(knots_values, frac):
+def test_hermite_property_matches_scipy_cubic_hermite_spline(knots_values_slopes, frac):
     # strictly increasing knots with spacings within a factor 100 of each
-    # other and n >= 4 random values: the two builds agree to 1e-11 of the
-    # largest |spline| on the knots and 102 points between them (the
-    # largest difference seen on 2e4 random cases was 3.2e-13 of it)
-    x, y = knots_values
+    # other, n >= 2 random values and slopes: the coefficients equal
+    # scipy's bit for bit, and the values agree to 1e-12 of the largest
+    # |spline| on the knots and 102 points between them (they were equal
+    # on 2e4 random cases; scipy evaluates the pieces in its own code)
+    x, (y, s) = knots_values_slopes[0], knots_values_slopes[1].T
+    c = _hermite(x, y, s)
+    oracle = CubicHermiteSpline(x, y, s)
+    assert np.array_equal(c, oracle.c)
     z = np.concatenate((x, np.linspace(x[0], x[-1], 101), [x[0] + frac * (x[-1] - x[0])]))
-    got = plain_spline(x, _not_a_knot(x, y), z)
-    want = CubicSpline(x, y)(z)
-    assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want).max())
+    want = oracle(z)
+    assert np.all(np.abs(plain_spline(x, c, z) - want) <= 1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(
+            st.sampled_from([slepian.e0, _size_biased_survival]),
+            st.one_of(ROUND_TRIP_MODELS, st.sampled_from([ex.RandomAcceleration(), ex.ShiftedGaussian(alpha=0.22)])),
+        ),
+        st.just((slepian.e0, ex.ShiftedGaussian(alpha=0.2259))),
+    )
+)
+def test_inverse_table_slopes_are_finite_and_positive(case):
+    # the exact slope 2 z S / ((1 + t) g) at every knot but t = 0, where it
+    # is 0/0 and takes its limit, finite and at least 0 (0 for random
+    # acceleration's E0, where 1 - E0 is linear in t)
+    survival, model = case
+    table = _inverse_table(survival, model)
+    s = _knot_slopes(survival, model, table)
+    assert np.isfinite(s[0]) and s[0] >= 0.0
+    assert np.all(np.isfinite(s[1:]) & (s[1:] > 0.0))
 
 
 def test_divisor_distribution_ks_match():

@@ -125,6 +125,71 @@ def _e0_reference(model, ts):
     return np.array([_e0_mpmath(*parts, t) for t in np.atleast_1d(ts)])
 
 
+def _derivative_mpmath(f, t):
+    """f'(t) of an mpmath function by mpmath's finite differences at a step
+    1e-20 max(t, 1), in mpmath's extra working precision."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        return float(mpmath.diff(f, t, h=max(t, 1) * mpmath.mpf(10) ** -20))
+
+
+# every family, its extreme parameters, and t = 0, tiny, moderate and huge
+D2R_MODELS = ALL_MODELS + [ex.Diffusion(d=64), ex.ShiftedGaussian(alpha=0.2259)]
+D2R_MODELS += [ex.GeneralizedLaplace(alpha=a) for a in (1e-3, 0.1, 10.0)]
+D2R_TIMES = np.concatenate([[0.0, 1e-8, 1e-3], np.random.default_rng(271828).uniform(1e-3, 30.0, 60), [1e3, 1e80, 1e160, 1e300]])
+
+
+@pytest.mark.parametrize("m", D2R_MODELS, ids=lambda m: m.spec_string())
+def test_d2r_matches_mpmath(m):
+    # r'' against the 50-digit derivative of the mpmath r'; within 2e-13
+    # relatively (measured 8e-14, generalized_laplace at t = 1e80, where
+    # r'' is formed from log t) plus 4 eps of |r''(0)| where r'' crosses
+    # zero.  No overflow or invalid operation at huge t; underflow to 0 is
+    # the value there, as for E0
+    with mpmath.workdps(50):
+        r, dr, _ = _mpmath_parts(m)
+    want = np.array([_derivative_mpmath(dr, t) for t in D2R_TIMES])
+    with np.errstate(all="raise", under="ignore"):
+        got = m.d2r(D2R_TIMES)
+        scalars = np.array([m.d2r(t) for t in D2R_TIMES])
+    assert np.array_equal(got, scalars)
+    err = np.abs(got - want)
+    assert np.all(err <= 2e-13 * np.abs(want) + 4 * np.finfo(float).eps * abs(m.d2r0())), (D2R_TIMES[err.argmax()], err.max())
+
+
+DENSITY_MODELS = VALID_MODELS + [ex.Diffusion(d=64), ex.GeneralizedLaplace(alpha=0.1), ex.GeneralizedLaplace(alpha=10.0)]
+
+
+@pytest.mark.parametrize("m", DENSITY_MODELS, ids=lambda m: m.spec_string())
+def test_divisor_density_matches_mpmath(m):
+    # f = -E0' against the 50-digit derivative of the mpmath E0.  The two
+    # terms of the numerator cancel to order t^4 near t = 0, so the
+    # relative error grows like eps/t^2 there: measured at most 19 eps/t^2
+    # below t = 1 (4e-9 at t = 1e-3, matern(nu=4.5); 3e-10 for diffusion
+    # d = 2) and 3e-14 above (shifted_gaussian, t near 30)
+    ts = np.concatenate([np.geomspace(1e-3, 1.0, 31), np.random.default_rng(161803).uniform(1.0, 30.0, 60)])
+    with mpmath.workdps(50):
+        r, dr, d2r0 = _mpmath_parts(m)
+        e0 = lambda t: -dr(t) / (mpmath.sqrt(-d2r0) * mpmath.sqrt(1 - r(t) ** 2))
+    want = np.array([-_derivative_mpmath(e0, t) for t in ts])
+    got = slepian.divisor_density(m, ts)
+    assert np.all(want > 0.0)
+    rel = np.abs(got / want - 1.0)
+    assert np.all(rel <= 1e-13 + 64 * np.finfo(float).eps / ts**2), (ts[rel.argmax()], rel.max())
+
+
+@pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.spec_string())
+def test_divisor_density_limits_and_scalars(m):
+    # 0/0 where E0 takes its limit 1 (t = 0, 1 - r^2 underflowed): NaN; 0 at
+    # infinite t; a scalar gives the float of a one-point array
+    with np.errstate(all="raise", under="ignore"):
+        got = slepian.divisor_density(m, np.array([0.0, 1e-200, np.inf, 1.0]))
+        scalars = [slepian.divisor_density(m, t) for t in (0.0, 1e-200, np.inf, 1.0)]
+    assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == 0.0 and np.isfinite(got[3])
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == got.tobytes()
+
+
 def test_e0_matches_mpmath_every_family():
     # the generic E0 against 50 digits at 1000 random points, every family
     rng = np.random.default_rng(314159)
