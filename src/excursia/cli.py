@@ -306,7 +306,7 @@ def _cmd_models(args) -> int:
     catalog = [
         {"name": "diffusion", "params": {"d": f"integer in [1, {MAX_DIFFUSION_DIM}]"}},
         {"name": "random_acceleration", "params": {}},
-        {"name": "shifted_gaussian", "params": {"alpha": ">= 0 (validate decides; the gate accepts up to about 0.2259)"}},
+        {"name": "shifted_gaussian", "params": {"alpha": ">= 0 (validate decides; E0 turns negative for every alpha > 0, and the gate refuses alpha from about 0.041 on)"}},
         {"name": "matern (matern_half_integer)", "params": {"nu": f"one of {list(MATERN_NU_VALUES)}"}},
         {"name": "generalized_laplace", "params": {"alpha": "> 0"}},
     ]

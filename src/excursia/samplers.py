@@ -34,10 +34,10 @@ density g = -S' are evaluated once, vectorised, at t = 0 and on geometric
 nodes from 1e-3 (where 1 - S is resolved in floating point) up to the
 first power of two where S < eps/4, from one evaluation each of r, r' with
 1 - r^2, and r'' (g is the divisor density f = -E0' for E0, and t f / m
-for S*).  A survival that is not positive there (it crosses zero within
-the validity gate's tolerance, as shifted_gaussian does for alpha near the
-gate's limit) ends instead at a point bisected back to 0 < S < eps/4.
-With z = sqrt(-log S) and x = log1p(t), x(z) is smooth in exponential,
+for S*).  A survival that is negative there has z = NaN at that node, and
+the build refuses it as not strictly decreasing; no catalog model the
+validity gate accepts gets there, for E0 or S*.  With
+z = sqrt(-log S) and x = log1p(t), x(z) is smooth in exponential,
 superexponential and power tails, and the table is the cubic Hermite
 interpolant of x in z (Hoermann & Leydold 2003) with the exact slope
 dx/dz = 2 z S / ((1 + t) g) at every knot but t = 0.  There the slope is
@@ -47,10 +47,10 @@ exact where x is quadratic in z (1 - S linear in t, as for random
 acceleration's E0) and right to order z^2 where x is smooth in z
 (1 - S ~ c t^2).  Each piece depends on its two knots only, so the build
 is one vectorised step (``_hermite``), and smooth tables meet the relative
-round trip to a few 1e-12.  Near a zero crossing x(z) flattens; the build
-checks the round trip at the midpoint in z of every interval reaching
-U >= eps and halves in t the intervals that miss 1e-10, until none does
-(smooth tails pass the first check).  A draw is
+round trip to a few 1e-12.  The build checks the round trip at the
+midpoint in z of every interval reaching U >= eps and halves in t the
+intervals that miss 1e-10, until none does (smooth tails pass the first
+check).  A draw is
 t = max(expm1(x(sqrt(-log U))), 0); the piece holding z = sqrt(-log U) is
 found through a guide table on the leading bits of z (one cell index and
 one compare for a smooth table, see ``_InverseTable``), not by a binary
@@ -212,24 +212,13 @@ def _survival_and_density(survival, model: CovarianceModel, t: np.ndarray):
 
 def _table_end(survival, model: CovarianceModel) -> float:
     """Last table node: the first power of two where the survival is below
-    eps/4, or, when it is not positive there (a survival that crosses zero
-    within the validity gate's tolerance), a point bisected between it and
-    the power of two before where 0 < survival < eps/4."""
+    eps/4."""
     powers = 2.0 ** np.arange(64)
     with np.errstate(all="ignore"):
         below = np.flatnonzero(np.asarray(survival(model, powers)) < _TABLE_TAIL)
     if below.size == 0:
         raise InverseTableError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
-    lo, hi = (powers[below[0] - 1] if below[0] else 0.0), powers[below[0]]
-    while survival(model, hi) <= 0.0:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            raise InverseTableError(f"survival of {model.spec_string()} crosses zero before it falls below {_TABLE_TAIL:.3g}")
-        if survival(model, mid) < _TABLE_TAIL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(powers[below[0]])
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -256,10 +245,10 @@ class _InverseTable:
     cells before c.  The knots are geometric in t, so close to uniform in
     log z, and a cell of a smooth table holds at most one knot: the
     interval of z is ``guide[c]`` plus one compare.  z in a cell holding
-    more knots (power tails, refined zero crossings) is located by binary
-    search.  ``c`` holds the power-form coefficients of each piece, highest
-    degree first (``_hermite``), and a call equals the plain evaluation
-    with a binary search bit for bit.
+    more knots (power tails) is located by binary search.  ``c`` holds the
+    power-form coefficients of each piece, highest degree first
+    (``_hermite``), and a call equals the plain evaluation with a binary
+    search bit for bit.
     """
 
     def __init__(self, x: np.ndarray, c: np.ndarray):

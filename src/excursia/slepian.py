@@ -54,10 +54,12 @@ __all__ = [
 DEFAULT_T_MAX = 50.0
 DEFAULT_STEP = 0.01
 MAX_GRID_POINTS = 10**7  # 80 MB of float64 times; larger grids are refused
-# A monotonicity violation must exceed this to fire (guards against
-# roundoff wiggle in flat tails).
-MONOTONE_TOL = 1e-12
-NONNEG_TOL = -1e-12
+# The gate decides on signs: E0 >= 0 exactly, and a grid step may rise by
+# at most MONOTONE_RTOL * E0 (a relative allowance for the rounding of
+# E0 near 1).  The worst rise measured on geomspace(5e-324, 1e-3, 4e5) is
+# 8 eps, for generalized_laplace(alpha=10), where E0 rounds to 1 + 5 eps;
+# it is 2-4 eps for every other family.
+MONOTONE_RTOL = 16 * np.finfo(float).eps
 # Tail classification uses the last fifth of the usable grid and needs a
 # minimum number of points to be meaningful.
 TAIL_FRACTION = 0.2
@@ -290,9 +292,9 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     # negated comparisons: a non-finite value (NaN, or inf minus inf) fails
     # them, so it is a violation at its t
     with np.errstate(invalid="ignore"):
-        mono_viol = np.flatnonzero(~(vals[1:] - vals[:-1] <= MONOTONE_TOL))
+        mono_viol = np.flatnonzero(~(vals[1:] - vals[:-1] <= MONOTONE_RTOL * vals[:-1]))
     mono_t = float(ts[mono_viol[0] + 1]) if mono_viol.size else None
-    neg_viol = np.flatnonzero(~(vals >= NONNEG_TOL))
+    neg_viol = np.flatnonzero(~(vals >= 0.0))
     neg_t = float(ts[neg_viol[0]]) if neg_viol.size else None
 
     tail_class = None

@@ -58,17 +58,20 @@ def test_sample_refusal_exit_code(capsys):
     assert payload["report"]["verdict"] == "invalid_oscillating"
 
 
-def test_sample_and_persistency_on_a_survival_crossing_zero_inside_gate_tolerance(tmp_path, capsys):
-    # shifted_gaussian(alpha=0.2) passes the validity gate although E0 dips
-    # below zero (by less than 1e-12) just above eps/4
+def test_sample_and_persistency_refuse_a_survival_dipping_below_zero(tmp_path, capsys):
+    # E0 of shifted_gaussian(alpha=0.2) turns negative past t* = 7.979, by
+    # at most 1.1e-15 on the gate's grid; the gate decides on signs, so
+    # both commands are refused with its report and nothing is written
     spec = "shifted_gaussian(alpha=0.2)"
     out = tmp_path / "vals.txt"
-    assert main(["sample", "--model", spec, "--what", "excursion", "--n", "200", "--seed", "3", "--output", str(out)]) == 0
-    vals = np.array([float(x) for x in out.read_text().split()])
-    assert vals.size == 200 and np.all(np.isfinite(vals)) and np.all(vals > 0)
-    code, payload = run_json(capsys, ["persistency", "--model", spec, "--n", "2000", "--k", "200", "--reps", "2", "--seed", "5"])
-    assert code == 0
-    assert all(math.isfinite(e["theta"]) for e in payload["estimates"])
+    for argv in (["sample", "--model", spec, "--what", "excursion", "--n", "200", "--seed", "3", "--output", str(out)],
+                 ["persistency", "--model", spec, "--n", "2000", "--k", "200", "--reps", "2", "--seed", "5"]):
+        code, payload = run_json(capsys, argv)
+        assert code == 2
+        assert payload["error"] == "validity_gate"
+        assert payload["report"]["verdict"] == "invalid_oscillating"
+        assert payload["report"]["first_violation_t"] == pytest.approx(7.98)
+    assert not out.exists()
 
 
 def test_sample_text_and_binary(tmp_path, capsys):
@@ -379,29 +382,16 @@ def test_switch_stationary_without_size_biased_sampler_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
-def test_switch_size_biased_table_refusal_is_numerical_failure(capsys):
-    # the size-biased survival of shifted_gaussian(alpha=0.2259), the
-    # gate's limit, crosses zero too steeply for the inverse table's
-    # round-trip contract (from alpha = 0.224 on)
-    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.2259)", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numerical failure: inverse table of shifted_gaussian(alpha=0.2259) misses the relative round trip" in captured.err
-
-
-def test_switch_stationary_divisor_near_a_zero_crossing(tmp_path, capsys):
-    # the size-biased table of shifted_gaussian(alpha=0.22) meets the round
-    # trip with exact knot slopes (it missed 1e-9 by 1.07e-9 with the
-    # not-a-knot spline, and the command exited 3)
-    out = tmp_path / "switch_sg.csv"
-    argv = ["switch", "--dist", "divisor:shifted_gaussian(alpha=0.22)", "--mode", "stationary", "--n", "4000", "--grid", "1:3:1", "--seed", "2", "--output", str(out)]
-    assert main(argv) == 0
-    _, header, rows = read_csv(out)
-    assert header == ["t", "E_hat", "R_hat", "SE"]
-    assert len(rows) == 3
-    assert all(abs(float(r[1])) < 0.06 for r in rows)  # stationary mean ~ 0
-    capsys.readouterr()
+@pytest.mark.parametrize("alpha, t_star", [("0.22", 7.277), ("0.2259", 7.094)])
+def test_switch_stationary_divisor_of_an_oscillating_model_is_refused(alpha, t_star, capsys):
+    # E0 of shifted_gaussian(alpha) turns negative past t*: the gate
+    # refuses the switching law (exit 2) before any inverse table is built
+    argv = ["switch", "--dist", f"divisor:shifted_gaussian(alpha={alpha})", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]
+    code, payload = run_json(capsys, argv)
+    assert code == 2
+    assert payload["error"] == "validity_gate"
+    assert payload["report"]["verdict"] == "invalid_oscillating"
+    assert 0.0 < payload["report"]["first_violation_t"] - t_star <= 0.01
 
 
 @pytest.mark.parametrize("mode", ["origin", "stationary"])
@@ -473,17 +463,18 @@ def test_models_listing(capsys):
 
 
 def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
-    # E0 of shifted_gaussian first dips below 0 (near t = 7.2) between
-    # alpha = 0.2259 and 0.226; the listing names that limit and leaves the
-    # verdict to validate
+    # E0 of shifted_gaussian turns negative past t* for every alpha > 0;
+    # the gate refuses it from the alpha on where that negative part no
+    # longer underflows to -0 (between 0.0408 and 0.041), and the listing
+    # names that limit and leaves the verdict to validate
     verdicts = {}
-    for alpha in ("0.2259", "0.226"):
+    for alpha in ("0.0408", "0.041"):
         code, payload = run_json(capsys, ["validate", "--model", f"shifted_gaussian(alpha={alpha})"])
         verdicts[alpha] = (code, payload["report"]["verdict"])
-    assert verdicts == {"0.2259": (0, "valid"), "0.226": (0, "invalid_oscillating")}
+    assert verdicts == {"0.0408": (0, "valid"), "0.041": (0, "invalid_oscillating")}
     _, payload = run_json(capsys, ["models"])
     (entry,) = [m for m in payload["models"] if m["name"] == "shifted_gaussian"]
-    assert "0.2259" in entry["params"]["alpha"] and "validate" in entry["params"]["alpha"]
+    assert "0.041" in entry["params"]["alpha"] and "validate" in entry["params"]["alpha"]
 
 
 @pytest.mark.parametrize(

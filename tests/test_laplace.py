@@ -126,9 +126,9 @@ def test_pole_refuses_unusable_models():
         ex.find_pole(ex.GeneralizedLaplace(alpha=1.0))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.2259, 1.0, 2.0])
 def test_transform_refuses_models_the_gate_refuses(alpha):
-    # E0 of shifted_gaussian(alpha >= 0.226) turns negative: a transform
+    # E0 of shifted_gaussian(alpha > 0) turns negative past t*: a transform
     # truncated there and completed across the sign change would be wrong
     # (+24% at alpha = 2), so building one is refused as sampling is
     model = ex.ShiftedGaussian(alpha=alpha)
@@ -199,7 +199,7 @@ def _scan_pole_oracle(ev):
 POLE_MODELS = (
     [ex.Diffusion(d=d) for d in range(1, 65)]
     + [ex.RandomAcceleration(), ex.MaternHalfInteger(nu=2.5), ex.MaternHalfInteger(nu=3.5), ex.MaternHalfInteger(nu=4.5)]
-    + [ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.05, 0.1, 0.15, 0.2, 0.2259)]
+    + [ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.01, 0.04)]
 )
 
 

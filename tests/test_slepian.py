@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 import excursia as ex
 from excursia import samplers, slepian
@@ -271,6 +272,32 @@ def test_validate_verdicts():
     rep = ex.validate_iia(ex.ShiftedGaussian(alpha=0.0))
     assert rep.verdict == "valid"
     assert rep.tail_class.kind == "superexponential"
+
+
+def test_gate_refuses_shifted_gaussian_past_its_sign_change():
+    # r' of shifted_gaussian(alpha > 0) changes sign at t*, the root of
+    # t cos(alpha t) + alpha sin(alpha t) in (pi/(2 alpha), pi/alpha), and
+    # E0 turns negative past it.  The gate decides on signs: it refuses the
+    # model at the first grid point past t*, however small the dip (E0 is
+    # -1.1e-15 at most at alpha = 0.2).  At alpha = 0.04 the negative part
+    # underflows to -0 on the grid, and the model is accepted
+    assert ex.validate_iia(ex.ShiftedGaussian(alpha=0.04)).verdict == "valid"
+    for alpha in (0.045, 0.05, 0.2, 0.2259, 2.0):
+        t_star = optimize.brentq(lambda t: t * math.cos(alpha * t) + alpha * math.sin(alpha * t), 0.5 * math.pi / alpha, math.pi / alpha, xtol=1e-12)
+        rep = ex.validate_iia(ex.ShiftedGaussian(alpha=alpha))
+        assert rep.verdict == "invalid_oscillating"
+        assert 0.0 < rep.first_violation_t - t_star <= rep.step, alpha
+
+
+@pytest.mark.parametrize("t_max", [1e-150, 1e-120, 1e-100])
+@pytest.mark.parametrize("m", TINY_T_MODELS + [ex.GeneralizedLaplace(alpha=10.0)], ids=lambda m: m.spec_string())
+def test_gate_passes_every_family_on_a_tiny_grid(m, t_max):
+    # E0 rounds to a few ulps above 1 for t in [1e-154, 1e-100], where a
+    # grid step rises by up to 3 eps of E0 (8 eps for generalized_laplace
+    # alpha = 10 on a geometric grid); the relative allowance
+    # MONOTONE_RTOL must pass that rounding, which a zero one would not
+    rep = ex.validate_iia(m, t_max=t_max, step=t_max / 1e5)
+    assert rep.monotone_nonincreasing and rep.nonnegative
 
 
 def test_validate_diffusion_rates_within_3_percent():
