@@ -23,7 +23,6 @@ from .covariance import (
 )
 from .slepian import (
     ValidityError,
-    check_equivalence,
     e0,
     mean_excursion,
     validate_iia,

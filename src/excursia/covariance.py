@@ -24,15 +24,14 @@ The catalog:
 Each model class is the one definition of its family: its parameters and
 their validation, then r, then r' and 1 - r(t)^2 evaluated together
 (``dr_and_one_minus_r2``), then r''(t) (``d2r``, which the divisor density
-needs) and r''(0) as a float (``d2r0``, read by E0 on every call;
-``d2r(0)`` equals it bit for bit).  The divisor survival
-E0 needs r' and 1 - r^2 at the same t, and within a family the two share
-their costly factor (log cosh(t/2), expm1(-t), sin(alpha t), e^(-t) or
-log1p(t^2/2)), so one method forms that factor once and returns both;
-``dr`` and ``one_minus_r2`` are its two halves.  1 - r^2 is formed
-without the catastrophic cancellation the naive expression suffers near
-t = 0.  Everything downstream (the divisor survival E0, its tail class,
-its transform) is derived from these.
+needs).  The divisor survival E0 needs r' and 1 - r^2 at the same t, and
+within a family the two share their costly factor (log cosh(t/2),
+expm1(-t), sin(alpha t), e^(-t) or log1p(t^2/2)), so one method forms that
+factor once and returns both.  1 - r^2 is formed without the catastrophic
+cancellation the naive expression suffers near t = 0.  The base class
+derives r''(0) from ``d2r`` once per model (``d2r0``, which E0 reads on
+every call).  Everything downstream (the divisor survival E0, its tail
+class, its transform) is derived from these.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,21 +105,16 @@ class CovarianceModel:
         factors they share."""
         raise NotImplementedError
 
-    def dr(self, t):
-        """r'(t)."""
-        return self.dr_and_one_minus_r2(t)[0]
-
-    def one_minus_r2(self, t):
-        """1 - r(t)^2 without cancellation near t = 0."""
-        return self.dr_and_one_minus_r2(t)[1]
-
     def d2r(self, t):
         """r''(t)."""
         raise NotImplementedError
 
+    @cached_property
     def d2r0(self) -> float:
-        """r''(0), equal to ``d2r(0.0)`` bit for bit."""
-        raise NotImplementedError
+        """r''(0) as a float, from ``d2r`` once per model: E0 reads it on
+        every call.  The cache sits in the instance ``__dict__``, outside
+        the dataclass fields, so equality and hashing are unchanged."""
+        return float(self.d2r(0.0))
 
 
 @dataclass(frozen=True)
@@ -157,9 +152,6 @@ class Diffusion(CovarianceModel):
         th = np.tanh(half)
         return -0.125 * self.d * self._r(_log_cosh(half)) * (1.0 - (1.0 + 0.5 * self.d) * th * th)
 
-    def d2r0(self):
-        return -self.d / 8.0
-
 
 @dataclass(frozen=True)
 class RandomAcceleration(CovarianceModel):
@@ -183,9 +175,6 @@ class RandomAcceleration(CovarianceModel):
         # r'' = 3/8 (e^{-t/2} - 3 e^{-3t/2}) = 3/8 e^{-t/2} (1 - 3 e^{-t})
         t = np.asarray(t, dtype=float)
         return 0.375 * np.exp(-0.5 * t) * (1.0 - 3.0 * np.exp(-t))
-
-    def d2r0(self):
-        return -0.75
 
 
 @dataclass(frozen=True)
@@ -223,9 +212,6 @@ class ShiftedGaussian(CovarianceModel):
         a = self.alpha
         tc = np.minimum(t, 1e3)
         return ((tc * tc - 1.0 - a * a) * np.cos(a * t) + 2.0 * a * tc * np.sin(a * t)) * np.exp(-0.5 * t * t)
-
-    def d2r0(self):
-        return -(1.0 + self.alpha**2)
 
 
 # Half-integer Matern polynomials: for nu = m + 1/2 the Bessel factor
@@ -295,9 +281,6 @@ class MaternHalfInteger(CovarianceModel):
         # the polynomial at min(t, 1e3), as in r
         t = np.asarray(t, dtype=float)
         return -np.exp(-t) * np.polyval(_MATERN_POLY_D2[self.nu], np.minimum(t, 1e3)) / self._c
-
-    def d2r0(self):
-        return -1.0 / (2.0 * (self.nu - 1.0))
 
     def _c_exp_minus_poly(self, t):
         # c e^t - p(t), formed without cancellation: the constant and
@@ -376,9 +359,6 @@ class GeneralizedLaplace(CovarianceModel):
         log_t = np.log(np.where(deep, np.abs(t), 1.0))
         e = np.exp(-a2 * lp)
         return np.where(deep, a * (a + 0.5) * np.exp(2.0 * log_t - a2 * lp) - a * e, -a * e * (1.0 - (a + 0.5) * near * near))
-
-    def d2r0(self):
-        return -self.alpha
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,11 @@ def student_t_quantile(nu: int, p: float) -> float:
     raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}, p={p}")
 
 
+def _check_tail_count(k: int, n: int) -> None:
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"tail count k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
+
+
 def tail_exponent(samples, k: int, n: Optional[int] = None) -> tuple[float, float]:
     """OLS tail-slope estimate on the k largest of n order statistics.
 
@@ -174,8 +179,7 @@ def tail_exponent(samples, k: int, n: Optional[int] = None) -> tuple[float, floa
     """
     x = np.asarray(samples, dtype=float)
     n = x.size if n is None else int(n)
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"tail count k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
+    _check_tail_count(k, n)
     if not k <= x.size <= n:
         raise ValueError(f"need between k and n samples, got {x.size} for k={k}, n={n}")
     tail = np.sort(np.partition(x, x.size - k)[x.size - k :])  # the k largest, ascending
@@ -204,10 +208,12 @@ def tail_exponent_ci(
     ``(rng.seed, rng.stream_index + r)``, so results are independent of
     thread count and scheduling.  The sampler may return the n samples or
     only part of them that holds their k largest (see ``tail_exponent``).
-    A failed replication aborts with its index.
+    A failed replication aborts with its index; a tail count outside
+    2..n-1 is refused before any draw.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 for a confidence bound")
+    _check_tail_count(k, n)
 
     def one(r: int) -> tuple[float, float]:
         stream = rng.replicate(r)

@@ -362,7 +362,7 @@ def _draws(uniforms, out: np.ndarray, inverse) -> np.ndarray:
 
 class DivisorSampler:
     """Divisor distribution of a model bundled with its sampling strategy:
-    mean mu/2 and the model's validity report; its survival is E0.
+    mean mu/2; its survival is E0.
 
     Construction runs the validity gate: models whose clipped expectation
     oscillates (or is non-integrable) are refused with their report.
@@ -370,7 +370,7 @@ class DivisorSampler:
 
     def __init__(self, model: CovarianceModel):
         self.model = model
-        self.report = slepian.require_usable(model)
+        slepian.require_usable(model)
         self.mean = slepian.mean_excursion(model) / 2.0
 
     def _inverse(self):

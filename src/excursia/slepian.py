@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import CovarianceModel, clipped_autocovariance
+from .covariance import CovarianceModel
 
 __all__ = [
     "TailClass",
@@ -45,7 +45,6 @@ __all__ = [
     "mean_excursion",
     "validate_iia",
     "cached_validity",
-    "check_equivalence",
 ]
 
 # Grid defaults: all exponential-class built-ins decay below 1e-8 well
@@ -69,7 +68,12 @@ POSITIVE_FLOOR = 1e-280
 # Half-window slope ratio band separating straight / steepening /
 # flattening log-survival tails.
 SLOPE_RATIO_BAND = 0.05
-MIN_DECAY_SLOPE = 1e-3
+# The window's log E0 must drop by at least this much before its shape is
+# read: where E0 is 1 to within rounding (t_max = 1e-150 .. 1e-100, step
+# t_max/1e5) it drops by at most 3.3e-16, and by 1.3e-9 for
+# random_acceleration at t_max = 1e-8; on the default grid by at least
+# 0.255 (generalized_laplace alpha = 1e-3).
+MIN_LOG_DROP = 1e-6
 # E0 is its limit 1 where the computed 1 - r^2 is below this.
 _TINY = np.finfo(float).tiny
 
@@ -130,16 +134,6 @@ class ValidityReport:
         return "invalid_nonintegrable"
 
     @property
-    def integrable(self) -> Optional[bool]:
-        """None when the shape checks failed or the tail is unclassified."""
-        return {"valid": True, "valid_but_power_tail_warning": True, "invalid_nonintegrable": False}.get(self.verdict)
-
-    @property
-    def classification_inconclusive(self) -> bool:
-        """Shape checks passed but the grid could not classify the tail."""
-        return self.verdict == "valid_tail_inconclusive"
-
-    @property
     def first_violation_t(self) -> Optional[float]:
         cands = [t for t in (self.monotone_violation_t, self.nonnegative_violation_t) if t is not None]
         return min(cands) if cands else None
@@ -150,18 +144,21 @@ class ValidityReport:
         return self.verdict in ("valid", "valid_tail_inconclusive", "valid_but_power_tail_warning")
 
     def as_dict(self) -> dict:
+        """The JSON form; ``integrable`` is None when the shape checks failed
+        or the tail is unclassified."""
+        verdict = self.verdict
         return {
-            "verdict": self.verdict,
+            "verdict": verdict,
             "monotone": self.monotone_nonincreasing,
             "nonnegative": self.nonnegative,
-            "integrable": self.integrable,
+            "integrable": {"valid": True, "valid_but_power_tail_warning": True, "invalid_nonintegrable": False}.get(verdict),
             "tail_class": self.tail_class.kind if self.tail_class else None,
             "tail_rate": self.tail_class.rate if self.tail_class else None,
             "tail_exponent": self.tail_class.exponent if self.tail_class else None,
             "first_violation_t": self.first_violation_t,
             "t_max": self.t_max,
             "step": self.step,
-            "classification_inconclusive": self.classification_inconclusive,
+            "classification_inconclusive": verdict == "valid_tail_inconclusive",
         }
 
 
@@ -185,7 +182,7 @@ def e0(model: CovarianceModel, t):
 
 def _e0_of(model: CovarianceModel, ts: np.ndarray, dr, one_minus_r2) -> np.ndarray:
     """E0 at the 1-d array ``ts`` from r' and 1 - r^2 there (see ``e0``)."""
-    scale = 1.0 / math.sqrt(-model.d2r0())
+    scale = 1.0 / math.sqrt(-model.d2r0)
     val = -scale * dr / np.sqrt(one_minus_r2)
     val[one_minus_r2 < _TINY] = 1.0
     val[np.isinf(ts)] = 0.0
@@ -208,7 +205,7 @@ def divisor_terms(model: CovarianceModel, t: np.ndarray):
         dr, one_minus_r2 = model.dr_and_one_minus_r2(t)
         r, d2r = model.r(t), model.d2r(t)
         e = _e0_of(model, t, dr, one_minus_r2)
-        f = (d2r * one_minus_r2 + r * dr * dr) / (math.sqrt(-model.d2r0()) * one_minus_r2 * np.sqrt(one_minus_r2))
+        f = (d2r * one_minus_r2 + r * dr * dr) / (math.sqrt(-model.d2r0) * one_minus_r2 * np.sqrt(one_minus_r2))
     f[one_minus_r2 < _TINY] = np.nan
     f[np.isinf(t)] = 0.0
     return r, one_minus_r2, e, f
@@ -224,7 +221,7 @@ def divisor_density(model: CovarianceModel, t):
 
 def mean_excursion(model: CovarianceModel) -> float:
     """Mean length of a zero-excursion interval, pi / sqrt(-r''(0))."""
-    return math.pi / math.sqrt(-model.d2r0())
+    return math.pi / math.sqrt(-model.d2r0)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -238,9 +235,12 @@ def _classify_tail(ts: np.ndarray, vals: np.ndarray):
     Compares the log-survival slope on the two halves of the window: a
     stable slope means an exponential tail, a steepening slope a
     superexponential one, and a flattening slope is re-tested on log-log
-    axes for a power law.
+    axes for a power law.  A window whose log drops by less than
+    MIN_LOG_DROP is left unclassified: rounding noise is not a tail.
     """
     logs = np.log(vals)
+    if not logs[0] - logs[-1] >= MIN_LOG_DROP:
+        return None
     half = len(ts) // 2
     s_full = _ols_slope(ts, logs)
     s1 = _ols_slope(ts[:half], logs[:half])
@@ -248,7 +248,7 @@ def _classify_tail(ts: np.ndarray, vals: np.ndarray):
     if not (s1 < 0 and s2 < 0):
         return None
     ratio = s2 / s1
-    if abs(ratio - 1.0) <= SLOPE_RATIO_BAND and s_full < -MIN_DECAY_SLOPE:
+    if abs(ratio - 1.0) <= SLOPE_RATIO_BAND:
         return TailClass("exponential", rate=-s_full)
     if ratio > 1.0 + SLOPE_RATIO_BAND:
         return TailClass("superexponential")
@@ -328,28 +328,8 @@ def cached_validity(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: 
     return _validity(model, float(t_max), float(step))
 
 
-cached_validity.cache_clear = _validity.cache_clear
-
-
 def require_usable(model: CovarianceModel) -> ValidityReport:
     report = cached_validity(model)
     if not report.usable:
         raise ValidityError(report)
     return report
-
-
-def check_equivalence(model: CovarianceModel, grid) -> float:
-    """Max deviation of d/dt[(2/pi) arcsin r] + (2/mu) E0 over the grid.
-
-    The identity is exact; the returned number is the truncation error of
-    a central difference with step min(1e-4, t/2), and documents that the
-    crossing-attached and stationary formulations agree for the model.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be strictly increasing and positive")
-    hh = np.minimum(1e-4, 0.5 * grid)
-    dR = (clipped_autocovariance(model, grid + hh) - clipped_autocovariance(model, grid - hh)) / (2.0 * hh)
-    mu = mean_excursion(model)
-    dev = dR + (2.0 / mu) * np.asarray(e0(model, grid))
-    return float(np.max(np.abs(dev)))

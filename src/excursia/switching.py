@@ -246,15 +246,14 @@ def estimate_expectation(dist: SwitchingTimeDistribution, grid, n: int, rng: Rng
     return tuple(np.array([_mean_se(st) for st in _ensemble(dist, grid, n, rng, False)]).reshape(-1, 2).T)
 
 
-def estimate_stationary_covariance(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream, base_time: float = 0.0):
+def estimate_stationary_covariance(dist: SwitchingTimeDistribution, grid, n: int, rng: RngStream):
     """Ensemble estimates for the stationary path.
 
     Returns (E_hat, E_se, R_hat, R_se) where E_hat is the mean state at
-    each grid time and R_hat the covariance between the state at
-    ``base_time`` and at ``base_time + t`` for each lag t in the grid;
-    n must be at least 2.
+    each grid time t and R_hat the covariance between the states at 0 and
+    at t; n must be at least 2.
     """
-    paths = _ensemble(dist, base_time + np.append(0.0, grid), n, rng, True)
+    paths = _ensemble(dist, np.append(0.0, grid), n, rng, True)
     s0 = next(paths)
     rows = []
     for st in paths:

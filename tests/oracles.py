@@ -320,7 +320,7 @@ def e0_oracle(model, t):
     is below the smallest normal double (t = 0 and where it underflows), 0
     at infinite t."""
     t = np.asarray(t, dtype=float)
-    scale = 1.0 / math.sqrt(-model.d2r0())
+    scale = 1.0 / math.sqrt(-model.d2r0)
     one_minus_r2 = one_minus_r2_oracle(model, t)
     val = -scale * dr_oracle(model, t) / np.sqrt(one_minus_r2)
     return np.where(one_minus_r2 < np.finfo(float).tiny, 1.0, np.where(np.isinf(t), 0.0, val))
@@ -333,7 +333,7 @@ def size_biased_survival_oracle(model, t):
     t = np.asarray(t, dtype=float)
     bias = 2.0 * t * ex.e0(model, t) / ex.mean_excursion(model)
     r = model.r(t)
-    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(model.one_minus_r2(t), 1.0)))
+    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(one_minus_r2_oracle(model, t), 1.0)))
     return np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
 
 
@@ -359,19 +359,18 @@ def switch_expectation_loop_oracle(dist, grid, n, rng):
     return e_hat, se
 
 
-def switch_covariance_loop_oracle(dist, grid, n, rng, base_time=0.0):
+def switch_covariance_loop_oracle(dist, grid, n, rng):
     """(E_hat, E_se, R_hat, R_se) of the stationary path: the size-biased
-    interval, A uniform on it and a symmetric sign, drawn in that order;
-    the paths run to the last of base_time and base_time + grid."""
+    interval, A uniform on it and a symmetric sign, drawn in that order."""
     grid = np.asarray(grid, dtype=float)
     s_tot = dist.size_biased_draw(rng, n)
     a = rng.uniform01(n) * s_tot
     delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
-    cums = _instant_matrix(dist, n, base_time + max(0.0, float(grid.max())), rng)
-    s0 = _switch_states(cums, a, delta, base_time)
+    cums = _instant_matrix(dist, n, float(grid.max()), rng)
+    s0 = _switch_states(cums, a, delta, 0.0)
     e_hat, e_se, r_hat, r_se = (np.empty(grid.size) for _ in range(4))
     for i, t in enumerate(grid):
-        st = _switch_states(cums, a, delta, base_time + t)
+        st = _switch_states(cums, a, delta, t)
         e_hat[i] = st.mean()
         e_se[i] = st.std(ddof=1) / math.sqrt(n)
         prod = s0 * st

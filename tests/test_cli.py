@@ -317,7 +317,7 @@ def test_validate_and_pole_build_one_gate_report(spec, capsys, monkeypatch):
 
     outputs = []
     for order in (("validate", "pole"), ("pole", "validate")):
-        slepian.cached_validity.cache_clear()
+        slepian._validity.cache_clear()
         laplace._evaluator.cache_clear()
         grids.clear()
         outputs.append(dict((cmd, run(cmd)) for cmd in order))

@@ -45,12 +45,12 @@ def test_matern_polynomial_form_matches_bessel_definition(nu):
 
 def test_dr_zero_at_origin():
     for m in ALL_MODELS:
-        assert m.dr(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert m.dr_and_one_minus_r2(0.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dr_random_acceleration_value():
     expected = 0.75 * (2.0 ** (-1.5) - 2.0 ** (-0.5))  # = -0.26516...
-    assert ex.RandomAcceleration().dr(math.log(2.0)) == pytest.approx(expected, rel=1e-14)
+    assert ex.RandomAcceleration().dr_and_one_minus_r2(math.log(2.0))[0] == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(-0.2652, abs=5e-5)
 
 
@@ -59,7 +59,7 @@ def test_dr_matches_central_differences_on_grid():
     ts = np.arange(0.0, 50.0 + 1e-9, 0.01)
     h = 1e-5
     for m in ALL_MODELS:
-        dr = np.asarray(m.dr(ts))
+        dr = m.dr_and_one_minus_r2(ts)[0]
         cdiff = (np.asarray(m.r(ts + h)) - np.asarray(m.r(np.abs(ts - h)))) / (2 * h)
         assert np.all(np.abs(dr - cdiff) <= 1e-6 * (1.0 + np.abs(dr))), m.spec_string()
 
@@ -91,8 +91,8 @@ def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
         for t in (ts, *EDGE_TIMES):
             dr, one_minus_r2 = m.dr_and_one_minus_r2(t)
             want_dr, want_one_minus_r2 = dr_oracle(m, t), one_minus_r2_oracle(m, t)
-            assert _bits(dr) == _bits(want_dr) == _bits(m.dr(t)), (t, dr, want_dr)
-            assert _bits(one_minus_r2) == _bits(want_one_minus_r2) == _bits(m.one_minus_r2(t)), (t, one_minus_r2, want_one_minus_r2)
+            assert _bits(dr) == _bits(want_dr), (t, dr, want_dr)
+            assert _bits(one_minus_r2) == _bits(want_one_minus_r2), (t, one_minus_r2, want_one_minus_r2)
             assert _bits(ex.e0(m, t)) == _bits(e0_oracle(m, t)), t
 
 
@@ -177,24 +177,33 @@ def test_log_cosh_is_zero_just_below_its_threshold():
     assert 0.0 < log_cosh_oracle(x) <= 2.0**-1021
 
 
-def test_second_derivative_values():
-    assert ex.RandomAcceleration().d2r0() == -0.75
-    for d in (1, 2, 8):
-        assert ex.Diffusion(d=d).d2r0() == pytest.approx(-d / 8.0, rel=1e-14)
-    for a in (0.0, 2.0):
-        assert ex.ShiftedGaussian(alpha=a).d2r0() == pytest.approx(-(1 + a * a), rel=1e-14)
-    assert ex.MaternHalfInteger(nu=2.5).d2r0() == pytest.approx(-1.0 / 3.0, rel=1e-14)
-    assert ex.GeneralizedLaplace(alpha=1.5).d2r0() == pytest.approx(-1.5, rel=1e-14)
+def _d2r0_closed_form(m) -> float:
+    """r''(0) of each family in closed form."""
+    if isinstance(m, ex.Diffusion):
+        return -m.d / 8.0
+    if isinstance(m, ex.RandomAcceleration):
+        return -0.75
+    if isinstance(m, ex.ShiftedGaussian):
+        return -(1.0 + m.alpha * m.alpha)
+    if isinstance(m, ex.MaternHalfInteger):
+        return -1.0 / (2.0 * (m.nu - 1.0))
+    return -m.alpha
 
 
 @pytest.mark.parametrize(
-    "m", ALL_MODELS + [ex.Diffusion(d=d) for d in (3, 63, 64)] + [ex.ShiftedGaussian(alpha=a) for a in (0.1, 0.2259, 0.3)]
-    + [ex.GeneralizedLaplace(alpha=a) for a in (1e-3, 0.1, 10.0)], ids=lambda m: m.spec_string()
+    "m", ALL_MODELS + [ex.Diffusion(d=d) for d in (3, 8, 63, 64)] + [ex.ShiftedGaussian(alpha=a) for a in (0.1, 0.2259, 0.3, 2.0)]
+    + [ex.GeneralizedLaplace(alpha=a) for a in (1e-3, 0.1, 1.5, 10.0)], ids=lambda m: m.spec_string()
 )
-def test_d2r_at_zero_is_d2r0_bit_for_bit(m):
-    # E0 reads r''(0) from d2r0, a float; d2r(0) is the same number
-    assert _bits(m.d2r(0.0)) == _bits(m.d2r0())
-    assert _bits(m.d2r(np.zeros(3))) == _bits([m.d2r0()] * 3)
+def test_second_derivative_values(m):
+    # r''(0), read by E0 on every call, is d2r at 0 computed once per model:
+    # the closed form's bits, kept out of the dataclass fields, so equality
+    # and hashing (the validity cache's key) do not change once it is read
+    fresh = type(m)(**{f: getattr(m, f) for f in m.__dataclass_fields__})
+    hashed = hash(fresh)
+    assert _bits(fresh.d2r0) == _bits(_d2r0_closed_form(m)) == _bits(m.d2r(0.0))
+    assert _bits(m.d2r(np.zeros(3))) == _bits([_d2r0_closed_form(m)] * 3)
+    assert type(fresh.d2r0) is float and fresh.d2r0 is fresh.d2r0
+    assert hash(fresh) == hashed and fresh == m and repr(fresh) == repr(m)
 
 
 def test_second_derivative_matches_second_differences():
@@ -206,7 +215,7 @@ def test_second_derivative_matches_second_differences():
         for h in (1e-2, 1e-3):
             vals[h] = (float(m.r(h)) - 2.0 + float(m.r(h))) / (h * h)
         extrap = (10.0 * vals[1e-3] - vals[1e-2]) / 9.0
-        assert extrap == pytest.approx(m.d2r0(), abs=1e-4), m.spec_string()
+        assert extrap == pytest.approx(m.d2r0, abs=1e-4), m.spec_string()
 
 
 def test_clipped_autocovariance_values():

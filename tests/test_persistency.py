@@ -129,6 +129,19 @@ def test_replication_failure_reports_index():
         ex.tail_exponent_ci(flaky, 1000, 100, 4, ex.RngStream(3, 0))
 
 
+@pytest.mark.parametrize("k", [0, 1, 100, 200])
+def test_tail_count_is_refused_before_any_draw(k):
+    calls = []
+
+    def sampler(stream, n):
+        calls.append(n)
+        return -np.log(stream.uniform01(n))
+
+    with pytest.raises(ValueError, match="2 <= k <= n-1"):
+        ex.tail_exponent_ci(sampler, 100, k, 3, ex.RngStream(5, 0))
+    assert calls == []
+
+
 def test_diffusion_divisor_rates_match_reference_table():
     # replicated protocol at n = 1e5: a single replication at k = 1000 has
     # sampling noise ~ theta/sqrt(k) > 0.02 for d >= 3, and 10 replications

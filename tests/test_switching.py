@@ -81,12 +81,9 @@ def test_ensemble_matches_loop_oracles_bit_for_bit(law):
     got = switching.estimate_expectation(dist, grid, 500, ex.RngStream(91, 0))
     want = switch_expectation_loop_oracle(dist, grid, 500, ex.RngStream(91, 0))
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # a later base time takes negative lags down to the origin; with every
-    # lag negative the paths still run to the base time
-    for base_time, lags in [(0.0, grid), (1.0, np.concatenate([[-1.0, -0.5], grid])), (1.0, np.array([-0.75, -0.5]))]:
-        got = switching.estimate_stationary_covariance(dist, lags, 500, ex.RngStream(92, 0), base_time=base_time)
-        want = switch_covariance_loop_oracle(dist, lags, 500, ex.RngStream(92, 0), base_time=base_time)
-        assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want)), base_time
+    got = switching.estimate_stationary_covariance(dist, grid, 500, ex.RngStream(92, 0))
+    want = switch_covariance_loop_oracle(dist, grid, 500, ex.RngStream(92, 0))
+    assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_size_biased_mean_identity():
@@ -113,16 +110,23 @@ def test_stationary_initial_state_symmetric():
     assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
+def _stationary_estimates_from(dist, t0, grid, n, rng):
+    """(E_hat, E_se, R_hat, R_se) of the stationary ensemble's states at
+    t0 + grid, R between the states at t0 and at t0 + t."""
+    s0, *states = switching._ensemble(dist, t0 + np.append(0.0, grid), n, rng, True)
+    e, es = np.array([switching._mean_se(st) for st in states]).T
+    r = np.array([np.mean(s0 * st) - s0.mean() * st.mean() for st in states])
+    rs = np.array([switching._mean_se(s0 * st)[1] for st in states])
+    return e, es, r, rs
+
+
 def test_stationarity_certificate_invariance_in_base_time():
     # one-dimensional law and covariance do not depend on the base time
     grid = np.array([0.5, 1.0])
     for dist in [ex.exponential_switching(1.0), ex.gamma_switching(2.0, 1.0)]:
         results = {}
         for j, t0 in enumerate([0.0, 1.0, 5.0]):
-            e, es, r, rs = switching.estimate_stationary_covariance(
-                dist, grid, 10**5, ex.RngStream(50, 10 + j), base_time=t0
-            )
-            results[t0] = (e, es, r, rs)
+            results[t0] = _stationary_estimates_from(dist, t0, grid, 10**5, ex.RngStream(50, 10 + j))
         for t0 in [1.0, 5.0]:
             e0_, es0, r0_, rs0 = results[0.0]
             e1, es1, r1, rs1 = results[t0]
@@ -185,6 +189,14 @@ def test_covariance_from_expectation_refuses_a_jump_inside_an_interval():
     assert rows[:, 1] == pytest.approx([1.0, 0.4, 0.4], abs=1e-15)
 
 
+@pytest.mark.parametrize("grid", [[2.0, 1.0], [0.0, 1.0, 1.0], [-0.5, 1.0], [], [[0.5, 1.0]]], ids=["decreasing", "repeated", "negative-start", "empty", "2-d"])
+def test_covariance_from_expectation_refuses_bad_grid(grid):
+    called = []
+    with pytest.raises(ValueError, match="grid must be increasing"):
+        ex.covariance_from_expectation(lambda u: called.append(u) or np.exp(-u), 1.0, grid)
+    assert called == []
+
+
 def test_excursion_switching_reproduces_clipped_autocovariance():
     # end-to-end: compound exceedance draws as switching times give a
     # stationary path whose covariance is (2/pi) arcsin r(t)
@@ -235,12 +247,7 @@ def test_estimators_refuse_times_before_zero():
     with pytest.raises(ValueError, match="t >= 0 only"):
         switching.estimate_expectation(dist, [-0.5, 0.5], 10, ex.RngStream(1, 0))
     with pytest.raises(ValueError, match="t >= 0 only"):
-        switching.estimate_stationary_covariance(dist, [-1.5, 0.5], 10, ex.RngStream(1, 0), base_time=1.0)
-    with pytest.raises(ValueError, match="t >= 0 only"):
-        switching.estimate_stationary_covariance(dist, [0.5], 10, ex.RngStream(1, 0), base_time=-1.0)
-    # a negative lag from a later base time stays on the simulated half
-    e_hat, _, r_hat, _ = switching.estimate_stationary_covariance(dist, [-1.0, 0.0], 10, ex.RngStream(1, 0), base_time=1.0)
-    assert r_hat.shape == (2,) and np.all(np.abs(e_hat) <= 1.0)
+        switching.estimate_stationary_covariance(dist, [-1.5, 0.5], 10, ex.RngStream(1, 0))
 
 
 def test_divisor_switching_distribution():
