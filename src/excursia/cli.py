@@ -9,7 +9,8 @@ byte-identical for identical (config, seed).
 Exit codes: 0 success, 1 usage error, 2 model failed the validity gate
 when sampling was requested (the report is printed), 3 numerical failure
 (pole not found, transform divergence, quadrature error estimate above
-1e-12 of the transform).
+1e-12 of the transform, an inverse table that cannot be built, tail order
+statistics without spread).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .covariance import (
     parse_model_spec,
 )
 from .laplace import DivergenceError, PoleNotFoundError, QuadratureError, TailFitError
+from .persistency import DegenerateTailError
 from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excursions
 from .slepian import ValidityError
 
@@ -249,17 +251,6 @@ def _count(minimum: int, maximum: int | None = None):
         return value
 
     return count
-
-
-def _positive_finite(text: str) -> float:
-    """argparse type: a float that is positive and finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
 
 
 def _tail_count(k: int, n: int) -> int:
@@ -490,8 +481,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="grid validity report for a model")
     sp.add_argument("--model", required=True, help='model spec, e.g. "diffusion(d=2)"')
-    sp.add_argument("--tmax", type=_positive_finite, default=slepian.DEFAULT_T_MAX, help="grid end (default %(default)s)")
-    sp.add_argument("--step", type=_positive_finite, default=slepian.DEFAULT_STEP, help="grid step (default %(default)s)")
+    sp.add_argument("--tmax", type=float, default=slepian.DEFAULT_T_MAX, help="grid end (default %(default)s)")
+    sp.add_argument("--step", type=float, default=slepian.DEFAULT_STEP, help="grid step (default %(default)s)")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_validate)
 
@@ -575,8 +566,9 @@ def main(argv=None) -> int:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, QuadratureError, TailFitError, InverseTableError) as exc:
-        print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
+    except (PoleNotFoundError, DivergenceError, QuadratureError, TailFitError, InverseTableError, DegenerateTailError) as exc:
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"{TOOL}: numerical failure: {exc}{notes}", file=sys.stderr)
         return 3
     finally:
         print(f"# wall_time_s={time.perf_counter()-t0:.3f}", file=sys.stderr)

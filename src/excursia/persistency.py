@@ -208,8 +208,9 @@ def tail_exponent_ci(
     ``(rng.seed, rng.stream_index + r)``, so results are independent of
     thread count and scheduling.  The sampler may return the n samples or
     only part of them that holds their k largest (see ``tail_exponent``).
-    A failed replication aborts with its index; a tail count outside
-    2..n-1 is refused before any draw.
+    A failed replication aborts with its own exception, noted with the
+    replication's index; a tail count outside 2..n-1 is refused before any
+    draw.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 for a confidence bound")
@@ -221,7 +222,8 @@ def tail_exponent_ci(
             values = np.asarray(sampler(stream, n), dtype=float)
             return tail_exponent(values, k, n)
         except Exception as exc:
-            raise RuntimeError(f"replication {r} failed: {exc}") from exc
+            exc.add_note(f"in replication {r}")
+            raise
 
     if threads > 1:
         # imported here: concurrent.futures costs about a quarter of the

@@ -10,7 +10,7 @@ Every inverse must satisfy the round-trip oracle
 |E0(T(U)) - U| <= 1e-9, and the table also |E0(T(U))/U - 1| <= 1e-9 on
 [eps, 1 - eps].  The size-biased divisor (density t f(t)/m, m = mu/2) is
 drawn the same way, from a table of its closed-form survival (see
-``_size_biased_survival``).  The exceedance time itself is the compound draw
+``_size_biased_law``).  The exceedance time itself is the compound draw
 
     T_a = sum of nu_geo iid divisor draws,   nu_geo ~ Geometric(1/2),
 
@@ -29,14 +29,15 @@ Numerical notes on the closed forms:
   circulates in print fails the round-trip oracle (U = 0.5 gives 2.485
   where the survival inverse requires 3.32578) and is not used.
 
-The inverse table of a survival S (E0 or the size-biased S*): S and its
-density g = -S' are evaluated once, vectorised, at t = 0 and on geometric
-nodes from 1e-3 (where 1 - S is resolved in floating point) up to the
-first power of two where S < eps/4, from one evaluation each of r, r' with
-1 - r^2, and r'' (g is the divisor density f = -E0' for E0, and t f / m
-for S*).  A survival that is negative there has z = NaN at that node, and
-the build refuses it as not strictly decreasing; no catalog model the
-validity gate accepts gets there, for E0 or S*.  With
+An inverse table inverts a law: a function that returns a survival S and
+its density g = -S' at an array of t, from one evaluation each of r, r'
+with 1 - r^2, and r'' (``_divisor_law``: E0 and f = -E0';
+``_size_biased_law``: S* and t f / m).  The build reads S and g only
+from the law, at t = 0 and on geometric nodes from 1e-3 (where 1 - S is
+resolved in floating point) up to the first power of two from 2^-9 on
+where S < eps/4.  A survival that is negative there has z = NaN at that
+node, and the build refuses it as not strictly decreasing; no catalog
+model the validity gate accepts gets there, for E0 or S*.  With
 z = sqrt(-log S) and x = log1p(t), x(z) is smooth in exponential,
 superexponential and power tails, and the table is the cubic Hermite
 interpolant of x in z (Hoermann & Leydold 2003) with the exact slope
@@ -173,49 +174,37 @@ def _random_acceleration_from_u(u):
     return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * _LN2, 0.0)
 
 
-def _size_biased_survival(model: CovarianceModel, t):
-    """Survival of the size-biased divisor, S*(t) = (t E0(t) + int_t^inf E0)/m
-    with m = mu/2.  The matching identity d/dt (2/pi) arcsin r = -(2/mu) E0
-    integrates to int_t^inf E0 = (mu/pi) arcsin r(t), so
+def _divisor_law(model: CovarianceModel, t: np.ndarray):
+    """(E0, f) at the 1-d array ``t``: the divisor's survival and its density
+    f = -E0', from one ``slepian.divisor_terms`` evaluation."""
+    return slepian.divisor_terms(model, t)[2:]
+
+
+def _size_biased_law(model: CovarianceModel, t: np.ndarray):
+    """(S*, g) at the 1-d array ``t``: the survival of the size-biased
+    divisor, S*(t) = (t E0(t) + int_t^inf E0)/m with m = mu/2, and its
+    density g = t f/m, from one ``slepian.divisor_terms`` evaluation.  The
+    matching identity d/dt (2/pi) arcsin r = -(2/mu) E0 integrates to
+    int_t^inf E0 = (mu/pi) arcsin r(t), so
 
         S*(t) = 2 t E0(t)/mu + (2/pi) arcsin r(t).
 
     Where r > 1/2, (2/pi) arcsin r is formed as 1 - (2/pi) arcsin sqrt(1 - r^2)
-    from the compensated 1 - r^2, so 1 - S* keeps its digits near t = 0.
-    r, r' and 1 - r^2 are each evaluated once."""
-    t = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr, one_minus_r2 = model.dr_and_one_minus_r2(ts)
-        e = slepian._e0_of(model, ts, dr, one_minus_r2)
-    out = _size_biased_of(model, ts, model.r(ts), one_minus_r2, e)
-    return out if t.ndim else float(out[0])
-
-
-def _size_biased_of(model: CovarianceModel, t, r, one_minus_r2, e):
-    """S* at the array ``t`` from r, 1 - r^2 and E0 there."""
-    bias = 2.0 * t * e / slepian.mean_excursion(model)
-    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(one_minus_r2, 1.0)))
-    return np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
-
-
-def _survival_and_density(survival, model: CovarianceModel, t: np.ndarray):
-    """``survival(model, t)`` and its density g = -survival' at the 1-d
-    array ``t``, from one ``slepian.divisor_terms`` evaluation: g is the
-    divisor density f for E0 and 2 t f / mu = t f / m for the size-biased
-    S*.  ``survival`` is S* if it is ``_size_biased_survival``, else E0."""
+    from the compensated 1 - r^2, so 1 - S* keeps its digits near t = 0."""
     r, one_minus_r2, e, f = slepian.divisor_terms(model, t)
-    if survival is not _size_biased_survival:
-        return e, f
-    return _size_biased_of(model, t, r, one_minus_r2, e), 2.0 * t * f / slepian.mean_excursion(model)
+    mu = slepian.mean_excursion(model)
+    bias = 2.0 * t * e / mu
+    near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(one_minus_r2, 1.0)))
+    s = np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
+    return s, 2.0 * t * f / mu
 
 
-def _table_end(survival, model: CovarianceModel) -> float:
-    """Last table node: the first power of two where the survival is below
-    eps/4."""
-    powers = 2.0 ** np.arange(64)
+def _table_end(law, model: CovarianceModel) -> float:
+    """Last table node: the first power of two from 2^-9, the first above
+    the first node, on where the survival of ``law`` is below eps/4."""
+    powers = 2.0 ** np.arange(-9, 64)
     with np.errstate(all="ignore"):
-        below = np.flatnonzero(np.asarray(survival(model, powers)) < _TABLE_TAIL)
+        below = np.flatnonzero(law(model, powers)[0] < _TABLE_TAIL)
     if below.size == 0:
         raise InverseTableError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
     return float(powers[below[0]])
@@ -294,26 +283,28 @@ class _InverseTable:
 
 
 @lru_cache(maxsize=128)
-def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
+def _inverse_table(law, model: CovarianceModel) -> _InverseTable:
     """Cubic Hermite interpolant of log1p(t) in z = sqrt(-log S) on the
-    table nodes, S = survival(model, t), with the exact slope at every knot,
-    refined until it meets the round trip (see the module notes), with its
-    guide table.  ``survival`` is ``slepian.e0`` or ``_size_biased_survival``.
+    table nodes, with the exact slope at every knot, refined until it meets
+    the round trip (see the module notes), with its guide table.  ``law``
+    gives the survival and its density, ``(S, g) = law(model, t)`` at a
+    1-d array t: ``_divisor_law`` or ``_size_biased_law``.
 
     Raises ``InverseTableError`` when the last node cannot be placed, when z is
     not strictly increasing on the nodes (the survival not strictly
     decreasing there), or when the refined table still misses the relative
     round trip 1e-9 on [eps, 1]; there is no fallback inverter.
     """
-    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(survival, model), _TABLE_NODES - 1)))
-    e, g = _survival_and_density(survival, model, t)
+    t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(law, model), _TABLE_NODES - 1)))
+    s, g = law(model, t)
     z_eps = math.sqrt(-math.log(_EPS))
     for check in range(_TABLE_ROUNDS):
         with np.errstate(invalid="ignore", divide="ignore"):
-            z = np.sqrt(-np.log(e))
+            z = np.sqrt(-np.log(s))
             # dx/dz = 2 z S / ((1 + t) g) for x = log1p(t), since dz/dt = g/(2 z S)
-            slope = 2.0 * z * e / ((1.0 + t) * g)
-        if not np.all(np.diff(z) > 0.0):
+            slope = 2.0 * z * s / ((1.0 + t) * g)
+            increasing = np.all(np.diff(z) > 0.0)
+        if not increasing:
             raise InverseTableError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
         x = np.log1p(t)
         # at t = 0 the slope is 0/0; it takes its limit, estimated as the
@@ -326,15 +317,15 @@ def _inverse_table(survival, model: CovarianceModel) -> _InverseTable:
         k = np.searchsorted(z, z_eps)
         zc = np.minimum(0.5 * (z[:k] + z[1 : k + 1]), z_eps)
         uc = np.exp(-zc * zc)
-        err = np.abs(survival(model, np.maximum(np.expm1(table(zc)), 0.0)) / uc - 1.0)
+        err = np.abs(law(model, np.maximum(np.expm1(table(zc)), 0.0))[0] / uc - 1.0)
         miss = np.flatnonzero(err > _TABLE_RTOL)
         if miss.size == 0 or check == _TABLE_ROUNDS - 1:
             break
         # halve the intervals that miss in t
         tm = 0.5 * (t[miss] + t[miss + 1])
-        em, gm = _survival_and_density(survival, model, tm)
+        sm, gm = law(model, tm)
         t = np.insert(t, miss + 1, tm)
-        e = np.insert(e, miss + 1, em)
+        s = np.insert(s, miss + 1, sm)
         g = np.insert(g, miss + 1, gm)
     if not np.all(err <= 1e-9):
         raise InverseTableError(f"inverse table of {model.spec_string()} misses the relative round trip 1e-9 by {err.max():.3g}")
@@ -376,7 +367,7 @@ class DivisorSampler:
     def _inverse(self):
         """E0^{-1}: the closed form for diffusion d = 1, 2 and random
         acceleration, the cached inverse table for every other model."""
-        return _CLOSED_FORM_INVERSES.get(self.model) or _inverse_table(slepian.e0, self.model).inverse
+        return _CLOSED_FORM_INVERSES.get(self.model) or _inverse_table(_divisor_law, self.model).inverse
 
     def draw(self, rng: RngStream, n: int) -> np.ndarray:
         """n draws E0^{-1}(U), one uniform each."""
@@ -402,7 +393,7 @@ class DivisorSampler:
     def size_biased_draw(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw from the size-biased divisor (density t f(t)/mean), one
         uniform per draw through the inverse table of its survival."""
-        return _draws(rng, np.empty(n), _inverse_table(_size_biased_survival, self.model).inverse)
+        return _draws(rng, np.empty(n), _inverse_table(_size_biased_law, self.model).inverse)
 
 
 # ---------------------------------------------------------------------------

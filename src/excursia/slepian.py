@@ -18,10 +18,11 @@ the truncated survival with (log-log form for a power law, exponential
 form otherwise).
 
 The module also exposes the divisor's density f = -E0', a closed form
-in r, r', r'' and 1 - r^2 (``divisor_density``; the inverse tables take
-their knot slopes from it), and the crossing statistic that anchors the
-scale: the mean excursion length mu = pi / sqrt(-r''(0)), whose
-reciprocal is Rice's zero-crossing intensity.
+in r, r', r'' and 1 - r^2, formed with E0 from one evaluation of each
+(``divisor_terms``; the inverse tables read their survivals and knot
+slopes from it), and the crossing statistic that anchors the scale:
+the mean excursion length mu = pi / sqrt(-r''(0)), whose reciprocal is
+Rice's zero-crossing intensity.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "ValidityReport",
     "ValidityError",
     "e0",
-    "divisor_density",
     "divisor_terms",
     "mean_excursion",
     "validate_iia",
@@ -209,14 +209,6 @@ def divisor_terms(model: CovarianceModel, t: np.ndarray):
     f[one_minus_r2 < _TINY] = np.nan
     f[np.isinf(t)] = 0.0
     return r, one_minus_r2, e, f
-
-
-def divisor_density(model: CovarianceModel, t):
-    """The divisor's density f = -E0'(t) (see ``divisor_terms``); a float
-    for a scalar t."""
-    t = np.asarray(t, dtype=float)
-    f = divisor_terms(model, np.atleast_1d(t))[3]
-    return f if t.ndim else float(f[0])
 
 
 def mean_excursion(model: CovarianceModel) -> float:

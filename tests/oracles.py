@@ -168,10 +168,11 @@ def plain_spline(x, c, z):
     return c[3][i] + c[2][i] * d + c[1][i] * d2 + c[0][i] * (d2 * d)
 
 
-def table_inverse_oracle(survival, model, u):
-    """survival^{-1}(u) from the cached inverse table of (survival, model),
-    evaluated by ``plain_spline`` on the whole array at once."""
-    table = _inverse_table(survival, model)
+def table_inverse_oracle(law, model, u):
+    """The inverse of the law's survival at u, from the cached inverse table
+    of (law, model), evaluated by ``plain_spline`` on the whole array at
+    once."""
+    table = _inverse_table(law, model)
     return np.maximum(np.expm1(plain_spline(table.x, table.c, np.sqrt(-np.log(u)))), 0.0)
 
 

@@ -17,7 +17,7 @@ from excursia import Diffusion, DivisorSampler, RngStream, e0, laplace_e0, sampl
 from excursia import cli, laplace, slepian
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
-from excursia.persistency import empirical_survival
+from excursia.persistency import DegenerateTailError, empirical_survival
 
 
 def run_json(capsys, argv):
@@ -287,7 +287,8 @@ def test_pole_json_carries_quadrature_error(capsys):
     assert 0.0 <= payload["quad_abserr"] <= 1e-12 * laplace_e0(Diffusion(d=2), 0.0)
 
 
-@pytest.mark.parametrize("error", [laplace.QuadratureError("quadrature error estimate 1 exceeds"), laplace.TailFitError("survival does not decay")])
+@pytest.mark.parametrize("error", [laplace.QuadratureError("quadrature error estimate 1 exceeds"), laplace.TailFitError("survival does not decay"),
+                                   DegenerateTailError("tail order statistics have no spread")])
 def test_pole_numerical_failure_exit_three(error, capsys):
     with mock.patch.object(laplace, "find_pole", side_effect=error):
         assert main(["pole", "--model", "diffusion(d=2)"]) == 3
@@ -295,6 +296,18 @@ def test_pole_numerical_failure_exit_three(error, capsys):
     assert captured.out == ""
     lines = [line for line in captured.err.splitlines() if not line.startswith("# wall_time_s=")]
     assert lines == [f"excursia: numerical failure: {error}"], captured.err
+
+
+@pytest.mark.parametrize("argv", [["sample", "--what", "divisor", "--n", "1000"], ["persistency", "--method", "mc", "--n", "2000", "--k", "100", "--reps", "2"]], ids=["sample", "persistency"])
+def test_table_failure_inside_a_replication_exits_three(argv, capsys):
+    # generalized_laplace(alpha=1e9) passes the gate, but its E0 underflows
+    # to 0 before the first table node past 2^-9 can hold it: the table
+    # refuses to build, in a replication as in a plain draw
+    assert main([*argv, "--model", "generalized_laplace(alpha=1e9)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "excursia: numerical failure: survival of generalized_laplace(alpha=1e+09) is not strictly decreasing" in captured.err
+    assert ("(in replication 0)" in captured.err) == (argv[0] == "persistency")
 
 
 def test_pole_refusal_and_numerical_failure(capsys):
@@ -504,6 +517,9 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
         ["pole", "--model", "diffusion(d=2)", "--rel-tol", "1"],
         ["e0", "--model", "diffusion(d=2)", "--tmin", "1e300", "--tmax", "1e300", "--step", "1"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "inf"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "nan"],
+        ["validate", "--model", "diffusion(d=2)", "--tmax", "-5"],
+        ["validate", "--model", "diffusion(d=2)", "--step", "nan"],
         ["switch", "--dist", "exp:inf", "--grid", "0:1:0.5"],
         ["switch", "--dist", "exp:nan", "--n", "10", "--grid", "0:1:0.5"],
         ["switch", "--dist", "gamma:nan,1", "--n", "10", "--grid", "0:1:0.5"],
@@ -519,7 +535,7 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0",
-         "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "pole-tmax1", "pole-rel-tol1", "e0-step-below-spacing-at-tmax", "validate-tmax-inf", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
+         "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "pole-tmax1", "pole-rel-tol1", "e0-step-below-spacing-at-tmax", "validate-tmax-inf", "validate-tmax-nan", "validate-tmax-negative", "validate-step-nan", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
          "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points",
          "reproduce-dmax65"],
 )

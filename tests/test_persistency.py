@@ -125,8 +125,10 @@ def test_replication_failure_reports_index():
             return np.ones(n)
         return -np.log(stream.uniform01(n))
 
-    with pytest.raises(RuntimeError, match="replication 2"):
+    # the replication's own exception, noted with its index
+    with pytest.raises(DegenerateTailError, match="no spread") as info:
         ex.tail_exponent_ci(flaky, 1000, 100, 4, ex.RngStream(3, 0))
+    assert info.value.__notes__ == ["in replication 2"]
 
 
 @pytest.mark.parametrize("k", [0, 1, 100, 200])

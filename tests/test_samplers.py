@@ -15,10 +15,10 @@ from excursia.samplers import (
     _CLOSED_FORM_INVERSES,
     _diffusion_d1_from_u,
     _diffusion_d2_from_u,
+    _divisor_law,
     _hermite,
     _inverse_table,
-    _size_biased_survival,
-    _survival_and_density,
+    _size_biased_law,
     _table_end,
 )
 
@@ -126,35 +126,37 @@ def test_generic_round_trip_and_dispatch_match():
     assert np.abs(np.asarray(ex.e0(gl, t)) - u).max() <= 1e-8
     # the inverse table agrees with the closed form for diffusion d=2 at the
     # median, where the survival slope is order one
-    t_gen = apply_inverse(_inverse_table(slepian.e0, ex.Diffusion(d=2)).inverse, 0.5)[0]
+    t_gen = apply_inverse(_inverse_table(_divisor_law, ex.Diffusion(d=2)).inverse, 0.5)[0]
     assert t_gen == pytest.approx(T_STAR, abs=1e-7)
 
 
-def _relative_round_trip(model, u, survival=slepian.e0):
+def _relative_round_trip(model, u, law=_divisor_law):
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    closed = _CLOSED_FORM_INVERSES.get(model) if survival is slepian.e0 else None
-    t = apply_inverse(closed or _inverse_table(survival, model).inverse, u)
-    return np.abs(np.asarray(survival(model, t)) / u - 1.0)
+    closed = _CLOSED_FORM_INVERSES.get(model) if law is _divisor_law else None
+    t = apply_inverse(closed or _inverse_table(law, model).inverse, u)
+    return np.abs(law(model, t)[0] / u - 1.0)
 
 
 # every usable family, shifted_gaussian at alpha = 0 and just inside the
-# gate's limit
+# gate's limit, and generalized_laplace decays so fast that the survival
+# is below eps/4 before t = 1 (the tables end at 2^-2 .. 2^-6)
 ROUND_TRIP_MODELS = st.one_of(
     st.integers(1, 64).map(lambda d: ex.Diffusion(d=d)),
     st.sampled_from([ex.MaternHalfInteger(nu=nu) for nu in (2.5, 3.5, 4.5)] + [ex.RandomAcceleration()]),
     st.floats(0.5, 3.0).map(lambda a: ex.GeneralizedLaplace(alpha=a)),
+    st.sampled_from([ex.GeneralizedLaplace(alpha=a) for a in (3e3, 1e5, 1e6)]),
     st.sampled_from([ex.ShiftedGaussian(alpha=a) for a in (0.0, 0.04)]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    case=st.tuples(st.sampled_from([slepian.e0, _size_biased_survival]), ROUND_TRIP_MODELS),
+    case=st.tuples(st.sampled_from([_divisor_law, _size_biased_law]), ROUND_TRIP_MODELS),
     u=st.floats(EPS, 1.0 - EPS),
 )
 def test_inverse_survival_relative_round_trip(case, u):
-    survival, model = case
-    assert _relative_round_trip(model, u, survival)[0] <= 1e-9
+    law, model = case
+    assert _relative_round_trip(model, u, law)[0] <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -170,8 +172,8 @@ def test_size_biased_survival_matches_quadrature(model, upper):
     for t in (0.05, 0.5, 2.0, 6.0):
         tail, _ = integrate.quad(lambda x: float(ex.e0(model, x)), t, upper, epsabs=0.0, epsrel=1e-12, limit=400)
         expected = (t * float(ex.e0(model, t)) + tail) / m
-        assert _size_biased_survival(model, t) == pytest.approx(expected, rel=1e-9), t
-    assert _size_biased_survival(model, 0.0) == 1.0
+        assert _size_biased_law(model, np.array([t]))[0][0] == pytest.approx(expected, rel=1e-9), t
+    assert _size_biased_law(model, np.array([0.0]))[0][0] == 1.0
 
 
 def test_inverse_table_deep_tail_regressions():
@@ -179,7 +181,7 @@ def test_inverse_table_deep_tail_regressions():
     # u below 1e-9: Matern 2.5 mapped both u to t = 32, generalized Laplace
     # returned a t where E0 was about 7 u
     matern = ex.MaternHalfInteger(nu=2.5)
-    t = apply_inverse(_inverse_table(slepian.e0, matern).inverse, [2.2e-16, 1e-12])
+    t = apply_inverse(_inverse_table(_divisor_law, matern).inverse, [2.2e-16, 1e-12])
     assert t[0] > t[1]
     assert _relative_round_trip(matern, [2.2e-16, 1e-12]).max() <= 1e-9
     assert _relative_round_trip(ex.GeneralizedLaplace(alpha=1.0), EPS)[0] <= 1e-9
@@ -187,17 +189,16 @@ def test_inverse_table_deep_tail_regressions():
     # (here one that drops through zero with slope of order one) has
     # z = NaN there, and its table refuses to build
     oscillating = ex.ShiftedGaussian(alpha=2.0)
-    assert slepian.e0(oscillating, _table_end(slepian.e0, oscillating)) < 0.0
+    assert slepian.e0(oscillating, _table_end(_divisor_law, oscillating)) < 0.0
     with pytest.raises(RuntimeError, match="not strictly decreasing"):
-        _inverse_table(slepian.e0, oscillating)
+        _inverse_table(_divisor_law, oscillating)
 
 
-def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing(monkeypatch):
-    # flat on (1, 2): z repeats on the nodes there
-    flat = lambda survival, model, t: (np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)), np.ones_like(t))
-    monkeypatch.setattr(samplers, "_survival_and_density", flat)
+def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing():
+    # a law flat on (1, 2): z repeats on the nodes there
+    flat = lambda model, t: (np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)), np.ones_like(t))
     with pytest.raises(RuntimeError, match="not strictly decreasing"):
-        _inverse_table.__wrapped__(slepian.e0, ex.Diffusion(d=3))
+        _inverse_table(flat, ex.Diffusion(d=3))
 
 
 def _recursive_minimum_draws(d, rng, n):
@@ -216,7 +217,7 @@ def test_inverse_table_matches_recursive_minimum(d):
     draws = ex.DivisorSampler(model).draw(rng, 10**5)
     # exactly one uniform per draw, mapped through the table
     u = ex.RngStream(31, d).uniform01(10**5 + 1)
-    assert np.array_equal(draws, table_inverse_oracle(slepian.e0, model, u[:-1]))
+    assert np.array_equal(draws, table_inverse_oracle(_divisor_law, model, u[:-1]))
     assert rng.uniform01(1)[0] == u[-1]
     oracle = _recursive_minimum_draws(d, ex.RngStream(32, d), 10**5)
     assert stats.ks_2samp(draws, oracle).pvalue > 0.01
@@ -226,7 +227,7 @@ def test_gaussian_divisor_table_draws_match_survival():
     model = ex.ShiftedGaussian(alpha=0.0)
     samples = ex.DivisorSampler(model).draw(ex.RngStream(11, 0), 10**6)
     # one uniform per draw, mapped through the inverse table
-    assert np.array_equal(samples, table_inverse_oracle(slepian.e0, model, ex.RngStream(11, 0).uniform01(10**6)))
+    assert np.array_equal(samples, table_inverse_oracle(_divisor_law, model, ex.RngStream(11, 0).uniform01(10**6)))
     assert stats.kstest(samples, lambda x: 1.0 - np.asarray(ex.e0(model, x))).pvalue > 0.01
     assert samples.mean() == pytest.approx(math.pi / 2.0, rel=0.005)
     e0_at_1 = float(np.asarray(ex.e0(model, 1.0)))
@@ -248,7 +249,7 @@ TABLE_MODELS += [ex.ShiftedGaussian(alpha=0.0)]
 TABLE_IDS = [m.spec_string() for m in TABLE_MODELS]
 
 
-TABLE_CASES = [(survival, m) for survival in (slepian.e0, _size_biased_survival) for m in TABLE_MODELS]
+TABLE_CASES = [(law, m) for law in (_divisor_law, _size_biased_law) for m in TABLE_MODELS]
 
 
 @st.composite
@@ -279,14 +280,14 @@ def test_guided_interval_matches_binary_search(case):
 def test_guide_cells_hold_crowded_knots_where_expected():
     # the binary-search branch of the guided lookup is exercised: power
     # tails put several knots in one cell, in E0's table and in S*'s
-    assert _inverse_table(slepian.e0, ex.GeneralizedLaplace(alpha=1.0)).crowded.sum() > 100
-    assert _inverse_table(_size_biased_survival, ex.GeneralizedLaplace(alpha=1.0)).crowded.sum() > 100
-    assert _inverse_table(slepian.e0, ex.Diffusion(d=3)).crowded is None
+    assert _inverse_table(_divisor_law, ex.GeneralizedLaplace(alpha=1.0)).crowded.sum() > 100
+    assert _inverse_table(_size_biased_law, ex.GeneralizedLaplace(alpha=1.0)).crowded.sum() > 100
+    assert _inverse_table(_divisor_law, ex.Diffusion(d=3)).crowded is None
 
 
 @pytest.mark.parametrize("model", TABLE_MODELS, ids=TABLE_IDS)
 def test_guided_table_equals_spline_bit_for_bit(model):
-    table = _inverse_table(slepian.e0, model)
+    table = _inverse_table(_divisor_law, model)
     x, c = table.x, table.c
     u = np.concatenate((ex.RngStream(61, 0).uniform01(10**6), np.geomspace(EPS, 1e-12, 10001), [1.0 - EPS]))
     z = np.sqrt(-np.log(u))
@@ -301,41 +302,42 @@ def test_guided_table_equals_spline_bit_for_bit(model):
 
 @pytest.mark.parametrize("model", TABLE_MODELS + [ex.Diffusion(d=1), ex.Diffusion(d=2), ex.RandomAcceleration()], ids=lambda m: m.spec_string())
 def test_table_survivals_keep_their_bits(model):
-    # the build evaluates r, r' with 1 - r^2, and r'' once per node set for
+    # each law evaluates r, r' with 1 - r^2, and r'' once per node set for
     # the survival and its density; E0 and S* keep the bits of E0, r and
     # 1 - r^2 evaluated one by one, on the validity gate's grid and on both
-    # tables' nodes
+    # tables' nodes, and the E0 law keeps the bits of the gate's E0
     grid = slepian.time_grid(0.0, slepian.DEFAULT_T_MAX, slepian.DEFAULT_STEP)
-    for survival, oracle in ((slepian.e0, e0_oracle), (_size_biased_survival, size_biased_survival_oracle)):
-        nodes = np.concatenate(([0.0], np.geomspace(samplers._TABLE_T_FIRST, _table_end(survival, model), samplers._TABLE_NODES - 1)))
+    for law, oracle in ((_divisor_law, e0_oracle), (_size_biased_law, size_biased_survival_oracle)):
+        nodes = np.concatenate(([0.0], np.geomspace(samplers._TABLE_T_FIRST, _table_end(law, model), samplers._TABLE_NODES - 1)))
         for t in (grid, nodes):
             with np.errstate(invalid="ignore", divide="ignore"):
                 want = oracle(model, t)
-            got, density = _survival_and_density(survival, model, t)
-            assert got.tobytes() == survival(model, t).tobytes() == want.tobytes()
+            got, density = law(model, t)
+            assert got.tobytes() == want.tobytes()
             assert np.all(np.isfinite(density[1:]))
+    assert _divisor_law(model, grid)[0].tobytes() == slepian.e0(model, grid).tobytes()
 
 
-def _knot_slopes(survival, model, table):
+def _knot_slopes(law, model, table):
     """The slope dx/dz at every knot of a built table: c[2] at every knot
     but the last, and at the last one, the table end, the build's
-    2 z S / ((1 + t) g) from the survival and its density there."""
-    t_end = np.array([_table_end(survival, model)])
-    e, g = _survival_and_density(survival, model, t_end)
+    2 z S / ((1 + t) g) from the law's survival and density there."""
+    t_end = np.array([_table_end(law, model)])
+    e, g = law(model, t_end)
     last = 2.0 * table.x[-1] * e / ((1.0 + t_end) * g)
     return np.append(table.c[2], last)
 
 
-@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"{'S*' if c[0] is _size_biased_survival else 'E0'}-{c[1].spec_string()}")
+@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"{'S*' if c[0] is _size_biased_law else 'E0'}-{c[1].spec_string()}")
 def test_hermite_build_matches_scipy_cubic_hermite_spline(case):
     # the knots, values and slopes of a built table (refined ones included:
     # diffusion(d=64)'s S* table has 4097 knots);
     # the last knot is always the table end, log1p(t) at the others is c[3]
-    survival, model = case
-    table = _inverse_table(survival, model)
+    law, model = case
+    table = _inverse_table(law, model)
     x = table.x
-    y = np.append(table.c[3], np.log1p(_table_end(survival, model)))
-    s = _knot_slopes(survival, model, table)
+    y = np.append(table.c[3], np.log1p(_table_end(law, model)))
+    s = _knot_slopes(law, model, table)
     assert np.array_equal(_hermite(x, y, s), table.c)
     oracle = CubicHermiteSpline(x, y, s)
     assert np.array_equal(table.c, oracle.c)
@@ -372,7 +374,7 @@ def test_hermite_property_matches_scipy_cubic_hermite_spline(knots_values_slopes
 @settings(max_examples=100, deadline=None)
 @given(
     case=st.tuples(
-        st.sampled_from([slepian.e0, _size_biased_survival]),
+        st.sampled_from([_divisor_law, _size_biased_law]),
         st.one_of(ROUND_TRIP_MODELS, st.just(ex.RandomAcceleration())),
     )
 )
@@ -380,9 +382,9 @@ def test_inverse_table_slopes_are_finite_and_positive(case):
     # the exact slope 2 z S / ((1 + t) g) at every knot but t = 0, where it
     # is 0/0 and takes its limit, finite and at least 0 (0 for random
     # acceleration's E0, where 1 - E0 is linear in t)
-    survival, model = case
-    table = _inverse_table(survival, model)
-    s = _knot_slopes(survival, model, table)
+    law, model = case
+    table = _inverse_table(law, model)
+    s = _knot_slopes(law, model, table)
     assert np.isfinite(s[0]) and s[0] >= 0.0
     assert np.all(np.isfinite(s[1:]) & (s[1:] > 0.0))
 
@@ -515,9 +517,9 @@ class _EdgeStream(ex.RngStream):
         return u
 
 
-def _table_draw(survival, model):
+def _table_draw(law, model):
     sampler = ex.DivisorSampler(model)
-    return sampler.size_biased_draw if survival is _size_biased_survival else sampler.draw
+    return sampler.size_biased_draw if law is _size_biased_law else sampler.draw
 
 
 # every chunked sampler with its whole-array oracle: the closed forms, the E0
@@ -529,11 +531,11 @@ CHUNK_SOURCES = {
                                    random_acceleration_inverse_oracle),
     "geometric-half": (lambda: ex.sample_geometric_half, geometric_half_oracle),
     **{
-        f"{'size-biased' if survival is _size_biased_survival else 'table'}-{m.spec_string()}": (
-            functools.partial(_table_draw, survival, m),
-            functools.partial(table_inverse_oracle, survival, m),
+        f"{'size-biased' if law is _size_biased_law else 'table'}-{m.spec_string()}": (
+            functools.partial(_table_draw, law, m),
+            functools.partial(table_inverse_oracle, law, m),
         )
-        for survival, m in TABLE_CASES
+        for law, m in TABLE_CASES
     },
 }
 
