@@ -15,7 +15,9 @@ drawn the same way, from a table of its closed-form survival (see
     T_a = sum of nu_geo iid divisor draws,   nu_geo ~ Geometric(1/2),
 
 where nu_geo counts trials up to the first success, so P(nu_geo = k) = 2^-k
-and E[nu_geo] = 2.
+and E[nu_geo] = 2.  It is read from the float exponent of one uniform:
+U in [2^-k, 2^-(k-1)) gives k exactly, where ceil(log U / log 1/2)
+misrounds next to the powers of two.
 
 Numerical notes on the closed forms:
 
@@ -67,9 +69,10 @@ followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  A
 sampler uses this itself: it allocates its n results once and fills them
 _DRAWS_PER_CHUNK at a time, each chunk's draws being its inverse, a plain
 array expression, of that chunk's uniforms (``_draws``), so n draws hold n
-doubles and the temporaries of one chunk.  The compound draw runs its
-segment sums in blocks of divisor draws the same way, and both return the
-draws of one call bit for bit.
+doubles and the temporaries of one chunk.  The compound draw takes every
+compound's first divisor draw as its value, then the further draws of a
+block of compounds at a time, each block summed per compound by one
+``np.bincount`` and added; both return the draws of one call bit for bit.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ _TABLE_RTOL = 1e-10
 _TABLE_ROUNDS = 24
 # Guide-table cells per octave of z, 2**_GUIDE_BITS (see _InverseTable).
 _GUIDE_BITS = 10
-# Compound draws per block: the divisor draws of one block (about twice as
-# many) stay in cache through every pass over them.
+# Compound draws per block: the further divisor draws of one block (about
+# as many) stay in cache through every pass over them.
 _COMPOUNDS_PER_BLOCK = 1 << 14
 # Draws per chunk of a sampler: a chunk's uniforms, its result slice and the
 # temporaries of its inverse (64 KiB each) stay in cache, and are small
@@ -401,16 +404,31 @@ class DivisorSampler:
 
 
 def _geometric_half_from_u(u):
-    # ceil(log U / log 1/2), at least 1; an integral double, which the int64
-    # result takes exactly
-    return np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0)
+    # U in [2^-k, 2^-(k-1)) exactly when frexp's exponent of U is 1 - k, so
+    # the count is read from the float exponent, with no logarithm to
+    # misround near the powers of two; at least 1 (U = 1 has exponent 1)
+    return np.maximum(1 - np.frexp(u)[1], 1)
 
 
 def sample_geometric_half(rng: RngStream, n: int) -> np.ndarray:
-    """Geometric(1/2) counts on {1, 2, ...} by inversion
-    (ceil(log U / log 1/2)), chosen over Bernoulli looping for
-    determinism: exactly one uniform per draw."""
+    """Geometric(1/2) counts on {1, 2, ...} by inversion, k for U in
+    [2^-k, 2^-(k-1)), chosen over Bernoulli looping for determinism:
+    exactly one uniform per draw."""
     return _draws(rng, np.empty(n, np.int64), _geometric_half_from_u)
+
+
+def _add_segment_sums(values: np.ndarray, counts: np.ndarray, src, rng: RngStream) -> np.ndarray:
+    """Add to each ``values[i]`` the sum of ``counts[i] - 1`` further draws
+    of ``src``, drawn _COMPOUNDS_PER_BLOCK compounds at a time.  Each block's
+    draws are summed per compound by one ``np.bincount``, which accumulates
+    in element order: the sum added is ((0 + x1) + x2) + ..., whatever the
+    block size."""
+    for lo in range(0, values.size, _COMPOUNDS_PER_BLOCK):
+        extra = counts[lo : lo + _COMPOUNDS_PER_BLOCK] - 1
+        m = extra.size
+        rest = src.draw(rng, int(extra.sum()))
+        values[lo : lo + m] += np.bincount(np.repeat(np.arange(m), extra), weights=rest, minlength=m)
+    return values
 
 
 def sample_excursions(source, rng: RngStream, n: int):
@@ -420,17 +438,15 @@ def sample_excursions(source, rng: RngStream, n: int):
     the sum of ``counts[i]`` divisor draws, with counts Geometric(1/2).
     ``source`` is a model or any object with a ``draw(rng, n)`` method.
 
-    All n counts are drawn first, then the divisor draws of
-    _COMPOUNDS_PER_BLOCK compounds at a time, each block summed by one
-    ``np.add.reduceat``.  For a split-invariant source (every divisor
-    sampler and switching-law ``draw`` of the package) the result equals
-    drawing every divisor in one call and summing once, bit for bit.
+    All n counts are drawn first, then one divisor draw per compound, which
+    is its value (the half with count 1 is then done), then the
+    ``counts[i] - 1`` further draws of _COMPOUNDS_PER_BLOCK compounds at a
+    time, added to their values (``_add_segment_sums``).  Each value is
+    x0 + (((0 + x1) + x2) + ...), so for a split-invariant source (every
+    divisor sampler and switching-law ``draw`` of the package) the result
+    equals the first draws in one call, every further draw in a second and
+    the sums formed one compound at a time, bit for bit.
     """
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
     counts = sample_geometric_half(rng, n)
-    values = np.empty(n)
-    for lo in range(0, n, _COMPOUNDS_PER_BLOCK):
-        block = counts[lo : lo + _COMPOUNDS_PER_BLOCK]
-        draws = src.draw(rng, int(block.sum()))
-        np.add.reduceat(draws, np.cumsum(block) - block, out=values[lo : lo + block.size])
-    return values, counts
+    return _add_segment_sums(src.draw(rng, n), counts, src, rng), counts

@@ -99,12 +99,15 @@ class ValidityReport:
 
     The checks are necessarily finite: the report records the grid it used
     rather than claiming a proof.  It stores what the grid measured (the
-    first violation times and the tail class); every judgement is derived.
+    first violation times, the smallest E0 and its first t, and the tail
+    class); every judgement is derived.
     """
 
     model_spec: str
     monotone_violation_t: Optional[float]
     nonnegative_violation_t: Optional[float]
+    min_e0: float  # NaN if E0 is NaN anywhere on the grid
+    min_e0_t: float
     tail_class: Optional[TailClass]
     t_max: float
     step: float
@@ -156,6 +159,8 @@ class ValidityReport:
             "tail_rate": self.tail_class.rate if self.tail_class else None,
             "tail_exponent": self.tail_class.exponent if self.tail_class else None,
             "first_violation_t": self.first_violation_t,
+            "min_e0": self.min_e0,
+            "min_e0_t": self.min_e0_t,
             "t_max": self.t_max,
             "step": self.step,
             "classification_inconclusive": verdict == "valid_tail_inconclusive",
@@ -288,6 +293,7 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
     mono_t = float(ts[mono_viol[0] + 1]) if mono_viol.size else None
     neg_viol = np.flatnonzero(~(vals >= 0.0))
     neg_t = float(ts[neg_viol[0]]) if neg_viol.size else None
+    low = int(np.argmin(vals))
 
     tail_class = None
     if mono_t is None and neg_t is None:
@@ -302,6 +308,8 @@ def validate_iia(model: CovarianceModel, t_max: float = DEFAULT_T_MAX, step: flo
         model_spec=model.spec_string(),
         monotone_violation_t=mono_t,
         nonnegative_violation_t=neg_t,
+        min_e0=float(vals[low]),
+        min_e0_t=float(ts[low]),
         tail_class=tail_class,
         t_max=float(t_max),
         step=float(step),

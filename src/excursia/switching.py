@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .laplace import CHECK_ORDER, ORDER, QuadratureError, _unit_rule
-from .samplers import DivisorSampler, RngStream, sample_excursions, sample_geometric_half
+from .samplers import DivisorSampler, RngStream, _add_segment_sums, sample_excursions, sample_geometric_half
 from .covariance import CovarianceModel
 from .slepian import mean_excursion
 
@@ -141,7 +141,8 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     the size-biased divisor and N* the size-biased count.  For N ~
     Geometric(1/2), P(N* = k) = k 2^-(k+1), the law of N_1 + N_2 - 1 with
     N_1, N_2 iid Geometric(1/2).  A draw costs one size-biased divisor
-    draw, two counts and on average two divisor draws.
+    draw, two counts and on average two divisor draws, the latter summed
+    in blocks as in ``sample_excursions``.
     """
     sampler = DivisorSampler(model)
 
@@ -150,9 +151,11 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
 
     def size_biased(rng: RngStream, n: int):
         head = sampler.size_biased_draw(rng, n)
-        extra = sample_geometric_half(rng, n) + sample_geometric_half(rng, n) - 2
-        rest = sampler.draw(rng, int(extra.sum()))
-        return head + np.bincount(np.repeat(np.arange(n), extra), weights=rest, minlength=n)
+        # the size-biased count N* = N_1 + N_2 - 1, formed in place
+        counts = sample_geometric_half(rng, n)
+        counts += sample_geometric_half(rng, n)
+        counts -= 1
+        return _add_segment_sums(head, counts, sampler, rng)
 
     return SwitchingTimeDistribution(
         label=f"excursion:{model.spec_string()}",

@@ -26,9 +26,9 @@ against the other.
   finite trigonometric sum.
 * ``tail_exponent_sort_oracle``: the tail regression on a full sort of
   the samples, an oracle for the partial selection of the k largest.
-* ``sample_excursions_one_shot``: the compound draws with every divisor
-  drawn at once and one segment sum over all of them, an oracle for the
-  blocked compound sampler.
+* ``sample_excursions_one_shot``: the compound draws with the first and
+  the further divisor draws each taken in one call and every compound
+  summed in a Python loop, an oracle for the blocked compound sampler.
 * ``empirical_survival_mean_oracle``: the empirical survival as one mean
   over the samples per tau, an oracle for the survival read from one sort.
 * ``log_cosh_oracle``, ``dr_oracle``, ``one_minus_r2_oracle`` and
@@ -155,8 +155,9 @@ def random_acceleration_inverse_oracle(u):
 
 
 def geometric_half_oracle(u):
-    """Geometric(1/2) counts ceil(log u / log 1/2), at least 1."""
-    return np.maximum(np.ceil(np.log(u) / math.log(0.5)), 1.0).astype(np.int64)
+    """Geometric(1/2) counts k for u in [2^-k, 2^-(k-1)), at least 1, read
+    from the biased exponent bits of u's IEEE double (1023 - k there)."""
+    return np.maximum(1023 - ((u.view(np.int64) >> 52) & 0x7FF), 1)
 
 
 def plain_spline(x, c, z):
@@ -241,12 +242,20 @@ def tail_exponent_sort_oracle(samples, k: int) -> tuple[float, float]:
 
 
 def sample_excursions_one_shot(source, rng, n: int):
-    """``sample_excursions`` without blocks: all n counts, then all their
-    divisor draws in one call, then one ``reduceat`` over them."""
+    """``sample_excursions`` without blocks: all n counts, the n first
+    divisor draws in one call, every further draw in a second, then each
+    compound summed left to right in a Python loop."""
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
     counts = sample_geometric_half(rng, n)
-    draws = src.draw(rng, int(counts.sum()))
-    values = np.add.reduceat(draws, np.cumsum(counts) - counts)
+    first = src.draw(rng, n)
+    rest = src.draw(rng, int(counts.sum()) - n)
+    values, pos = np.empty(n), 0
+    for i in range(n):
+        tail = 0.0
+        for x in rest[pos : pos + counts[i] - 1]:
+            tail += x
+        values[i] = first[i] + tail
+        pos += counts[i] - 1
     return values, counts
 
 

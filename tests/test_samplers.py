@@ -407,6 +407,17 @@ def test_geometric_counts():
         assert (counts == k).mean() == pytest.approx(2.0**-k, abs=3e-3)
 
 
+def test_geometric_counts_are_exact_at_powers_of_two():
+    # U in [2^-k, 2^-(k-1)) gives k: 2^-k gives k and the double just below
+    # it k + 1, where ceil(log U / log 1/2) misrounds; U = 1 gives 1
+    k = np.arange(1, 53)
+    powers = 2.0 ** -k.astype(float)
+    below = np.nextafter(powers, 0.0)
+    for u, want in ((powers, k), (below, k + 1), (np.array([1.0]), np.array([1]))):
+        assert np.array_equal(samplers._geometric_half_from_u(u), want)
+        assert np.array_equal(geometric_half_oracle(u), want)
+
+
 def test_excursion_mean_conservation():
     vals, counts = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(5, 0), 10**5)
     mu = ex.mean_excursion(ex.Diffusion(d=2))
@@ -586,6 +597,21 @@ def test_draws_allocate_little_beyond_their_result(model):
         tracemalloc.stop()
     assert draw_peak <= 8 * MIB + 1 * MIB
     assert compound_peak <= 16 * MIB + 1.5 * MIB
+
+
+def test_size_biased_compound_allocates_its_blocks_only():
+    # n = 10**6 size-biased compounds hold their values and the two count
+    # arrays while the second is added to the first (24 MiB); the further
+    # divisor draws are taken and summed a block at a time
+    dist = ex.excursion_switching(ex.Diffusion(d=5))
+    dist.size_biased_draw(ex.RngStream(1, 0), 10)  # both tables are built before tracing
+    tracemalloc.start()
+    try:
+        dist.size_biased_draw(ex.RngStream(2, 0), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * MIB + 1 * MIB
 
 
 SPLIT_SAMPLERS = {

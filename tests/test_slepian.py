@@ -301,6 +301,18 @@ def test_gate_refuses_shifted_gaussian_past_its_sign_change():
         assert 0.0 < rep.first_violation_t - t_star <= rep.step, alpha
 
 
+def test_gate_reports_its_most_negative_e0():
+    # the smallest grid value of E0 and its first t, measured beside the
+    # verdict, which decides on signs alone
+    for alpha, low, low_t in ((0.2, -1.10e-15, 8.1), (2.0, -0.2333, 1.7)):
+        rep = ex.validate_iia(ex.ShiftedGaussian(alpha=alpha))
+        assert rep.verdict == "invalid_oscillating"
+        assert rep.min_e0 == pytest.approx(low, rel=1e-3) and rep.min_e0_t == low_t
+        assert rep.as_dict()["min_e0"] == rep.min_e0 and rep.as_dict()["min_e0_t"] == low_t
+    rep = ex.validate_iia(ex.Diffusion(d=2))
+    assert rep.verdict == "valid" and rep.min_e0 >= 0.0 and rep.min_e0_t == rep.t_max
+
+
 @pytest.mark.parametrize("t_max", [1e-150, 1e-120, 1e-100, 1e-8])
 @pytest.mark.parametrize("m", TINY_T_MODELS + [ex.GeneralizedLaplace(alpha=10.0)], ids=lambda m: m.spec_string())
 def test_gate_passes_every_family_on_a_tiny_grid(m, t_max):
