@@ -7,8 +7,9 @@ L(s) is one dot product) plus an analytic completion of the truncated
 tail, because bare truncation biases the transform exactly at the negative
 s values where persistency poles live.  A lower-order rule on the same
 panels gives the error estimate; above REL_TOL it raises QuadratureError.
-The completion parameters are fitted to log E0 over the final decade
-before t_max; a survival that does not decay there raises TailFitError.
+The completion continues log E0 along its last truncation step, from
+t_max/1.25 to t_max, so it meets E0 at t_max; a survival that does not
+decay over that step raises TailFitError.
 The completion's form follows the tail class the validity gate measured
 (``slepian.cached_validity``): log-log for a power law, exponential for
 every other class.  Its integral is in closed form, except for a power
@@ -110,7 +111,7 @@ class QuadratureError(RuntimeError):
 
 
 class TailFitError(RuntimeError):
-    """The survival does not decay over the tail-completion fit window."""
+    """The survival does not decay over the last truncation step."""
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,12 @@ class TailCompletion:
     slope: float
 
     def remainder(self, s: float, t_max: float) -> tuple[float, float]:
-        """int_{t_max}^inf (fitted tail)(t) e^{-st} dt and its absolute error
+        """int_{t_max}^inf (completed tail)(t) e^{-st} dt and its absolute error
         estimate: 0 for the closed forms.  A power tail at s > 0 is summed
         on the composite rule after t = t_max/u (dt = t du/u); its estimate
         is the gap to the lower-order rule plus a bound on the tail beyond
         t_first = t_max/PANEL_START, the start of the first panel:
-        e^a t_first^b e^{-s t_first}/s for the decaying fit (b < 0).  The
+        e^a t_first^b e^{-s t_first}/s for the decaying tail (b < 0).  The
         gap does not check that panel: where e^{-st} cuts off inside it,
         both rules can miss it alike."""
         if self.kind == "exponential":
@@ -163,10 +164,11 @@ def _rule_nodes(order: int, check_order: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _ladder(t_cap: float) -> np.ndarray:
-    """The truncation candidates 1, 1.25, 1.25^2, ... below ``t_cap``,
-    read-only: the survival is called on the cached array itself."""
-    steps = math.ceil(math.log(t_cap) / math.log(1.25)) + 1
-    ts = np.cumprod(np.concatenate([[1.0], np.full(steps, 1.25)]))
+    """The truncation candidates 1.25^k, k = -40, -39, ..., below ``t_cap``:
+    from about 1.3e-4, so a survival already below TRUNCATION_THRESHOLD at
+    t = 1 truncates inside its decay.  Read-only: the survival is called on
+    the cached array itself."""
+    ts = 1.25 ** np.arange(-40.0, math.ceil(math.log(t_cap) / math.log(1.25)) + 1)
     ts = ts[ts < t_cap]
     ts.flags.writeable = False
     return ts
@@ -219,8 +221,9 @@ class LaplaceEvaluator:
     @classmethod
     def for_survival(cls, survival: Callable, tail_kind: str = "exponential") -> "LaplaceEvaluator":
         """Evaluator for a vectorised survival: ``survival(ts)`` must map an
-        array of times to an array of the same shape.  ``tail_kind``
-        ("exponential" or "power") is the form of the tail completion."""
+        array of times to an array of the same shape.  It is truncated at
+        ``_find_t_max`` and continued past it by ``_fit_tail`` in the form
+        ``tail_kind`` ("exponential" or "power")."""
         t_max = cls._find_t_max(survival)
         completion = cls._fit_tail(survival, t_max, tail_kind)
         return cls(survival, t_max, completion)
@@ -237,8 +240,8 @@ class LaplaceEvaluator:
 
     @staticmethod
     def _find_t_max(survival):
-        """First node of the ladder 1, 1.25, 1.25^2, ... below T_CAP where the
-        survival is non-finite or below TRUNCATION_THRESHOLD, else T_CAP."""
+        """First node of the ladder 1.25^-40, 1.25^-39, ... below T_CAP where
+        the survival is non-finite or below TRUNCATION_THRESHOLD, else T_CAP."""
         ts = _ladder(T_CAP)
         vals = np.asarray(survival(ts), dtype=float)
         stop = np.flatnonzero(~np.isfinite(vals) | (vals < TRUNCATION_THRESHOLD))
@@ -246,22 +249,18 @@ class LaplaceEvaluator:
 
     @staticmethod
     def _fit_tail(survival, t_max, tail_kind):
+        """The line through log E0 at t_max/1.25 and t_max, the last ladder
+        step (against ln t for a power tail, t otherwise): it equals E0 at
+        t_max.  TailFitError unless E0(t_max/1.25) > E0(t_max) > 0."""
         if tail_kind not in ("exponential", "power"):
             raise ValueError(f"tail_kind must be 'exponential' or 'power', got {tail_kind!r}")
-        ts = np.linspace(t_max / 10.0, t_max, 200)
+        ts = np.array([t_max / 1.25, t_max])
         vals = np.asarray(survival(ts), dtype=float)
-        good = vals > 0
-        ts, vals = ts[good], vals[good]
-        if ts.size < 20:
-            raise TailFitError("too few positive survival values to fit a tail completion")
-        # a survival flat over the window (E0 rounds to 1 below t ~ 1e-8)
-        # has no tail to fit, and polyfit fails on a window of tiny t
-        if not vals[-1] < vals[0]:
-            raise TailFitError(f"survival does not decay over [{ts[0]:g}, {ts[-1]:g}]; cannot build a transform")
-        slope, intercept = np.polyfit(np.log(ts) if tail_kind == "power" else ts, np.log(vals), 1)
-        if slope >= 0:
-            raise TailFitError("survival does not decay; cannot build a transform")
-        return TailCompletion(tail_kind, float(intercept), float(slope))
+        if not vals[0] > vals[1] > 0.0:
+            raise TailFitError(f"survival does not decay over [{ts[0]:g}, {ts[1]:g}] to a positive value; cannot build a transform")
+        (x0, x1), (y0, y1) = np.log(ts) if tail_kind == "power" else ts, np.log(vals)
+        slope = float((y1 - y0) / (x1 - x0))
+        return TailCompletion(tail_kind, float(y1 - slope * x1), slope)
 
     # -- evaluation --------------------------------------------------------
 

@@ -63,8 +63,10 @@ def _d1_transform_oracle(s):
 
 def test_transform_matches_d1_digamma_oracle():
     model = ex.Diffusion(d=1)
-    # s = -0.2 carries the fitted tail completion's own error
-    for s, tol in [(0.0, 1e-12), (0.5, 1e-12), (5.0, 1e-12), (1e3, 1e-12), (1e5, 1e-9), (-0.2, 1e-8)]:
+    # near the boundary -1/4 the tail completion carries most of L; it is
+    # exact for this E0, whose tail is exponential to 1e-15 at truncation.
+    # At s = 1e5 the oracle's digamma difference loses digits itself
+    for s, tol in [(0.0, 1e-12), (0.5, 1e-12), (5.0, 1e-12), (1e3, 1e-12), (1e5, 1e-9), (-0.2, 1e-12), (-0.24, 1e-12), (-0.249, 1e-12)]:
         ref = _d1_transform_oracle(s)
         assert abs(ex.laplace_e0(model, s) - ref) <= tol * ref, s
 
@@ -109,6 +111,21 @@ def test_reference_poles():
         est = ex.find_pole(model)
         assert est.theta == pytest.approx(ref, abs=5e-4), model.spec_string()
         assert est.residual <= 1e-10
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.RandomAcceleration()], ids=lambda m: m.spec_string())
+def test_pole_boundary_is_the_exact_decay_rate(model):
+    # E0 decays like e^{-t/2} for both; the completion's rate comes from
+    # its last truncation step
+    assert ex.find_pole(model).boundary == pytest.approx(-0.5, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [10.0, 100.0, 1e3, 3e3, 1e5])
+def test_transform_at_zero_is_half_mean_for_steep_covariances(alpha):
+    # E0 of generalized_laplace(alpha) is below 1e-15 at t = 1 from
+    # alpha of about 1600 on: the truncation ladder starts before it decays
+    mu = math.pi / math.sqrt(alpha)
+    assert ex.laplace_e0(ex.GeneralizedLaplace(alpha=alpha), 0.0) == pytest.approx(mu / 2.0, rel=1e-12, abs=0.0)
 
 
 def test_pole_brackets_inside_margin():
@@ -222,6 +239,16 @@ def test_bracketed_pole_matches_scan_oracle_and_h_increases(model):
     assert np.all(np.diff(hs) > 0.0)
 
 
+@pytest.mark.parametrize(
+    "model", POLE_MODELS + [ex.GeneralizedLaplace(alpha=1.0), ex.GeneralizedLaplace(alpha=10.0)], ids=lambda m: m.spec_string()
+)
+def test_tail_completion_meets_e0_at_truncation(model):
+    ev = laplace._evaluator(model)
+    c = ev.completion
+    at_t_max = math.exp(c.intercept + c.slope * (math.log(ev.t_max) if c.kind == "power" else ev.t_max))
+    assert at_t_max == pytest.approx(float(ex.e0(model, np.array([ev.t_max]))[0]), rel=1e-12, abs=0.0)
+
+
 def test_pole_on_a_capped_truncation_matches_the_default():
     # diffusion(d=2) truncates near t = 69 by default; a cap at 40 leaves
     # more of the survival to the tail completion
@@ -236,8 +263,8 @@ def test_pole_on_a_capped_truncation_matches_the_default():
 
 @pytest.mark.parametrize("t_cap", [1e-300, 1e-100, 1e-12])
 def test_tiny_truncation_cap_is_a_tail_fit_error(t_cap):
-    # E0 rounds to 1 over the tail-fit window [t_cap/10, t_cap]: there is
-    # no decay to fit
+    # E0 rounds to 1 at both t_cap/1.25 and t_cap: there is no decay to
+    # continue
     with pytest.raises(TailFitError, match="survival does not decay over"):
         LaplaceEvaluator._fit_tail(lambda t: ex.e0(ex.Diffusion(d=2), t), t_cap, "exponential")
 
@@ -380,7 +407,7 @@ def test_power_tail_remainder_within_rel_tol_or_raises_property(power, t_cap, lo
 
 
 def test_power_tail_remainder_error_above_rel_tol_raises():
-    # a tail (1 + t)^{-1.05} cut at t = 5 (fitted exponent about -0.68):
+    # a tail (1 + t)^{-1.05} cut at t = 5 (completion exponent about -0.86):
     # exact at s = 1e-8, but at s = 1e-20 the fit has not decayed by the
     # last node and the bound on the tail beyond it exceeds REL_TOL * |L|
     ev = _power_tail_evaluator(-1.05, 5.0)
@@ -391,12 +418,12 @@ def test_power_tail_remainder_error_above_rel_tol_raises():
 
 
 def _t_max_loop_oracle(survival, t_cap):
-    t = 1.0
-    while t < t_cap:
+    k = -40
+    while (t := 1.25**k) < t_cap:
         v = float(np.asarray(survival(t)))
         if not np.isfinite(v) or v < laplace.TRUNCATION_THRESHOLD:
             return t
-        t *= 1.25
+        k += 1
     return t_cap
 
 
@@ -407,10 +434,12 @@ def _t_max_loop_oracle(survival, t_cap):
         lambda t: ex.e0(ex.Diffusion(d=2), t),
         lambda t: ex.e0(ex.MaternHalfInteger(nu=4.5), t),
         lambda t: np.exp(-np.asarray(t, dtype=float)),
+        # below the threshold from t = 0.7 on, before the ladder reaches 1
+        lambda t: np.exp(-50.0 * np.asarray(t, dtype=float)),
         # power tail: above the threshold at every cap, so the cap is returned
         lambda t: (1.0 + np.asarray(t, dtype=float)) ** -3.0,
     ],
-    ids=["diffusion-d2", "matern-4.5", "exp", "power"],
+    ids=["diffusion-d2", "matern-4.5", "exp", "exp-50", "power"],
 )
 def test_find_t_max_matches_scalar_loop_oracle(survival, t_cap, monkeypatch):
     monkeypatch.setattr(laplace, "T_CAP", t_cap)
