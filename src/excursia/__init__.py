@@ -31,6 +31,7 @@ from .laplace import find_pole, laplace_e0
 from .samplers import (
     DivisorSampler,
     RngStream,
+    excursion_multiset,
     sample_excursions,
     sample_geometric_half,
 )

@@ -35,7 +35,7 @@ from .covariance import (
 )
 from .laplace import DivergenceError, PoleNotFoundError, QuadratureError, TailFitError
 from .persistency import DegenerateTailError
-from .samplers import DivisorSampler, InverseTableError, RngStream, sample_excursions
+from .samplers import DivisorSampler, InverseTableError, RngStream, excursion_multiset, sample_excursions
 from .slepian import ValidityError
 
 TOOL = "excursia"
@@ -332,8 +332,9 @@ def _cmd_e0(args) -> int:
         vals = np.asarray(fn(model, ts))
         _emit_csv(["t", "value", "log_value"], [ts, vals, _log(vals)], args)
         return 0
-    # survival_mc: empirical exceedance survival with binomial SE
-    values, _ = sample_excursions(model, RngStream(args.seed, 0), args.n)
+    # survival_mc: empirical exceedance survival with binomial SE, which
+    # reads only the multiset of the draws
+    values, _ = excursion_multiset(model, RngStream(args.seed, 0), args.n)
     p, se = persistency.empirical_survival(values, ts)
     _emit_csv(["t", "value", "log_value", "se"], [ts, p, _log(p), se], args)
     return 0
@@ -370,8 +371,9 @@ def _cmd_persistency(args) -> int:
         _tail_count(k, args.n)
         sampler = DivisorSampler(model)  # validity gate before any sampling
 
+        # the regression reads only order statistics: the compounds as a multiset
         def draw(stream: RngStream, m: int):
-            return sample_excursions(sampler, stream, m)[0]
+            return excursion_multiset(sampler, stream, m)[0]
 
         est = persistency.tail_exponent_ci(draw, args.n, k, args.reps, RngStream(args.seed, 0))
         estimates.append(est.as_dict())
@@ -442,8 +444,9 @@ def _cmd_reproduce(args) -> int:
         div_est = persistency.tail_exponent_ci(
             lambda st, m: sampler.largest(st, m, k_div), args.n, k_div, args.reps, RngStream(args.seed, 2 * stride * d)
         )
+        # the exceedance regression reads the compounds as a multiset
         iia_est = persistency.tail_exponent_ci(
-            lambda st, m: sample_excursions(sampler, st, m)[0],
+            lambda st, m: excursion_multiset(sampler, st, m)[0],
             args.n,
             k_iia,
             args.reps,

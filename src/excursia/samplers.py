@@ -73,6 +73,9 @@ doubles and the temporaries of one chunk.  The compound draw takes every
 compound's first divisor draw as its value, then the further draws of a
 block of compounds at a time, each block summed per compound by one
 ``np.bincount`` and added; both return the draws of one call bit for bit.
+A consumer that reads only order statistics takes the compounds as a
+multiset instead (``excursion_multiset``): binomial level sizes and one
+divisor draw call per level, with no per-compound counts.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ __all__ = [
     "DivisorSampler",
     "sample_geometric_half",
     "sample_excursions",
+    "excursion_multiset",
 ]
 
 _EPS = np.finfo(float).eps  # uniforms clamped to the open interval (0, 1)
@@ -450,3 +454,28 @@ def sample_excursions(source, rng: RngStream, n: int):
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
     counts = sample_geometric_half(rng, n)
     return _add_segment_sums(src.draw(rng, n), counts, src, rng), counts
+
+
+def excursion_multiset(source, rng: RngStream, n: int):
+    """n compound draws as a multiset, for consumers that read only order
+    statistics (tail regression, the empirical survival).
+
+    Returns ``(values, levels)``.  ``levels`` are the level sizes G_1 = n,
+    G_{j+1} ~ Binomial(G_j, 1/2), down to the first 0: G_j counts the
+    compounds with at least j terms, so they are the exact histogram of n
+    iid Geometric(1/2) counts.  Each level adds one fresh divisor draw to
+    the first G_j values, so ``values[i]`` sums one draw per level with
+    G_j > i, left to right.  The multiset of values has the law of
+    n iid compounds, but the values come in count-descending order: they
+    are not an iid sequence, and ``sample_excursions`` remains the sampler
+    for consumers that read them in order.  All level sizes are drawn
+    first, then ``sum(levels)`` divisor draws, one ``draw`` call per level.
+    """
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    levels = [n]
+    while levels[-1]:
+        levels.append(int(rng.gen.binomial(levels[-1], 0.5)))
+    values = src.draw(rng, n)
+    for g in levels[1:-1]:
+        values[:g] += src.draw(rng, g)
+    return values, np.array(levels, dtype=np.int64)

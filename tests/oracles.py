@@ -28,7 +28,10 @@ against the other.
   the samples, an oracle for the partial selection of the k largest.
 * ``sample_excursions_one_shot``: the compound draws with the first and
   the further divisor draws each taken in one call and every compound
-  summed in a Python loop, an oracle for the blocked compound sampler.
+  summed in a Python loop, an oracle for the blocked compound sampler;
+  ``excursion_multiset_loop_oracle`` is the multiset compound draw with
+  the same binomial and ``draw`` calls, each level added one compound at
+  a time in a Python loop.
 * ``empirical_survival_mean_oracle``: the empirical survival as one mean
   over the samples per tau, an oracle for the survival read from one sort.
 * ``log_cosh_oracle``, ``dr_oracle``, ``one_minus_r2_oracle`` and
@@ -257,6 +260,21 @@ def sample_excursions_one_shot(source, rng, n: int):
         values[i] = first[i] + tail
         pos += counts[i] - 1
     return values, counts
+
+
+def excursion_multiset_loop_oracle(source, rng, n: int):
+    """``excursion_multiset`` one compound at a time: the same binomial
+    level sizes and the same ``draw`` call per level, each level's draws
+    added to its compounds in a Python loop."""
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    levels = [n]
+    while levels[-1] > 0:
+        levels.append(int(rng.gen.binomial(levels[-1], 0.5)))
+    values = [float(x) for x in src.draw(rng, n)]
+    for g in levels[1:-1]:
+        for i, x in enumerate(src.draw(rng, g)):
+            values[i] = values[i] + float(x)
+    return np.array(values, dtype=float), levels
 
 
 def empirical_survival_mean_oracle(samples, taus) -> np.ndarray:

@@ -30,10 +30,11 @@ def _criterion(num, desc, ok, detail=""):
 
 
 def _excursion_sampler(model):
+    # the shipped estimator: tail regression on the compounds as a multiset
     sampler = ex.DivisorSampler(model)
 
     def draw(stream, n):
-        return ex.sample_excursions(sampler, stream, n)[0]
+        return ex.excursion_multiset(sampler, stream, n)[0]
 
     return draw
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
-from excursia import Diffusion, DivisorSampler, RngStream, e0, laplace_e0, sample_excursions, tail_exponent_ci
+from excursia import Diffusion, DivisorSampler, RngStream, e0, excursion_multiset, laplace_e0, tail_exponent_ci
 from excursia import cli, laplace, slepian
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
@@ -247,7 +247,7 @@ def test_e0_csv_is_byte_identical_to_per_value_oracle(what, spec, tmp_path, caps
     model = parse_model_spec(spec)
     ts = np.arange(0.0, 45.0 + 0.125, 0.25)
     if what == "survival_mc":
-        p, se = empirical_survival(sample_excursions(model, RngStream(3, 0), 200)[0], ts)
+        p, se = empirical_survival(excursion_multiset(model, RngStream(3, 0), 200)[0], ts)
         rows = [(t, pt, _old_log(pt), st_) for t, pt, st_ in zip(ts, p, se)]
     else:
         vals = np.asarray(e0(model, ts) if what == "e0" else clipped_autocovariance(model, ts))
@@ -460,7 +460,7 @@ def test_reproduce_up_to_50_reps_keeps_its_streams(tmp_path):
         sampler = DivisorSampler(Diffusion(d=d))
         div = tail_exponent_ci(sampler.draw, n, k, reps, RngStream(seed, 100 * d))
         iia = tail_exponent_ci(
-            lambda st, m: sample_excursions(sampler, st, m)[0], n, k, reps, RngStream(seed, 100 * d + 50)
+            lambda st, m: excursion_multiset(sampler, st, m)[0], n, k, reps, RngStream(seed, 100 * d + 50)
         )
         assert (row[1], row[3]) == ("%.17g" % div.theta, "%.17g" % iia.theta), d
 

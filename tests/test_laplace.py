@@ -120,6 +120,17 @@ def test_pole_boundary_is_the_exact_decay_rate(model):
     assert ex.find_pole(model).boundary == pytest.approx(-0.5, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("d", range(1, 65))
+def test_pole_boundary_is_the_completion_slope_between_decay_rate_and_root(d):
+    # E0 of diffusion(d) decays like e^{-d t/4}, and slower before: the
+    # completion's slope over the last truncation step is not the
+    # convergence boundary -d/4 but lies at or above it (-10.42 at d = 43,
+    # -14.91 at d = 64; d = 3 reads -0.7500000000000007, so the bound has
+    # 1e-14 relative slack for rounding) and below -theta
+    est = ex.find_pole(ex.Diffusion(d=d))
+    assert -d / 4.0 * (1.0 + 1e-14) <= est.boundary < -est.theta
+
+
 @pytest.mark.parametrize("alpha", [10.0, 100.0, 1e3, 3e3, 1e5])
 def test_transform_at_zero_is_half_mean_for_steep_covariances(alpha):
     # E0 of generalized_laplace(alpha) is below 1e-15 at t = 1 from

@@ -27,6 +27,7 @@ from oracles import (
     diffusion_d1_inverse_oracle,
     diffusion_d2_inverse_oracle,
     e0_oracle,
+    excursion_multiset_loop_oracle,
     g_forward,
     g_inverse,
     gaussian_divisor_density,
@@ -511,6 +512,43 @@ def test_blocked_compound_equals_one_shot(name, block, monkeypatch):
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
 
 
+@pytest.mark.parametrize("name", sorted(COMPOUND_SOURCES))
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def test_multiset_compound_equals_loop_oracle(name, n, seed):
+    source = COMPOUND_SOURCES[name]()
+    rng, rng_oracle = ex.RngStream(seed, 3), ex.RngStream(seed, 3)
+    values, levels = ex.excursion_multiset(source, rng, n)
+    want_values, want_levels = excursion_multiset_loop_oracle(source, rng_oracle, n)
+    assert values.dtype == np.float64 and values.shape == (n,)
+    assert np.array_equal(values, want_values)
+    assert levels.tolist() == want_levels
+    assert levels[0] == n and levels[-1] == 0 and np.all(np.diff(levels) <= 0)
+    # both took the same binomials and uniforms: the streams continue alike
+    assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
+def test_multiset_compound_has_the_law_of_the_ordered_draw(model):
+    sampler = ex.DivisorSampler(model)
+    multiset, _ = ex.excursion_multiset(sampler, ex.RngStream(31, 0), 10**5)
+    ordered, _ = ex.sample_excursions(sampler, ex.RngStream(31, 1), 10**5)
+    assert stats.ks_2samp(multiset, ordered).pvalue > 0.01
+    # the tail exponents agree within their combined 95% half-widths
+    a = ex.tail_exponent_ci(lambda st, m: ex.excursion_multiset(sampler, st, m)[0], 10**5, 10**4, 10, ex.RngStream(31, 100))
+    b = ex.tail_exponent_ci(lambda st, m: ex.sample_excursions(sampler, st, m)[0], 10**5, 10**4, 10, ex.RngStream(31, 200))
+    assert abs(a.theta - b.theta) <= a.half_width + b.half_width
+
+
+def test_multiset_exponential_closure():
+    # Exp(1) divisors: the compound is Exp(1/2)
+    vals, _ = ex.excursion_multiset(ex.exponential_switching(1.0), ex.RngStream(9, 1), 10**5)
+    res = stats.kstest(vals, lambda x: -np.expm1(-0.5 * np.asarray(x)))
+    assert res.pvalue > 0.01
+    theta, _ = ex.tail_exponent(vals, 10**4)
+    assert theta == pytest.approx(0.5, rel=0.02)
+
+
 class _EdgeStream(ex.RngStream):
     """An RngStream whose uniforms at the positions of ``edges`` (counted
     from the stream's first uniform) are replaced by the given values."""
@@ -582,7 +620,9 @@ MIB = 1 << 20
 @pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.Diffusion(d=5)], ids=lambda m: m.spec_string())
 def test_draws_allocate_little_beyond_their_result(model):
     # numpy reports its allocations to tracemalloc; n = 10**6 draws take
-    # 8 MiB, and a compound draw holds its values and counts (16 MiB)
+    # 8 MiB, a compound draw holds its values and counts (16 MiB), and a
+    # multiset compound draw its values and the second level's draws
+    # (about n/2, 4 MiB)
     sampler = ex.DivisorSampler(model)
     sampler.draw(ex.RngStream(1, 0), 10)  # any table is built before tracing
     n = 10**6
@@ -593,10 +633,14 @@ def test_draws_allocate_little_beyond_their_result(model):
         tracemalloc.reset_peak()
         ex.sample_excursions(sampler, ex.RngStream(3, 0), n)
         _, compound_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ex.excursion_multiset(sampler, ex.RngStream(3, 0), n)
+        _, multiset_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert draw_peak <= 8 * MIB + 1 * MIB
     assert compound_peak <= 16 * MIB + 1.5 * MIB
+    assert multiset_peak <= 12 * MIB + 1 * MIB
 
 
 def test_size_biased_compound_allocates_its_blocks_only():
