@@ -254,9 +254,11 @@ def _count(minimum: int, maximum: int | None = None):
 
 
 def _tail_count(k: int, n: int) -> int:
-    """A tail count the regression accepts: 2 <= k <= n - 1."""
-    if not 2 <= k <= n - 1:
-        raise UsageError(f"tail count must satisfy 2 <= k <= n-1, got k={k}, n={n}")
+    """k, if the regression takes it as a tail count of n; else a usage error."""
+    try:
+        persistency._check_tail_count(k, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return k
 
 
@@ -422,7 +424,7 @@ def _cmd_switch(args) -> int:
         else:
             e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
             columns = [grid, e_hat, r_hat, r_se]
-    except ValueError as exc:  # n < 2, or a stationary law without a size-biased sampler
+    except ValueError as exc:  # n < 2, or more switch instants than an ensemble holds
         raise UsageError(str(exc)) from exc
     _emit_csv(["t", "E_hat", "R_hat", "SE"], columns, args)
     return 0

@@ -157,12 +157,6 @@ def _unit_rule(order: int):
 
 
 @lru_cache(maxsize=None)
-def _rule_nodes(order: int, check_order: int) -> np.ndarray:
-    """The unit nodes of the main rule, then those of the lower-order rule."""
-    return np.concatenate([_unit_rule(order)[0], _unit_rule(check_order)[0]])
-
-
-@lru_cache(maxsize=None)
 def _ladder(t_cap: float) -> np.ndarray:
     """The truncation candidates 1.25^k, k = -40, -39, ..., below ``t_cap``:
     from about 1.3e-4, so a survival already below TRUNCATION_THRESHOLD at
@@ -191,8 +185,8 @@ class LaplaceEvaluator:
     def __init__(self, survival: Callable, t_max: float, completion: TailCompletion):
         self.t_max = float(t_max)
         self.completion = completion
-        (u, w), (_, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
-        values = np.asarray(survival(self.t_max * _rule_nodes(ORDER, CHECK_ORDER)), dtype=float)
+        (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
+        values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
         self._weighted = self.t_max * w * values[: u.size]
         self._terms = (math.nan, None)  # (s, rule terms at s) of the last transform
         self.abserr = self._certify(self.t_max * w_low * values[u.size :])

@@ -126,35 +126,24 @@ def _student_t_central(t: float, nu: int) -> float:
     return 2.0 / math.pi * (theta + (sin * math.sqrt(cos2) * series if nu > 1 else 0.0))
 
 
-# the smallest tail probability 1 - p (or p) student_t_quantile accepts
-_T_TAIL_MIN = 1e-3
+def student_t_quantile(nu: int) -> float:
+    """The 0.975-quantile of Student's t with integer nu >= 1 degrees of
+    freedom, the level of the package's 95% bound.
 
-
-def student_t_quantile(nu: int, p: float) -> float:
-    """The p-quantile of Student's t with integer nu >= 1 degrees of freedom.
-
-    Newton steps on P(|T| <= t) = 2p - 1 with the t density, from t = 0.
+    Newton steps on P(|T| <= t) = 0.95 with the t density, from t = 0.
     P(|T| <= t) is concave on t >= 0, so the steps climb to the root from
     below; every evaluated point still narrows a bracket, and a step that
     leaves it is replaced by bisection, so round-off near the root cannot
     make the steps cycle.  The search stops when a step is below 1e-14
-    relative.  Against a 40-digit quantile the relative error was at most
-    5e-14 for nu up to 1e5 at p = 0.6, 0.975 and 0.99.
-
-    p must lie in [_T_TAIL_MIN, 1 - _T_TAIL_MIN] = [0.001, 0.999]: further
-    out, P(|T| <= t) rounds to about 1e-16 absolute, which is no longer
-    small against the tail 2(1 - p), and the quantile would lose digits.
-    The package needs only p = 0.975.
+    relative.  Against a 40-digit quantile the relative error is at most
+    5e-14 for nu up to 1e5 (``test_persistency.py``).
     """
-    if not (nu >= 1 and _T_TAIL_MIN <= min(p, 1.0 - p)):
-        raise ValueError(f"need nu >= 1 and {_T_TAIL_MIN} <= p <= 1 - {_T_TAIL_MIN}, got nu={nu}, p={p}")
-    if p < 0.5:
-        return -student_t_quantile(nu, 1.0 - p)
-    target = 2.0 * p - 1.0
+    if not nu >= 1:
+        raise ValueError(f"need nu >= 1, got nu={nu}")
     log_norm = math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
     lo, hi, t = 0.0, math.inf, 0.0
     for _ in range(100):
-        gap = _student_t_central(t, nu) - target
+        gap = _student_t_central(t, nu) - 0.95
         if gap < 0.0:
             lo = t
         else:
@@ -164,7 +153,7 @@ def student_t_quantile(nu: int, p: float) -> float:
         if abs(step) <= 1e-14 * abs(t - step):
             return t - step
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}, p={p}")
+    raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}")
 
 
 def _check_tail_count(k: int, n: int) -> None:
@@ -242,7 +231,7 @@ def tail_exponent_ci(
     thetas = np.array([t for t, _ in results])
     intercepts = np.array([a for _, a in results])
     sd = float(thetas.std(ddof=1))
-    half = float(student_t_quantile(reps - 1, 0.975) * sd / math.sqrt(reps))
+    half = float(student_t_quantile(reps - 1) * sd / math.sqrt(reps))
     return ExponentEstimate(
         theta=float(thetas.mean()),
         method="tail_regression",

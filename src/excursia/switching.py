@@ -12,12 +12,10 @@ initial sign - has covariance R with R'(t) = -(2/mu) E(t).  The delayed
 interval is size-biased (density x f(x) / mu, the inspection paradox), and
 A given A+B is uniform on the interval.
 
-A switching-time law is its mean, ``draw(rng, n)`` and, for the stationary
-version, ``size_biased_draw(rng, n)``; both return an array of n draws.
-Every size-biased draw is exact: closed forms for the exponential and gamma
-laws, an inverse table of the closed-form size-biased survival for the
-divisor, and the random-sum size-bias identity for the compound exceedance
-time (see ``excursion_switching``).
+Every switching-time law draws the size-biased interval exactly: closed
+forms for the exponential, gamma and point-mass laws, an inverse table for
+the divisor, and the random-sum size-bias identity for the compound
+exceedance time (see ``excursion_switching``).
 
 These relations cross-check the exceedance construction from an entirely
 independent direction: simulated paths against analytic transforms.
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -62,15 +60,13 @@ class SwitchingTimeDistribution:
     """Positive switching-time law: its mean and exact draws.
 
     ``draw(rng, n)`` returns n iid intervals.  ``size_biased_draw(rng, n)``
-    returns n draws of the interval covering the origin (density
-    x f(x)/mean); it is None for a law without one, and then the stationary
-    construction refuses.
+    returns n draws of the interval covering the origin (law x F(dx)/mean).
     """
 
     label: str
     mean: float
     draw: Callable  # (rng, n) -> array
-    size_biased_draw: Optional[Callable] = None  # (rng, n) -> array of A+B
+    size_biased_draw: Callable  # (rng, n) -> array of A+B
 
 
 def exponential_switching(rate: float = 1.0) -> SwitchingTimeDistribution:
@@ -102,13 +98,17 @@ def gamma_switching(shape: float, rate: float = 1.0) -> SwitchingTimeDistributio
 
 
 def point_mass_switching(c: float) -> SwitchingTimeDistribution:
-    """Deterministic switching times; usable for origin-attached paths only
-    (the stationary construction needs a non-lattice law with a size-biased
-    draw)."""
+    """Deterministic switching times c.  The covering interval is c itself,
+    and a uniform phase on it makes the path exactly stationary, with the
+    triangle-wave covariance 1 - 2t/c on [0, c] of period 2c."""
     c = float(c)
     if not 0 < c < math.inf:
         raise ValueError(f"point mass must be positive and finite, got {c:g}")
-    return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=lambda rng, n: np.full(n, c))
+
+    def full(rng: RngStream, n: int):
+        return np.full(n, c)
+
+    return SwitchingTimeDistribution(label=f"point:{c:g}", mean=c, draw=full, size_biased_draw=full)
 
 
 def divisor_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
@@ -194,27 +194,39 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
 # the standard-error formulas elementary)
 
 
-def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
-    """(n, m) cumulative switch instants per path, covering [0, beyond].
+MAX_INSTANTS = 10**7  # 80 MB of float64; the tests need up to 2.9e6, the CLI default 2.7e6
 
-    Draws are taken flat and reshaped row-major."""
-    mu = dist.mean
-    m0 = int(beyond / mu + 6.0 * math.sqrt(beyond / mu + 1.0) + 8)
+
+def _columns(n: int, m: float, beyond: float) -> int:
+    """int(m), if n paths of m instants (counted as a float) fit in MAX_INSTANTS."""
+    count = n * m if n <= MAX_INSTANTS else math.inf  # n may be past the float range
+    if not count <= MAX_INSTANTS:
+        raise ValueError(f"{n} paths to t = {beyond:g} need {count:.3g} switch instants, above the {MAX_INSTANTS:.0e} an ensemble holds")
+    return int(m)
+
+
+def _first_columns(dist: SwitchingTimeDistribution, n: int, beyond: float) -> int:
+    """The columns of the instant matrix's first draw: the mean count plus a margin."""
+    return _columns(n, beyond / dist.mean + 6.0 * math.sqrt(beyond / dist.mean + 1.0) + 8, beyond)
+
+
+def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
+    """(n, m) cumulative switch instants per path, covering [0, beyond], drawn
+    flat and reshaped row-major; each draw is counted first (``_columns``)."""
+    m0 = _first_columns(dist, n, beyond)
     cums = np.cumsum(dist.draw(rng, n * m0).reshape(n, m0), axis=1)
     while float(cums[:, -1].min()) <= beyond:
+        _columns(n, cums.shape[1] + 8, beyond)
         extra = np.cumsum(dist.draw(rng, n * 8).reshape(n, 8), axis=1)
         cums = np.concatenate([cums, cums[:, -1:] + extra], axis=1)
     return cums
 
 
 def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
-    """Per-path start of the stationary path: the forward delay A, uniform
-    on the size-biased interval covering the origin (the joint delay
-    density is constant on a + b = s), and the symmetric sign delta."""
-    if dist.size_biased_draw is None:
-        raise ValueError(f"distribution {dist.label!r} has no size-biased sampler")
-    s_tot = dist.size_biased_draw(rng, n)
-    return rng.uniform01(n) * s_tot, np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
+    """Per-path start of the stationary path, drawn in this order: the
+    size-biased interval covering the origin, the forward delay A uniform on
+    it (the joint delay density is constant on a + b = s), the sign delta."""
+    return dist.size_biased_draw(rng, n) * rng.uniform01(n), np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
 
 
 def _ensemble(dist: SwitchingTimeDistribution, times, n: int, rng: RngStream, stationary: bool):
@@ -229,6 +241,7 @@ def _ensemble(dist: SwitchingTimeDistribution, times, n: int, rng: RngStream, st
         raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
     if not np.all(times >= 0.0):
         raise ValueError(f"paths are simulated for t >= 0 only, got t={np.min(times):g}")
+    _first_columns(dist, n, float(times.max()))  # refuses before any draw
     a, delta = _stationary_start(dist, n, rng) if stationary else (np.zeros(n), np.ones(n))
     cums = _instant_matrix(dist, n, float(times.max()), rng)
     for t in times:

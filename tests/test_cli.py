@@ -388,10 +388,23 @@ def test_switch_divisor_distribution(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_switch_stationary_without_size_biased_sampler_is_usage_error(capsys):
-    assert main(["switch", "--dist", "point:1", "--mode", "stationary", "--n", "100", "--grid", "0.5:1:0.5"]) == 1
+def test_switch_stationary_point_mass(tmp_path):
+    # a uniform phase on the point mass: R is the triangle wave 1 - 2t
+    out = tmp_path / "switch_point.csv"
+    argv = ["switch", "--dist", "point:1", "--mode", "stationary", "--n", "20000", "--grid", "0.25:0.75:0.25", "--seed", "7"]
+    assert main(argv + ["--output", str(out)]) == 0
+    t, _, r_hat, se = np.array(read_csv(out)[2], dtype=float).T
+    assert np.array_equal(t, [0.25, 0.5, 0.75])
+    assert np.all(np.abs(r_hat - (1.0 - 2.0 * t)) <= 3 * se), (r_hat, se)
+
+
+@pytest.mark.parametrize("dist, n", [("exp:1e12", "100"), ("point:5e-324", "100"), ("exp:1", "1" + "0" * 400)], ids=["exp-1e12", "point-5e-324", "n-1e400"])
+def test_switch_refuses_an_ensemble_too_large_to_hold(dist, n, capsys):
+    # the instants are counted as a float before any draw: 1e14, inf and
+    # (10^400 paths, past the float range) inf of them
+    assert main(["switch", "--dist", dist, "--n", n, "--grid", "1:1:1"]) == 1
     err = capsys.readouterr().err
-    assert "usage error: distribution 'point:1' has no size-biased sampler" in err
+    assert f"usage error: {n} paths to t = 1 need" in err and "switch instants, above the 1e+07" in err
     assert "Traceback" not in err
 
 

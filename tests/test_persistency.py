@@ -73,21 +73,15 @@ def test_tail_selection_matches_full_sort(n, seed, decimals, data):
 
 def test_student_t_quantile_matches_40_digit_oracle():
     for nu in range(1, 301):
-        q = student_t_quantile(nu, 0.975)
+        q = student_t_quantile(nu)
         assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=5e-14, abs=0), nu
-    # the edge of the accepted range
-    for nu in [*range(1, 61), 80, 120, 200, 1000, 10**5]:
-        q = student_t_quantile(nu, 0.999)
-        assert q == pytest.approx(student_t_quantile_oracle(nu, 0.999, q), rel=1e-12, abs=0), nu
-    assert student_t_quantile(4, 0.025) == -student_t_quantile(4, 0.975)
-    assert student_t_quantile(7, 0.5) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 10**5), st.sampled_from([0.975]) | st.floats(0.55, 0.99))
-def test_student_t_quantile_sweep(nu, p):
-    q = student_t_quantile(nu, p)
-    assert q == pytest.approx(student_t_quantile_oracle(nu, p, q), rel=1e-12, abs=0)
+@given(st.integers(1, 10**5))
+def test_student_t_quantile_sweep(nu):
+    q = student_t_quantile(nu)
+    assert q == pytest.approx(student_t_quantile_oracle(nu, 0.975, q), rel=1e-12, abs=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,18 +99,10 @@ def test_empirical_survival_matches_mean_oracle(samples, taus):
     assert np.array_equal(se, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n))
 
 
-def test_student_t_quantile_lower_edge_mirrors_upper():
-    # p = 0.001, the lower edge of the accepted range, is the mirror of 0.999
-    for nu in [1, 2, 3, 10, 60, 300, 10**5]:
-        assert student_t_quantile(nu, 0.001) == -student_t_quantile(nu, 0.999), nu
-    assert student_t_quantile(1, 0.001) == pytest.approx(-math.tan(math.pi * 0.499), rel=1e-12)
-
-
 def test_student_t_quantile_refuses_bad_arguments():
-    # p beyond [0.001, 0.999] is refused rather than answered digits off
-    for nu, p in [(0, 0.975), (3, 0.0), (3, 1.0), (3, math.nan), (3, 1 - 1e-6), (3, 1e-6), (300, 0.9995)]:
-        with pytest.raises(ValueError):
-            student_t_quantile(nu, p)
+    for nu in [0, -3]:
+        with pytest.raises(ValueError, match="nu >= 1"):
+            student_t_quantile(nu)
 
 
 def test_replication_failure_reports_index():

@@ -227,10 +227,17 @@ def test_switching_law_parameters_must_be_positive_and_finite(factory, args):
         factory(*args)
 
 
-def test_stationary_requires_size_biased_draw():
-    dist = ex.point_mass_switching(1.0)
-    with pytest.raises(ValueError):
-        switching.estimate_stationary_covariance(dist, [0.5], 100, ex.RngStream(1, 0))
+def test_stationary_point_mass_is_a_uniform_phase():
+    # the covering interval is c itself and the phase uniform on it: the
+    # covariance is the triangle wave of period 2c, 1 - 2t/c on [0, c]; on
+    # t in cZ the product s(0)s(t) is deterministic and its SE is 0
+    c = 1.0
+    grid = c * np.array([0.25, 0.5, 0.75, 1.5])
+    triangle = 1.0 - 2.0 * np.abs((grid / c + 1.0) % 2.0 - 1.0)
+    dist = ex.point_mass_switching(c)
+    e_hat, e_se, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, 2 * 10**4, ex.RngStream(25, 0))
+    assert np.all(np.abs(e_hat) <= 3 * e_se), (e_hat, e_se)
+    assert np.all(np.abs(r_hat - triangle) <= 3 * r_se), (r_hat, triangle, r_se)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -248,6 +255,23 @@ def test_estimators_refuse_times_before_zero():
         switching.estimate_expectation(dist, [-0.5, 0.5], 10, ex.RngStream(1, 0))
     with pytest.raises(ValueError, match="t >= 0 only"):
         switching.estimate_stationary_covariance(dist, [-1.5, 0.5], 10, ex.RngStream(1, 0))
+
+
+def test_ensemble_refuses_more_instants_than_it_holds(monkeypatch):
+    # a law whose draws fall far short of its mean keeps extending the
+    # matrix by 8 columns; each extension is counted before it is drawn:
+    # 17 columns, then 25, ..., 97, and the next 8 would make 105 per path
+    monkeypatch.setattr(switching, "MAX_INSTANTS", 10**4)
+    short = switching.SwitchingTimeDistribution("short", 1.0, lambda rng, n: np.full(n, 1e-3), lambda rng, n: np.full(n, 1e-3))
+    with pytest.raises(ValueError, match="100 paths to t = 1 need 1.05e\\+04 switch instants"):
+        switching.estimate_expectation(short, [1.0], 100, ex.RngStream(1, 0))
+    # 100 exp:1 paths to t = 1 start with 17 columns and need fewer than 100
+    switching.estimate_expectation(ex.exponential_switching(1.0), [1.0], 100, ex.RngStream(1, 0))
+    # the first count comes before the stationary start: the stream is untouched
+    rng = ex.RngStream(1, 0)
+    with pytest.raises(ValueError, match="1000 paths to t = 100 need"):
+        switching.estimate_stationary_covariance(ex.exponential_switching(1.0), [100.0], 1000, rng)
+    assert np.array_equal(rng.uniform01(4), ex.RngStream(1, 0).uniform01(4))
 
 
 def test_divisor_switching_distribution():
