@@ -22,7 +22,7 @@ models = [
 print(f"{'model':32s} {'dr(0)':>8s} {'d2r(0)':>8s} {'mu':>8s} {'lambda':>8s}")
 for m in models:
     print(
-        f"{m.spec_string():32s} {float(m.dr_and_one_minus_r2(0.0)[0]):8.4f} "
+        f"{m.spec_string():32s} {float(m.r_terms(0.0)[1]):8.4f} "
         f"{m.d2r0:8.4f} {ex.mean_excursion(m):8.4f} "
         f"{1.0 / ex.mean_excursion(m):8.4f}"
     )

@@ -22,16 +22,15 @@ The catalog:
     characteristic function of a symmetric generalized Laplace law).
 
 Each model class is the one definition of its family: its parameters and
-their validation, then r, then r' and 1 - r(t)^2 evaluated together
-(``dr_and_one_minus_r2``), then r''(t) (``d2r``, which the divisor density
-needs).  The divisor survival E0 needs r' and 1 - r^2 at the same t, and
-within a family the two share their costly factor (log cosh(t/2),
-expm1(-t), sin(alpha t), e^(-t) or log1p(t^2/2)), so one method forms that
-factor once and returns both.  1 - r^2 is formed without the catastrophic
-cancellation the naive expression suffers near t = 0.  The base class
-derives r''(0) from ``d2r`` once per model (``d2r0``, which E0 reads on
-every call).  Everything downstream (the divisor survival E0, its tail
-class, its transform) is derived from these.
+their validation, then r, r' and 1 - r(t)^2 evaluated together
+(``r_terms``), then r''(t) (``d2r``).  Within a family the three share
+their costly factor (log cosh(t/2), expm1(-t), sin and cos of alpha t,
+e^(-t) or log1p(t^2/2)), so ``r_terms`` forms it once; 1 - r^2 is formed
+without the catastrophic cancellation the naive expression suffers near
+t = 0.  The base class reads r alone from ``r_terms`` and r''(0) from
+``d2r`` once per model (``d2r0``, which E0 reads on every call).
+Everything downstream (the divisor survival E0 and density, the clipped
+covariance, the tail class, the transform) is derived from these.
 """
 
 from __future__ import annotations
@@ -88,7 +87,10 @@ def _log_cosh(x):
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Base class for unit-variance stationary autocovariance models."""
+    """Base class for unit-variance stationary autocovariance models.
+
+    A family defines ``r_terms`` and ``d2r``; ``r`` and ``d2r0`` are read
+    from them."""
 
     name = "base"
 
@@ -98,11 +100,12 @@ class CovarianceModel:
         return f"{self.name}({inner})" if inner else self.name
 
     def r(self, t):
-        raise NotImplementedError
+        """r(t), the first of ``r_terms``."""
+        return self.r_terms(t)[0]
 
-    def dr_and_one_minus_r2(self, t):
-        """r'(t) and 1 - r(t)^2 (without cancellation near t = 0), from the
-        factors they share."""
+    def r_terms(self, t):
+        """(r(t), r'(t), 1 - r(t)^2), the last without cancellation near
+        t = 0, from the factor the three share."""
         raise NotImplementedError
 
     def d2r(self, t):
@@ -133,43 +136,34 @@ class Diffusion(CovarianceModel):
             )
         object.__setattr__(self, "d", int(d))
 
-    def r(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._r(_log_cosh(0.5 * t))
-
-    def _r(self, lc):
-        return np.exp(-0.5 * self.d * lc)
-
-    def dr_and_one_minus_r2(self, t):
+    def r_terms(self, t):
         half = 0.5 * np.asarray(t, dtype=float)
         lc = _log_cosh(half)
-        return -0.25 * self.d * np.tanh(half) * self._r(lc), -np.expm1(-self.d * lc)
+        r = np.exp(-0.5 * self.d * lc)
+        return r, -0.25 * self.d * np.tanh(half) * r, -np.expm1(-self.d * lc)
 
     def d2r(self, t):
         # r'' = -(d/8) r (1 - (1 + d/2) tanh^2(t/2)), the derivative of
         # r' = -(d/4) tanh(t/2) r with sech^2 = 1 - tanh^2
         half = 0.5 * np.asarray(t, dtype=float)
         th = np.tanh(half)
-        return -0.125 * self.d * self._r(_log_cosh(half)) * (1.0 - (1.0 + 0.5 * self.d) * th * th)
+        return -0.125 * self.d * np.exp(-0.5 * self.d * _log_cosh(half)) * (1.0 - (1.0 + 0.5 * self.d) * th * th)
 
 
 @dataclass(frozen=True)
 class RandomAcceleration(CovarianceModel):
     name = "random_acceleration"
 
-    def r(self, t):
-        t = np.asarray(t, dtype=float)
-        x = np.exp(-t)
-        return 0.5 * (3.0 - x) * np.exp(-0.5 * t)
-
-    def dr_and_one_minus_r2(self, t):
+    def r_terms(self, t):
         # r' = 3/4 (e^{-3t/2} - e^{-t/2}) = 3/4 e^{-t/2} expm1(-t), without
         # cancellation near 0; 1 - r^2 factors exactly as (1-x)^2 (4-x) / 4
         # with x = e^{-t} and 1 - x = -expm1(-t).
         t = np.asarray(t, dtype=float)
+        x = np.exp(-t)
+        h = np.exp(-0.5 * t)
         em = np.expm1(-t)
         m = -em
-        return 0.75 * np.exp(-0.5 * t) * em, 0.25 * m * m * (4.0 - np.exp(-t))
+        return 0.5 * (3.0 - x) * h, 0.75 * h * em, 0.25 * m * m * (4.0 - x)
 
     def d2r(self, t):
         # r'' = 3/8 (e^{-t/2} - 3 e^{-3t/2}) = 3/8 e^{-t/2} (1 - 3 e^{-t})
@@ -190,18 +184,14 @@ class ShiftedGaussian(CovarianceModel):
 
     # t * t overflows to inf above t ~ 1.3e154, where e^{-t^2/2} is 0 anyway
     @np.errstate(over="ignore")
-    def r(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.cos(self.alpha * t) * np.exp(-0.5 * t * t)
-
-    @np.errstate(over="ignore")
-    def dr_and_one_minus_r2(self, t):
+    def r_terms(self, t):
         # 1 - cos^2(at) e^{-t^2} = -expm1(-t^2) + e^{-t^2} sin^2(at)
         t = np.asarray(t, dtype=float)
         a = self.alpha
-        s = np.sin(a * t)
+        s, c = np.sin(a * t), np.cos(a * t)
+        g = np.exp(-0.5 * t * t)
         tt = t * t
-        return -(a * s + t * np.cos(a * t)) * np.exp(-0.5 * t * t), -np.expm1(-tt) + np.exp(-tt) * s * s
+        return c * g, -(a * s + t * c) * g, -np.expm1(-tt) + np.exp(-tt) * s * s
 
     @np.errstate(over="ignore")
     def d2r(self, t):
@@ -261,24 +251,11 @@ class MaternHalfInteger(CovarianceModel):
         return _MATERN_POLY[self.nu]
 
     @property
-    def _poly_lower(self):
-        return _MATERN_POLY_LOWER[self.nu]
-
-    @property
     def _c(self) -> float:
         return float(self._poly[-1])
 
-    def r(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._r(t, np.exp(-t))
-
-    def _r(self, t, e):
-        # e^{-t} is 0 above t ~ 745.2, and p(t) overflows above t ~ 1e77
-        # (nu = 4.5): p is evaluated at min(t, 1e3), which avoids 0 * inf
-        return e * np.polyval(self._poly, np.minimum(t, 1e3)) / self._c
-
     def d2r(self, t):
-        # the polynomial at min(t, 1e3), as in r
+        # the polynomial at min(t, 1e3), as in r_terms
         t = np.asarray(t, dtype=float)
         return -np.exp(-t) * np.polyval(_MATERN_POLY_D2[self.nu], np.minimum(t, 1e3)) / self._c
 
@@ -295,15 +272,20 @@ class MaternHalfInteger(CovarianceModel):
         series = np.polyval(_MATERN_SERIES[self.nu], np.clip(t, -1.0, 1.0))
         return np.where(np.abs(t) < 1.0, series, self._c * (np.expm1(t) - t) - np.polyval(q, t))
 
-    def dr_and_one_minus_r2(self, t):
-        # r' = -t e^{-t} p_{m-1}(t) / c.  Past t = 700, r < 1e-290 and c e^t
-        # overflows near t = 709.8, so 1 - r is formed directly there.
+    def r_terms(self, t):
+        # e^{-t} is 0 above t ~ 745.2, and p(t) overflows above t ~ 1e77
+        # (nu = 4.5): the polynomials are evaluated at min(t, 1e3), which
+        # avoids 0 * inf.  r' = -t e^{-t} p_{m-1}(t) / c.  Past t = 700,
+        # r < 1e-290 and c e^t overflows near t = 709.8, so 1 - r is formed
+        # directly there.
         t = np.asarray(t, dtype=float)
         e = np.exp(-t)
-        r = self._r(t, e)
+        tc = np.minimum(t, 1e3)
+        r = e * np.polyval(self._poly, tc) / self._c
         far = t > 700.0
         near = e * self._c_exp_minus_poly(np.where(far, 0.0, t)) / self._c
-        return -t * e * np.polyval(self._poly_lower, np.minimum(t, 1e3)) / self._c, np.where(far, 1.0 - r, near) * (1.0 + r)
+        dr = -t * e * np.polyval(_MATERN_POLY_LOWER[self.nu], tc) / self._c
+        return r, dr, np.where(far, 1.0 - r, near) * (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -332,18 +314,14 @@ class GeneralizedLaplace(CovarianceModel):
         far = t >= cls._FAR_T
         return far, np.where(far, 2.0 * np.log(np.where(far, t, 1.0)) - math.log(2.0), np.log1p(0.5 * t * t))
 
-    def r(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-self.alpha * self._log_terms(t)[1])
-
-    def dr_and_one_minus_r2(self, t):
+    def r_terms(self, t):
         t = np.asarray(t, dtype=float)
         far, lp = self._log_terms(t)
         a1 = self.alpha + 1.0
         deep = far | (a1 * lp > self._LOG_TINY)
         log_t = np.log(np.where(deep, np.abs(t), 1.0))
         dr = np.where(deep, -self.alpha * np.copysign(np.exp(log_t - a1 * lp), t), -self.alpha * t * np.exp(-a1 * lp))
-        return dr, -np.expm1(-2.0 * self.alpha * lp)
+        return np.exp(-self.alpha * lp), dr, -np.expm1(-2.0 * self.alpha * lp)
 
     def d2r(self, t):
         # r'' = -alpha e^{-(alpha+2) lp} (1 - (alpha + 1/2) t^2).  Where
@@ -413,10 +391,14 @@ def parse_model_spec(spec: str) -> CovarianceModel:
 
 def clipped_autocovariance(model: CovarianceModel, t):
     """Autocovariance of the sign of the process: (2/pi) arcsin(r(t)), and
-    its limit 0 at infinite t (where r may be NaN, as cos(inf) is)."""
+    its limit 0 at infinite t (where r may be NaN, as cos(inf) is).  Where
+    r > 1/2 it is 1 - (2/pi) arcsin sqrt(1 - r^2) from the compensated
+    1 - r^2, so 1 minus it keeps its digits near t = 0."""
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
     with np.errstate(invalid="ignore"):
-        out = (2.0 / math.pi) * np.arcsin(model.r(ts))
+        r, _, one_minus_r2 = model.r_terms(ts)
+        near = (2.0 / math.pi) * np.arcsin(np.sqrt(np.minimum(one_minus_r2, 1.0)))
+        out = np.where(r > 0.5, 1.0 - near, (2.0 / math.pi) * np.arcsin(r))
     out[np.isinf(ts)] = 0.0
     return out if t.ndim else float(out[0])

@@ -32,8 +32,8 @@ Numerical notes on the closed forms:
   where the survival inverse requires 3.32578) and is not used.
 
 An inverse table inverts a law: a function that returns a survival S and
-its density g = -S' at an array of t, from one evaluation each of r, r'
-with 1 - r^2, and r'' (``_divisor_law``: E0 and f = -E0';
+its density g = -S' at an array of t, from one ``r_terms`` and one ``d2r``
+evaluation (``_divisor_law``: E0 and f = -E0';
 ``_size_biased_law``: S* and t f / m).  The build reads S and g only
 from the law, at t = 0 and on geometric nodes from 1e-3 (where 1 - S is
 resolved in floating point) up to the first power of two from 2^-9 on

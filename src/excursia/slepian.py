@@ -18,11 +18,11 @@ the truncated survival with (log-log form for a power law, exponential
 form otherwise).
 
 The module also exposes the divisor's density f = -E0', a closed form
-in r, r', r'' and 1 - r^2, formed with E0 from one evaluation of each
-(``divisor_terms``; the inverse tables read their survivals and knot
-slopes from it), and the crossing statistic that anchors the scale:
-the mean excursion length mu = pi / sqrt(-r''(0)), whose reciprocal is
-Rice's zero-crossing intensity.
+in r, r', r'' and 1 - r^2, formed with E0 from one ``r_terms`` and one
+``d2r`` evaluation (``divisor_terms``; the inverse tables read their
+survivals and knot slopes from it), and the crossing statistic that
+anchors the scale: the mean excursion length mu = pi / sqrt(-r''(0)),
+whose reciprocal is Rice's zero-crossing intensity.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def e0(model: CovarianceModel, t):
     """Survival function of the geometric divisor (clipped expectation).
 
     Evaluated from r' and the compensated form of 1 - r^2, both from one
-    ``dr_and_one_minus_r2`` call.  Two limits are set by assignment where
+    ``r_terms`` call.  Two limits are set by assignment where
     they apply: E0 is 1 wherever the computed 1 - r^2 is below the
     smallest normal double (at t = 0, where the expression is 0/0, and
     where 1 - r^2 ~ t^2 underflows, below t ~ 1e-154, where the true value
@@ -180,7 +180,7 @@ def e0(model: CovarianceModel, t):
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dr, one_minus_r2 = model.dr_and_one_minus_r2(ts)
+        _, dr, one_minus_r2 = model.r_terms(ts)
         val = _e0_of(model, ts, dr, one_minus_r2)
     return val if t.ndim else float(val[0])
 
@@ -195,8 +195,8 @@ def _e0_of(model: CovarianceModel, ts: np.ndarray, dr, one_minus_r2) -> np.ndarr
 
 
 def divisor_terms(model: CovarianceModel, t: np.ndarray):
-    """(r, 1 - r^2, E0, f) at the 1-d array ``t``, from one evaluation each
-    of r, r' with 1 - r^2, and r''.  f = -E0' is the divisor's density,
+    """(r, 1 - r^2, E0, f) at the 1-d array ``t``, from one ``r_terms`` and
+    one ``d2r`` call.  f = -E0' is the divisor's density,
 
         f(t) = [r''(t) (1 - r^2) + r r'^2] / (sqrt(-r''(0)) (1 - r^2)^(3/2)).
 
@@ -207,8 +207,8 @@ def divisor_terms(model: CovarianceModel, t: np.ndarray):
     where the expression is 0/0.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        dr, one_minus_r2 = model.dr_and_one_minus_r2(t)
-        r, d2r = model.r(t), model.d2r(t)
+        r, dr, one_minus_r2 = model.r_terms(t)
+        d2r = model.d2r(t)
         e = _e0_of(model, t, dr, one_minus_r2)
         f = (d2r * one_minus_r2 + r * dr * dr) / (math.sqrt(-model.d2r0) * one_minus_r2 * np.sqrt(one_minus_r2))
     f[one_minus_r2 < _TINY] = np.nan

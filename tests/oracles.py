@@ -34,10 +34,11 @@ against the other.
   a time in a Python loop.
 * ``empirical_survival_mean_oracle``: the empirical survival as one mean
   over the samples per tau, an oracle for the survival read from one sort.
-* ``log_cosh_oracle``, ``dr_oracle``, ``one_minus_r2_oracle`` and
-  ``e0_oracle``: r'(t) and 1 - r(t)^2 of each covariance family as two
-  separate expressions, each forming the factor they share on its own,
-  and E0 from them, an oracle for the models' ``dr_and_one_minus_r2``;
+* ``log_cosh_oracle``, ``r_oracle``, ``dr_oracle``,
+  ``one_minus_r2_oracle`` and ``e0_oracle``: r(t), r'(t) and 1 - r(t)^2 of
+  each covariance family as three separate expressions, each forming the
+  factor they share on its own, and E0 from them, an oracle for the
+  models' ``r_terms``;
   ``size_biased_survival_oracle`` is S* from E0, r and 1 - r^2 each
   evaluated on its own, an oracle for the size-biased survival and the
   table build, which evaluate them together.
@@ -61,6 +62,7 @@ from excursia.covariance import (
     MaternHalfInteger,
     RandomAcceleration,
     ShiftedGaussian,
+    _MATERN_POLY_LOWER,
     _log_cosh,
 )
 from excursia.samplers import DivisorSampler, _inverse_table, sample_geometric_half
@@ -292,6 +294,23 @@ def log_cosh_oracle(x):
     return np.where(small, np.log1p(2.0 * sh * sh), x - math.log(2.0))
 
 
+def r_oracle(model, t):
+    """r(t) of a catalog model, on its own."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(model, Diffusion):
+        return np.exp(-0.5 * model.d * log_cosh_oracle(0.5 * t))
+    if isinstance(model, RandomAcceleration):
+        return 0.5 * (3.0 - np.exp(-t)) * np.exp(-0.5 * t)
+    if isinstance(model, ShiftedGaussian):
+        return np.cos(model.alpha * t) * np.exp(-0.5 * t * t)
+    if isinstance(model, MaternHalfInteger):
+        return np.exp(-t) * np.polyval(model._poly, np.minimum(t, 1e3)) / model._c
+    if isinstance(model, GeneralizedLaplace):
+        lp = np.where(t >= 1e150, 2.0 * np.log(np.maximum(t, 1.0)) - math.log(2.0), np.log1p(0.5 * t * t))
+        return np.exp(-model.alpha * lp)
+    raise TypeError(f"no r oracle for {model!r}")
+
+
 def dr_oracle(model, t):
     """r'(t) of a catalog model, on its own."""
     t = np.asarray(t, dtype=float)
@@ -305,7 +324,7 @@ def dr_oracle(model, t):
         return -(a * np.sin(a * t) + t * np.cos(a * t)) * np.exp(-0.5 * t * t)
     if isinstance(model, MaternHalfInteger):
         # e^{-t} is 0 above t ~ 745.2: the polynomial is taken at min(t, 1e3)
-        return -t * np.exp(-t) * np.polyval(model._poly_lower, np.minimum(t, 1e3)) / model._c
+        return -t * np.exp(-t) * np.polyval(_MATERN_POLY_LOWER[model.nu], np.minimum(t, 1e3)) / model._c
     if isinstance(model, GeneralizedLaplace):
         # from t = 1e150 on, from log t: log1p(t^2/2) = 2 log t - log 2; there
         # and wherever e^{-(alpha+1) lp} is below the normal doubles, r' is

@@ -7,7 +7,7 @@ import pytest
 import excursia as ex
 from excursia import laplace, slepian
 from excursia.covariance import MATERN_NU_VALUES, ModelSpecError, _log_cosh, parse_model_spec
-from oracles import dr_oracle, e0_oracle, log_cosh_oracle, one_minus_r2_oracle
+from oracles import dr_oracle, e0_oracle, log_cosh_oracle, one_minus_r2_oracle, r_oracle
 
 from conftest import ALL_MODELS
 
@@ -45,12 +45,12 @@ def test_matern_polynomial_form_matches_bessel_definition(nu):
 
 def test_dr_zero_at_origin():
     for m in ALL_MODELS:
-        assert m.dr_and_one_minus_r2(0.0)[0] == pytest.approx(0.0, abs=1e-15)
+        assert m.r_terms(0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dr_random_acceleration_value():
     expected = 0.75 * (2.0 ** (-1.5) - 2.0 ** (-0.5))  # = -0.26516...
-    assert ex.RandomAcceleration().dr_and_one_minus_r2(math.log(2.0))[0] == pytest.approx(expected, rel=1e-14)
+    assert ex.RandomAcceleration().r_terms(math.log(2.0))[1] == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(-0.2652, abs=5e-5)
 
 
@@ -59,7 +59,7 @@ def test_dr_matches_central_differences_on_grid():
     ts = np.arange(0.0, 50.0 + 1e-9, 0.01)
     h = 1e-5
     for m in ALL_MODELS:
-        dr = m.dr_and_one_minus_r2(ts)[0]
+        dr = m.r_terms(ts)[1]
         cdiff = (np.asarray(m.r(ts + h)) - np.asarray(m.r(np.abs(ts - h)))) / (2 * h)
         assert np.all(np.abs(dr - cdiff) <= 1e-6 * (1.0 + np.abs(dr))), m.spec_string()
 
@@ -76,7 +76,7 @@ def _bits(x) -> bytes:
 @pytest.mark.parametrize(
     "m", ALL_MODELS + [ex.Diffusion(d=64), ex.ShiftedGaussian(alpha=0.3), ex.GeneralizedLaplace(alpha=1e-3)], ids=lambda m: m.spec_string()
 )
-def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
+def test_r_terms_match_separate_expressions_bit_for_bit(m):
     # the shared factor formed once gives the bits of each expression on its
     # own, at the edges, on a grid that catches a reordered product, on the
     # validity gate's grid and on the nodes of both transform rules
@@ -90,8 +90,9 @@ def test_dr_and_one_minus_r2_match_separate_expressions_bit_for_bit(m):
     ])
     with np.errstate(all="ignore"):  # t^2 overflows at t = 1e300
         for t in (ts, *EDGE_TIMES):
-            dr, one_minus_r2 = m.dr_and_one_minus_r2(t)
-            want_dr, want_one_minus_r2 = dr_oracle(m, t), one_minus_r2_oracle(m, t)
+            r, dr, one_minus_r2 = m.r_terms(t)
+            want_r, want_dr, want_one_minus_r2 = r_oracle(m, t), dr_oracle(m, t), one_minus_r2_oracle(m, t)
+            assert _bits(r) == _bits(want_r) == _bits(m.r(t)), (t, r, want_r)
             assert _bits(dr) == _bits(want_dr), (t, dr, want_dr)
             assert _bits(one_minus_r2) == _bits(want_one_minus_r2), (t, one_minus_r2, want_one_minus_r2)
             assert _bits(ex.e0(m, t)) == _bits(e0_oracle(m, t)), t
@@ -225,6 +226,11 @@ def test_clipped_autocovariance_values():
     assert ex.clipped_autocovariance(d2, T_STAR) == pytest.approx(1.0 / 3.0, rel=1e-12)
     gl = ex.GeneralizedLaplace(alpha=1.0)
     assert ex.clipped_autocovariance(gl, math.sqrt(2.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # near t = 0 the arcsin is formed from the compensated 1 - r^2, not from
+    # r rounded to 1: (2/pi) arcsin sech(t/2) = 1 - (4/pi) arctan(tanh(t/4))
+    for t in (1e-8, 1e-6, 1e-4):
+        want = 1.0 - (4.0 / math.pi) * math.atan(math.tanh(t / 4.0))
+        assert abs(ex.clipped_autocovariance(d2, t) - want) <= 2.2e-16, t
 
 
 def test_clipped_monotone_where_r_is():

@@ -49,7 +49,7 @@ def test_e0_is_one_where_one_minus_r2_underflows(m):
         warnings.simplefilter("error")
         got = np.asarray(ex.e0(m, ts))
         size_biased = samplers._size_biased_law(m, ts)[0]
-    underflow = m.dr_and_one_minus_r2(ts)[1] < np.finfo(float).tiny
+    underflow = m.r_terms(ts)[2] < np.finfo(float).tiny
     assert underflow[0] and underflow[1] and not underflow[-1]
     assert np.all(got[underflow] == 1.0)
     assert np.all((got >= 0.0) & (np.abs(got - 1.0) <= 8 * np.finfo(float).eps))
@@ -188,6 +188,23 @@ def test_divisor_density_limits(m):
     assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == 0.0 and np.isfinite(got[3])
 
 
+@pytest.mark.parametrize("m", ALL_MODELS, ids=lambda m: m.spec_string())
+def test_divisor_terms_and_e0_evaluate_the_family_once(m, monkeypatch):
+    # divisor_terms reads r, r' and 1 - r^2 from one r_terms call and r''
+    # from one d2r call; e0 reads one r_terms call (r''(0) is cached first)
+    m.d2r0
+    calls = []
+    for name in ("r_terms", "d2r"):
+        method = getattr(type(m), name)
+        monkeypatch.setattr(type(m), name, lambda self, t, name=name, method=method: calls.append(name) or method(self, t))
+    ts = np.array([0.0, 1e-3, 1.0, 10.0, np.inf])
+    slepian.divisor_terms(m, ts)
+    assert sorted(calls) == ["d2r", "r_terms"]
+    calls.clear()
+    ex.e0(m, ts)
+    assert calls == ["r_terms"]
+
+
 def test_e0_matches_mpmath_every_family():
     # the generic E0 against 50 digits at 1000 random points, every family
     rng = np.random.default_rng(314159)
@@ -237,7 +254,7 @@ def test_matern_e0_finite_past_exp_overflow(nu):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = np.asarray(ex.e0(m, ts))
-        one_minus_r2 = m.dr_and_one_minus_r2(ts)[1]
+        one_minus_r2 = m.r_terms(ts)[2]
     assert np.all(np.isfinite(got) & (got >= 0.0))
     assert np.all(np.isfinite(one_minus_r2) & (one_minus_r2 >= 0.0))
     assert np.all(np.abs(got - _e0_reference(m, ts)) <= 1e-300)
@@ -424,7 +441,8 @@ def test_matching_identity_examples():
     # (2/pi) arcsin r = 1 - (2/mu) int_0^t E0, the integral form of
     # d/dt (2/pi) arcsin r = -(2/mu) E0; it holds for a model the gate
     # refuses too
-    grid = np.arange(0.1, 10.0 + 1e-9, 0.01)
+    # from t = 1e-8, where both sides are 1 less a term of order t
+    grid = np.concatenate([[1e-8, 1e-6, 1e-4], np.arange(0.1, 10.0 + 1e-9, 0.01)])
     for m in [ex.Diffusion(d=2), ex.RandomAcceleration(), ex.ShiftedGaussian(alpha=2.0)]:
         got = ex.covariance_from_expectation(lambda t: ex.e0(m, t), ex.mean_excursion(m), grid)[:, 1]
         assert np.abs(got - ex.clipped_autocovariance(m, grid)).max() <= 1e-12, m.spec_string()
