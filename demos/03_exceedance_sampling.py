@@ -26,9 +26,10 @@ n = 200_000
 rng = ex.RngStream(seed=7, stream_index=0)
 
 model = ex.Diffusion(d=2)
-values, counts = ex.sample_excursions(model, rng, n)
+values, levels = ex.sample_excursions(model, rng, n)
 mu = ex.mean_excursion(model)
-print(f"diffusion(d=2): mean T = {values.mean():.4f}  (mu = {mu:.4f}), mean count = {counts.mean():.3f}")
+# levels[j] compounds have more than j terms: they sum to the divisor draws
+print(f"diffusion(d=2): mean T = {values.mean():.4f}  (mu = {mu:.4f}), mean count = {levels.sum() / n:.3f}")
 
 # round trip of the underlying inverse sampler
 u = np.linspace(1e-6, 1 - 1e-6, 10001)

@@ -33,7 +33,6 @@ from .samplers import (
     RngStream,
     excursion_multiset,
     sample_excursions,
-    sample_geometric_half,
 )
 from .switching import (
     covariance_from_expectation,

@@ -15,9 +15,11 @@ drawn the same way, from a table of its closed-form survival (see
     T_a = sum of nu_geo iid divisor draws,   nu_geo ~ Geometric(1/2),
 
 where nu_geo counts trials up to the first success, so P(nu_geo = k) = 2^-k
-and E[nu_geo] = 2.  It is read from the float exponent of one uniform:
-U in [2^-k, 2^-(k-1)) gives k exactly, where ceil(log U / log 1/2)
-misrounds next to the powers of two.
+and E[nu_geo] = 2.  n compounds are drawn as a multiset, with no
+per-compound counts (``excursion_multiset``): binomial level sizes, the
+exact histogram of the n counts, and one divisor draw call per level.
+The ordered draw (``sample_excursions``) shuffles such multisets a block
+at a time.
 
 Numerical notes on the closed forms:
 
@@ -69,13 +71,7 @@ followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  A
 sampler uses this itself: it allocates its n results once and fills them
 _DRAWS_PER_CHUNK at a time, each chunk's draws being its inverse, a plain
 array expression, of that chunk's uniforms (``_draws``), so n draws hold n
-doubles and the temporaries of one chunk.  The compound draw takes every
-compound's first divisor draw as its value, then the further draws of a
-block of compounds at a time, each block summed per compound by one
-``np.bincount`` and added; both return the draws of one call bit for bit.
-A consumer that reads only order statistics takes the compounds as a
-multiset instead (``excursion_multiset``): binomial level sizes and one
-divisor draw call per level, with no per-compound counts.
+doubles and the temporaries of one chunk.
 """
 
 from __future__ import annotations
@@ -92,7 +88,6 @@ __all__ = [
     "RngStream",
     "InverseTableError",
     "DivisorSampler",
-    "sample_geometric_half",
     "sample_excursions",
     "excursion_multiset",
 ]
@@ -111,9 +106,10 @@ _TABLE_RTOL = 1e-10
 _TABLE_ROUNDS = 24
 # Guide-table cells per octave of z, 2**_GUIDE_BITS (see _InverseTable).
 _GUIDE_BITS = 10
-# Compound draws per block: the further divisor draws of one block (about
-# as many) stay in cache through every pass over them.
-_COMPOUNDS_PER_BLOCK = 1 << 14
+# Compounds per block of the ordered draw: a block's multiset (512 KiB)
+# and its level draws stay in cache through the shuffle.  Of 2^12 .. 2^18,
+# 2^16 and 2^17 were fastest at 10^6 compounds (diffusion d = 2, matern 2.5).
+_COMPOUNDS_PER_BLOCK = 1 << 16
 # Draws per chunk of a sampler: a chunk's uniforms, its result slice and the
 # temporaries of its inverse (64 KiB each) stay in cache, and are small
 # enough for the allocator to reuse their memory (see ``_draws``).
@@ -407,69 +403,22 @@ class DivisorSampler:
 # compound exceedance sampling
 
 
-def _geometric_half_from_u(u):
-    # U in [2^-k, 2^-(k-1)) exactly when frexp's exponent of U is 1 - k, so
-    # the count is read from the float exponent, with no logarithm to
-    # misround near the powers of two; at least 1 (U = 1 has exponent 1)
-    return np.maximum(1 - np.frexp(u)[1], 1)
-
-
-def sample_geometric_half(rng: RngStream, n: int) -> np.ndarray:
-    """Geometric(1/2) counts on {1, 2, ...} by inversion, k for U in
-    [2^-k, 2^-(k-1)), chosen over Bernoulli looping for determinism:
-    exactly one uniform per draw."""
-    return _draws(rng, np.empty(n, np.int64), _geometric_half_from_u)
-
-
-def _add_segment_sums(values: np.ndarray, counts: np.ndarray, src, rng: RngStream) -> np.ndarray:
-    """Add to each ``values[i]`` the sum of ``counts[i] - 1`` further draws
-    of ``src``, drawn _COMPOUNDS_PER_BLOCK compounds at a time.  Each block's
-    draws are summed per compound by one ``np.bincount``, which accumulates
-    in element order: the sum added is ((0 + x1) + x2) + ..., whatever the
-    block size."""
-    for lo in range(0, values.size, _COMPOUNDS_PER_BLOCK):
-        extra = counts[lo : lo + _COMPOUNDS_PER_BLOCK] - 1
-        m = extra.size
-        rest = src.draw(rng, int(extra.sum()))
-        values[lo : lo + m] += np.bincount(np.repeat(np.arange(m), extra), weights=rest, minlength=m)
-    return values
-
-
-def sample_excursions(source, rng: RngStream, n: int):
-    """Vectorized compound draws.
-
-    Returns ``(values, counts)``, two arrays of length ``n``: each value is
-    the sum of ``counts[i]`` divisor draws, with counts Geometric(1/2).
-    ``source`` is a model or any object with a ``draw(rng, n)`` method.
-
-    All n counts are drawn first, then one divisor draw per compound, which
-    is its value (the half with count 1 is then done), then the
-    ``counts[i] - 1`` further draws of _COMPOUNDS_PER_BLOCK compounds at a
-    time, added to their values (``_add_segment_sums``).  Each value is
-    x0 + (((0 + x1) + x2) + ...), so for a split-invariant source (every
-    divisor sampler and switching-law ``draw`` of the package) the result
-    equals the first draws in one call, every further draw in a second and
-    the sums formed one compound at a time, bit for bit.
-    """
-    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
-    counts = sample_geometric_half(rng, n)
-    return _add_segment_sums(src.draw(rng, n), counts, src, rng), counts
-
-
 def excursion_multiset(source, rng: RngStream, n: int):
-    """n compound draws as a multiset, for consumers that read only order
-    statistics (tail regression, the empirical survival).
+    """n compound draws as a multiset.
 
     Returns ``(values, levels)``.  ``levels`` are the level sizes G_1 = n,
     G_{j+1} ~ Binomial(G_j, 1/2), down to the first 0: G_j counts the
     compounds with at least j terms, so they are the exact histogram of n
-    iid Geometric(1/2) counts.  Each level adds one fresh divisor draw to
-    the first G_j values, so ``values[i]`` sums one draw per level with
-    G_j > i, left to right.  The multiset of values has the law of
-    n iid compounds, but the values come in count-descending order: they
-    are not an iid sequence, and ``sample_excursions`` remains the sampler
-    for consumers that read them in order.  All level sizes are drawn
-    first, then ``sum(levels)`` divisor draws, one ``draw`` call per level.
+    iid Geometric(1/2) counts, and ``levels.sum()`` is the number of
+    divisor draws.  Each level adds one fresh divisor draw to the first G_j
+    values, so ``values[i]`` sums one draw per level with G_j > i, left to
+    right.  The multiset of values has the law of n iid compounds, but the
+    values come in count-descending order: consumers that read only order
+    statistics (tail regression, the empirical survival) take them as they
+    come, and ``sample_excursions`` shuffles them.  All level sizes are
+    drawn first, then ``sum(levels)`` divisor draws, one ``draw`` call per
+    level.  ``source`` is a model or any object with a ``draw(rng, n)``
+    method.
     """
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
     levels = [n]
@@ -479,3 +428,26 @@ def excursion_multiset(source, rng: RngStream, n: int):
     for g in levels[1:-1]:
         values[:g] += src.draw(rng, g)
     return values, np.array(levels, dtype=np.int64)
+
+
+def sample_excursions(source, rng: RngStream, n: int):
+    """n iid compound draws, in order.
+
+    Returns ``(values, levels)``.  The values are drawn
+    _COMPOUNDS_PER_BLOCK at a time as a multiset (``excursion_multiset``),
+    each block shuffled in place by ``rng.gen.shuffle``: a uniformly random
+    arrangement of the multiset of an iid sample is an iid sequence, and
+    the blocks are independent.  ``levels`` are the blocks' level sizes
+    summed, so ``levels.sum()`` counts the divisor draws.
+    """
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    values, levels = np.empty(n), np.zeros(1, np.int64)
+    for lo in range(0, n, _COMPOUNDS_PER_BLOCK):
+        block, sizes = excursion_multiset(src, rng, min(_COMPOUNDS_PER_BLOCK, n - lo))
+        rng.gen.shuffle(block)
+        values[lo : lo + block.size] = block
+        # the shorter of the two level lists is added into the longer
+        if sizes.size > levels.size:
+            levels, sizes = sizes, levels
+        levels[: sizes.size] += sizes
+    return values, levels

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .laplace import CHECK_ORDER, ORDER, QuadratureError, _unit_rule
-from .samplers import DivisorSampler, RngStream, _add_segment_sums, sample_excursions, sample_geometric_half
+from .samplers import DivisorSampler, RngStream, sample_excursions
 from .covariance import CovarianceModel
 from .slepian import mean_excursion
 
@@ -140,9 +140,11 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
     S = X_1 + ... + X_N, size-biased S is X* + X_2 + ... + X_{N*}, with X*
     the size-biased divisor and N* the size-biased count.  For N ~
     Geometric(1/2), P(N* = k) = k 2^-(k+1), the law of N_1 + N_2 - 1 with
-    N_1, N_2 iid Geometric(1/2).  A draw costs one size-biased divisor
-    draw, two counts and on average two divisor draws, the latter summed
-    in blocks as in ``sample_excursions``.
+    N_1, N_2 iid Geometric(1/2), and N - 1 has the law of B N' with
+    B ~ Bernoulli(1/2) and N' ~ Geometric(1/2): the N* - 1 further terms
+    are two compounds, each kept with probability 1/2.  A draw costs one
+    size-biased divisor draw, two uniforms and on average two divisor
+    draws, the compounds drawn by ``sample_excursions``.
     """
     sampler = DivisorSampler(model)
 
@@ -150,12 +152,11 @@ def excursion_switching(model: CovarianceModel) -> SwitchingTimeDistribution:
         return sample_excursions(sampler, rng, n)[0]
 
     def size_biased(rng: RngStream, n: int):
-        head = sampler.size_biased_draw(rng, n)
-        # the size-biased count N* = N_1 + N_2 - 1, formed in place
-        counts = sample_geometric_half(rng, n)
-        counts += sample_geometric_half(rng, n)
-        counts -= 1
-        return _add_segment_sums(head, counts, sampler, rng)
+        values = sampler.size_biased_draw(rng, n)
+        for _ in range(2):  # N* - 1 = (N_1 - 1) + (N_2 - 1)
+            kept = rng.uniform01(n) < 0.5
+            values[kept] += sample_excursions(sampler, rng, int(np.count_nonzero(kept)))[0]
+        return values
 
     return SwitchingTimeDistribution(
         label=f"excursion:{model.spec_string()}",

@@ -12,8 +12,7 @@ against the other.
   ``random_acceleration_inverse_oracle`` and ``table_inverse_oracle``:
   the divisor inverses as plain whole-array expressions, the table's
   piece found by binary search (``plain_spline``), an oracle for the
-  samplers' chunked inverses; ``geometric_half_oracle`` is
-  the same for the Geometric(1/2) counts.
+  samplers' chunked inverses.
 * ``gaussian_divisor_density``: the closed-form density of the
   squared-exponential divisor, -dE0/dt of shifted_gaussian(alpha=0).
 * ``survival_inverse_oracle``: E0^{-1}(u) by root bracketing on E0
@@ -26,12 +25,15 @@ against the other.
   finite trigonometric sum.
 * ``tail_exponent_sort_oracle``: the tail regression on a full sort of
   the samples, an oracle for the partial selection of the k largest.
-* ``sample_excursions_one_shot``: the compound draws with the first and
-  the further divisor draws each taken in one call and every compound
-  summed in a Python loop, an oracle for the blocked compound sampler;
-  ``excursion_multiset_loop_oracle`` is the multiset compound draw with
+* ``excursion_multiset_loop_oracle``: the multiset compound draw with
   the same binomial and ``draw`` calls, each level added one compound at
-  a time in a Python loop.
+  a time in a Python loop, an oracle for the level sums;
+  ``sample_excursions_block_oracle`` shuffles one such multiset per block,
+  an oracle for the ordered compound draw.
+* ``size_biased_compound_count_oracle``: the size-biased compound with
+  per-compound counts, N* = N_1 + N_2 - 1 from the float exponents of two
+  uniforms and the N* - 1 further draws summed per compound, an oracle for
+  the draw that keeps each of two compounds with probability 1/2.
 * ``empirical_survival_mean_oracle``: the empirical survival as one mean
   over the samples per tau, an oracle for the survival read from one sort.
 * ``log_cosh_oracle``, ``r_oracle``, ``dr_oracle``,
@@ -65,7 +67,7 @@ from excursia.covariance import (
     _MATERN_POLY_LOWER,
     _log_cosh,
 )
-from excursia.samplers import DivisorSampler, _inverse_table, sample_geometric_half
+from excursia.samplers import DivisorSampler, _inverse_table
 from excursia.switching import _instant_matrix
 
 
@@ -159,12 +161,6 @@ def random_acceleration_inverse_oracle(u):
     return np.maximum(np.log1p(3.0 / (u * u)) - 2.0 * math.log(2.0), 0.0)
 
 
-def geometric_half_oracle(u):
-    """Geometric(1/2) counts k for u in [2^-k, 2^-(k-1)), at least 1, read
-    from the biased exponent bits of u's IEEE double (1023 - k there)."""
-    return np.maximum(1023 - ((u.view(np.int64) >> 52) & 0x7FF), 1)
-
-
 def plain_spline(x, c, z):
     """The piecewise cubic with coefficients c at z, its piece found by a
     binary search: the reference for the guided evaluation."""
@@ -246,24 +242,6 @@ def tail_exponent_sort_oracle(samples, k: int) -> tuple[float, float]:
     return -slope, intercept
 
 
-def sample_excursions_one_shot(source, rng, n: int):
-    """``sample_excursions`` without blocks: all n counts, the n first
-    divisor draws in one call, every further draw in a second, then each
-    compound summed left to right in a Python loop."""
-    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
-    counts = sample_geometric_half(rng, n)
-    first = src.draw(rng, n)
-    rest = src.draw(rng, int(counts.sum()) - n)
-    values, pos = np.empty(n), 0
-    for i in range(n):
-        tail = 0.0
-        for x in rest[pos : pos + counts[i] - 1]:
-            tail += x
-        values[i] = first[i] + tail
-        pos += counts[i] - 1
-    return values, counts
-
-
 def excursion_multiset_loop_oracle(source, rng, n: int):
     """``excursion_multiset`` one compound at a time: the same binomial
     level sizes and the same ``draw`` call per level, each level's draws
@@ -277,6 +255,34 @@ def excursion_multiset_loop_oracle(source, rng, n: int):
         for i, x in enumerate(src.draw(rng, g)):
             values[i] = values[i] + float(x)
     return np.array(values, dtype=float), levels
+
+
+def sample_excursions_block_oracle(source, rng, n: int, block: int):
+    """``sample_excursions`` with ``excursion_multiset_loop_oracle`` per
+    block of ``block`` compounds, each block shuffled by ``rng.gen.shuffle``,
+    and the blocks' level sizes summed."""
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    values, levels = [], [0]
+    for lo in range(0, n, block):
+        part, sizes = excursion_multiset_loop_oracle(src, rng, min(block, n - lo))
+        rng.gen.shuffle(part)
+        values.extend(part)
+        levels += [0] * (len(sizes) - len(levels))
+        for j, g in enumerate(sizes):
+            levels[j] += g
+    return np.array(values, dtype=float), levels
+
+
+def size_biased_compound_count_oracle(model, rng, n: int):
+    """n size-biased compounds X* + X_2 + ... + X_{N*}: the size-biased
+    divisor X*, then N* = N_1 + N_2 - 1 with each Geometric(1/2) count k
+    read from the float exponent of one uniform (u in [2^-k, 2^-(k-1))),
+    then the N* - 1 further divisor draws in one call, summed per compound."""
+    sampler = DivisorSampler(model)
+    head = sampler.size_biased_draw(rng, n)
+    extra = sum(np.maximum(1 - np.frexp(rng.uniform01(n))[1], 1) for _ in range(2)) - 2
+    rest = sampler.draw(rng, int(extra.sum()))
+    return head + np.bincount(np.repeat(np.arange(n), extra), weights=rest, minlength=n)
 
 
 def empirical_survival_mean_oracle(samples, taus) -> np.ndarray:

@@ -31,11 +31,10 @@ from oracles import (
     g_forward,
     g_inverse,
     gaussian_divisor_density,
-    geometric_half_oracle,
     plain_spline,
     poly_inverse_b,
     random_acceleration_inverse_oracle,
-    sample_excursions_one_shot,
+    sample_excursions_block_oracle,
     size_biased_survival_oracle,
     survival_inverse_oracle,
     table_inverse_oracle,
@@ -399,32 +398,14 @@ def test_divisor_distribution_ks_match():
         assert res.pvalue > 0.01, (model.spec_string(), res.pvalue)
 
 
-def test_geometric_counts():
-    counts = ex.sample_geometric_half(ex.RngStream(12, 0), 10**6)
-    assert counts.min() >= 1
-    assert counts.mean() == pytest.approx(2.0, rel=0.005)
-    # P(nu = k) = 2^{-k}
-    for k in (1, 2, 3):
-        assert (counts == k).mean() == pytest.approx(2.0**-k, abs=3e-3)
-
-
-def test_geometric_counts_are_exact_at_powers_of_two():
-    # U in [2^-k, 2^-(k-1)) gives k: 2^-k gives k and the double just below
-    # it k + 1, where ceil(log U / log 1/2) misrounds; U = 1 gives 1
-    k = np.arange(1, 53)
-    powers = 2.0 ** -k.astype(float)
-    below = np.nextafter(powers, 0.0)
-    for u, want in ((powers, k), (below, k + 1), (np.array([1.0]), np.array([1]))):
-        assert np.array_equal(samplers._geometric_half_from_u(u), want)
-        assert np.array_equal(geometric_half_oracle(u), want)
-
-
 def test_excursion_mean_conservation():
-    vals, counts = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(5, 0), 10**5)
+    vals, levels = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(5, 0), 10**5)
     mu = ex.mean_excursion(ex.Diffusion(d=2))
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - mu) <= 3 * se
-    assert np.all(counts >= 1)
+    # every compound has one term or more, two on average
+    assert levels[0] == vals.size and levels[-1] == 0
+    assert levels.sum() / vals.size == pytest.approx(2.0, rel=0.01)
 
 
 def test_exponential_closure():
@@ -436,16 +417,17 @@ def test_exponential_closure():
 
 
 def test_excursion_sample_object():
-    values, counts = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(77, 0), 1)
-    assert values.shape == counts.shape == (1,)
-    assert values[0] > 0 and counts[0] >= 1
+    values, levels = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(77, 0), 1)
+    assert values.shape == (1,) and values[0] > 0
+    assert levels.dtype == np.int64 and levels.size >= 2
+    assert np.all(levels[:-1] == 1) and levels[-1] == 0
 
 
 @pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
 def test_excursion_sample_of_size_zero_is_empty(model):
-    values, counts = ex.sample_excursions(model, ex.RngStream(77, 0), 0)
-    assert values.shape == counts.shape == (0,)
-    assert values.dtype == np.float64 and counts.dtype == np.int64
+    values, levels = ex.sample_excursions(model, ex.RngStream(77, 0), 0)
+    assert values.shape == (0,) and levels.tolist() == [0]
+    assert values.dtype == np.float64 and levels.dtype == np.int64
 
 
 def test_sampling_refuses_invalid_model():
@@ -463,9 +445,9 @@ def test_determinism_and_stream_independence():
     assert np.array_equal(a, b)
     c = ex.DivisorSampler(ex.Diffusion(d=3)).draw(ex.RngStream(123, 5), 1000)
     assert not np.array_equal(a, c)
-    va, ca = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)
-    vb, cb = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)
-    assert np.array_equal(va, vb) and np.array_equal(ca, cb)
+    va, la = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)
+    vb, lb = ex.sample_excursions(ex.MaternHalfInteger(nu=2.5), ex.RngStream(9, 9), 500)
+    assert np.array_equal(va, vb) and np.array_equal(la, lb)
 
 
 def test_uniforms_stay_inside_open_interval():
@@ -498,18 +480,37 @@ COMPOUND_SOURCES = {
 
 @pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "block-default"])
 @pytest.mark.parametrize("name", sorted(COMPOUND_SOURCES))
-def test_blocked_compound_equals_one_shot(name, block, monkeypatch):
+def test_ordered_compound_equals_shuffled_multiset_oracle(name, block, monkeypatch):
+    # each block is a loop-oracle multiset shuffled in place, and the level
+    # sizes are summed over blocks of unequal depth
     source = COMPOUND_SOURCES[name]()
     if block is not None:
         monkeypatch.setattr(samplers, "_COMPOUNDS_PER_BLOCK", block)
-    n = 400 if block is not None else 3 * samplers._COMPOUNDS_PER_BLOCK + 5
+    block = samplers._COMPOUNDS_PER_BLOCK
+    n = 400 if block < 400 else 3 * block + 5
     rng, rng_oracle = ex.RngStream(5, 3), ex.RngStream(5, 3)
-    values, counts = ex.sample_excursions(source, rng, n)
-    want_values, want_counts = sample_excursions_one_shot(source, rng_oracle, n)
-    assert np.array_equal(counts, want_counts)
+    values, levels = ex.sample_excursions(source, rng, n)
+    want_values, want_levels = sample_excursions_block_oracle(source, rng_oracle, n, block)
+    assert values.dtype == np.float64 and values.shape == (n,)
     assert np.array_equal(values, want_values)
-    # both took the same uniforms: the streams continue alike
+    assert levels.tolist() == want_levels
+    # both took the same binomials, uniforms and shuffles: the streams
+    # continue alike
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
+def test_ordered_compound_is_in_random_order(model):
+    # a block's multiset comes count-descending; shuffled, its two halves
+    # have one law, and the values are uncorrelated with their index
+    n, block = 2 * 10**5, samplers._COMPOUNDS_PER_BLOCK
+    values, _ = ex.sample_excursions(model, ex.RngStream(41, 0), n)
+    first = values[: min(block, n)]
+    half = first.size // 2
+    assert stats.ks_2samp(first[:half], first[half:]).pvalue > 0.01
+    # Spearman's rho of n independent values has standard deviation 1/sqrt(n - 1)
+    rho = stats.spearmanr(np.arange(n), values).statistic
+    assert abs(rho) <= 4.0 / math.sqrt(n - 1)
 
 
 @pytest.mark.parametrize("name", sorted(COMPOUND_SOURCES))
@@ -572,13 +573,12 @@ def _table_draw(law, model):
 
 
 # every chunked sampler with its whole-array oracle: the closed forms, the E0
-# tables, the size-biased tables and the Geometric(1/2) counts
+# tables and the size-biased tables
 CHUNK_SOURCES = {
     "closed-d1": (lambda: ex.DivisorSampler(ex.Diffusion(d=1)).draw, diffusion_d1_inverse_oracle),
     "closed-d2": (lambda: ex.DivisorSampler(ex.Diffusion(d=2)).draw, diffusion_d2_inverse_oracle),
     "closed-random-acceleration": (lambda: ex.DivisorSampler(ex.RandomAcceleration()).draw,
                                    random_acceleration_inverse_oracle),
-    "geometric-half": (lambda: ex.sample_geometric_half, geometric_half_oracle),
     **{
         f"{'size-biased' if law is _size_biased_law else 'table'}-{m.spec_string()}": (
             functools.partial(_table_draw, law, m),
@@ -597,19 +597,16 @@ def test_chunked_draws_equal_whole_array_oracle(name, chunk, monkeypatch):
     c = samplers._DRAWS_PER_CHUNK
     n = 3 * c + 5
     # edge uniforms at chunk ends and starts; NaN maps to NaN and 1 to a
-    # zero-length draw (the counts take no NaN: it has no integer value)
+    # zero-length draw
     edges = {0: EPS, 2 * c - 1: 1.0 - EPS, 2 * c: np.nan, 3 * c + 1: 1.0, n - 1: EPS}
-    if name == "geometric-half":
-        del edges[2 * c]
     make_draw, oracle = CHUNK_SOURCES[name]
     draw = make_draw()
     rng, rng_oracle = _EdgeStream(5, 4, edges), _EdgeStream(5, 4, edges)
     got = draw(rng, n)
     want = oracle(rng_oracle.uniform01(n))
     assert got.dtype == want.dtype and got.shape == (n,)
-    assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
-    if name != "geometric-half":
-        assert np.isnan(got[2 * c]) and got[3 * c + 1] == 0.0
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[2 * c]) and got[3 * c + 1] == 0.0
     # both took the same uniforms: the streams continue alike
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
 
@@ -620,9 +617,9 @@ MIB = 1 << 20
 @pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.Diffusion(d=5)], ids=lambda m: m.spec_string())
 def test_draws_allocate_little_beyond_their_result(model):
     # numpy reports its allocations to tracemalloc; n = 10**6 draws take
-    # 8 MiB, a compound draw holds its values and counts (16 MiB), and a
-    # multiset compound draw its values and the second level's draws
-    # (about n/2, 4 MiB)
+    # 8 MiB, an ordered compound draw holds its values and one block's
+    # multiset draw, and a multiset compound draw its values and the second
+    # level's draws (about n/2, 4 MiB)
     sampler = ex.DivisorSampler(model)
     sampler.draw(ex.RngStream(1, 0), 10)  # any table is built before tracing
     n = 10**6
@@ -639,14 +636,16 @@ def test_draws_allocate_little_beyond_their_result(model):
     finally:
         tracemalloc.stop()
     assert draw_peak <= 8 * MIB + 1 * MIB
-    assert compound_peak <= 16 * MIB + 1.5 * MIB
+    # one block's multiset draw (its values, its second level's draws and a
+    # draw's chunk temporaries) stays below four blocks of doubles: 2 MiB
+    assert compound_peak <= 8 * MIB + 4 * 8 * samplers._COMPOUNDS_PER_BLOCK
     assert multiset_peak <= 12 * MIB + 1 * MIB
 
 
-def test_size_biased_compound_allocates_its_blocks_only():
-    # n = 10**6 size-biased compounds hold their values and the two count
-    # arrays while the second is added to the first (24 MiB); the further
-    # divisor draws are taken and summed a block at a time
+def test_size_biased_compound_allocates_its_values_and_halves():
+    # n = 10**6 size-biased compounds hold their values (7.6 MiB); each of
+    # the two further compounds adds n uniforms and their mask, then about
+    # n/2 compounds and the kept values they are added to
     dist = ex.excursion_switching(ex.Diffusion(d=5))
     dist.size_biased_draw(ex.RngStream(1, 0), 10)  # both tables are built before tracing
     tracemalloc.start()
@@ -655,12 +654,11 @@ def test_size_biased_compound_allocates_its_blocks_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * MIB + 1 * MIB
+    assert peak <= 20 * MIB
 
 
 SPLIT_SAMPLERS = {
     "uniform01": lambda: lambda rng, n: rng.uniform01(n),
-    "geometric-half": lambda: ex.sample_geometric_half,
     **{f"divisor-{m.spec_string()}": functools.partial(lambda m: ex.DivisorSampler(m).draw, m) for m in VALID_MODELS},
     "size-biased-d1": lambda: _size_biased_draw(ex.Diffusion(d=1)),
     "size-biased-generalized-laplace": lambda: _size_biased_draw(ex.GeneralizedLaplace(alpha=1.0)),
@@ -674,8 +672,9 @@ SPLIT_SAMPLERS = {
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(SPLIT_SAMPLERS)), st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**32 - 1))
 def test_draws_are_split_invariant(name, a, b, seed):
-    # the blocked compound relies on it: n draws in two calls equal the
-    # same n draws in one call on an equal stream
+    # every draw turns the next uniforms of its stream into draws one for
+    # one: n draws in two calls equal the same n draws in one call on an
+    # equal stream
     draw = SPLIT_SAMPLERS[name]()
     rng = ex.RngStream(seed, 1)
     split = np.concatenate([draw(rng, a), draw(rng, b)])

@@ -10,7 +10,12 @@ from excursia import switching
 from excursia.laplace import QuadratureError
 from excursia.samplers import _size_biased_law
 
-from oracles import switch_covariance_loop_oracle, switch_expectation_loop_oracle, table_inverse_oracle
+from oracles import (
+    size_biased_compound_count_oracle,
+    switch_covariance_loop_oracle,
+    switch_expectation_loop_oracle,
+    table_inverse_oracle,
+)
 
 
 def test_origin_path_starts_on():
@@ -327,3 +332,12 @@ def test_excursion_size_biased_draw_matches_moment_and_rejection_oracle(model):
     # the exceedance survival is about e^{-40 theta m} < 1e-10
     oracle = _size_biased_by_rejection(dist, ex.RngStream(83, 0), 2 * 10**4, 40.0 * m)
     assert stats.ks_2samp(ab[: 2 * 10**4], oracle).pvalue > 0.01
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
+def test_excursion_size_biased_draw_matches_count_oracle(model):
+    # two compounds, each kept where a uniform is below 1/2, against the
+    # N* - 1 further terms counted per compound, N* = N_1 + N_2 - 1
+    got = ex.excursion_switching(model).size_biased_draw(ex.RngStream(84, 0), 10**5)
+    want = size_biased_compound_count_oracle(model, ex.RngStream(85, 0), 10**5)
+    assert stats.ks_2samp(got, want).pvalue > 0.01
