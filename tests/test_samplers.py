@@ -398,6 +398,18 @@ def test_divisor_distribution_ks_match():
         assert res.pvalue > 0.01, (model.spec_string(), res.pvalue)
 
 
+def test_geometric_counts():
+    # levels[k - 1] compounds have k terms or more, so levels[k - 1] - levels[k]
+    # have exactly k: the term counts of 10**6 compounds are Geometric(1/2)
+    n = 10**6
+    _, levels = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(12, 0), n)
+    assert levels[0] == n and levels[-1] == 0 and np.all(np.diff(levels) <= 0)
+    assert levels.sum() / n == pytest.approx(2.0, rel=0.005)
+    # P(nu = k) = 2^{-k}
+    for k in (1, 2, 3):
+        assert (levels[k - 1] - levels[k]) / n == pytest.approx(2.0**-k, abs=3e-3)
+
+
 def test_excursion_mean_conservation():
     vals, levels = ex.sample_excursions(ex.Diffusion(d=2), ex.RngStream(5, 0), 10**5)
     mu = ex.mean_excursion(ex.Diffusion(d=2))
