@@ -32,6 +32,7 @@ flip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,32 +196,15 @@ def covariance_from_expectation(expectation: Callable, mu: float, grid) -> np.nd
 # the standard-error formulas elementary)
 
 
-MAX_INSTANTS = 10**7  # 80 MB of float64; the tests need up to 2.9e6, the CLI default 2.7e6
+MAX_INSTANTS = 10**7  # switch instants an ensemble draws: n (t/mu + 1) counted before any draw, then n per round
 
 
-def _columns(n: int, m: float, beyond: float) -> int:
-    """int(m), if n paths of m instants (counted as a float) fit in MAX_INSTANTS."""
-    count = n * m if n <= MAX_INSTANTS else math.inf  # n may be past the float range
+def _check_instants(n: int, per_path: float, beyond: float) -> None:
+    """Refuse n paths to t = beyond of ``per_path`` instants each (counted
+    as a float) if they are more than MAX_INSTANTS."""
+    count = math.inf if n > sys.float_info.max else n * per_path  # n may be past the float range
     if not count <= MAX_INSTANTS:
         raise ValueError(f"{n} paths to t = {beyond:g} need {count:.3g} switch instants, above the {MAX_INSTANTS:.0e} an ensemble holds")
-    return int(m)
-
-
-def _first_columns(dist: SwitchingTimeDistribution, n: int, beyond: float) -> int:
-    """The columns of the instant matrix's first draw: the mean count plus a margin."""
-    return _columns(n, beyond / dist.mean + 6.0 * math.sqrt(beyond / dist.mean + 1.0) + 8, beyond)
-
-
-def _instant_matrix(dist: SwitchingTimeDistribution, n: int, beyond: float, rng: RngStream) -> np.ndarray:
-    """(n, m) cumulative switch instants per path, covering [0, beyond], drawn
-    flat and reshaped row-major; each draw is counted first (``_columns``)."""
-    m0 = _first_columns(dist, n, beyond)
-    cums = np.cumsum(dist.draw(rng, n * m0).reshape(n, m0), axis=1)
-    while float(cums[:, -1].min()) <= beyond:
-        _columns(n, cums.shape[1] + 8, beyond)
-        extra = np.cumsum(dist.draw(rng, n * 8).reshape(n, 8), axis=1)
-        cums = np.concatenate([cums, cums[:, -1:] + extra], axis=1)
-    return cums
 
 
 def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
@@ -233,21 +217,31 @@ def _stationary_start(dist: SwitchingTimeDistribution, n: int, rng: RngStream):
 def _ensemble(dist: SwitchingTimeDistribution, times, n: int, rng: RngStream, stationary: bool):
     """The states of n paths at each of ``times``, one (n,) array per time.
 
-    A path is -delta on [0, A), then delta, flipped at each instant
-    A + cums strictly before t: A = 0 and delta = +1 for the
-    origin-attached path, ``_stationary_start`` for the stationary one.
-    Needs n >= 2 (for a standard error) and no time before 0."""
+    A path is -delta on [0, A), then delta, flipped at each instant A + S
+    strictly before t, S the running sum of its switching times: A = 0 and
+    delta = +1 for the origin-attached path, ``_stationary_start`` for the
+    stationary one.  Each round adds one ``dist.draw(rng, n)`` to the sums
+    and flips a (times, n) parity where they are below t - A, until every
+    sum passes the last time.  Needs n >= 2 (for a standard error) and no
+    time before 0."""
     times = np.asarray(times, dtype=float)
     if n < 2:
         raise ValueError(f"need at least 2 paths for a standard error, got n={n}")
     if not np.all(times >= 0.0):
         raise ValueError(f"paths are simulated for t >= 0 only, got t={np.min(times):g}")
-    _first_columns(dist, n, float(times.max()))  # refuses before any draw
+    beyond = float(times.max())
+    _check_instants(n, beyond / dist.mean + 1.0, beyond)  # refuses before any draw
     a, delta = _stationary_start(dist, n, rng) if stationary else (np.zeros(n), np.ones(n))
-    cums = _instant_matrix(dist, n, float(times.max()), rng)
-    for t in times:
-        flips = (cums < (t - a)[:, None]).sum(axis=1)
-        yield np.where(t < a, -delta, delta * np.where(flips % 2 == 0, 1.0, -1.0))
+    ends, odd = np.zeros(n), np.zeros((times.size, n), dtype=bool)
+    rounds = 0
+    while ends.min() <= beyond:
+        rounds += 1
+        _check_instants(n, rounds, beyond)
+        ends += dist.draw(rng, n)
+        for flips, t in zip(odd, times):
+            flips ^= ends < t - a
+    for flips, t in zip(odd, times):
+        yield np.where(t < a, -delta, np.where(flips, -delta, delta))
 
 
 def _mean_se(x: np.ndarray):

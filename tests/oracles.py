@@ -46,8 +46,10 @@ against the other.
   table build, which evaluate them together.
 * ``switch_expectation_loop_oracle`` and ``switch_covariance_loop_oracle``:
   the two switch estimators as separate per-time loops over a path-state
-  function, the origin and stationary starts drawn on their own, an
-  oracle for the one ensemble generator both estimators read.
+  function, the origin and stationary starts drawn on their own and each
+  path's instants kept as a Python list from the same per-round draws, its
+  flips counted one path at a time, an oracle for the one ensemble
+  generator both estimators read.
 """
 
 import math
@@ -68,7 +70,6 @@ from excursia.covariance import (
     _log_cosh,
 )
 from excursia.samplers import DivisorSampler, _inverse_table
-from excursia.switching import _instant_matrix
 
 
 def poly_inverse_b(d: int, a, tol: float = 1e-12):
@@ -390,23 +391,37 @@ def size_biased_survival_oracle(model, t):
     return np.where(r > 0.5, 1.0 - (near - bias), bias + (2.0 / math.pi) * np.arcsin(r))
 
 
-def _switch_states(cums, a, delta, t):
-    """Path states at time t: -delta on [0, a), then delta, flipped at each
-    instant a + cums strictly before t."""
-    flips = (cums < (t - a)[:, None]).sum(axis=1)
-    after = delta * np.where(flips % 2 == 0, 1.0, -1.0)
-    return np.where(t < a, -delta, after)
+def _switch_instants(dist, n, beyond, rng):
+    """Each path's switch instants as a Python list: one ``dist.draw(rng, n)``
+    per round, its i-th value added to path i's running sum, until every
+    sum is past ``beyond``."""
+    instants, ends = [[] for _ in range(n)], [0.0] * n
+    while min(ends) <= beyond:
+        for i, x in enumerate(dist.draw(rng, n)):
+            ends[i] = ends[i] + float(x)
+            instants[i].append(ends[i])
+    return instants
+
+
+def _switch_states(instants, a, delta, t):
+    """Path states at time t, one path at a time: -delta on [0, a), then
+    delta, flipped at each instant s with s < t - a."""
+    states = []
+    for path, a_i, d_i in zip(instants, a, delta):
+        flips = sum(1 for s in path if s < float(t) - float(a_i))
+        states.append(-d_i if t < a_i else d_i * (-1.0) ** flips)
+    return np.array(states, dtype=float)
 
 
 def switch_expectation_loop_oracle(dist, grid, n, rng):
     """(E_hat, SE) of the origin-attached path (A = 0, delta = +1)."""
     grid = np.asarray(grid, dtype=float)
-    cums = _instant_matrix(dist, n, float(grid.max()), rng)
+    instants = _switch_instants(dist, n, float(grid.max()), rng)
     a, delta = np.zeros(n), np.ones(n)
     e_hat = np.empty(grid.size)
     se = np.empty(grid.size)
     for i, t in enumerate(grid):
-        states = _switch_states(cums, a, delta, t)
+        states = _switch_states(instants, a, delta, t)
         e_hat[i] = states.mean()
         se[i] = states.std(ddof=1) / math.sqrt(n)
     return e_hat, se
@@ -419,11 +434,11 @@ def switch_covariance_loop_oracle(dist, grid, n, rng):
     s_tot = dist.size_biased_draw(rng, n)
     a = rng.uniform01(n) * s_tot
     delta = np.where(rng.uniform01(n) < 0.5, 1.0, -1.0)
-    cums = _instant_matrix(dist, n, float(grid.max()), rng)
-    s0 = _switch_states(cums, a, delta, 0.0)
+    instants = _switch_instants(dist, n, float(grid.max()), rng)
+    s0 = _switch_states(instants, a, delta, 0.0)
     e_hat, e_se, r_hat, r_se = (np.empty(grid.size) for _ in range(4))
     for i, t in enumerate(grid):
-        st = _switch_states(cums, a, delta, t)
+        st = _switch_states(instants, a, delta, t)
         e_hat[i] = st.mean()
         e_se[i] = st.std(ddof=1) / math.sqrt(n)
         prod = s0 * st

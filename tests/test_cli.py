@@ -398,13 +398,17 @@ def test_switch_stationary_point_mass(tmp_path):
     assert np.all(np.abs(r_hat - (1.0 - 2.0 * t)) <= 3 * se), (r_hat, se)
 
 
-@pytest.mark.parametrize("dist, n", [("exp:1e12", "100"), ("point:5e-324", "100"), ("exp:1", "1" + "0" * 400)], ids=["exp-1e12", "point-5e-324", "n-1e400"])
-def test_switch_refuses_an_ensemble_too_large_to_hold(dist, n, capsys):
-    # the instants are counted as a float before any draw: 1e14, inf and
-    # (10^400 paths, past the float range) inf of them
+@pytest.mark.parametrize(
+    "dist, n, count",
+    [("exp:1e12", "100", "1e+14"), ("point:5e-324", "100", "inf"), ("exp:1", "100000000", "2e+08"), ("exp:1", "1" + "0" * 400, "inf")],
+    ids=["exp-1e12", "point-5e-324", "n-1e8", "n-1e400"],
+)
+def test_switch_refuses_an_ensemble_too_large_to_hold(dist, n, count, capsys):
+    # n (t/mu + 1) instants are counted as a float before any draw: 1e14,
+    # inf (t/mu overflows), 2e8, and inf for 10^400 paths, past the float range
     assert main(["switch", "--dist", dist, "--n", n, "--grid", "1:1:1"]) == 1
     err = capsys.readouterr().err
-    assert f"usage error: {n} paths to t = 1 need" in err and "switch instants, above the 1e+07" in err
+    assert f"usage error: {n} paths to t = 1 need {count} switch instants, above the 1e+07 an ensemble holds" in err
     assert "Traceback" not in err
 
 

@@ -541,18 +541,6 @@ def test_multiset_compound_equals_loop_oracle(name, n, seed):
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
 
 
-@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)], ids=lambda m: m.spec_string())
-def test_multiset_compound_has_the_law_of_the_ordered_draw(model):
-    sampler = ex.DivisorSampler(model)
-    multiset, _ = ex.excursion_multiset(sampler, ex.RngStream(31, 0), 10**5)
-    ordered, _ = ex.sample_excursions(sampler, ex.RngStream(31, 1), 10**5)
-    assert stats.ks_2samp(multiset, ordered).pvalue > 0.01
-    # the tail exponents agree within their combined 95% half-widths
-    a = ex.tail_exponent_ci(lambda st, m: ex.excursion_multiset(sampler, st, m)[0], 10**5, 10**4, 10, ex.RngStream(31, 100))
-    b = ex.tail_exponent_ci(lambda st, m: ex.sample_excursions(sampler, st, m)[0], 10**5, 10**4, 10, ex.RngStream(31, 200))
-    assert abs(a.theta - b.theta) <= a.half_width + b.half_width
-
-
 def test_multiset_exponential_closure():
     # Exp(1) divisors: the compound is Exp(1/2)
     vals, _ = ex.excursion_multiset(ex.exponential_switching(1.0), ex.RngStream(9, 1), 10**5)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 import excursia as ex
@@ -80,15 +82,47 @@ SWITCH_LAWS = {
 
 
 @pytest.mark.parametrize("law", SWITCH_LAWS)
-def test_ensemble_matches_loop_oracles_bit_for_bit(law):
-    dist = SWITCH_LAWS[law]()
-    grid = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.5])
-    got = switching.estimate_expectation(dist, grid, 500, ex.RngStream(91, 0))
-    want = switch_expectation_loop_oracle(dist, grid, 500, ex.RngStream(91, 0))
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    got = switching.estimate_stationary_covariance(dist, grid, 500, ex.RngStream(92, 0))
-    want = switch_covariance_loop_oracle(dist, grid, 500, ex.RngStream(92, 0))
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    grid=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8, unique=True).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=500, grid=[0.0, 0.25, 0.5, 1.0, 2.0, 3.5], seed=91)
+def test_ensemble_matches_loop_oracles_bit_for_bit(law, n, grid, seed):
+    # the running sums, their parity and the states per time against each
+    # path's instants kept as a list and its flips counted in a Python loop
+    dist, grid = SWITCH_LAWS[law](), np.array(grid)
+    got = switching.estimate_expectation(dist, grid, n, ex.RngStream(seed, 0))
+    want = switch_expectation_loop_oracle(dist, grid, n, ex.RngStream(seed, 0))
+    assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
+    got = switching.estimate_stationary_covariance(dist, grid, n, ex.RngStream(seed, 1))
+    want = switch_covariance_loop_oracle(dist, grid, n, ex.RngStream(seed, 1))
     assert len(got) == 4 and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_ensemble_draws_one_switching_time_per_path_per_round():
+    # point:0.25 sums reach 1 after 4 rounds and pass it after the 5th;
+    # one instant before 0.5 and three before 1
+    sizes = []
+    point = ex.point_mass_switching(0.25)
+    counted = dataclasses.replace(point, draw=lambda rng, n: sizes.append(n) or point.draw(rng, n))
+    e_hat, _ = switching.estimate_expectation(counted, [0.5, 1.0], 7, ex.RngStream(1, 0))
+    assert sizes == [7] * 5
+    assert list(e_hat) == [-1.0, -1.0]
+
+
+def test_ensemble_memory_is_a_parity_per_time_not_an_instant_per_draw():
+    # the CLI defaults: 10^5 exp:1 paths at 20 times to t = 5 hold 20 x 10^5
+    # parity bools and a few (n,) arrays, not every switch instant
+    grid = np.arange(1, 21) * 0.25
+    tracemalloc.start()
+    try:
+        switching.estimate_expectation(ex.exponential_switching(1.0), grid, 10**5, ex.RngStream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
 
 
 def test_size_biased_mean_identity():
@@ -263,18 +297,20 @@ def test_estimators_refuse_times_before_zero():
 
 
 def test_ensemble_refuses_more_instants_than_it_holds(monkeypatch):
-    # a law whose draws fall far short of its mean keeps extending the
-    # matrix by 8 columns; each extension is counted before it is drawn:
-    # 17 columns, then 25, ..., 97, and the next 8 would make 105 per path
+    # a law whose draws fall far short of its mean needs many rounds; each
+    # round of n draws is counted before it is drawn: 100 rounds reach
+    # t = 0.1, and the 101st would make 101 instants per path
     monkeypatch.setattr(switching, "MAX_INSTANTS", 10**4)
     short = switching.SwitchingTimeDistribution("short", 1.0, lambda rng, n: np.full(n, 1e-3), lambda rng, n: np.full(n, 1e-3))
-    with pytest.raises(ValueError, match="100 paths to t = 1 need 1.05e\\+04 switch instants"):
+    with pytest.raises(ValueError, match="100 paths to t = 1 need 1.01e\\+04 switch instants"):
         switching.estimate_expectation(short, [1.0], 100, ex.RngStream(1, 0))
-    # 100 exp:1 paths to t = 1 start with 17 columns and need fewer than 100
+    # 100 exp:1 paths to t = 1 count 100 (1 + 1) instants first and need
+    # fewer than 100 rounds
     switching.estimate_expectation(ex.exponential_switching(1.0), [1.0], 100, ex.RngStream(1, 0))
-    # the first count comes before the stationary start: the stream is untouched
+    # the first count, n (t/mu + 1), comes before the stationary start: the
+    # stream is untouched
     rng = ex.RngStream(1, 0)
-    with pytest.raises(ValueError, match="1000 paths to t = 100 need"):
+    with pytest.raises(ValueError, match="1000 paths to t = 100 need 1.01e\\+05 switch instants"):
         switching.estimate_stationary_covariance(ex.exponential_switching(1.0), [100.0], 1000, rng)
     assert np.array_equal(rng.uniform01(4), ex.RngStream(1, 0).uniform01(4))
 
