@@ -22,6 +22,7 @@ from .covariance import (
     parse_model_spec,
 )
 from .slepian import (
+    NumericalFailure,
     ValidityError,
     e0,
     mean_excursion,

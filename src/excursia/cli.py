@@ -6,11 +6,15 @@ resolved configuration including defaulted values, and the seed) so a run
 can be repeated exactly; wall time goes to stderr so that outputs are
 byte-identical for identical (config, seed).
 
-Exit codes: 0 success, 1 usage error, 2 model failed the validity gate
-when sampling was requested (the report is printed), 3 numerical failure
-(pole not found, transform divergence, quadrature error estimate above
-1e-12 of the transform, an inverse table that cannot be built, tail order
-statistics without spread).
+Exit codes follow the type of the exception, decided in ``main`` alone:
+0 success; 1 usage error, any ValueError (bad caller input); 2 a
+``slepian.ValidityError``, the validity gate refused the model (the report
+is printed); 3 a ``slepian.NumericalFailure`` (pole not found, transform
+divergence, quadrature error estimate above 1e-12 of the transform, an
+inverse table that cannot be built, tail order statistics without spread,
+an iteration that does not converge).  A new refusal takes ValueError for
+caller input and NumericalFailure for a computation that cannot meet its
+contract; it reaches its exit code with no change here.
 """
 
 from __future__ import annotations
@@ -33,15 +37,14 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .laplace import DivergenceError, PoleNotFoundError, QuadratureError, TailFitError
-from .persistency import DegenerateTailError
-from .samplers import DivisorSampler, InverseTableError, RngStream, excursion_multiset, sample_excursions
-from .slepian import ValidityError
+from .samplers import DivisorSampler, RngStream, excursion_multiset, sample_excursions
+from .slepian import NumericalFailure, ValidityError
 
 TOOL = "excursia"
+MAX_DRAWS = 10**8  # 0.8 GB of float64 draws; larger --n are refused
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -253,15 +256,6 @@ def _count(minimum: int, maximum: int | None = None):
     return count
 
 
-def _tail_count(k: int, n: int) -> int:
-    """k, if the regression takes it as a tail count of n; else a usage error."""
-    try:
-        persistency._check_tail_count(k, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return k
-
-
 def _metadata(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     return {"tool": TOOL, "version": __version__, "config": config}
@@ -309,10 +303,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_validate(args) -> int:
     model = parse_model_spec(args.model)
-    try:  # a grid is counted before it is built
-        report = slepian.cached_validity(model, t_max=args.tmax, step=args.step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = slepian.cached_validity(model, t_max=args.tmax, step=args.step)
     _emit_json({"report": report.as_dict(), "model": model.spec_string()}, args)
     return 0
 
@@ -324,10 +315,7 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 
 def _cmd_e0(args) -> int:
-    try:  # a grid is counted before it is built
-        ts = slepian.time_grid(args.tmin, args.tmax, args.step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    ts = slepian.time_grid(args.tmin, args.tmax, args.step)
     model = parse_model_spec(args.model)
     if args.what in ("e0", "rcl"):
         fn = slepian.e0 if args.what == "e0" else clipped_autocovariance
@@ -370,14 +358,11 @@ def _cmd_persistency(args) -> int:
     k = args.k if args.k is not None else persistency.default_tail_count(args.n)
     estimates = []
     if args.method in ("mc", "both"):
-        _tail_count(k, args.n)
-        sampler = DivisorSampler(model)  # validity gate before any sampling
-
-        # the regression reads only order statistics: the compounds as a multiset
-        def draw(stream: RngStream, m: int):
-            return excursion_multiset(sampler, stream, m)[0]
-
-        est = persistency.tail_exponent_ci(draw, args.n, k, args.reps, RngStream(args.seed, 0))
+        # the regression reads only order statistics: the compounds as a
+        # multiset; the tail count is checked before the first draw runs the gate
+        est = persistency.tail_exponent_ci(
+            lambda st, m: excursion_multiset(model, st, m)[0], args.n, k, args.reps, RngStream(args.seed, 0)
+        )
         estimates.append(est.as_dict())
     if args.method in ("pole", "both"):
         estimates.append(laplace.find_pole(model).as_dict())
@@ -414,25 +399,26 @@ def _cmd_switch(args) -> int:
         start, stop, step = (float(x) for x in args.grid.split(":"))
         grid = slepian.time_grid(start, stop, step)
         dist = _parse_dist(args.dist)
-    except ValueError as exc:
+    except UsageError:
+        raise
+    except ValueError as exc:  # float() does not name the option
         raise UsageError(f"bad --dist or --grid value: {exc}") from exc
     rng = RngStream(args.seed, 0)
-    try:
-        if args.mode == "origin":
-            e_hat, se = switching.estimate_expectation(dist, grid, args.n, rng)
-            columns = [grid, e_hat, np.full(grid.size, np.nan), se]
-        else:
-            e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
-            columns = [grid, e_hat, r_hat, r_se]
-    except ValueError as exc:  # n < 2, or more switch instants than an ensemble holds
-        raise UsageError(str(exc)) from exc
+    if args.mode == "origin":
+        e_hat, se = switching.estimate_expectation(dist, grid, args.n, rng)
+        columns = [grid, e_hat, np.full(grid.size, np.nan), se]
+    else:
+        e_hat, _, r_hat, r_se = switching.estimate_stationary_covariance(dist, grid, args.n, rng)
+        columns = [grid, e_hat, r_hat, r_se]
     _emit_csv(["t", "E_hat", "R_hat", "SE"], columns, args)
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    k_div = _tail_count(args.k_divisor if args.k_divisor is not None else persistency.default_tail_count(args.n), args.n)
-    k_iia = _tail_count(args.k_iia if args.k_iia is not None else max(2, args.n // 10), args.n)
+    k_div = args.k_divisor if args.k_divisor is not None else persistency.default_tail_count(args.n)
+    k_iia = args.k_iia if args.k_iia is not None else max(2, args.n // 10)
+    for k in (k_div, k_iia):  # both before the first replication
+        persistency.check_tail_count(k, args.n)
     # dimension d draws its divisor replications on streams 2 S d + r and
     # its exceedance replications on 2 S d + S + r, r < reps <= S: no two
     # replications share a stream (S = 50 keeps the streams of reps <= 50)
@@ -497,16 +483,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--tmin", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.1)
-    sp.add_argument("--n", type=_count(1), default=100000, help="MC sample size for survival_mc")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=100000, help="MC sample size for survival_mc")
+    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_e0)
 
     sp = sub.add_parser("sample", help="draw divisor or exceedance-time samples")
     sp.add_argument("--model", required=True)
     sp.add_argument("--what", choices=["divisor", "excursion"], default="excursion")
-    sp.add_argument("--n", type=_count(1), default=1000)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=1000)
+    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--streams", type=_count(1), default=1, help="number of independent streams the draw is split over")
     sp.add_argument("--binary", action="store_true", help="little-endian float64 instead of text")
     sp.add_argument("--output", default=None)
@@ -519,10 +505,10 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("persistency", help="persistency exponent estimates")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=_count(1), default=100000)
+    sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=100000)
     sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100))")
     sp.add_argument("--reps", type=_count(2), default=10)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--method", choices=["mc", "pole", "both"], default="mc")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_persistency)
@@ -533,15 +519,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--horizon", type=float, default=5.0, help="ignored: paths always run to the last grid time")
     sp.add_argument("--n", type=int, default=100000)
     sp.add_argument("--grid", default="0.25:5.0:0.25", help="start:stop:step of evaluation times")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_switch)
 
     sp = sub.add_parser("reproduce", help="recompute a reference table side by side with the published values")
     sp.add_argument("target", choices=["table2"], help="which table to reproduce")
-    sp.add_argument("--n", type=_count(1), default=100000)
+    sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=100000)
     sp.add_argument("--reps", type=_count(2), default=10)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--dmax", type=_count(1, MAX_DIFFUSION_DIM), default=10, help=f"last diffusion dimension, at most {MAX_DIFFUSION_DIM}")
     sp.add_argument("--k-divisor", type=int, default=None, dest="k_divisor")
     sp.add_argument("--k-iia", type=int, default=None, dest="k_iia")
@@ -549,6 +535,11 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_reproduce)
 
     return p
+
+
+def _describe(exc: Exception) -> str:
+    """The message, with the notes added on the way (the replication)."""
+    return str(exc) + "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
 
 
 def main(argv=None) -> int:
@@ -561,20 +552,19 @@ def main(argv=None) -> int:
         return 1
     try:
         code = args.func(args)
-    except UsageError as exc:
-        print(f"{TOOL}: usage error: {exc}", file=sys.stderr)
-        return 1
-    except ModelSpecError as exc:
-        print(f"{TOOL}: {exc}", file=sys.stderr)
-        return 1
     except ValidityError as exc:
         payload = {"error": "validity_gate", "message": str(exc), "report": exc.report.as_dict()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 2
-    except (PoleNotFoundError, DivergenceError, QuadratureError, TailFitError, InverseTableError, DegenerateTailError) as exc:
-        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
-        print(f"{TOOL}: numerical failure: {exc}{notes}", file=sys.stderr)
+    except NumericalFailure as exc:  # before ValueError: some are both
+        print(f"{TOOL}: numerical failure: {_describe(exc)}", file=sys.stderr)
         return 3
+    except ModelSpecError as exc:
+        print(f"{TOOL}: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"{TOOL}: usage error: {_describe(exc)}", file=sys.stderr)
+        return 1
     finally:
         print(f"# wall_time_s={time.perf_counter()-t0:.3f}", file=sys.stderr)
     return int(code or 0)

@@ -46,7 +46,7 @@ import numpy as np
 from . import slepian
 from .covariance import CovarianceModel
 from .persistency import ExponentEstimate
-from .slepian import ValidityError
+from .slepian import NumericalFailure, ValidityError
 
 __all__ = [
     "DivergenceError",
@@ -83,7 +83,7 @@ RTOL = 8.9e-16
 MAX_POLE_STEPS = 100
 
 
-class DivergenceError(ValueError):
+class DivergenceError(NumericalFailure, ValueError):
     """Transform requested at or below its convergence boundary."""
 
     def __init__(self, s: float, boundary: float):
@@ -94,7 +94,7 @@ class DivergenceError(ValueError):
         )
 
 
-class PoleNotFoundError(RuntimeError):
+class PoleNotFoundError(NumericalFailure):
     """No sign change of 1 + s L(s) inside the admissible bracket."""
 
     def __init__(self, lo, hi, h_lo, h_hi):
@@ -106,11 +106,11 @@ class PoleNotFoundError(RuntimeError):
         )
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalFailure):
     """Quadrature error estimate of the transform exceeds REL_TOL."""
 
 
-class TailFitError(RuntimeError):
+class TailFitError(NumericalFailure):
     """The survival does not decay over the last truncation step."""
 
 
@@ -177,9 +177,7 @@ class LaplaceEvaluator:
 
     Keeps the weighted survival values on the shared unit nodes scaled by
     t_max, and ``abserr``, the quadrature error estimate.  The survival is
-    called once, on the nodes of both rules.  The rule terms of the last
-    ``transform`` point are kept for ``_slope`` at the same point, and
-    dropped when a pole search ends.
+    called once, on the nodes of both rules.
     """
 
     def __init__(self, survival: Callable, t_max: float, completion: TailCompletion):
@@ -188,7 +186,6 @@ class LaplaceEvaluator:
         (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
         values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
         self._weighted = self.t_max * w * values[: u.size]
-        self._terms = (math.nan, None)  # (s, rule terms at s) of the last transform
         self.abserr = self._certify(self.t_max * w_low * values[u.size :])
 
     def _certify(self, check: np.ndarray) -> float:
@@ -275,9 +272,7 @@ class LaplaceEvaluator:
         """
         s = float(s)
         self._check_domain(s)
-        terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
-        self._terms = (s, terms)
-        quadrature = float(terms.sum())
+        quadrature = float(_rule_terms(self._weighted, ORDER, s, self.t_max).sum())
         rem, err = self.completion.remainder(s, self.t_max)
         value = quadrature + rem
         if not err <= REL_TOL * abs(value):
@@ -289,11 +284,8 @@ class LaplaceEvaluator:
     def _slope(self, s: float) -> float:
         """L'(s) for the exponential completion: the fixed-node sum of
         -t E0(t) e^{-st} plus R'(s) = -R(s) (t_max + 1/(s - slope)), the
-        derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope).
-        Reuses the rule terms of the last ``transform`` when that was at s."""
-        last_s, terms = self._terms
-        if last_s != s:
-            terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
+        derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope)."""
+        terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
         rem, _ = self.completion.remainder(s, self.t_max)
         return -self.t_max * float(terms @ _unit_rule(ORDER)[0]) - rem * (self.t_max + 1.0 / (s - self.completion.slope))
 
@@ -348,11 +340,10 @@ class LaplaceEvaluator:
             else:
                 a = s
         else:
-            raise RuntimeError(f"pole search did not converge in {MAX_POLE_STEPS} steps; last bracket ({a!r}, {b!r})")
+            raise NumericalFailure(f"pole search did not converge in {MAX_POLE_STEPS} steps; last bracket ({a!r}, {b!r})")
         L = self.transform(s)
         theta = -s
         dL = self._slope(s)
-        self._terms = (math.nan, None)  # an evaluator cached per model keeps no per-point array
         return ExponentEstimate(
             theta=theta,
             method="pole",

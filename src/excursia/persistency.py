@@ -28,10 +28,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .samplers import RngStream
+from .slepian import NumericalFailure
 
 __all__ = [
     "ExponentEstimate",
     "DegenerateTailError",
+    "check_tail_count",
     "default_tail_count",
     "empirical_survival",
     "student_t_quantile",
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 
-class DegenerateTailError(ValueError):
+class DegenerateTailError(NumericalFailure, ValueError):
     """The regression tail has no spread: fewer than two distinct values,
     or differences so small that their squares underflow to zero."""
 
@@ -153,10 +155,11 @@ def student_t_quantile(nu: int) -> float:
         if abs(step) <= 1e-14 * abs(t - step):
             return t - step
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    raise RuntimeError(f"t quantile did not converge in 100 steps: nu={nu}")
+    raise NumericalFailure(f"t quantile did not converge in 100 steps: nu={nu}")
 
 
-def _check_tail_count(k: int, n: int) -> None:
+def check_tail_count(k: int, n: int) -> None:
+    """A ValueError unless the regression takes k as a tail count of n."""
     if not 2 <= k <= n - 1:
         raise ValueError(f"tail count k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
 
@@ -173,7 +176,7 @@ def tail_exponent(samples, k: int, n: Optional[int] = None) -> tuple[float, floa
     """
     x = np.asarray(samples, dtype=float)
     n = x.size if n is None else int(n)
-    _check_tail_count(k, n)
+    check_tail_count(k, n)
     if not k <= x.size <= n:
         raise ValueError(f"need between k and n samples, got {x.size} for k={k}, n={n}")
     tail = np.sort(np.partition(x, x.size - k)[x.size - k :])  # the k largest, ascending
@@ -208,7 +211,7 @@ def tail_exponent_ci(
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 for a confidence bound")
-    _check_tail_count(k, n)
+    check_tail_count(k, n)
 
     def one(r: int) -> tuple[float, float]:
         stream = rng.replicate(r)

@@ -116,7 +116,7 @@ _COMPOUNDS_PER_BLOCK = 1 << 16
 _DRAWS_PER_CHUNK = 1 << 13
 
 
-class InverseTableError(RuntimeError):
+class InverseTableError(slepian.NumericalFailure):
     """An inverse table cannot be built within its round-trip contract."""
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "TailClass",
     "ValidityReport",
     "ValidityError",
+    "NumericalFailure",
     "e0",
     "divisor_terms",
     "mean_excursion",
@@ -84,6 +85,11 @@ class ValidityError(RuntimeError):
     def __init__(self, report: "ValidityReport", message: str | None = None):
         self.report = report
         super().__init__(message or f"model {report.model_spec!r} is not usable: verdict={report.verdict}")
+
+
+class NumericalFailure(RuntimeError):
+    """A computation that cannot meet its contract (exit 3 in the CLI); every
+    numerical refusal of the package derives from it."""
 
 
 @dataclass(frozen=True)

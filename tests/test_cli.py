@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -298,6 +300,43 @@ def test_pole_numerical_failure_exit_three(error, capsys):
     assert lines == [f"excursia: numerical failure: {error}"], captured.err
 
 
+def test_a_new_numerical_failure_exits_three_with_no_cli_edit(capsys):
+    # the exit code follows the exception's base, not a list in the CLI
+    class _NewRefusal(slepian.NumericalFailure):
+        pass
+
+    with mock.patch.object(laplace, "find_pole", side_effect=_NewRefusal("eigenvalue -1e-3 of the Palm covariance")):
+        assert main(["pole", "--model", "diffusion(d=2)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = [line for line in captured.err.splitlines() if not line.startswith("# wall_time_s=")]
+    assert lines == ["excursia: numerical failure: eigenvalue -1e-3 of the Palm covariance"], captured.err
+
+
+def test_pole_search_that_does_not_converge_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(laplace, "MAX_POLE_STEPS", 0)
+    assert main(["pole", "--model", "diffusion(d=2)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "excursia: numerical failure: pole search did not converge in 0 steps" in captured.err
+
+
+def test_every_exception_class_has_one_exit_code():
+    # exit 1 (ValueError), 2 (ValidityError) or 3 (NumericalFailure): exactly one
+    import excursia
+
+    classes = []
+    for info in pkgutil.iter_modules(excursia.__path__, "excursia."):
+        if info.name != "excursia.__main__":
+            module = importlib.import_module(info.name)
+            classes += [c for c in vars(module).values() if isinstance(c, type) and issubclass(c, BaseException) and c.__module__ == module.__name__]
+    assert {c.__name__ for c in classes} >= {"UsageError", "ModelSpecError", "ValidityError", "NumericalFailure", "DivergenceError", "DegenerateTailError", "InverseTableError"}
+    for c in classes:
+        usage = issubclass(c, ValueError) and not issubclass(c, slepian.NumericalFailure)
+        kinds = [usage, c is slepian.ValidityError, issubclass(c, slepian.NumericalFailure)]
+        assert kinds.count(True) == 1, c
+
+
 @pytest.mark.parametrize("argv", [["sample", "--what", "divisor", "--n", "1000"], ["persistency", "--method", "mc", "--n", "2000", "--k", "100", "--reps", "2"]], ids=["sample", "persistency"])
 def test_table_failure_inside_a_replication_exits_three(argv, capsys):
     # generalized_laplace(alpha=1e9) passes the gate, but its E0 underflows
@@ -548,13 +587,23 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
         ["validate", "--model", "diffusion(d=2)", "--tmax", "1e15", "--step", "1e-3"],
         ["validate", "--model", "diffusion(d=2)", "--tmax", "1e8", "--step", "1"],
         ["reproduce", "table2", "--dmax", "65", "--n", "2000", "--reps", "2"],
+        ["sample", "--model", "diffusion(d=2)", "--n", "3", "--seed", "-1"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--seed", "-1"],
+        ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0.5:1:0.5", "--seed", "-1"],
+        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "10", "--seed", "-1"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--seed", "-1"],
+        ["sample", "--model", "diffusion(d=2)", "--n", "1000000000000000000"],
+        ["persistency", "--model", "diffusion(d=2)", "--n", "1000000000000000000", "--reps", "2"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "1000000000000000000", "--reps", "2"],
+        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "100000000000000000000"],
     ],
     ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0",
          "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "pole-tmax1", "pole-rel-tol1", "e0-step-below-spacing-at-tmax", "validate-tmax-inf", "validate-tmax-nan", "validate-tmax-negative", "validate-step-nan", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
          "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points",
-         "reproduce-dmax65"],
+         "reproduce-dmax65", "sample-seed-1", "persistency-seed-1", "switch-seed-1", "e0-seed-1", "reproduce-seed-1",
+         "sample-n1e18", "persistency-n1e18", "reproduce-n1e18", "e0-n1e20"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     # refused before any large allocation: a grid is counted, not built
