@@ -331,18 +331,15 @@ def _cmd_e0(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = parse_model_spec(args.model)
-    per = [args.n // args.streams + (1 if i < args.n % args.streams else 0) for i in range(args.streams)]
-    chunks = []
-    for i, ni in enumerate(per):
-        if ni == 0:
-            continue
-        rng = RngStream(args.seed, i)
-        if args.what == "divisor":
-            chunks.append(DivisorSampler(model).draw(rng, ni))
-        else:
-            chunks.append(sample_excursions(model, rng, ni)[0])
-    values = np.concatenate(chunks) if chunks else np.empty(0)
+    sampler = DivisorSampler(parse_model_spec(args.model))
+    # streams past the n-th would draw nothing
+    streams = min(args.streams, args.n)
+    per, extra = divmod(args.n, streams)
+    values, lo = np.empty(args.n), 0
+    for i in range(streams):
+        m, rng = per + (i < extra), RngStream(args.seed, i)
+        values[lo : lo + m] = sampler.draw(rng, m) if args.what == "divisor" else sample_excursions(sampler, rng, m)[0]
+        lo += m
     _emit_text(values.astype("<f8").tobytes() if args.binary else _format_rows([values]), args.output)
     return 0
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -128,34 +129,26 @@ def _student_t_central(t: float, nu: int) -> float:
     return 2.0 / math.pi * (theta + (sin * math.sqrt(cos2) * series if nu > 1 else 0.0))
 
 
+@lru_cache(maxsize=None)
 def student_t_quantile(nu: int) -> float:
     """The 0.975-quantile of Student's t with integer nu >= 1 degrees of
-    freedom, the level of the package's 95% bound.
-
-    Newton steps on P(|T| <= t) = 0.95 with the t density, from t = 0.
-    P(|T| <= t) is concave on t >= 0, so the steps climb to the root from
-    below; every evaluated point still narrows a bracket, and a step that
-    leaves it is replaced by bisection, so round-off near the root cannot
-    make the steps cycle.  The search stops when a step is below 1e-14
-    relative.  Against a 40-digit quantile the relative error is at most
-    5e-14 for nu up to 1e5 (``test_persistency.py``).
+    freedom, the level of the package's 95% bound: the smallest double q
+    with P(|T| <= q) >= 0.95, by bisection on ``_student_t_central`` in
+    [0, 13] until the bracket's ends are adjacent doubles.  The bracket
+    holds every nu: the quantile is largest at nu = 1, where it is 12.706.
+    Memoised per nu.  Against a 40-digit quantile the relative error is at
+    most 5e-14 for nu up to 1e5 (``test_persistency.py``).
     """
     if not nu >= 1:
         raise ValueError(f"need nu >= 1, got nu={nu}")
-    log_norm = math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
-    lo, hi, t = 0.0, math.inf, 0.0
-    for _ in range(100):
-        gap = _student_t_central(t, nu) - 0.95
-        if gap < 0.0:
-            lo = t
+    lo, hi = 0.0, 13.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _student_t_central(mid, nu) >= 0.95:
+            hi = mid
         else:
-            hi = t
-        density = math.exp(log_norm - 0.5 * (nu + 1) * math.log1p(t * t / nu))
-        step = gap / (2.0 * density)
-        if abs(step) <= 1e-14 * abs(t - step):
-            return t - step
-        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    raise NumericalFailure(f"t quantile did not converge in 100 steps: nu={nu}")
+            lo = mid
+    return hi
 
 
 def check_tail_count(k: int, n: int) -> None:

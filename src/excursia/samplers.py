@@ -204,12 +204,13 @@ def _size_biased_law(model: CovarianceModel, t: np.ndarray):
 
 def _table_end(law, model: CovarianceModel) -> float:
     """Last table node: the first power of two from 2^-9, the first above
-    the first node, on where the survival of ``law`` is below eps/4."""
-    powers = 2.0 ** np.arange(-9, 64)
+    the first node, up to 2^1023, the largest in float64, where the
+    survival of ``law`` is below eps/4."""
+    powers = 2.0 ** np.arange(-9, 1024)
     with np.errstate(all="ignore"):
         below = np.flatnonzero(law(model, powers)[0] < _TABLE_TAIL)
     if below.size == 0:
-        raise InverseTableError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^63")
+        raise InverseTableError(f"survival of {model.spec_string()} stays above {_TABLE_TAIL:.3g} up to t = 2^1023")
     return float(powers[below[0]])
 
 
@@ -295,7 +296,8 @@ def _inverse_table(law, model: CovarianceModel) -> _InverseTable:
 
     Raises ``InverseTableError`` when the last node cannot be placed, when z is
     not strictly increasing on the nodes (the survival not strictly
-    decreasing there), or when the refined table still misses the relative
+    decreasing there), when a knot slope is not finite (the density
+    underflows to 0), or when the refined table still misses the relative
     round trip 1e-9 on [eps, 1]; there is no fallback inverter.
     """
     t = np.concatenate(([0.0], np.geomspace(_TABLE_T_FIRST, _table_end(law, model), _TABLE_NODES - 1)))
@@ -309,6 +311,8 @@ def _inverse_table(law, model: CovarianceModel) -> _InverseTable:
             increasing = np.all(np.diff(z) > 0.0)
         if not increasing:
             raise InverseTableError(f"survival of {model.spec_string()} is not strictly decreasing on the inverse-table nodes")
+        if not np.all(np.isfinite(slope[1:])):
+            raise InverseTableError(f"density of {model.spec_string()} underflows to 0 on the inverse-table nodes")
         x = np.log1p(t)
         # at t = 0 the slope is 0/0; it takes its limit, estimated as the
         # slope at z = 0 of the quadratic through the first two knots with

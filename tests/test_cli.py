@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
-from excursia import Diffusion, DivisorSampler, RngStream, e0, excursion_multiset, laplace_e0, tail_exponent_ci
+from excursia import Diffusion, DivisorSampler, RngStream, e0, excursion_multiset, laplace_e0, sample_excursions, tail_exponent_ci
 from excursia import cli, laplace, slepian
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
@@ -116,6 +116,24 @@ def test_sample_byte_identical_across_runs(tmp_path, capsys):
     assert main(argv + ["--output", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
     capsys.readouterr()
+
+
+def test_sample_draws_on_at_most_n_streams(capsysbinary):
+    # streams past the n-th draw nothing, and none of them is built
+    argv = ["sample", "--model", "diffusion(d=2)", "--n", "3", "--seed", "5", "--binary", "--streams"]
+    assert main(argv + ["1000000000000"]) == 0
+    many = capsysbinary.readouterr().out
+    assert main(argv + ["3"]) == 0
+    assert many == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("what", ["divisor", "excursion"])
+def test_sample_splits_n_over_streams_in_order(what, capsysbinary):
+    assert main(["sample", "--model", "matern(nu=2.5)", "--what", what, "--n", "10", "--seed", "4", "--streams", "4", "--binary"]) == 0
+    sampler = DivisorSampler(parse_model_spec("matern(nu=2.5)"))
+    draw = sampler.draw if what == "divisor" else lambda rng, m: sample_excursions(sampler, rng, m)[0]
+    want = np.concatenate([draw(RngStream(4, i), m) for i, m in enumerate([3, 3, 2, 2])])
+    assert np.array_equal(np.frombuffer(capsysbinary.readouterr().out, dtype="<f8"), want)
 
 
 def test_e0_curve_rows(tmp_path, capsys):

@@ -99,6 +99,24 @@ def test_empirical_survival_matches_mean_oracle(samples, taus):
     assert np.array_equal(se, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n))
 
 
+@pytest.mark.parametrize("nu", [1, 2, 9, 300, 10**5])
+def test_student_t_quantile_is_the_first_double_at_the_level(nu):
+    q = student_t_quantile(nu)
+    assert q <= 13.0
+    assert persistency._student_t_central(q, nu) >= 0.95
+    assert persistency._student_t_central(math.nextafter(q, 0.0), nu) < 0.95
+
+
+def test_student_t_quantile_searches_once_per_nu():
+    # reproduce table2 takes twenty bounds at one replication count
+    student_t_quantile.cache_clear()
+    for seed in range(20):
+        ex.tail_exponent_ci(_exp_sampler(1.0), 2000, 100, 5, ex.RngStream(seed, 0))
+    assert student_t_quantile.cache_info()[:2] == (19, 1)  # hits, misses
+    student_t_quantile(5)
+    assert student_t_quantile.cache_info().misses == 2
+
+
 def test_student_t_quantile_refuses_bad_arguments():
     for nu in [0, -3]:
         with pytest.raises(ValueError, match="nu >= 1"):

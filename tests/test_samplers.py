@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import tracemalloc
 import types
 
@@ -149,9 +150,15 @@ ROUND_TRIP_MODELS = st.one_of(
 )
 
 
+# S* of generalized_laplace decays like t^(-2 alpha): below alpha = 0.43
+# its tables end past 2^63 (2^91 at 0.3, 2^447 at 0.06)
+SLOW_SIZE_BIASED = st.sampled_from([ex.GeneralizedLaplace(alpha=a) for a in (0.06, 0.1, 0.3)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    case=st.tuples(st.sampled_from([_divisor_law, _size_biased_law]), ROUND_TRIP_MODELS),
+    case=st.tuples(st.sampled_from([_divisor_law, _size_biased_law]), ROUND_TRIP_MODELS)
+    | st.tuples(st.just(_size_biased_law), SLOW_SIZE_BIASED),
     u=st.floats(EPS, 1.0 - EPS),
 )
 def test_inverse_survival_relative_round_trip(case, u):
@@ -199,6 +206,17 @@ def test_inverse_table_refuses_a_survival_that_is_not_strictly_decreasing():
     flat = lambda model, t: (np.exp(-np.where((t > 1.0) & (t < 2.0), 1.0, t)), np.ones_like(t))
     with pytest.raises(RuntimeError, match="not strictly decreasing"):
         _inverse_table(flat, ex.Diffusion(d=3))
+
+
+@pytest.mark.parametrize("alpha, reason", [(0.01, "stays above .* up to t = 2\\^1023"), (0.05, "density .* underflows to 0")])
+def test_size_biased_table_refuses_tails_past_the_float_range(alpha, reason):
+    # alpha = 0.01: S* is above eps/4 at 2^1023; alpha = 0.05: S* falls
+    # below it at 2^536, but its density is 0 on 192 nodes past t = 1e153
+    start = time.perf_counter()
+    with pytest.raises(samplers.InverseTableError, match=reason) as refusal:
+        _inverse_table(_size_biased_law, ex.GeneralizedLaplace(alpha=alpha))
+    assert "nan" not in str(refusal.value)
+    assert time.perf_counter() - start < 5.0  # refused before any refinement
 
 
 def _recursive_minimum_draws(d, rng, n):
