@@ -3,8 +3,8 @@
 Method 1 (pole): the largest negative real root of 1 + s L E0(s) = 0,
 where L E0 is the numerical Laplace transform of the divisor survival.
 Method 2 (tail regression): OLS slope of the log empirical survival over
-the largest order statistics of compound samples.  It reads only order
-statistics, so the compounds are drawn as a multiset.
+the largest order statistics of compound samples.  It reads only the k
+largest, so only the compounds that can reach them are summed.
 
 The two routes are independent implementations and should agree up to
 Monte Carlo error.  Published reference values are printed alongside;
@@ -23,7 +23,7 @@ for spec in ["diffusion(d=2)", "random_acceleration", "shifted_gaussian(alpha=0)
     pole = ex.find_pole(model)
     sampler = ex.DivisorSampler(model)
     mc = ex.tail_exponent_ci(
-        lambda st, m: ex.excursion_multiset(sampler, st, m)[0], n, k, reps, ex.RngStream(42, 0)
+        lambda st, m: ex.excursion_largest(sampler, st, m, k), n, k, reps, ex.RngStream(42, 0)
     )
     ref = reference_for(model)
     print(f"{spec}:")

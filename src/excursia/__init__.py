@@ -32,6 +32,7 @@ from .laplace import find_pole, laplace_e0
 from .samplers import (
     DivisorSampler,
     RngStream,
+    excursion_largest,
     excursion_multiset,
     sample_excursions,
 )

@@ -37,7 +37,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .samplers import DivisorSampler, RngStream, excursion_multiset, sample_excursions
+from .samplers import DivisorSampler, RngStream, excursion_largest, excursion_multiset, sample_excursions
 from .slepian import NumericalFailure, ValidityError
 
 TOOL = "excursia"
@@ -261,8 +261,9 @@ def _metadata(args: argparse.Namespace) -> dict:
     return {"tool": TOOL, "version": __version__, "config": config}
 
 
-def _emit_text(text: str | bytes, output: str | None):
-    """The text, or bytes as they are, to the output file or to stdout."""
+def _emit_text(text: str | bytes | memoryview, output: str | None):
+    """The text, or a bytes-like object as it is, to the output file or to
+    stdout."""
     data = text.encode() if isinstance(text, str) else text
     if output:
         with open(output, "wb") as fh:
@@ -340,7 +341,9 @@ def _cmd_sample(args) -> int:
         m, rng = per + (i < extra), RngStream(args.seed, i)
         values[lo : lo + m] = sampler.draw(rng, m) if args.what == "divisor" else sample_excursions(sampler, rng, m)[0]
         lo += m
-    _emit_text(values.astype("<f8").tobytes() if args.binary else _format_rows([values]), args.output)
+    # the binary bytes are written from the draws' own memory on
+    # little-endian machines (astype copies only on big-endian ones)
+    _emit_text(memoryview(values.astype("<f8", copy=False)) if args.binary else _format_rows([values]), args.output)
     return 0
 
 
@@ -355,10 +358,10 @@ def _cmd_persistency(args) -> int:
     k = args.k if args.k is not None else persistency.default_tail_count(args.n)
     estimates = []
     if args.method in ("mc", "both"):
-        # the regression reads only order statistics: the compounds as a
-        # multiset; the tail count is checked before the first draw runs the gate
+        # the regression reads only the k largest compounds of the multiset;
+        # the tail count is checked before the first draw runs the gate
         est = persistency.tail_exponent_ci(
-            lambda st, m: excursion_multiset(model, st, m)[0], args.n, k, args.reps, RngStream(args.seed, 0)
+            lambda st, m: excursion_largest(model, st, m, k), args.n, k, args.reps, RngStream(args.seed, 0)
         )
         estimates.append(est.as_dict())
     if args.method in ("pole", "both"):
@@ -429,9 +432,9 @@ def _cmd_reproduce(args) -> int:
         div_est = persistency.tail_exponent_ci(
             lambda st, m: sampler.largest(st, m, k_div), args.n, k_div, args.reps, RngStream(args.seed, 2 * stride * d)
         )
-        # the exceedance regression reads the compounds as a multiset
+        # the exceedance regression reads only the k largest compounds
         iia_est = persistency.tail_exponent_ci(
-            lambda st, m: excursion_multiset(sampler, st, m)[0],
+            lambda st, m: excursion_largest(sampler, st, m, k_iia),
             args.n,
             k_iia,
             args.reps,

@@ -163,7 +163,8 @@ def tail_exponent(samples, k: int, n: Optional[int] = None) -> tuple[float, floa
     Returns ``(theta, intercept)`` from the regression of
     ln((n - i + 1/2)/n) on x_(i), with theta = -slope.  ``samples`` holds
     the n draws, or any part of them that includes their k largest (for
-    instance ``DivisorSampler.largest``); n defaults to its size.  The
+    instance ``DivisorSampler.largest`` or ``samplers.excursion_largest``);
+    n defaults to its size.  The
     estimate depends only on the k largest and on n, so both forms give
     the same bits.
     """

@@ -19,7 +19,11 @@ and E[nu_geo] = 2.  n compounds are drawn as a multiset, with no
 per-compound counts (``excursion_multiset``): binomial level sizes, the
 exact histogram of the n counts, and one divisor draw call per level.
 The ordered draw (``sample_excursions``) shuffles such multisets a block
-at a time.
+at a time.  The tail regressions read only the k largest values:
+``DivisorSampler.largest`` inverts only the k smallest uniforms of a
+divisor draw, and ``excursion_largest`` only the compounds of a multiset
+that can reach the k largest.  Both consume every uniform of the full
+draw and return its k largest bit for bit.
 
 Numerical notes on the closed forms:
 
@@ -90,6 +94,7 @@ __all__ = [
     "DivisorSampler",
     "sample_excursions",
     "excursion_multiset",
+    "excursion_largest",
 ]
 
 _EPS = np.finfo(float).eps  # uniforms clamped to the open interval (0, 1)
@@ -110,6 +115,15 @@ _GUIDE_BITS = 10
 # and its level draws stay in cache through the shuffle.  Of 2^12 .. 2^18,
 # 2^16 and 2^17 were fastest at 10^6 compounds (diffusion d = 2, matern 2.5).
 _COMPOUNDS_PER_BLOCK = 1 << 16
+# Relative margin on the bound E0(tau/nu) of ``excursion_largest``.  A
+# compound of nu terms whose uniforms all exceed E0(tau/nu) (1 + margin) is
+# below tau: by the round trip (1e-9 relative) E0 at each term t exceeds
+# E0(tau/nu) by about 1e-6 relative, so t < (tau/nu)(1 - 1e-6/(h t)) with
+# h = f/E0 the hazard there, and the rounded sum of nu such terms (relative
+# error (nu - 1) eps) stays below tau while h t < 1e-6/(nu eps), about
+# 4.5e9/nu.  Where E0 ~ exp(-c t^p), h t = p |log E0|, below 745 p until E0
+# underflows.  The margin admits a relative 1e-6 more candidates.
+_LARGEST_MARGIN = 1e-6
 # Draws per chunk of a sampler: a chunk's uniforms, its result slice and the
 # temporaries of its inverse (64 KiB each) stay in cache, and are small
 # enough for the allocator to reuse their memory (see ``_draws``).
@@ -407,6 +421,14 @@ class DivisorSampler:
 # compound exceedance sampling
 
 
+def _level_sizes(rng: RngStream, n: int) -> list:
+    """G_1 = n, G_{j+1} ~ Binomial(G_j, 1/2), down to the first 0."""
+    levels = [n]
+    while levels[-1]:
+        levels.append(int(rng.gen.binomial(levels[-1], 0.5)))
+    return levels
+
+
 def excursion_multiset(source, rng: RngStream, n: int):
     """n compound draws as a multiset.
 
@@ -425,13 +447,71 @@ def excursion_multiset(source, rng: RngStream, n: int):
     method.
     """
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
-    levels = [n]
-    while levels[-1]:
-        levels.append(int(rng.gen.binomial(levels[-1], 0.5)))
+    levels = _level_sizes(rng, n)
     values = src.draw(rng, n)
     for g in levels[1:-1]:
         values[:g] += src.draw(rng, g)
     return values, np.array(levels, dtype=np.int64)
+
+
+def excursion_largest(source, rng: RngStream, n: int, k: int) -> np.ndarray:
+    """The k largest of the n values ``excursion_multiset(source, rng, n)``
+    would return, ascending, bit for bit, with the stream left where
+    ``excursion_multiset`` leaves it.  ``source`` is a model or a
+    ``DivisorSampler``.
+
+    It draws the same level sizes G_j and the same uniforms u_j (level j's
+    G_j of them), and inverts only the compounds that can reach the k
+    largest.  Let m be the last index with G_{m+1} >= k.  The compounds
+    [0, G_{m+1}) have more than m terms; they are summed level by level,
+    as ``excursion_multiset`` sums them, and their k-th largest tau bounds
+    the k-th largest of all n from below.  A compound in
+    [G_{nu+1}, G_nu), nu = m .. 1, has exactly nu terms, each at most
+    E0^{-1}(min u), so V <= nu E0^{-1}(min u): only those with
+    min u <= E0(tau/nu) (1 + _LARGEST_MARGIN) can reach tau, and only
+    their terms are inverted, in level order, so their values keep their
+    bits.  The rest are below tau (see ``_LARGEST_MARGIN``).
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
+    inverse = src._inverse()
+
+    def invert(u):
+        return _draws(u, np.empty(u.size), inverse)
+
+    levels = _level_sizes(rng, n)
+    # the uniforms of every level in one array, as excursion_multiset's draw
+    # calls take them (uniforms are split-invariant), viewed level by level:
+    # one allocation, which the allocator keeps for the next replication,
+    # where one per level took about 3500 fresh pages at n = 10^6
+    u = np.split(rng.uniform01(sum(levels)), np.cumsum(levels[:-2]))
+    m = sum(g >= k for g in levels) - 1
+    exact = levels[m]
+    values = invert(u[0][:exact])
+    for uj in u[1:]:
+        g = min(uj.size, exact)
+        values[:g] += invert(uj[:g])
+    pieces = [values]
+    if m:
+        values.partition(exact - k)
+        bounds = slepian.e0(src.model, values[exact - k] / np.arange(1.0, m + 1)) * (1.0 + _LARGEST_MARGIN)
+        for nu in range(m, 0, -1):
+            lo, hi = levels[nu], levels[nu - 1]
+            # the smallest of each compound's nu uniforms; at nu = 1 the
+            # level's own slice, not a copy
+            umin = u[0][lo:hi]
+            if nu > 1:
+                umin = np.minimum(umin, u[1][lo:hi])
+                for uj in u[2:nu]:
+                    np.minimum(umin, uj[lo:hi], out=umin)
+            picked = lo + np.flatnonzero(umin <= bounds[nu - 1])
+            candidates = invert(u[0][picked])
+            for uj in u[1:nu]:
+                candidates += invert(uj[picked])
+            pieces.append(candidates)
+    top = np.concatenate(pieces)
+    return np.sort(np.partition(top, top.size - k)[top.size - k :])
 
 
 def sample_excursions(source, rng: RngStream, n: int):

@@ -136,6 +136,28 @@ def test_sample_splits_n_over_streams_in_order(what, capsysbinary):
     assert np.array_equal(np.frombuffer(capsysbinary.readouterr().out, dtype="<f8"), want)
 
 
+@pytest.mark.parametrize("what", ["divisor", "excursion"])
+def test_sample_binary_writes_the_draws_without_copying_them(what, tmp_path, capsys):
+    # 10^6 draws (8e6 bytes) peak at their values and the one stream's draw
+    # copied into them, 15.5 MiB (divisor) and 16.8 MiB (excursion, with a
+    # block's multiset); the binary export copies neither (its astype and
+    # tobytes copies made both 22.9 MiB)
+    out = tmp_path / "draws.bin"
+    argv = ["sample", "--model", "diffusion(d=2)", "--what", what, "--seed", "2", "--binary", "--output", str(out), "--n"]
+    assert main(argv + ["10"]) == 0  # imports and first-call set-up before tracing
+    tracemalloc.start()
+    try:
+        assert main(argv + ["1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 10**6 + 2**21
+    sampler = DivisorSampler(parse_model_spec("diffusion(d=2)"))
+    want = sampler.draw(RngStream(2, 0), 10**6) if what == "divisor" else sample_excursions(sampler, RngStream(2, 0), 10**6)[0]
+    assert out.read_bytes() == want.astype("<f8").tobytes()
+    capsys.readouterr()
+
+
 def test_e0_curve_rows(tmp_path, capsys):
     out = tmp_path / "e0.csv"
     assert main(["e0", "--what", "e0", "--model", "diffusion(d=2)", "--tmin", "0", "--tmax", "1", "--step", "0.5", "--output", str(out)]) == 0

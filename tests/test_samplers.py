@@ -751,9 +751,74 @@ def test_largest_and_tail_exponent_refuse_bad_counts():
     for n, k in [(10, 0), (10, 11), (10, -1), (0, 0), (0, 1)]:
         with pytest.raises(ValueError):
             sampler.largest(ex.RngStream(1, 0), n, k)
+        with pytest.raises(ValueError):
+            ex.excursion_largest(sampler, ex.RngStream(1, 0), n, k)
     samples = np.arange(1.0, 11.0)
     with pytest.raises(ValueError):  # fewer samples than k
         ex.tail_exponent(samples[:4], 5, 100)
     with pytest.raises(ValueError):  # more samples than n
         ex.tail_exponent(samples, 5, 9)
     assert ex.tail_exponent(samples[5:], 5, 10) == ex.tail_exponent(samples, 5)
+
+
+# the divisor models, and the tables of the smallest and the largest
+# dimension table2 draws
+EXCURSION_LARGEST_MODELS = LARGEST_MODELS + [ex.Diffusion(d=3), ex.Diffusion(d=10)]
+
+
+def _check_excursion_largest(source, n, k, seed):
+    # the k largest compounds equal the sorted top k of the multiset bit for
+    # bit, and both calls leave the stream at the same place
+    rng, rng_multiset = ex.RngStream(seed, 2), ex.RngStream(seed, 2)
+    got = ex.excursion_largest(source, rng, n, k)
+    values, _ = ex.excursion_multiset(source, rng_multiset, n)
+    want = np.sort(np.partition(values, n - k)[n - k :])
+    assert got.shape == (k,) and got.tobytes() == want.tobytes()
+    assert np.array_equal(rng.uniform01(3), rng_multiset.uniform01(3))
+    if 2 <= k <= n - 1:
+        assert ex.tail_exponent(got, k, n) == ex.tail_exponent(values, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(EXCURSION_LARGEST_MODELS),
+    st.booleans(),
+    st.integers(1, 3 * samplers._DRAWS_PER_CHUNK),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_excursion_largest_is_the_sorted_top_k_of_the_multiset(model, as_sampler, n, seed, data):
+    # k = 2, n - 1, n, and just above G_2, where every compound is summed
+    # exactly and none is pruned
+    g2 = samplers._level_sizes(ex.RngStream(seed, 2), n)[1]
+    k = data.draw(st.sampled_from(sorted({min(2, n), max(n - 1, 1), n, min(g2 + 1, n)})) | st.integers(1, n), label="k")
+    _check_excursion_largest(ex.DivisorSampler(model) if as_sampler else model, n, k, seed)
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "chunk-default"])
+@pytest.mark.parametrize("model", EXCURSION_LARGEST_MODELS, ids=lambda m: m.spec_string())
+def test_excursion_largest_edge_counts(model, chunk, monkeypatch):
+    # k = 2, k = n - 1, k above a chunk, and a k above G_2 (no pruning), with
+    # n past three chunks
+    if chunk is not None:
+        monkeypatch.setattr(samplers, "_DRAWS_PER_CHUNK", chunk)
+    c = samplers._DRAWS_PER_CHUNK
+    n = 3 * c + 5
+    g2 = samplers._level_sizes(ex.RngStream(17, 2), n)[1]
+    assert g2 + 1 < n - 1
+    for k in (1, 2, c, c + 1, g2 + 1, n - 1, n):
+        _check_excursion_largest(model, n, k, seed=17)
+
+
+def test_excursion_largest_inverts_few_of_the_terms(monkeypatch):
+    # at n = 10^5 and k = 10^4 the compounds with few terms are mostly
+    # pruned: 52-54% of the multiset's divisor draws are inverted over six
+    # seeds (25% at n = 10^6), where no pruning would invert them all
+    inverted = []
+    draws = samplers._draws
+    monkeypatch.setattr(samplers, "_draws", lambda u, out, inverse: inverted.append(out.size) or draws(u, out, inverse))
+    n, k = 10**5, 10**4
+    for model in (ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)):
+        inverted.clear()
+        ex.excursion_largest(model, ex.RngStream(4, 0), n, k)
+        assert sum(inverted) < 0.6 * sum(samplers._level_sizes(ex.RngStream(4, 0), n))
