@@ -71,11 +71,9 @@ All samplers are pure functions of an RngStream, so replications on
 distinct stream indices are independent and reproducible regardless of
 scheduling.  Every divisor sampler is also split-invariant: it turns the
 next uniforms of its stream into draws one for one, so draw(rng, a)
-followed by draw(rng, b) equals draw(rng', a + b) on an equal stream.  A
-sampler uses this itself: it allocates its n results once and fills them
-_DRAWS_PER_CHUNK at a time, each chunk's draws being its inverse, a plain
-array expression, of that chunk's uniforms (``_draws``), so n draws hold n
-doubles and the temporaries of one chunk.
+followed by draw(rng, b) equals draw(rng', a + b) on an equal stream
+(``test_draws_are_split_invariant``).  A draw takes its n uniforms in one
+``uniform01`` call and inverts them in place (``_draws``).
 """
 
 from __future__ import annotations
@@ -124,9 +122,8 @@ _COMPOUNDS_PER_BLOCK = 1 << 16
 # 4.5e9/nu.  Where E0 ~ exp(-c t^p), h t = p |log E0|, below 745 p until E0
 # underflows.  The margin admits a relative 1e-6 more candidates.
 _LARGEST_MARGIN = 1e-6
-# Draws per chunk of a sampler: a chunk's uniforms, its result slice and the
-# temporaries of its inverse (64 KiB each) stay in cache, and are small
-# enough for the allocator to reuse their memory (see ``_draws``).
+# Uniforms inverted at a time by ``_draws``: n draws hold n doubles and one
+# chunk's temporaries (test_draws_allocate_little_beyond_their_result).
 _DRAWS_PER_CHUNK = 1 << 13
 
 
@@ -161,8 +158,7 @@ class RngStream:
         the open interval; 0 maps to +inf draws and 1 to zero-length draws,
         so exact endpoints are never emitted."""
         u = self.gen.random(size)
-        np.maximum(u, _EPS, out=u)
-        return np.minimum(u, 1.0 - _EPS, out=u)
+        return np.clip(u, _EPS, 1.0 - _EPS, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +356,12 @@ _CLOSED_FORM_INVERSES = {
 }
 
 
-def _draws(uniforms, out: np.ndarray, inverse) -> np.ndarray:
-    """Fill ``out`` with draws inverse(U), one uniform each,
-    _DRAWS_PER_CHUNK at a time.  ``uniforms`` is an RngStream, whose next
-    uniforms are drawn a chunk at a time, or an array of the uniforms."""
-    n = out.size
-    for lo in range(0, n, _DRAWS_PER_CHUNK):
-        m = min(_DRAWS_PER_CHUNK, n - lo)
-        u = uniforms[lo : lo + m] if isinstance(uniforms, np.ndarray) else uniforms.uniform01(m)
-        out[lo : lo + m] = inverse(u)
-    return out
+def _draws(u: np.ndarray, inverse) -> np.ndarray:
+    """Replace the uniforms ``u`` by their draws inverse(U), in place,
+    _DRAWS_PER_CHUNK at a time, and return ``u``."""
+    for lo in range(0, u.size, _DRAWS_PER_CHUNK):
+        u[lo : lo + _DRAWS_PER_CHUNK] = inverse(u[lo : lo + _DRAWS_PER_CHUNK])
+    return u
 
 
 class DivisorSampler:
@@ -392,7 +384,7 @@ class DivisorSampler:
 
     def draw(self, rng: RngStream, n: int) -> np.ndarray:
         """n draws E0^{-1}(U), one uniform each."""
-        return _draws(rng, np.empty(n), self._inverse())
+        return _draws(rng.uniform01(n), self._inverse())
 
     def largest(self, rng: RngStream, n: int, k: int) -> np.ndarray:
         """The k largest of the n draws ``draw(rng, n)`` would return,
@@ -407,14 +399,13 @@ class DivisorSampler:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         u = rng.uniform01(n)
         u.partition(k - 1)
-        out = _draws(u[:k], np.empty(k), self._inverse())
-        out.sort()
-        return out
+        # a sorted copy: the result does not keep the n uniforms alive
+        return np.sort(_draws(u[:k], self._inverse()))
 
     def size_biased_draw(self, rng: RngStream, n: int) -> np.ndarray:
         """Draw from the size-biased divisor (density t f(t)/mean), one
         uniform per draw through the inverse table of its survival."""
-        return _draws(rng, np.empty(n), _inverse_table(_size_biased_law, self.model).inverse)
+        return _draws(rng.uniform01(n), _inverse_table(_size_biased_law, self.model).inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +467,19 @@ def excursion_largest(source, rng: RngStream, n: int, k: int) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     src = DivisorSampler(source) if isinstance(source, CovarianceModel) else source
     inverse = src._inverse()
-
-    def invert(u):
-        return _draws(u, np.empty(u.size), inverse)
-
     levels = _level_sizes(rng, n)
-    # the uniforms of every level in one array, as excursion_multiset's draw
-    # calls take them (uniforms are split-invariant), viewed level by level:
-    # one allocation, which the allocator keeps for the next replication,
-    # where one per level took about 3500 fresh pages at n = 10^6
+    # every level's uniforms from one call, viewed level by level: the
+    # uniforms excursion_multiset's draw calls take (split invariance,
+    # tests/test_samplers.py::test_draws_are_split_invariant)
     u = np.split(rng.uniform01(sum(levels)), np.cumsum(levels[:-2]))
     m = sum(g >= k for g in levels) - 1
     exact = levels[m]
-    values = invert(u[0][:exact])
+    # the exact part inverts its uniforms in place; the pruned part reads
+    # only indices from G_{m+1} = exact on
+    values = _draws(u[0][:exact], inverse)
     for uj in u[1:]:
         g = min(uj.size, exact)
-        values[:g] += invert(uj[:g])
+        values[:g] += _draws(uj[:g], inverse)
     pieces = [values]
     if m:
         values.partition(exact - k)
@@ -506,9 +494,9 @@ def excursion_largest(source, rng: RngStream, n: int, k: int) -> np.ndarray:
                 for uj in u[2:nu]:
                     np.minimum(umin, uj[lo:hi], out=umin)
             picked = lo + np.flatnonzero(umin <= bounds[nu - 1])
-            candidates = invert(u[0][picked])
+            candidates = _draws(u[0][picked], inverse)
             for uj in u[1:nu]:
-                candidates += invert(uj[picked])
+                candidates += _draws(uj[picked], inverse)
             pieces.append(candidates)
     top = np.concatenate(pieces)
     return np.sort(np.partition(top, top.size - k)[top.size - k :])

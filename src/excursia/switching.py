@@ -262,12 +262,11 @@ def estimate_stationary_covariance(dist: SwitchingTimeDistribution, grid, n: int
 
     Returns (E_hat, E_se, R_hat, R_se) where E_hat is the mean state at
     each grid time t and R_hat the covariance between the states at 0 and
-    at t; n must be at least 2.
+    at t; n must be at least 2.  The stationary state has mean exactly 0
+    (its sign is symmetric), so R(t) = E[s_0 s_t] and R_hat is the mean of
+    s_0 s_t, unbiased; subtracting mean(s_0) mean(s_t) would bias it low by
+    about R/n.
     """
     paths = _ensemble(dist, np.append(0.0, grid), n, rng, True)
     s0 = next(paths)
-    rows = []
-    for st in paths:
-        (e, e_se), (prod_mean, r_se) = _mean_se(st), _mean_se(s0 * st)
-        rows.append((e, e_se, prod_mean - s0.mean() * e, r_se))
-    return tuple(np.array(rows).reshape(-1, 4).T)
+    return tuple(np.array([(*_mean_se(st), *_mean_se(s0 * st)) for st in paths]).reshape(-1, 4).T)

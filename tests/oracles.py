@@ -442,6 +442,6 @@ def switch_covariance_loop_oracle(dist, grid, n, rng):
         e_hat[i] = st.mean()
         e_se[i] = st.std(ddof=1) / math.sqrt(n)
         prod = s0 * st
-        r_hat[i] = prod.mean() - s0.mean() * st.mean()
+        r_hat[i] = prod.mean()
         r_se[i] = prod.std(ddof=1) / math.sqrt(n)
     return e_hat, e_se, r_hat, r_se

@@ -629,6 +629,40 @@ def test_chunked_draws_equal_whole_array_oracle(name, chunk, monkeypatch):
     assert np.array_equal(rng.uniform01(3), rng_oracle.uniform01(3))
 
 
+class _CountingStream(ex.RngStream):
+    """An RngStream that records the size of each ``uniform01`` call."""
+
+    def __init__(self, seed, stream_index):
+        super().__init__(seed, stream_index)
+        self.calls = []
+
+    def uniform01(self, size):
+        self.calls.append(size)
+        return super().uniform01(size)
+
+
+@pytest.mark.parametrize("model", [ex.Diffusion(d=2), ex.Diffusion(d=5)], ids=lambda m: m.spec_string())
+def test_divisor_draws_take_their_uniforms_in_one_call(model):
+    # past three chunks, each draw takes all its uniforms at once and
+    # inverts them in place
+    sampler, n = ex.DivisorSampler(model), 3 * samplers._DRAWS_PER_CHUNK + 5
+    for draw in (sampler.draw, sampler.size_biased_draw, lambda rng, n: sampler.largest(rng, n, n // 2)):
+        rng = _CountingStream(9, 0)
+        draw(rng, n)
+        assert rng.calls == [n]
+
+
+def test_uniform01_clamps_to_the_open_interval_in_one_pass(monkeypatch):
+    # one clip pass equals the two-pass max/min clamp bit for bit
+    raw = np.array([0.0, 2.0**-60, EPS, 0.5, 1.0 - 2.0**-53])
+    rng = ex.RngStream(1, 0)
+    monkeypatch.setattr(rng, "gen", types.SimpleNamespace(random=lambda size: raw.copy()))
+    want = np.minimum(np.maximum(raw, EPS), 1.0 - EPS)
+    got = rng.uniform01(raw.size)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[0] == got[1] == EPS and got[-1] == 1.0 - EPS
+
+
 MIB = 1 << 20
 
 
@@ -816,7 +850,7 @@ def test_excursion_largest_inverts_few_of_the_terms(monkeypatch):
     # seeds (25% at n = 10^6), where no pruning would invert them all
     inverted = []
     draws = samplers._draws
-    monkeypatch.setattr(samplers, "_draws", lambda u, out, inverse: inverted.append(out.size) or draws(u, out, inverse))
+    monkeypatch.setattr(samplers, "_draws", lambda u, inverse: inverted.append(u.size) or draws(u, inverse))
     n, k = 10**5, 10**4
     for model in (ex.Diffusion(d=2), ex.MaternHalfInteger(nu=2.5)):
         inverted.clear()
