@@ -28,7 +28,7 @@ from .slepian import (
     mean_excursion,
     validate_iia,
 )
-from .laplace import find_pole, laplace_e0
+from .laplace import find_pole, iia_survival, laplace_e0
 from .samplers import (
     DivisorSampler,
     RngStream,

@@ -37,7 +37,7 @@ from .covariance import (
     clipped_autocovariance,
     parse_model_spec,
 )
-from .samplers import DivisorSampler, RngStream, excursion_largest, excursion_multiset, sample_excursions
+from .samplers import DivisorSampler, RngStream, excursion_largest, sample_excursions
 from .slepian import NumericalFailure, ValidityError
 
 TOOL = "excursia"
@@ -318,16 +318,12 @@ def _log(values: np.ndarray) -> np.ndarray:
 def _cmd_e0(args) -> int:
     ts = slepian.time_grid(args.tmin, args.tmax, args.step)
     model = parse_model_spec(args.model)
-    if args.what in ("e0", "rcl"):
-        fn = slepian.e0 if args.what == "e0" else clipped_autocovariance
-        vals = np.asarray(fn(model, ts))
+    if args.what == "survival":
+        vals, err = laplace.iia_survival(model, ts)
+        _emit_csv(["t", "value", "log_value", "err"], [ts, vals, _log(vals), err], args)
+    else:
+        vals = np.asarray((slepian.e0 if args.what == "e0" else clipped_autocovariance)(model, ts))
         _emit_csv(["t", "value", "log_value"], [ts, vals, _log(vals)], args)
-        return 0
-    # survival_mc: empirical exceedance survival with binomial SE, which
-    # reads only the multiset of the draws
-    values, _ = excursion_multiset(model, RngStream(args.seed, 0), args.n)
-    p, se = persistency.empirical_survival(values, ts)
-    _emit_csv(["t", "value", "log_value", "se"], [ts, p, _log(p), se], args)
     return 0
 
 
@@ -477,14 +473,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("e0", help="emit survival / clipped-covariance / MC-survival curves as CSV")
-    sp.add_argument("--what", choices=["e0", "rcl", "survival_mc"], default="e0")
+    sp = sub.add_parser("e0", help="emit E0, the clipped covariance, or the exceedance survival and its error estimate, as CSV")
+    sp.add_argument("--what", choices=["e0", "rcl", "survival"], default="e0")
     sp.add_argument("--model", required=True)
     sp.add_argument("--tmin", type=float, default=0.0)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--step", type=float, default=0.1)
-    sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=100000, help="MC sample size for survival_mc")
-    sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_e0)
 

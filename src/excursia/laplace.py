@@ -1,4 +1,5 @@
-"""Numerical Laplace transform of the divisor survival and pole search.
+"""Numerical Laplace transform of the divisor survival and pole search, and
+the exceedance survival from its renewal equation (``iia_survival``).
 
 The transform  L(s) = int_0^inf E0(t) e^{-st} dt  is a fixed composite
 Gauss-Legendre rule on [0, t_max] (geometric panels graded toward t = 0,
@@ -57,6 +58,7 @@ __all__ = [
     "LaplaceEvaluator",
     "laplace_e0",
     "find_pole",
+    "iia_survival",
 ]
 
 # Truncate where the survival drops below this (or at the grid cap for
@@ -81,6 +83,11 @@ CHECK_ORDER = 16
 XTOL = 1e-14
 RTOL = 8.9e-16
 MAX_POLE_STEPS = 100
+# The exceedance survival is solved on cells of mu/SURVIVAL_STEPS_PER_MEAN and twice
+# that, to SURVIVAL_MAX_STEPS fine cells (64 mu); CELL_ORDER nodes integrate E0 per cell.
+SURVIVAL_STEPS_PER_MEAN = 512
+SURVIVAL_MAX_STEPS = 2**15
+CELL_ORDER = 8
 
 
 class DivergenceError(NumericalFailure, ValueError):
@@ -381,3 +388,47 @@ def find_pole(model: CovarianceModel) -> ExponentEstimate:
     if report.verdict != "valid":
         raise ValidityError(report, f"pole search requires a valid model, got verdict={report.verdict}")
     return _evaluator(model).find_pole()
+
+
+def _renewal_nodes(model: CovarianceModel, h: float, n: int) -> np.ndarray:
+    """S(k h), k = 0..n, for S linear on each cell [t_j, t_j+1] of the
+    renewal equation S(t) = E0(t) + 1/2 int_0^t f(u) S(t - u) du.  The
+    moments of f = -E0' on cell j are E0(t_j) - E0(t_j+1) and, about t_j,
+    int E0 - h E0(t_j+1), int E0 on CELL_ORDER Gauss-Legendre nodes."""
+    x, w = np.polynomial.legendre.leggauss(CELL_ORDER)
+    edges = h * np.arange(n + 2.0)
+    e = slepian.e0(model, edges)
+    m1 = slepian.e0(model, (edges[:-1, None] + 0.5 * h * (x + 1.0)).ravel()).reshape(-1, CELL_ORDER) @ (0.5 * w) - e[1:]
+    a = e[:-1] - e[1:] - m1  # cell j weighs S(t_k - t_j) by a_j, S(t_k - t_j+1) by m1_j
+    # S_k (1 - a_0/2) = E0_k + (sum_{j=1}^{k} (a_j + m1_{j-1}) S_{k-j} - a_k)/2
+    c = (a[1 : n + 1] + m1[:n])[::-1].copy()
+    s = np.ones(n + 1)
+    for k in range(1, n + 1):
+        s[k] = (e[k] + 0.5 * (c[n - k :] @ s[:k] - a[k])) / (1.0 - 0.5 * a[0])
+    return s
+
+
+def iia_survival(model: CovarianceModel, t) -> tuple[np.ndarray, np.ndarray]:
+    """P(T > t) of the exceedance time T = T_1 + B T' (B ~ Bernoulli(1/2),
+    T' a copy of T) at the times ``t``, and an error estimate: S solved at
+    steps h = mu/SURVIVAL_STEPS_PER_MEAN and 2h and extrapolated,
+    (4 S_h - S_2h)/3, on the 2h grid, between nodes the quintic through the
+    six nearest; ``err`` is the largest |S_h - S_2h|/3 on those six.  Times
+    outside [0, SURVIVAL_MAX_STEPS h] are a ValueError before any work."""
+    t = np.asarray(t, dtype=float)
+    h = slepian.mean_excursion(model) / SURVIVAL_STEPS_PER_MEAN
+    ceiling = SURVIVAL_MAX_STEPS * h
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) <= ceiling):
+        raise ValueError(f"the exceedance survival is solved for 0 <= t <= {ceiling:g}, {SURVIVAL_MAX_STEPS // SURVIVAL_STEPS_PER_MEAN} mean excursions")
+    slepian.require_usable(model)
+    x = t.ravel() / (2.0 * h)
+    start = np.maximum(np.floor(x).astype(np.int64) - 2, 0)
+    n = int(start.max(initial=0)) + 5
+    fine, coarse = _renewal_nodes(model, h, 2 * n)[::2], _renewal_nodes(model, 2.0 * h, n)
+    ext, gap = (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse) / 3.0
+    x -= start
+    S, err = np.zeros(x.size), np.zeros(x.size)
+    for k in range(6):  # node start + k, with its Lagrange weight at x
+        S += math.prod((x - j) / (k - j) for j in range(6) if j != k) * ext[start + k]
+        err = np.maximum(err, gap[start + k])
+    return S.reshape(t.shape), err.reshape(t.shape)

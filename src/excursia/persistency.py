@@ -36,7 +36,6 @@ __all__ = [
     "DegenerateTailError",
     "check_tail_count",
     "default_tail_count",
-    "empirical_survival",
     "student_t_quantile",
     "tail_exponent",
     "tail_exponent_ci",
@@ -96,17 +95,6 @@ class ExponentEstimate:
 
 def default_tail_count(n: int) -> int:
     return max(1000, n // 100)
-
-
-def empirical_survival(samples, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical survival p = P(X > tau) of the samples (no NaN) at each
-    tau and its binomial standard error sqrt(max(p(1 - p), 1/n)/n); the
-    floor keeps the SE positive where no sample (or every sample) exceeds
-    tau.  The counts above every tau come from one sort of the samples."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    n = samples.size
-    p = (n - np.searchsorted(samples, taus, "right")) / n
-    return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
 def _student_t_central(t: float, nu: int) -> float:

@@ -431,8 +431,8 @@ def excursion_multiset(source, rng: RngStream, n: int):
     values, so ``values[i]`` sums one draw per level with G_j > i, left to
     right.  The multiset of values has the law of n iid compounds, but the
     values come in count-descending order: consumers that read only order
-    statistics (tail regression, the empirical survival) take them as they
-    come, and ``sample_excursions`` shuffles them.  All level sizes are
+    statistics (the tail regressions, through ``excursion_largest``) take
+    them as they come, and ``sample_excursions`` shuffles them.  All level sizes are
     drawn first, then ``sum(levels)`` divisor draws, one ``draw`` call per
     level.  ``source`` is a model or any object with a ``draw(rng, n)``
     method.

@@ -34,8 +34,10 @@ against the other.
   per-compound counts, N* = N_1 + N_2 - 1 from the float exponents of two
   uniforms and the N* - 1 further draws summed per compound, an oracle for
   the draw that keeps each of two compounds with probability 1/2.
-* ``empirical_survival_mean_oracle``: the empirical survival as one mean
-  over the samples per tau, an oracle for the survival read from one sort.
+* ``empirical_survival``: the empirical survival of samples and its
+  binomial standard error, read from one sort, which the tail-bound
+  tests read the compound draws with; ``empirical_survival_mean_oracle``
+  is the survival as one mean over the samples per tau, an oracle for it.
 * ``log_cosh_oracle``, ``r_oracle``, ``dr_oracle``,
   ``one_minus_r2_oracle`` and ``e0_oracle``: r(t), r'(t) and 1 - r(t)^2 of
   each covariance family as three separate expressions, each forming the
@@ -284,6 +286,17 @@ def size_biased_compound_count_oracle(model, rng, n: int):
     extra = sum(np.maximum(1 - np.frexp(rng.uniform01(n))[1], 1) for _ in range(2)) - 2
     rest = sampler.draw(rng, int(extra.sum()))
     return head + np.bincount(np.repeat(np.arange(n), extra), weights=rest, minlength=n)
+
+
+def empirical_survival(samples, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical survival p = P(X > tau) of the samples (no NaN) at each
+    tau and its binomial standard error sqrt(max(p(1 - p), 1/n)/n); the
+    floor keeps the SE positive where no sample (or every sample) exceeds
+    tau.  The counts above every tau come from one sort of the samples."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = samples.size
+    p = (n - np.searchsorted(samples, taus, "right")) / n
+    return p, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
 
 
 def empirical_survival_mean_oracle(samples, taus) -> np.ndarray:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import g17_rows_oracle
 
-from excursia import Diffusion, DivisorSampler, RngStream, e0, excursion_multiset, laplace_e0, sample_excursions, tail_exponent_ci
+from excursia import Diffusion, DivisorSampler, RngStream, e0, excursion_multiset, iia_survival, laplace_e0, sample_excursions, tail_exponent_ci
 from excursia import cli, laplace, slepian
 from excursia.cli import _format_rows, build_parser, main
 from excursia.covariance import clipped_autocovariance, parse_model_spec
-from excursia.persistency import DegenerateTailError, empirical_survival
+from excursia.persistency import DegenerateTailError
 
 
 def run_json(capsys, argv):
@@ -279,35 +279,45 @@ def _old_log(v):
         ("e0", "shifted_gaussian(alpha=2)"),  # E0 negative: log nan
         ("rcl", "shifted_gaussian(alpha=0)"),
         ("rcl", "shifted_gaussian(alpha=2)"),
-        ("survival_mc", "diffusion(d=2)"),  # no draw beyond the far end: log -inf
+        ("survival", "diffusion(d=2)"),  # positive throughout: log finite
     ],
 )
 def test_e0_csv_is_byte_identical_to_per_value_oracle(what, spec, tmp_path, capsys):
     out = tmp_path / "curve.csv"
-    argv = ["e0", "--what", what, "--model", spec, "--tmin", "0", "--tmax", "45", "--step", "0.25", "--n", "200", "--seed", "3"]
+    argv = ["e0", "--what", what, "--model", spec, "--tmin", "0", "--tmax", "45", "--step", "0.25"]
     assert main(argv + ["--output", str(out)]) == 0
     model = parse_model_spec(spec)
     ts = np.arange(0.0, 45.0 + 0.125, 0.25)
-    if what == "survival_mc":
-        p, se = empirical_survival(excursion_multiset(model, RngStream(3, 0), 200)[0], ts)
-        rows = [(t, pt, _old_log(pt), st_) for t, pt, st_ in zip(ts, p, se)]
+    if what == "survival":
+        p, err = iia_survival(model, ts)
+        rows = [(t, pt, _old_log(pt), et) for t, pt, et in zip(ts, p, err)]
     else:
         vals = np.asarray(e0(model, ts) if what == "e0" else clipped_autocovariance(model, ts))
         rows = [(t, v, _old_log(v)) for t, v in zip(ts, vals)]
-    assert ts[0] == 0.0 and any(r[2] == -np.inf for r in rows)
+    assert ts[0] == 0.0 and any(r[2] == -np.inf for r in rows) == (what != "survival")
     head = "".join(out.read_text().splitlines(keepends=True)[:3])
     assert out.read_bytes() == (head + g17_rows_oracle(rows)).encode()
     capsys.readouterr()
 
 
-def test_survival_mc_curve_monotone(tmp_path, capsys):
-    out = tmp_path / "mc.csv"
-    assert main(["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--tmin", "0", "--tmax", "20", "--step", "1", "--n", "20000", "--seed", "4", "--output", str(out)]) == 0
+def test_survival_curve_nonincreasing_repeatable_and_gated(tmp_path, capsys):
+    # the exceedance survival is solved, not sampled: the same config gives
+    # the same bytes with no seed, and a model the gate refuses exits 2
+    # (on stdout: an --output path would enter the recorded config)
+    argv = ["e0", "--what", "survival", "--model", "diffusion(d=2)", "--tmin", "0", "--tmax", "20", "--step", "1"]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    out = tmp_path / "survival.csv"
+    out.write_text(runs[0])
     _, header, rows = read_csv(out)
-    assert header == ["t", "value", "log_value", "se"]
-    logs = [float(r[2]) for r in rows]
-    assert all(b <= a + 1e-12 for a, b in zip(logs, logs[1:]))
-    capsys.readouterr()
+    assert header == ["t", "value", "log_value", "err"]
+    values = [float(r[1]) for r in rows]
+    assert values[0] == 1.0 and all(b <= a for a, b in zip(values, values[1:]))
+    assert main(["e0", "--what", "survival", "--model", "shifted_gaussian(alpha=2)"]) == 2
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "invalid_oscillating"
 
 
 def test_pole_json(capsys):
@@ -589,7 +599,6 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "0"],
         ["sample", "--model", "diffusion(d=2)", "--n", "-3"],
         ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "1"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "0"],
@@ -630,20 +639,19 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
         ["sample", "--model", "diffusion(d=2)", "--n", "3", "--seed", "-1"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--seed", "-1"],
         ["switch", "--dist", "exp:1", "--n", "10", "--grid", "0.5:1:0.5", "--seed", "-1"],
-        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "10", "--seed", "-1"],
         ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--seed", "-1"],
         ["sample", "--model", "diffusion(d=2)", "--n", "1000000000000000000"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000000000000000000", "--reps", "2"],
         ["reproduce", "table2", "--dmax", "1", "--n", "1000000000000000000", "--reps", "2"],
-        ["e0", "--what", "survival_mc", "--model", "diffusion(d=2)", "--n", "100000000000000000000"],
+        ["e0", "--what", "survival", "--model", "diffusion(d=2)", "--tmax", "1000"],
     ],
-    ids=["e0-n0", "sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
+    ids=["sample-n-3", "reproduce-reps1", "persistency-n0", "persistency-k1", "persistency-reps1", "reproduce-default-k-above-n", "switch-negative-time",
          "e0-step0", "e0-step-negative", "e0-tmax-below-tmin", "switch-grid-step0", "validate-step0",
          "validate-step-at-tmax", "sample-streams0", "reproduce-dmax0", "pole-tmax0",
          "pole-rel-tol-negative", "pole-rel-tol-nan", "pole-tmax-inf", "pole-tmax1", "pole-rel-tol1", "e0-step-below-spacing-at-tmax", "validate-tmax-inf", "validate-tmax-nan", "validate-tmax-negative", "validate-step-nan", "switch-exp-inf", "switch-exp-nan", "switch-gamma-nan", "switch-point-inf", "e0-negative-tmin", "e0-step-inf",
          "e0-grid-1e10-points", "switch-grid-1e12-points", "validate-grid-1e18-points", "validate-grid-1e8-points",
-         "reproduce-dmax65", "sample-seed-1", "persistency-seed-1", "switch-seed-1", "e0-seed-1", "reproduce-seed-1",
-         "sample-n1e18", "persistency-n1e18", "reproduce-n1e18", "e0-n1e20"],
+         "reproduce-dmax65", "sample-seed-1", "persistency-seed-1", "switch-seed-1", "reproduce-seed-1",
+         "sample-n1e18", "persistency-n1e18", "reproduce-n1e18", "e0-survival-past-64-mean-excursions"],
 )
 def test_count_and_time_inputs_are_usage_errors(argv, capsys):
     # refused before any large allocation: a grid is counted, not built
@@ -690,12 +698,15 @@ def test_parser_built_once_and_reused(capsys):
         ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--k", "100", "--reps", "2", "--threads", "2"],
         ["reproduce", "table2", "--dmax", "1", "--n", "2000", "--reps", "2", "--threads", "2"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "2000", "--tail-frac", "0.1"],
+        ["e0", "--what", "survival", "--model", "diffusion(d=2)", "--n", "1000"],
+        ["e0", "--what", "survival", "--model", "diffusion(d=2)", "--seed", "4"],
     ],
-    ids=["persistency-threads", "reproduce-threads", "persistency-tail-frac"],
+    ids=["persistency-threads", "reproduce-threads", "persistency-tail-frac", "e0-n", "e0-seed"],
 )
 def test_removed_options_are_unknown(argv, capsys):
-    # replications run one after another and --k is the one tail count:
-    # the retired flags are refused, not accepted and ignored
+    # replications run one after another, --k is the one tail count and
+    # the exceedance survival is solved, not sampled: the retired flags
+    # are refused, not accepted and ignored
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

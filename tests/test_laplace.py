@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import optimize
+from scipy import integrate, optimize
 from scipy.special import digamma
 
 import excursia as ex
@@ -450,3 +450,77 @@ def _t_max_loop_oracle(survival, t_cap):
 def test_find_t_max_matches_scalar_loop_oracle(survival, t_cap, monkeypatch):
     monkeypatch.setattr(laplace, "T_CAP", t_cap)
     assert LaplaceEvaluator._find_t_max(survival) == _t_max_loop_oracle(survival, t_cap)
+
+
+# ---------------------------------------------------------------------------
+# the exceedance survival S of the renewal equation S = E0 + f * S / 2
+
+POLE_MODELS = [
+    ex.Diffusion(d=1),
+    ex.Diffusion(d=2),
+    ex.Diffusion(d=10),
+    ex.RandomAcceleration(),
+    ex.MaternHalfInteger(nu=2.5),
+    ex.ShiftedGaussian(alpha=0.0),
+]
+
+
+@pytest.mark.parametrize("model", POLE_MODELS, ids=lambda m: m.spec_string())
+def test_iia_survival_tail_is_the_pole_residue(model):
+    # key renewal theorem: S(t) e^{theta t} -> C, the residue prefactor of
+    # the pole of 2 L/(1 + s L)
+    pole = ex.find_pole(model)
+    S, _ = ex.iia_survival(model, 100.0)
+    assert abs(S * math.exp(100.0 * pole.theta) - pole.prefactor) <= 1e-7
+
+
+@pytest.mark.parametrize("model", POLE_MODELS, ids=lambda m: m.spec_string())
+def test_iia_survival_integrates_to_the_mean_excursion(model):
+    # E T = 2 E T_1 = mu: int_0^100 S plus the pole tail C e^{-100 theta}/theta
+    pole = ex.find_pole(model)
+    ts = np.linspace(0.0, 100.0, 20001)
+    S, _ = ex.iia_survival(model, ts)
+    total = integrate.simpson(S, x=ts) + pole.prefactor * math.exp(-100.0 * pole.theta) / pole.theta
+    assert abs(total - ex.mean_excursion(model)) <= 1e-5
+
+
+@pytest.mark.parametrize("model", VALID_MODELS, ids=lambda m: m.spec_string())
+def test_iia_survival_between_nodes_matches_a_grid_that_holds_them(model, monkeypatch):
+    # the odd multiples of mu/512 lie halfway between the nodes of the
+    # default solve and on the nodes of one at half its step
+    mu = ex.mean_excursion(model)
+    ts = mu / 512 * np.concatenate([np.arange(1.0, 40.0, 2.0), np.arange(41.0, 10 * 512, 62.0)])
+    S, _ = ex.iia_survival(model, ts)
+    monkeypatch.setattr(laplace, "SURVIVAL_STEPS_PER_MEAN", 2 * laplace.SURVIVAL_STEPS_PER_MEAN)
+    S_half, err_half = ex.iia_survival(model, ts)
+    assert np.abs(S - S_half).max() <= 1e-8
+
+
+@pytest.mark.parametrize("model", VALID_MODELS + [ex.Diffusion(d=64), ex.GeneralizedLaplace(alpha=3000.0)], ids=lambda m: m.spec_string())
+def test_iia_survival_error_estimate_covers_a_quarter_step_solve(model, monkeypatch):
+    # S_h - S_2h of matern(nu=2.5) changes sign at t = 1.2367 mu
+    mu = ex.mean_excursion(model)
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 15.0, 200), np.linspace(1.23, 1.24, 101)]) * mu
+    S, err = ex.iia_survival(model, ts)
+    monkeypatch.setattr(laplace, "SURVIVAL_STEPS_PER_MEAN", 4 * laplace.SURVIVAL_STEPS_PER_MEAN)
+    S_quarter, _ = ex.iia_survival(model, ts)
+    assert np.all(np.abs(S - S_quarter) <= err)
+    assert S[0] == 1.0
+
+
+def test_iia_survival_diffusion_d2_values():
+    S, err = ex.iia_survival(ex.Diffusion(d=2), [2.0, 4.0, 20.0])
+    assert np.abs(S - [0.816220, 0.567675, 0.0288481]).max() <= 1e-6
+    assert np.all(err <= 1e-6)
+
+
+def test_iia_survival_refusals():
+    model = ex.Diffusion(d=2)
+    ceiling = 64 * ex.mean_excursion(model)
+    S, _ = ex.iia_survival(model, ceiling)
+    assert 0.0 < S < 1e-30
+    for t in (math.nextafter(ceiling, math.inf), -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="64 mean excursions"):
+            ex.iia_survival(model, [0.0, t])
+    with pytest.raises(ex.ValidityError):
+        ex.iia_survival(ex.ShiftedGaussian(alpha=2.0), 1.0)

