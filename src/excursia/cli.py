@@ -500,7 +500,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("persistency", help="persistency exponent estimates")
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=_count(1, MAX_DRAWS), default=100000)
-    sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100))")
+    sp.add_argument("--k", type=int, default=None, help="tail count (default max(1000, n/100), at most n - 1)")
     sp.add_argument("--reps", type=_count(2), default=10)
     sp.add_argument("--seed", type=_count(0), default=42)
     sp.add_argument("--method", choices=["mc", "pole", "both"], default="mc")

@@ -4,17 +4,21 @@ the exceedance survival from its renewal equation (``iia_survival``).
 The transform  L(s) = int_0^inf E0(t) e^{-st} dt  is a fixed composite
 Gauss-Legendre rule on [0, t_max] (geometric panels graded toward t = 0,
 where e^{-st} peaks at large s; E0 evaluated once per evaluator, so each
-L(s) is one dot product) plus an analytic completion of the truncated
-tail, because bare truncation biases the transform exactly at the negative
-s values where persistency poles live.  A lower-order rule on the same
-panels gives the error estimate; above REL_TOL it raises QuadratureError.
-The completion continues log E0 along its last truncation step, from
-t_max/1.25 to t_max, so it meets E0 at t_max; a survival that does not
-decay over that step raises TailFitError.
-The completion's form follows the tail class the validity gate measured
-(``slepian.cached_validity``): log-log for a power law, exponential for
-every other class.  Its integral is in closed form, except for a power
-tail at s > 0, which goes on the same composite rule after t = t_max/u.
+L(s) is one dot product) plus the tail past t_max, in the form of the
+tail class the validity gate measured (``slepian.cached_validity``).  A
+lower-order rule on the same panels gives the error estimate; above
+REL_TOL it raises QuadratureError.
+
+Every tail but a power law gets an exponential completion, because bare
+truncation biases the transform exactly at the negative s values where
+persistency poles live: log E0 continued along its last truncation step,
+t_max/1.25 to t_max (TailFitError if E0 does not decay over it), with a
+closed-form integral.  A power tail is E0 itself, summed on the panels
+after t = t_max/u up to t_first = t_max/PANEL_START; past t_first the
+matching identity d/dt R = -(2/mu) E0 (R = ``clipped_autocovariance``)
+gives its mass (mu/2) R(t_first), added at s = 0 and a bound,
+mass e^{-s t_first}, in the error estimate at s > 0.  The renewal solver
+takes its cell means of E0 from the same identity.
 
 From the transform:
 
@@ -39,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from . import slepian
-from .covariance import CovarianceModel
+from .covariance import CovarianceModel, clipped_autocovariance
 from .persistency import ExponentEstimate
 from .slepian import NumericalFailure, ValidityError
 
@@ -62,11 +66,11 @@ __all__ = [
 ]
 
 # Truncate where the survival drops below this (or at the grid cap for
-# power tails, where the analytic completion carries the remainder).
+# power tails, which are summed on past it).
 TRUNCATION_THRESHOLD = 1e-15
 T_CAP = 1000.0
 # Largest relative quadrature error estimate of a transform value: of the
-# rule when an evaluator is built, of a power-tail remainder per value.
+# rule when an evaluator is built, of a power tail per value.
 REL_TOL = 1e-12
 # Fraction of the convergence boundary the pole bracket keeps away from
 # it; the transform diverges at the boundary itself.
@@ -84,10 +88,9 @@ XTOL = 1e-14
 RTOL = 8.9e-16
 MAX_POLE_STEPS = 100
 # The exceedance survival is solved on cells of mu/SURVIVAL_STEPS_PER_MEAN and twice
-# that, to SURVIVAL_MAX_STEPS fine cells (64 mu); CELL_ORDER nodes integrate E0 per cell.
+# that, to SURVIVAL_MAX_STEPS fine cells (64 mu).
 SURVIVAL_STEPS_PER_MEAN = 512
 SURVIVAL_MAX_STEPS = 2**15
-CELL_ORDER = 8
 
 
 class DivergenceError(NumericalFailure, ValueError):
@@ -123,35 +126,15 @@ class TailFitError(NumericalFailure):
 
 @dataclass(frozen=True)
 class TailCompletion:
-    """Analytic extension of the survival beyond t_max.
+    """Exponential extension of the survival beyond t_max:
+    log E0 ~ intercept + slope * t  (slope < 0)."""
 
-    exponential: log E0 ~ intercept + slope * t   (slope < 0)
-    power:       log E0 ~ intercept + slope * ln t
-    """
-
-    kind: str
     intercept: float
     slope: float
 
-    def remainder(self, s: float, t_max: float) -> tuple[float, float]:
-        """int_{t_max}^inf (completed tail)(t) e^{-st} dt and its absolute error
-        estimate: 0 for the closed forms.  A power tail at s > 0 is summed
-        on the composite rule after t = t_max/u (dt = t du/u); its estimate
-        is the gap to the lower-order rule plus a bound on the tail beyond
-        t_first = t_max/PANEL_START, the start of the first panel:
-        e^a t_first^b e^{-s t_first}/s for the decaying tail (b < 0).  The
-        gap does not check that panel: where e^{-st} cuts off inside it,
-        both rules can miss it alike."""
-        if self.kind == "exponential":
-            return math.exp(self.intercept + (self.slope - s) * t_max) / (s - self.slope), 0.0
-        if s == 0.0:
-            return math.exp(self.intercept) * t_max ** (self.slope + 1.0) / (-self.slope - 1.0), 0.0
-        main, low = (
-            float((w / u) @ np.exp(self.intercept + (self.slope + 1.0) * np.log(t_max / u) - s * t_max / u))
-            for u, w in (_unit_rule(ORDER), _unit_rule(CHECK_ORDER))
-        )
-        t_first = t_max / PANEL_START
-        return main, abs(main - low) + math.exp(self.intercept + self.slope * math.log(t_first) - s * t_first) / s
+    def remainder(self, s: float, t_max: float) -> float:
+        """int_{t_max}^inf (completed tail)(t) e^{-st} dt, in closed form."""
+        return math.exp(self.intercept + (self.slope - s) * t_max) / (s - self.slope)
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +144,14 @@ def _unit_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+@lru_cache(maxsize=None)
+def _tail_rule(order: int):
+    """The panels of the composite rule from PANEL_START on, mapped by
+    u -> 1/u onto [1, 1/PANEL_START]: nodes 1/u, weights w/u^2."""
+    u, w = (a[order:] for a in _unit_rule(order))
+    return 1.0 / u, w / u**2
 
 
 @lru_cache(maxsize=None)
@@ -180,26 +171,33 @@ def _rule_terms(weighted: np.ndarray, order: int, s: float, t_max: float) -> np.
 
 
 class LaplaceEvaluator:
-    """Transform of one survival function with truncation + tail completion.
+    """Transform of one survival function with truncation + tail.
 
     Keeps the weighted survival values on the shared unit nodes scaled by
-    t_max, and ``abserr``, the quadrature error estimate.  The survival is
-    called once, on the nodes of both rules.
+    t_max, and ``abserr``, the quadrature error estimate on [0, t_max].
+    The survival is called once, on the nodes of both rules.  Past t_max
+    it is continued by ``completion``; without one, it is summed on both
+    tail rules to t_first = t_max/PANEL_START, and ``tail_integral(t_first)``,
+    its integral from t_first on, gives the rest.
     """
 
-    def __init__(self, survival: Callable, t_max: float, completion: TailCompletion):
+    def __init__(self, survival: Callable, t_max: float, completion: TailCompletion | None = None, tail_integral: Callable | None = None):
         self.t_max = float(t_max)
         self.completion = completion
         (u, w), (u_low, w_low) = _unit_rule(ORDER), _unit_rule(CHECK_ORDER)
         values = np.asarray(survival(self.t_max * np.concatenate([u, u_low])), dtype=float)
         self._weighted = self.t_max * w * values[: u.size]
         self.abserr = self._certify(self.t_max * w_low * values[u.size :])
+        if completion is None:
+            self.t_first = self.t_max / PANEL_START
+            self._tail_mass = float(tail_integral(self.t_first))
+            self._tail = [self.t_max * wv * np.asarray(survival(self.t_max * v), dtype=float) for v, wv in map(_tail_rule, (ORDER, CHECK_ORDER))]
 
     def _certify(self, check: np.ndarray) -> float:
         """Largest |main - lower-order| + round-off floor at s = 0 and at the
         pole bracket's far end; raises QuadratureError above REL_TOL * |main|."""
         points = [0.0]
-        if self.completion.kind == "exponential":
+        if self.completion is not None:
             points.append(BOUNDARY_MARGIN * self.completion.slope)
         abserr = 0.0
         for s in points:
@@ -217,24 +215,26 @@ class LaplaceEvaluator:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def for_survival(cls, survival: Callable, tail_kind: str = "exponential") -> "LaplaceEvaluator":
+    def for_survival(cls, survival: Callable) -> "LaplaceEvaluator":
         """Evaluator for a vectorised survival: ``survival(ts)`` must map an
         array of times to an array of the same shape.  It is truncated at
-        ``_find_t_max`` and continued past it by ``_fit_tail`` in the form
-        ``tail_kind`` ("exponential" or "power")."""
+        ``_find_t_max`` and continued past it by ``_fit_tail``."""
         t_max = cls._find_t_max(survival)
-        completion = cls._fit_tail(survival, t_max, tail_kind)
-        return cls(survival, t_max, completion)
+        return cls(survival, t_max, cls._fit_tail(survival, t_max))
 
     @classmethod
     def for_model(cls, model: CovarianceModel) -> "LaplaceEvaluator":
         """Evaluator for E0 of a model the validity gate finds usable
-        (``slepian.require_usable``; ValidityError otherwise), completed in
-        the form of the gate's tail class: log-log for a power law,
-        exponential for every other class (and for an unclassified tail)."""
+        (``slepian.require_usable``; ValidityError otherwise): E0 itself
+        and the matching identity for a tail the gate classes as a power
+        law, the exponential completion for every other class (and for an
+        unclassified tail)."""
         tail_class = slepian.require_usable(model).tail_class
-        tail_kind = "power" if tail_class is not None and tail_class.kind == "power_law" else "exponential"
-        return cls.for_survival(lambda t: slepian.e0(model, t), tail_kind=tail_kind)
+        survival = partial(slepian.e0, model)
+        if tail_class is None or tail_class.kind != "power_law":
+            return cls.for_survival(survival)
+        half_mean = 0.5 * slepian.mean_excursion(model)
+        return cls(survival, cls._find_t_max(survival), tail_integral=lambda t: half_mean * clipped_autocovariance(model, t))
 
     @staticmethod
     def _find_t_max(survival):
@@ -246,45 +246,42 @@ class LaplaceEvaluator:
         return float(ts[stop[0]]) if stop.size else T_CAP
 
     @staticmethod
-    def _fit_tail(survival, t_max, tail_kind):
+    def _fit_tail(survival, t_max):
         """The line through log E0 at t_max/1.25 and t_max, the last ladder
-        step (against ln t for a power tail, t otherwise): it equals E0 at
-        t_max.  TailFitError unless E0(t_max/1.25) > E0(t_max) > 0."""
-        if tail_kind not in ("exponential", "power"):
-            raise ValueError(f"tail_kind must be 'exponential' or 'power', got {tail_kind!r}")
+        step: it equals E0 at t_max.  TailFitError unless
+        E0(t_max/1.25) > E0(t_max) > 0."""
         ts = np.array([t_max / 1.25, t_max])
         vals = np.asarray(survival(ts), dtype=float)
         if not vals[0] > vals[1] > 0.0:
             raise TailFitError(f"survival does not decay over [{ts[0]:g}, {ts[1]:g}] to a positive value; cannot build a transform")
-        (x0, x1), (y0, y1) = np.log(ts) if tail_kind == "power" else ts, np.log(vals)
+        (x0, x1), (y0, y1) = ts, np.log(vals)
         slope = float((y1 - y0) / (x1 - x0))
-        return TailCompletion(tail_kind, float(y1 - slope * x1), slope)
+        return TailCompletion(float(y1 - slope * x1), slope)
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_domain(self, s: float):
-        if self.completion.kind == "exponential":
-            if s <= self.completion.slope:
-                raise DivergenceError(s, self.completion.slope)
-        else:
-            if s < 0.0 or (s == 0.0 and self.completion.slope >= -1.0):
-                raise DivergenceError(s, 0.0)
-
     def transform(self, s: float) -> float:
-        """L(s) = fixed-node quadrature on [0, t_max] + tail remainder.
+        """L(s) = fixed-node quadrature on [0, t_max] + tail.
 
-        The remainder of a power tail at s > 0 is summed on the same
-        composite rule; its error estimate above REL_TOL * |L| raises
-        QuadratureError.
+        A tail without a completion is summed on to t_first, plus its mass
+        past t_first at s = 0; at s > 0 the gap to the lower-order rule
+        plus mass e^{-s t_first} above REL_TOL * |L| raises QuadratureError.
         """
         s = float(s)
-        self._check_domain(s)
+        if self.completion is None:
+            if not s >= 0.0:
+                raise DivergenceError(s, 0.0)
+        elif not s > self.completion.slope:
+            raise DivergenceError(s, self.completion.slope)
         quadrature = float(_rule_terms(self._weighted, ORDER, s, self.t_max).sum())
-        rem, err = self.completion.remainder(s, self.t_max)
-        value = quadrature + rem
+        if self.completion is not None:
+            return quadrature + self.completion.remainder(s, self.t_max)
+        main, low = (float(w @ np.exp((-s * self.t_max) * _tail_rule(order)[0])) for w, order in zip(self._tail, (ORDER, CHECK_ORDER)))
+        value = quadrature + main + (self._tail_mass if s == 0.0 else 0.0)
+        err = abs(main - low) + (0.0 if s == 0.0 else self._tail_mass * math.exp(-s * self.t_first))
         if not err <= REL_TOL * abs(value):
             raise QuadratureError(
-                f"tail remainder error estimate {err:.3g} at s={s:g} exceeds REL_TOL * |L| = {REL_TOL * abs(value):.3g}"
+                f"tail error estimate {err:.3g} at s={s:g} exceeds REL_TOL * |L| = {REL_TOL * abs(value):.3g}"
             )
         return value
 
@@ -293,7 +290,7 @@ class LaplaceEvaluator:
         -t E0(t) e^{-st} plus R'(s) = -R(s) (t_max + 1/(s - slope)), the
         derivative of the remainder R(s) = e^{intercept + (slope - s) t_max}/(s - slope)."""
         terms = _rule_terms(self._weighted, ORDER, s, self.t_max)
-        rem, _ = self.completion.remainder(s, self.t_max)
+        rem = self.completion.remainder(s, self.t_max)
         return -self.t_max * float(terms @ _unit_rule(ORDER)[0]) - rem * (self.t_max + 1.0 / (s - self.completion.slope))
 
     # -- pole search --------------------------------------------------------
@@ -318,7 +315,7 @@ class LaplaceEvaluator:
         ``h_evals`` counts every evaluation of h, the two bracket ends
         included.
         """
-        if self.completion.kind != "exponential":
+        if self.completion is None:
             raise PoleNotFoundError(0.0, 0.0, math.nan, math.nan)
         rate = -self.completion.slope
         lo = -BOUNDARY_MARGIN * rate
@@ -393,12 +390,13 @@ def find_pole(model: CovarianceModel) -> ExponentEstimate:
 def _renewal_nodes(model: CovarianceModel, h: float, n: int) -> np.ndarray:
     """S(k h), k = 0..n, for S linear on each cell [t_j, t_j+1] of the
     renewal equation S(t) = E0(t) + 1/2 int_0^t f(u) S(t - u) du.  The
-    moments of f = -E0' on cell j are E0(t_j) - E0(t_j+1) and, about t_j,
-    int E0 - h E0(t_j+1), int E0 on CELL_ORDER Gauss-Legendre nodes."""
-    x, w = np.polynomial.legendre.leggauss(CELL_ORDER)
+    moments of f = -E0' on cell j are E0(t_j) - E0(t_j+1) and, about t_j
+    and in units of h, the cell mean of E0 less E0(t_j+1).  The matching
+    identity int_t^inf E0 = (mu/2) R(t) gives that mean as
+    (mu/2h) (R(t_j) - R(t_j+1)), R the clipped covariance."""
     edges = h * np.arange(n + 2.0)
     e = slepian.e0(model, edges)
-    m1 = slepian.e0(model, (edges[:-1, None] + 0.5 * h * (x + 1.0)).ravel()).reshape(-1, CELL_ORDER) @ (0.5 * w) - e[1:]
+    m1 = (0.5 * slepian.mean_excursion(model) / h) * -np.diff(clipped_autocovariance(model, edges)) - e[1:]
     a = e[:-1] - e[1:] - m1  # cell j weighs S(t_k - t_j) by a_j, S(t_k - t_j+1) by m1_j
     # S_k (1 - a_0/2) = E0_k + (sum_{j=1}^{k} (a_j + m1_{j-1}) S_{k-j} - a_k)/2
     c = (a[1 : n + 1] + m1[:n])[::-1].copy()

@@ -12,7 +12,7 @@ Confidence bounds come from replication, not from OLS standard errors
 (residuals across order statistics are strongly dependent): ``reps``
 independent replications on distinct RNG streams give a Student-t
 half-width.  The tail count k is always an explicit, logged parameter;
-the default is max(1000, n/100).
+the default is max(1000, n/100), at most n - 1.
 
 Estimates are in the model's native time units.  No rescaling happens
 inside the estimator: for reparameterized covariances (e.g. a Matern with
@@ -94,7 +94,8 @@ class ExponentEstimate:
 
 
 def default_tail_count(n: int) -> int:
-    return max(1000, n // 100)
+    """max(1000, n/100), capped at n - 1, the largest tail count of n."""
+    return min(max(1000, n // 100), n - 1)
 
 
 def _student_t_central(t: float, nu: int) -> float:

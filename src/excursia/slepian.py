@@ -13,9 +13,9 @@ is exactly E0.  ``validate_iia`` checks those hypotheses on a grid and
 classifies the tail; models with oscillating E0 are rejected, power
 tails are flagged because the resulting tail behavior cannot match the
 underlying process, and a tail the grid cannot classify gets its own
-verdict.  The tail class is also what the Laplace transform completes
-the truncated survival with (log-log form for a power law, exponential
-form otherwise).
+verdict.  The tail class also sets the Laplace transform's tail past
+its truncation (E0 itself for a power law, an exponential completion
+otherwise).
 
 The module also exposes the divisor's density f = -E0', a closed form
 in r, r', r'' and 1 - r^2, formed with E0 from one ``r_terms`` and one

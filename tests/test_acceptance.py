@@ -156,7 +156,7 @@ def test_c05_mean_conservation_all_valid_models():
 def test_c06_exponential_closure_oracle():
     vals, _ = ex.sample_excursions(ex.exponential_switching(1.0), ex.RngStream(9, 0), 10**6)
     ks = stats.kstest(vals, lambda x: -np.expm1(-0.5 * np.asarray(x)))
-    ev = LaplaceEvaluator.for_survival(lambda t: np.exp(-np.asarray(t, dtype=float)), tail_kind="exponential")
+    ev = LaplaceEvaluator.for_survival(lambda t: np.exp(-np.asarray(t, dtype=float)))
     theta = ev.find_pole().theta
     ok = ks.pvalue > 0.01 and abs(theta - 0.5) <= 1e-8
     _criterion(6, "Exp(1) divisor: compound KS vs Exp(1/2) at 1% and analytic pole 0.5 +- 1e-8", ok, f"KS p={ks.pvalue:.3f}, pole={theta:.10f}")

@@ -604,7 +604,7 @@ def test_shifted_gaussian_gate_limit_is_the_one_the_listing_names(capsys):
         ["persistency", "--model", "diffusion(d=2)", "--n", "0"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--k", "1"],
         ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--reps", "1"],
-        ["reproduce", "table2", "--dmax", "1", "--n", "500"],
+        ["reproduce", "table2", "--dmax", "1", "--n", "2"],
         ["switch", "--dist", "exp:1", "--n", "100", "--grid", "-1:1:0.5"],
         ["e0", "--model", "diffusion(d=2)", "--step", "0"],
         ["e0", "--model", "diffusion(d=2)", "--step", "-0.1"],
@@ -738,6 +738,15 @@ def test_config_echo_has_no_removed_settings(tmp_path, capsys):
     config = json.loads(meta[1].removeprefix("# config "))
     assert config["reps"] == 2
     assert "threads" not in config and "tail_frac" not in config
+
+
+def test_default_tail_count_fits_a_small_n(tmp_path, capsys):
+    # max(1000, n/100) is n itself at n = 1000; the default takes n - 1,
+    # the largest tail count of n, rather than refusing a k nobody gave
+    code, payload = run_json(capsys, ["persistency", "--model", "diffusion(d=2)", "--n", "1000", "--reps", "2"])
+    assert code == 0
+    assert payload["estimates"][0]["k"] == 999
+    assert main(["reproduce", "table2", "--dmax", "1", "--n", "1000", "--reps", "2", "--output", str(tmp_path / "t.csv")]) == 0
     capsys.readouterr()
 
 

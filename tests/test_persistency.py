@@ -43,6 +43,12 @@ def test_scale_equivariance_is_exact_algebra():
     assert t2 == pytest.approx(t1 / c, rel=1e-12)
 
 
+def test_default_tail_count_is_a_valid_tail_count():
+    assert [persistency.default_tail_count(n) for n in (3, 1000, 1001, 100000, 10**6)] == [2, 999, 1000, 1000, 10000]
+    for n in range(3, 3000):
+        persistency.check_tail_count(persistency.default_tail_count(n), n)
+
+
 def test_tail_count_validation_and_degenerate_error():
     samples = np.arange(1.0, 101.0)
     with pytest.raises(ValueError):

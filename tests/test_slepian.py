@@ -431,10 +431,10 @@ def test_divisor_distribution_fields():
 
 
 def test_divisor_mean_identity_by_quadrature():
-    # integral of E0 over [0, inf) equals mu/2 to relative 1e-6
+    # integral of E0 over [0, inf) equals mu/2 to relative 1e-12
     for m in VALID_MODELS:
         total = ex.laplace_e0(m, 0.0)
-        assert total == pytest.approx(ex.mean_excursion(m) / 2.0, rel=1e-6), m.spec_string()
+        assert total == pytest.approx(ex.mean_excursion(m) / 2.0, rel=1e-12, abs=0.0), m.spec_string()
 
 
 def test_matching_identity_examples():
